@@ -184,7 +184,6 @@ fn run(max_batch: usize, clients: usize, requests: usize) -> RunResult {
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch,
-            max_wait_ms: 2,
             device: Device::parallel(),
             // Closed-loop clients must never be shed in the throughput
             // comparison; admission control gets its own run.
@@ -221,7 +220,6 @@ fn run_replicas(replicas: usize, clients: usize, requests: usize) -> RunResult {
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: 1,
-            max_wait_ms: 0,
             device: Device::parallel(),
             queue_bound: (clients * 4).max(64),
             replicas,
@@ -253,7 +251,6 @@ fn run_overload(quick: bool) -> Result<String, String> {
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: 4,
-            max_wait_ms: 2,
             device: Device::parallel(),
             queue_bound: bound,
             replicas: 1,
@@ -451,7 +448,6 @@ fn run_republish(quick: bool) -> Result<String, String> {
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: 4,
-            max_wait_ms: 2,
             device: Device::parallel(),
             queue_bound: 256,
             replicas: 2,
@@ -611,7 +607,6 @@ fn run_storm(quick: bool) -> Result<String, String> {
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: 4,
-            max_wait_ms: 2,
             device: Device::parallel(),
             queue_bound: 64,
             replicas: 1,

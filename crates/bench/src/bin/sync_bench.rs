@@ -53,7 +53,6 @@ fn start_node(dir: &Path) -> Server {
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: 4,
-            max_wait_ms: 1,
             device: Device::Cpu,
             ..BatchConfig::default()
         },

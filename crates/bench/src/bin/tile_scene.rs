@@ -268,7 +268,6 @@ fn main() {
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: 4,
-            max_wait_ms: 2,
             device: Device::parallel(),
             queue_bound: 64,
             replicas: 2,

@@ -9,17 +9,19 @@
 //! [`ModelClient`]: `predict` routes a sample-shaped tensor to the
 //! least-loaded live replica's queue and blocks on a one-shot reply.
 //!
-//! Each replica drains its queue into batches: the first request opens a
-//! batch and starts a `max_wait_ms` timer; more requests join until the
-//! batch holds `max_batch` samples or the timer fires, whichever comes
-//! first. Same-shaped samples are stacked into one `[K, ...]` tensor and
-//! run through a single no-grad forward on the configured device (conv
-//! and matmul kernels split over the batch axis on `Device::Parallel`,
-//! which is where micro-batching beats one-forward-per-request); the
-//! output rows are scattered back to the callers. Ragged shapes are
-//! legal — a batch is partitioned into per-shape groups, one forward
-//! each, so every caller gets exactly what a sequential forward would
-//! have produced.
+//! Each replica batches *continuously*, with no timer: the first request
+//! opens a batch, everything already routed to this replica joins it
+//! without sleeping, and the batch flushes once it holds `max_batch`
+//! samples or equals the replica's own in-flight count (the model-global
+//! count would include work routed to siblings). A lone caller pays one
+//! forward, not a window; under load the previous forward is the window.
+//! Same-shaped samples are stacked into one `[K, ...]` tensor and run
+//! through a single no-grad forward on the configured device (conv and
+//! matmul kernels split over the batch axis on `Device::Parallel`, which
+//! is where micro-batching beats one-forward-per-request); the output rows
+//! are scattered back to the callers. Ragged shapes are legal — a batch is
+//! partitioned into per-shape groups, one forward each, so every caller
+//! gets exactly what a sequential forward would have produced.
 //!
 //! # Robustness
 //!
@@ -81,9 +83,6 @@ pub struct BatchConfig {
     /// (every request runs alone — the baseline the load generator
     /// compares against).
     pub max_batch: usize,
-    /// How long an open batch waits for more requests before a partial
-    /// batch is flushed.
-    pub max_wait_ms: u64,
     /// Device the batched forward runs on.
     pub device: Device,
     /// Most admitted-but-unanswered requests per model, summed across
@@ -102,7 +101,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_batch: 8,
-            max_wait_ms: 2,
             device: Device::parallel(),
             queue_bound: 64,
             replicas: 1,
@@ -434,7 +432,7 @@ impl ModelWorker {
                     // replica: routing skips it, and `/healthz` flips
                     // the model to dead once no replica is left.
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        serve_loop(model.as_ref(), &rx, config, model_stat, &thread_state, version)
+                        serve_loop(model.as_ref(), &rx, config, model_stat, &thread_state, i, version)
                     }));
                     thread_state.mark_stopped(i, outcome.is_err());
                     if outcome.is_err() {
@@ -762,6 +760,11 @@ static REQUESTS: OnceLock<&'static Stat> = OnceLock::new();
 static BATCHES: OnceLock<&'static Stat> = OnceLock::new();
 static BATCH_SIZE: OnceLock<&'static Stat> = OnceLock::new();
 static QUEUE_WAIT: OnceLock<&'static Stat> = OnceLock::new();
+static GATHER_WAIT: OnceLock<&'static Stat> = OnceLock::new();
+
+/// Longest single park of a gather whose next sender is caught between
+/// `ReplicaSlot::take` and `tx.send`; the depth is re-read after each.
+const SEND_GRACE: Duration = Duration::from_micros(100);
 
 /// Deliver a request's answer, releasing its admission slot and replica
 /// in-flight count *before* the reply is sent. The order matters on a
@@ -855,147 +858,144 @@ fn serve_loop(
     config: BatchConfig,
     model_stat: &'static Stat,
     state: &WorkerState,
-    initial_version: Arc<str>,
+    replica: usize,
+    mut version: Arc<str>,
 ) {
-    let mut version = initial_version;
+    let depth = &state.replicas[replica].depth;
     let mut seen_gen = 0u64;
-    loop {
+    let mut batch: Vec<Request> = Vec::with_capacity(config.max_batch);
+    let mut stopping = false;
+    while !stopping {
         // Between batches is the only place weights may change.
         maybe_swap(model, state, &mut seen_gen, &mut version);
-        // Block for the head of the next batch; the shutdown sentinel
-        // (or a fully disconnected channel) stops the replica. Requests
-        // that expired while queued are answered with 504 and never
-        // open a batch.
-        let first = match rx.recv() {
-            Ok(Msg::Predict(r)) => match reject_if_expired(r) {
-                Some(r) => r,
-                None => continue,
-            },
+        // Block for the head of the next batch; a request that expired
+        // while queued is answered with 504 and never opens one.
+        match rx.recv() {
+            Ok(Msg::Predict(r)) => batch.extend(reject_if_expired(r)),
             // Re-run the swap check, then park again.
-            Ok(Msg::Swap) => continue,
+            Ok(Msg::Swap) => {}
             Ok(Msg::Shutdown) | Err(_) => return,
-        };
-        let deadline = Instant::now() + Duration::from_millis(config.max_wait_ms);
-        let mut batch = vec![first];
-        let mut stopping = false;
-        while batch.len() < config.max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(Msg::Predict(r)) => {
-                    if let Some(r) = reject_if_expired(r) {
-                        batch.push(r);
-                    }
-                }
+        }
+        if batch.is_empty() {
+            continue;
+        }
+        let opened = Instant::now();
+        // `depth` counts every request routed here and unanswered, so
+        // `depth > batch.len()` means company exists: queued (`recv`
+        // returns at once) or mid-`send` (it parks for `SEND_GRACE`).
+        while batch.len() < config.max_batch && depth.load(Ordering::SeqCst) > batch.len() {
+            match rx.recv_timeout(SEND_GRACE) {
+                Ok(Msg::Predict(r)) => batch.extend(reject_if_expired(r)),
                 // Applied after this batch completes — never mid-batch.
-                Ok(Msg::Swap) => {}
-                Err(mpsc::RecvTimeoutError::Timeout) => break,
+                Ok(Msg::Swap) | Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Ok(Msg::Shutdown) | Err(mpsc::RecvTimeoutError::Disconnected) => {
                     stopping = true;
                     break;
                 }
             }
         }
-        run_batch(model, batch, config, model_stat, &version);
-        if stopping {
-            return;
-        }
+        run_batch(model, &mut batch, config, model_stat, &version, opened);
     }
 }
 
-/// Partition a batch into same-shape groups (arrival order preserved
-/// within each group), run one stacked forward per group, scatter the
-/// rows back.
+/// One stacked forward per same-shape group of `batch` (arrival order
+/// kept within a group), rows scattered back; leaves `batch` empty.
 fn run_batch(
     model: &dyn ServeModel,
-    batch: Vec<Request>,
+    batch: &mut Vec<Request>,
     config: BatchConfig,
     model_stat: &'static Stat,
     version: &Arc<str>,
+    opened: Instant,
 ) {
     // Last deadline check before the forward: a request that expired
-    // while the batch window was open must not take a batch slot.
-    let batch: Vec<Request> = batch.into_iter().filter_map(reject_if_expired).collect();
+    // while the gather parked for a sender must not take a batch slot.
+    let now = Instant::now();
+    for r in batch.extract_if(.., |r| r.deadline.is_some_and(|d| now >= d)) {
+        reject_if_expired(r);
+    }
     if batch.is_empty() {
         return;
     }
     if geotorch_telemetry::enabled() {
-        let now = Instant::now();
         geotorch_telemetry::stat(&REQUESTS, "serve.requests").add(batch.len() as u64);
         geotorch_telemetry::stat(&BATCHES, "serve.batches").add(1);
         geotorch_telemetry::stat(&BATCH_SIZE, "serve.batch_size").add(batch.len() as u64);
         let wait = geotorch_telemetry::stat(&QUEUE_WAIT, "serve.queue_wait");
-        for r in &batch {
+        for r in batch.iter() {
             wait.record_ns(now.duration_since(r.enqueued).as_nanos() as u64);
         }
+        geotorch_telemetry::stat(&GATHER_WAIT, "serve.gather_wait")
+            .record_ns(now.duration_since(opened).as_nanos() as u64);
         model_stat.add(batch.len() as u64);
     }
 
-    let mut groups: Vec<(Vec<usize>, Vec<Request>)> = Vec::new();
-    for request in batch {
-        let shape = request.input.shape().to_vec();
-        match groups.iter_mut().find(|(s, _)| *s == shape) {
-            Some((_, members)) => members.push(request),
-            None => groups.push((shape, vec![request])),
+    // Answer same-shaped `members` with their output rows or the error.
+    let run_group = |members: &mut Vec<Request>| {
+        let outcome = forward(model, members, config, model_stat);
+        for (i, request) in members.drain(..).enumerate() {
+            let row = outcome.as_ref().map(|out| (out.index_axis(0, i), Arc::clone(version)));
+            answer(request, row.map_err(ServeError::clone));
+        }
+    };
+    // One shape is the common case; groups are built only for a second.
+    if batch.windows(2).all(|w| w[0].input.shape() == w[1].input.shape()) {
+        return run_group(batch);
+    }
+    let mut groups: Vec<Vec<Request>> = Vec::new();
+    for request in batch.drain(..) {
+        match groups.iter_mut().find(|g| g[0].input.shape() == request.input.shape()) {
+            Some(members) => members.push(request),
+            None => groups.push(vec![request]),
         }
     }
+    groups.iter_mut().for_each(run_group);
+}
 
-    for (shape, members) in groups {
-        // Chaos hook *outside* the panic isolation: an injected error
-        // fails this group cleanly, an injected panic kills the replica
-        // thread (the scenario `/healthz` must surface as degraded).
-        if let Err(msg) = geotorch_telemetry::fault_point!("serve.batcher.forward") {
-            let err = ServeError::Internal(format!("injected batcher fault: {msg}"));
-            for request in members {
-                answer(request, Err(err.clone()));
-            }
-            continue;
+/// The stacked, panic-isolated forward of one same-shape group.
+fn forward(
+    model: &dyn ServeModel,
+    members: &[Request],
+    config: BatchConfig,
+    model_stat: &'static Stat,
+) -> Result<Tensor, ServeError> {
+    // Chaos hook *outside* the panic isolation: an injected error
+    // fails this group cleanly, an injected panic kills the replica
+    // thread (the scenario `/healthz` must surface as degraded).
+    if let Err(msg) = geotorch_telemetry::fault_point!("serve.batcher.forward") {
+        return Err(ServeError::Internal(format!("injected batcher fault: {msg}")));
+    }
+    let inputs: Vec<&Tensor> = members.iter().map(|r| &r.input).collect();
+    let stacked = Tensor::stack(&inputs);
+    let start = Instant::now();
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        // Chaos hook *inside* the isolation: behaves like a model
+        // bug — the batch fails, the replica survives.
+        if let Err(msg) = geotorch_telemetry::fault_point!("serve.batcher.model") {
+            panic!("injected model fault: {msg}");
         }
-        let inputs: Vec<&Tensor> = members.iter().map(|r| &r.input).collect();
-        let stacked = Tensor::stack(&inputs);
-        let start = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            // Chaos hook *inside* the isolation: behaves like a model
-            // bug — the batch fails, the replica survives.
-            if let Err(msg) = geotorch_telemetry::fault_point!("serve.batcher.model") {
-                panic!("injected model fault: {msg}");
-            }
-            with_device(config.device, || {
-                no_grad(|| model.predict(&Var::constant(stacked)).value())
-            })
-        }));
-        if geotorch_telemetry::enabled() {
-            model_stat.record_ns(start.elapsed().as_nanos() as u64);
-        }
-        match result {
-            Ok(output) if output.shape().first() == Some(&members.len()) => {
-                for (i, request) in members.into_iter().enumerate() {
-                    answer(request, Ok((output.index_axis(0, i), Arc::clone(version))));
-                }
-            }
-            Ok(output) => {
-                let err = ServeError::Internal(format!(
-                    "model returned batch axis {:?} for {} inputs of shape {shape:?}",
-                    output.shape().first(),
-                    members.len()
-                ));
-                for request in members {
-                    answer(request, Err(err.clone()));
-                }
-            }
-            Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "forward pass panicked".to_string());
-                let err = ServeError::Internal(format!("forward pass panicked: {msg}"));
-                for request in members {
-                    answer(request, Err(err.clone()));
-                }
-            }
+        with_device(config.device, || {
+            no_grad(|| model.predict(&Var::constant(stacked)).value())
+        })
+    }));
+    if geotorch_telemetry::enabled() {
+        model_stat.record_ns(start.elapsed().as_nanos() as u64);
+    }
+    match result {
+        Ok(output) if output.shape().first() == Some(&members.len()) => Ok(output),
+        Ok(output) => Err(ServeError::Internal(format!(
+            "model returned batch axis {:?} for {} inputs of shape {:?}",
+            output.shape().first(),
+            members.len(),
+            members[0].input.shape()
+        ))),
+        Err(panic) => {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "forward pass panicked".to_string());
+            Err(ServeError::Internal(format!("forward pass panicked: {msg}")))
         }
     }
 }

@@ -455,8 +455,8 @@ pub(crate) fn route(request: &HttpRequest, front: &FrontState) -> Response {
                         let status = status_for(&e);
                         let mut headers = Vec::new();
                         if status == 429 {
-                            // A full queue drains within a batch window
-                            // or two; tell clients when to come back.
+                            // A full queue drains within a forward or
+                            // two; tell clients when to come back.
                             headers.push(("Retry-After", "1".to_string()));
                         }
                         (status, headers, error_json(&e.to_string()))

@@ -13,10 +13,10 @@
 //!   name, tensor shapes) and flips the model to eval mode.
 //! * [`batcher`] — a dynamic micro-batching scheduler. Each model gets a
 //!   dedicated owner thread (the autograd [`Var`] graph is deliberately
-//!   single-threaded, so the model never crosses threads); concurrent
-//!   requests queue up to `max_batch`/`max_wait_ms`, are stacked into one
-//!   batched no-grad forward on the configured device, and the rows of
-//!   the output are scattered back to the callers.
+//!   single-threaded, so the model never crosses threads); whatever is
+//!   queued when a forward ends (up to `max_batch`; no timer) is stacked
+//!   into the next batched no-grad forward on the configured device, and
+//!   the rows of the output are scattered back to the callers.
 //! * [`http`] — a hand-rolled HTTP/1.1 layer with JSON bodies: `POST
 //!   /predict/<model>`, `GET /healthz`, and `GET /metrics` (a
 //!   `geotorch-telemetry` snapshot including the `serve.*` stats). The

@@ -2,6 +2,8 @@
 //! from one-at-a-time no-grad forwards, regardless of how requests
 //! interleave or how ragged their shapes are.
 
+mod common;
+
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
@@ -12,10 +14,11 @@ use geotorch_serve::{BatchConfig, ModelWorker, SegmenterServe, ServeModel};
 use geotorch_tensor::{Device, Tensor};
 use rand::SeedableRng;
 
-fn cpu_config(max_batch: usize, max_wait_ms: u64) -> BatchConfig {
+use common::{latched_worker, wait_for_routed};
+
+fn cpu_config(max_batch: usize) -> BatchConfig {
     BatchConfig {
         max_batch,
-        max_wait_ms,
         device: Device::Cpu,
         ..BatchConfig::default()
     }
@@ -58,7 +61,7 @@ fn concurrent_ragged_requests_match_sequential_no_grad_forwards() {
         })
         .collect();
 
-    let worker = ModelWorker::spawn("fcn", cpu_config(8, 20), || {
+    let worker = ModelWorker::spawn("fcn", cpu_config(8), || {
         Ok(Box::new(SegmenterServe(fcn())) as Box<dyn ServeModel>)
     })
     .expect("worker starts");
@@ -111,7 +114,6 @@ fn parallel_device_batches_match_cpu_sequential() {
 
     let config = BatchConfig {
         max_batch: 8,
-        max_wait_ms: 20,
         device: Device::Parallel(4),
         ..BatchConfig::default()
     };
@@ -160,70 +162,122 @@ impl ServeModel for Doubler {
     }
 }
 
+fn sample(v: f32) -> Tensor {
+    Tensor::from_vec(vec![v], &[1])
+}
+
 #[test]
-fn max_wait_flushes_a_partial_batch() {
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let log_clone = Arc::clone(&log);
-    // max_batch far larger than the traffic: only the timer can flush.
-    let worker = ModelWorker::spawn("doubler", cpu_config(64, 30), move || {
-        Ok(Box::new(Doubler { log: Arc::clone(&log_clone) }) as Box<dyn ServeModel>)
-    })
-    .expect("worker starts");
+fn lone_request_flushes_at_once() {
+    // max_batch far larger than the traffic: nothing but the flush rule
+    // (replica depth == batch length) can start the forward.
+    let (worker, latch) = latched_worker("lone", cpu_config(64));
     let client = worker.client();
-    let start = Instant::now();
-    let out = client
-        .predict(Tensor::from_vec(vec![1.0, 2.0], &[2]))
-        .expect("single request must not hang");
-    let elapsed = start.elapsed();
-    assert_eq!(out.as_slice(), &[2.0, 4.0]);
+    // Submit → forward start, best of a few rounds: interference only
+    // ever adds time, and a batch window of any length would add it to
+    // every round.
+    let mut best = Duration::MAX;
+    for i in 0..10 {
+        let started = Instant::now();
+        let caller = std::thread::spawn({
+            let client = client.clone();
+            move || client.predict(sample(i as f32))
+        });
+        assert_eq!(latch.entered(), 1, "a lone request runs alone");
+        best = best.min(started.elapsed());
+        latch.release();
+        let out = caller.join().unwrap().expect("prediction succeeds");
+        assert_eq!(out.as_slice(), &[2.0 * i as f32]);
+    }
     assert!(
-        elapsed < Duration::from_secs(5),
-        "partial batch must flush at max_wait_ms, took {elapsed:?}"
-    );
-    assert_eq!(
-        log.lock().unwrap().as_slice(),
-        &[1],
-        "exactly one forward with batch size 1"
+        best < Duration::from_millis(1),
+        "a lone request must reach its forward without waiting for company, took {best:?}"
     );
     worker.shutdown();
 }
 
 #[test]
-fn concurrent_requests_get_stacked() {
+fn arrivals_during_a_forward_ride_the_next_batch() {
     const K: usize = 8;
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let log_clone = Arc::clone(&log);
-    let worker = ModelWorker::spawn("doubler", cpu_config(K, 500), move || {
-        Ok(Box::new(Doubler { log: Arc::clone(&log_clone) }) as Box<dyn ServeModel>)
-    })
-    .expect("worker starts");
-
-    let barrier = Arc::new(Barrier::new(K));
+    let (worker, latch) = latched_worker("ride", cpu_config(K));
     std::thread::scope(|scope| {
-        for i in 0..K {
+        let caller = |i: usize| {
             let client = worker.client();
-            let barrier = Arc::clone(&barrier);
             scope.spawn(move || {
-                barrier.wait();
-                let out = client
-                    .predict(Tensor::from_vec(vec![i as f32], &[1]))
-                    .unwrap();
+                let out = client.predict(sample(i as f32)).expect("prediction succeeds");
                 assert_eq!(out.as_slice(), &[2.0 * i as f32], "scatter order");
-            });
+            })
+        };
+        caller(0);
+        assert_eq!(latch.entered(), 1, "the first arrival does not wait for the rest");
+        // K−1 more arrive while forward 1 is held: its run time is
+        // their accumulation window.
+        for i in 1..K {
+            caller(i);
+        }
+        wait_for_routed(&worker, K);
+        latch.release();
+        assert_eq!(latch.entered(), K - 1, "everything queued shares forward 2");
+        latch.release();
+    });
+    worker.shutdown();
+}
+
+#[test]
+fn max_batch_caps_what_a_gather_takes() {
+    let (worker, latch) = latched_worker("cap", cpu_config(4));
+    std::thread::scope(|scope| {
+        let caller = || {
+            let client = worker.client();
+            scope.spawn(move || client.predict(sample(1.0)).expect("prediction succeeds"));
+        };
+        caller();
+        assert_eq!(latch.entered(), 1);
+        (0..6).for_each(|_| caller());
+        wait_for_routed(&worker, 7);
+        latch.release();
+        assert_eq!(latch.entered(), 4, "six queued, four slots");
+        latch.release();
+        assert_eq!(latch.entered(), 2, "the remainder, without waiting for more");
+        latch.release();
+    });
+    worker.shutdown();
+}
+
+#[test]
+fn swap_lands_strictly_between_two_batches() {
+    let (worker, latch) = latched_worker("swap", cpu_config(4));
+    let client = worker.client();
+    std::thread::scope(|scope| {
+        let caller = || {
+            let client = client.clone();
+            scope.spawn(move || {
+                let (out, version) = client.predict_versioned(sample(1.0), None).expect("served");
+                (out.as_slice()[0], version.to_string())
+            })
+        };
+        let a = caller();
+        assert_eq!(latch.entered(), 1);
+        // Queue order behind the running forward: B, the swap nudge, C.
+        let b = caller();
+        wait_for_routed(&worker, 2);
+        client
+            .install_weights("v1", vec![Tensor::from_vec(vec![3.0], &[1])])
+            .expect("staged");
+        let c = caller();
+        wait_for_routed(&worker, 3);
+        latch.release();
+        assert_eq!(
+            a.join().unwrap(),
+            (2.0, "v0".to_string()),
+            "a batch that started on the old weights finishes on them"
+        );
+        assert_eq!(latch.entered(), 2, "a nudge mid-queue neither splits nor stalls the gather");
+        latch.release();
+        for reply in [b, c] {
+            assert_eq!(reply.join().unwrap(), (3.0, "v1".to_string()));
         }
     });
     worker.shutdown();
-
-    let batches = log.lock().unwrap().clone();
-    assert_eq!(batches.iter().sum::<usize>(), K, "every request served once");
-    assert!(
-        batches.len() < K,
-        "near-simultaneous requests must share forwards, got batch sizes {batches:?}"
-    );
-    assert!(
-        batches.iter().all(|&b| b <= K),
-        "max_batch respected: {batches:?}"
-    );
 }
 
 #[test]
@@ -231,7 +285,7 @@ fn max_batch_one_serves_every_request_alone() {
     const K: usize = 5;
     let log = Arc::new(Mutex::new(Vec::new()));
     let log_clone = Arc::clone(&log);
-    let worker = ModelWorker::spawn("doubler", cpu_config(1, 50), move || {
+    let worker = ModelWorker::spawn("doubler", cpu_config(1), move || {
         Ok(Box::new(Doubler { log: Arc::clone(&log_clone) }) as Box<dyn ServeModel>)
     })
     .expect("worker starts");
@@ -252,7 +306,7 @@ fn max_batch_one_serves_every_request_alone() {
 
 #[test]
 fn init_failure_propagates_out_of_spawn() {
-    let result = ModelWorker::spawn("broken", cpu_config(4, 5), || {
+    let result = ModelWorker::spawn("broken", cpu_config(4), || {
         Err(geotorch_serve::ServeError::ModelLoad("bad checkpoint".into()))
     });
     match result {
@@ -278,7 +332,7 @@ fn forward_panic_becomes_an_error_and_worker_survives() {
             batch.mul_scalar(1.0)
         }
     }
-    let worker = ModelWorker::spawn("panicker", cpu_config(1, 5), || {
+    let worker = ModelWorker::spawn("panicker", cpu_config(1), || {
         Ok(Box::new(Panicker) as Box<dyn ServeModel>)
     })
     .expect("worker starts");

@@ -1,5 +1,6 @@
 //! Property tests for the micro-batching scheduler's core invariants,
-//! over random arrival patterns, batch sizes, and ragged shapes:
+//! over random arrival patterns (per-caller stagger, per-request jitter),
+//! batch sizes, replica counts, and ragged shapes:
 //!
 //! 1. every submitted request gets exactly one response;
 //! 2. each response equals the sequential no-grad forward of its own
@@ -51,12 +52,15 @@ proptest! {
     #[test]
     fn every_request_gets_exactly_one_correct_response_in_order(
         max_batch in 1usize..6,
-        max_wait_ms in 0u64..4,
         clients in 1usize..5,
         per_client in 1usize..5,
         replicas in 1usize..=4,
         shape_sel in prop::collection::vec(0u8..4, 16..=16),
         jitter in prop::collection::vec(0u64..3, 16..=16),
+        // Per-caller start offset in µs: with no batch window, *when*
+        // callers arrive relative to a running forward is what decides
+        // batch composition.
+        stagger_us in prop::collection::vec(0u64..2_000, 4..=4),
     ) {
         let batches = Arc::new(Mutex::new(Vec::new()));
         let batches_clone = Arc::clone(&batches);
@@ -67,7 +71,6 @@ proptest! {
             "doubler",
             BatchConfig {
                 max_batch,
-                max_wait_ms,
                 device: Device::Cpu,
                 queue_bound: 256,
                 replicas,
@@ -85,8 +88,10 @@ proptest! {
                     let barrier = Arc::clone(&barrier);
                     let shape_sel = shape_sel.clone();
                     let jitter = jitter.clone();
+                    let stagger = std::time::Duration::from_micros(stagger_us[c]);
                     scope.spawn(move || {
                         barrier.wait();
+                        std::thread::sleep(stagger);
                         // Blocking submission: response i must come back
                         // before request i+1 goes out — per-connection
                         // order is part of the client contract.

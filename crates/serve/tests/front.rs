@@ -16,7 +16,7 @@
 //! before/after deltas; the fault-injection test serialises through a
 //! gate because the fault registry is process-global too.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -53,7 +53,6 @@ fn start_server(http_workers: usize, socket_timeout_ms: u64) -> Server {
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: 4,
-            max_wait_ms: 1,
             device: Device::Cpu,
             queue_bound: 64,
             replicas: 1,
@@ -99,18 +98,16 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String)
 
 /// Read exactly one response off a keep-alive stream: headers, then a
 /// `Content-Length`-sized body. Returns (status, header block, body).
-fn read_one_response(stream: &mut TcpStream) -> (u16, String, String) {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 1024];
-    let header_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        let n = stream.read(&mut chunk).expect("read response headers");
+/// The `BufReader` belongs to the connection, so bytes of a pipelined
+/// next response that arrive in the same read wait there for the next
+/// call instead of being dropped.
+fn read_one_response(stream: &mut BufReader<TcpStream>) -> (u16, String, String) {
+    let mut head = String::new();
+    while !head.ends_with("\r\n\r\n") {
+        let n = stream.read_line(&mut head).expect("read response headers");
         assert!(n > 0, "connection closed mid-response");
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&buf[..header_end]).into_owned();
+    }
+    head.truncate(head.len() - 4);
     let status: u16 = head
         .split_whitespace()
         .nth(1)
@@ -121,13 +118,8 @@ fn read_one_response(stream: &mut TcpStream) -> (u16, String, String) {
         .find_map(|l| l.split_once(':').filter(|(k, _)| k.eq_ignore_ascii_case("content-length")))
         .map(|(_, v)| v.trim().parse().expect("content-length"))
         .expect("response carries Content-Length");
-    let mut body = buf[header_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk).expect("read response body");
-        assert!(n > 0, "connection closed mid-body");
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
+    let mut body = vec![0u8; content_length];
+    stream.read_exact(&mut body).expect("read response body");
     (status, head, String::from_utf8(body).expect("utf-8 body"))
 }
 
@@ -209,8 +201,9 @@ fn keep_alive_connection_serves_sequential_requests() {
     let _g = serial();
     let server = start_server(2, 400);
     let addr = server.addr();
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = BufReader::new(TcpStream::connect(addr).expect("connect"));
     stream
+        .get_ref()
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
 
@@ -218,6 +211,7 @@ fn keep_alive_connection_serves_sequential_requests() {
     // socket must answer all three and stay open.
     for i in 0..3 {
         stream
+            .get_mut()
             .write_all(
                 request_bytes("POST", "/predict/echo", &predict_payload(i as f32), false)
                     .as_bytes(),
@@ -262,7 +256,7 @@ fn pipelined_requests_are_all_answered_in_order() {
     let _g = serial();
     let server = start_server(2, 5_000);
     let addr = server.addr();
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = BufReader::new(TcpStream::connect(addr).expect("connect"));
 
     // Five requests in a single write; the last one opts out of
     // keep-alive so the connection ends deterministically.
@@ -275,7 +269,7 @@ fn pipelined_requests_are_all_answered_in_order() {
             i == 4,
         ));
     }
-    stream.write_all(batch.as_bytes()).expect("send pipeline");
+    stream.get_mut().write_all(batch.as_bytes()).expect("send pipeline");
 
     for i in 0..5 {
         let (status, _, body) = read_one_response(&mut stream);

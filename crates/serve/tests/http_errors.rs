@@ -76,7 +76,6 @@ fn start_server(queue_bound: usize, socket_timeout_ms: u64, max_body: usize) -> 
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: 4,
-            max_wait_ms: 1,
             device: Device::Cpu,
             queue_bound,
             replicas: 1,

@@ -30,7 +30,6 @@ fn serve_config() -> ServeConfig {
     ServeConfig {
         batch: BatchConfig {
             max_batch: 4,
-            max_wait_ms: 2,
             device: Device::Cpu,
             ..BatchConfig::default()
         },
@@ -129,14 +128,19 @@ fn train_checkpoint_serve_roundtrip() {
         "served logits must match a local eval forward of the trained weights"
     );
 
-    // 6. /metrics parses and reports the serve.* stats.
+    // 6. /metrics parses and reports the serve.* stats (after a few
+    //    more one-at-a-time predictions, so the timers hold a mean).
+    for _ in 0..8 {
+        assert_eq!(http(addr, "POST", "/predict/satcnn", &payload).0, 200);
+    }
     let (status, body) = http(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     let metrics: Value = serde_json::from_str(&body).expect("metrics is JSON");
-    let names: Vec<&str> = metrics
+    let stats = metrics
         .get("stats")
         .and_then(Value::as_array)
-        .expect("stats array")
+        .expect("stats array");
+    let names: Vec<&str> = stats
         .iter()
         .map(|s| s.get("name").and_then(Value::as_str).expect("stat name"))
         .collect();
@@ -145,6 +149,7 @@ fn train_checkpoint_serve_roundtrip() {
         "serve.batches",
         "serve.batch_size",
         "serve.queue_wait",
+        "serve.gather_wait",
         "serve.http.requests",
         "serve.model.satcnn",
         // Tensor-allocator gauges ride along in every snapshot, so an
@@ -158,6 +163,13 @@ fn train_checkpoint_serve_roundtrip() {
     ] {
         assert!(names.contains(&key), "missing {key} in {names:?}");
     }
+    // A lone caller never waits for company: first pop → forward start
+    // is bookkeeping, not a window (the operator-visible twin of the
+    // benchmark's `serve.batch_wait_ms`).
+    let gather = &stats[names.iter().position(|n| *n == "serve.gather_wait").expect("checked above")];
+    let field = |key: &str| gather.get(key).and_then(Value::as_f64).expect("numeric field");
+    let mean_ms = field("total_ns") / field("calls") / 1e6;
+    assert!(mean_ms < 0.5, "lone-caller mean gather wait {mean_ms:.3} ms");
 
     // 7. Error paths: unknown model → 404, malformed tensor → 400.
     let (status, _) = http(addr, "POST", "/predict/nope", &payload);

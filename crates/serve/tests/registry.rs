@@ -10,7 +10,6 @@ use geotorch_tensor::{Device, Tensor};
 fn cpu_config() -> BatchConfig {
     BatchConfig {
         max_batch: 4,
-        max_wait_ms: 5,
         device: Device::Cpu,
         ..BatchConfig::default()
     }

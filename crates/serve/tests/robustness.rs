@@ -7,6 +7,8 @@
 //! every test here takes the `serial()` gate: a plan installed by one
 //! test must never fire inside another's forward pass.
 
+mod common;
+
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -17,6 +19,8 @@ use geotorch_serve::{
 use geotorch_tensor::{Device, Tensor};
 use geotorch_telemetry::fault::{self, FaultAction, FaultPlan};
 use serde::Value;
+
+use common::{latched_worker, wait_for_routed};
 
 fn serial() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
@@ -32,10 +36,9 @@ fn chaos_seed() -> u64 {
         .unwrap_or(42)
 }
 
-fn cpu_config(max_batch: usize, max_wait_ms: u64, queue_bound: usize) -> BatchConfig {
+fn cpu_config(max_batch: usize, queue_bound: usize) -> BatchConfig {
     BatchConfig {
         max_batch,
-        max_wait_ms,
         device: Device::Cpu,
         queue_bound,
         replicas: 1,
@@ -99,7 +102,7 @@ fn slow_worker(ms: u64, config: BatchConfig) -> (ModelWorker, Arc<Mutex<Vec<f32>
 #[test]
 fn zero_budget_is_rejected_at_admission() {
     let _g = serial();
-    let (worker, log) = slow_worker(5, cpu_config(1, 1, 16));
+    let (worker, log) = slow_worker(5, cpu_config(1, 16));
     let err = worker
         .client()
         .predict_with_deadline(sample(1.0), Some(Duration::ZERO))
@@ -115,38 +118,39 @@ fn zero_budget_is_rejected_at_admission() {
 #[test]
 fn request_that_expires_in_the_queue_never_takes_a_batch_slot() {
     let _g = serial();
-    // One 80 ms forward at a time: request B queues behind A's forward
-    // and its 30 ms budget expires long before the worker pops it.
-    let (worker, log) = slow_worker(80, cpu_config(1, 1, 16));
+    let (worker, latch) = latched_worker("expiry", cpu_config(4, 16));
     let client = worker.client();
-    let a = std::thread::spawn({
-        let client = client.clone();
-        move || client.predict(sample(1.0))
+    std::thread::scope(|scope| {
+        let a = scope.spawn(|| client.predict(sample(1.0)));
+        assert_eq!(latch.entered(), 1);
+        // B queues behind A's held forward and its budget runs out
+        // there: the caller gives up at its own deadline, while the
+        // worker is still busy.
+        let err = client
+            .predict_with_deadline(sample(2.0), Some(Duration::from_millis(20)))
+            .expect_err("B's deadline expires while A's forward is held");
+        assert!(matches!(err, ServeError::DeadlineExceeded(_)), "{err}");
+        // C queues behind the expired B.
+        let c = scope.spawn(|| client.predict(sample(3.0)));
+        wait_for_routed(&worker, 3);
+        latch.release();
+        assert_eq!(a.join().unwrap().unwrap().as_slice(), &[2.0]);
+        assert_eq!(
+            latch.entered(),
+            1,
+            "the expired request must be rejected at queue pop, not stacked with C"
+        );
+        latch.release();
+        assert_eq!(c.join().unwrap().unwrap().as_slice(), &[6.0]);
     });
-    std::thread::sleep(Duration::from_millis(30));
-    let started = Instant::now();
-    let err = client
-        .predict_with_deadline(sample(2.0), Some(Duration::from_millis(30)))
-        .expect_err("B's deadline expires while A's forward is running");
-    assert!(matches!(err, ServeError::DeadlineExceeded(_)), "{err}");
-    assert!(
-        started.elapsed() < Duration::from_millis(70),
-        "the caller must give up at its own deadline, not wait for the worker"
-    );
-    assert_eq!(a.join().unwrap().unwrap().as_slice(), &[2.0]);
     worker.shutdown();
-    assert_eq!(
-        log.lock().unwrap().as_slice(),
-        &[1.0],
-        "the expired request must be rejected at queue pop, not forwarded"
-    );
 }
 
 #[test]
 fn admission_past_the_bound_sheds_with_overloaded() {
     let _g = serial();
     const K: usize = 8;
-    let (worker, _log) = slow_worker(100, cpu_config(1, 1, 1));
+    let (worker, _log) = slow_worker(100, cpu_config(1, 1));
     let barrier = Arc::new(Barrier::new(K));
     let outcomes: Vec<Result<Tensor, ServeError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..K)
@@ -177,7 +181,7 @@ fn backpressure_sets_past_high_watermark_and_clears_with_hysteresis() {
     let _g = serial();
     const K: usize = 8;
     // bound 8 → high watermark 6, low watermark 2.
-    let (worker, _log) = slow_worker(30, cpu_config(1, 1, K));
+    let (worker, _log) = slow_worker(30, cpu_config(1, K));
     let client = worker.client();
     assert_eq!(client.queue_bound(), K);
     assert!(!client.is_pressured());
@@ -226,7 +230,7 @@ fn injected_forward_panic_kills_the_worker_and_is_visible() {
         1,
         FaultAction::Panic("poisoned forward".into()),
     ));
-    let worker = ModelWorker::spawn("echo", cpu_config(4, 1, 16), || {
+    let worker = ModelWorker::spawn("echo", cpu_config(4, 16), || {
         Ok(Box::new(Echo) as Box<dyn ServeModel>)
     })
     .expect("worker starts");
@@ -261,7 +265,7 @@ fn healthz_reports_a_dead_worker_as_degraded() {
     let mut registry = Registry::new();
     registry.register("echo", None, || Box::new(Echo) as Box<dyn ServeModel>);
     let config = ServeConfig {
-        batch: cpu_config(4, 1, 16),
+        batch: cpu_config(4, 16),
         http_workers: 2,
         enable_telemetry: true,
         default_deadline_ms: 2_000,
@@ -313,7 +317,7 @@ fn begin_drain_flips_healthz_and_refuses_predictions() {
     let mut registry = Registry::new();
     registry.register("echo", None, || Box::new(Echo) as Box<dyn ServeModel>);
     let config = ServeConfig {
-        batch: cpu_config(4, 1, 16),
+        batch: cpu_config(4, 16),
         http_workers: 2,
         enable_telemetry: true,
         ..ServeConfig::default()
@@ -347,7 +351,7 @@ fn deadline_header_is_honoured_and_validated_over_http() {
         }) as Box<dyn ServeModel>
     });
     let config = ServeConfig {
-        batch: cpu_config(1, 1, 16),
+        batch: cpu_config(1, 16),
         http_workers: 2,
         enable_telemetry: true,
         default_deadline_ms: 10_000,
@@ -382,7 +386,7 @@ fn deadline_header_is_honoured_and_validated_over_http() {
 fn worker_drain_answers_every_admitted_request() {
     let _g = serial();
     const K: usize = 12;
-    let (worker, log) = slow_worker(20, cpu_config(2, 1, 64));
+    let (worker, log) = slow_worker(20, cpu_config(2, 64));
     let barrier = Arc::new(Barrier::new(K + 1));
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..K)
@@ -426,7 +430,7 @@ fn drain_hard_timeout_detaches_a_wedged_worker() {
     fault::install(
         FaultPlan::new(chaos_seed()).always("serve.batcher.model", FaultAction::DelayMs(1_500)),
     );
-    let worker = ModelWorker::spawn("echo", cpu_config(1, 1, 16), || {
+    let worker = ModelWorker::spawn("echo", cpu_config(1, 16), || {
         Ok(Box::new(Echo) as Box<dyn ServeModel>)
     })
     .expect("worker starts");
@@ -461,7 +465,7 @@ fn injected_faults_are_deterministic_per_seed_through_the_serve_path() {
             0.5,
             FaultAction::Error("chaos".into()),
         ));
-        let worker = ModelWorker::spawn("echo", cpu_config(1, 1, 16), || {
+        let worker = ModelWorker::spawn("echo", cpu_config(1, 16), || {
             Ok(Box::new(Echo) as Box<dyn ServeModel>)
         })
         .expect("worker starts");

@@ -55,7 +55,6 @@ fn start_node(dir: &Path, replicas: usize) -> Server {
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: 4,
-            max_wait_ms: 1,
             device: Device::Cpu,
             replicas,
             ..BatchConfig::default()

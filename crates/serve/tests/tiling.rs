@@ -66,7 +66,6 @@ fn seam_scene() -> Raster {
 fn unet_worker(name: &str, device: Device, replicas: usize) -> ModelWorker {
     let config = BatchConfig {
         max_batch: 4,
-        max_wait_ms: 1,
         device,
         queue_bound: 32,
         replicas,
@@ -169,7 +168,6 @@ impl ServeModel for Identity {
 fn identity_worker(name: &str, queue_bound: usize) -> ModelWorker {
     let config = BatchConfig {
         max_batch: 4,
-        max_wait_ms: 1,
         device: Device::Cpu,
         queue_bound,
         replicas: 1,
@@ -264,7 +262,6 @@ impl ServeModel for SlowZeros {
 fn slow_worker(name: &str, ms: u64, queue_bound: usize) -> ModelWorker {
     let config = BatchConfig {
         max_batch: 1,
-        max_wait_ms: 1,
         device: Device::Cpu,
         queue_bound,
         replicas: 1,
