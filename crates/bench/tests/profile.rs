@@ -60,7 +60,7 @@ fn profile_snapshot_covers_instrumented_kernels() {
     for key in [
         "tensor.matmul",
         "tensor.conv2d",
-        "tensor.im2col",
+        "tensor.conv2d_weight_grad",
         "nn.conv2d_bwd",
         "nn.optim.step",
         "core.trainer.epoch",

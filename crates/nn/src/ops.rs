@@ -7,12 +7,13 @@
 
 use geotorch_tensor::ops::broadcast::{reduce_to_shape, zip_broadcast};
 use geotorch_tensor::ops::conv::{
-    col2im, conv2d, conv_transpose2d, im2col, upsample_nearest2d, upsample_nearest2d_backward,
+    conv2d, conv2d_input_grad, conv2d_weight_grad, conv_transpose2d, upsample_nearest2d,
+    upsample_nearest2d_backward,
 };
 use geotorch_tensor::ops::pool::{
     avgpool2d, avgpool2d_backward, maxpool2d, maxpool2d_backward,
 };
-use geotorch_tensor::{parallel_map, Tensor};
+use geotorch_tensor::Tensor;
 
 use crate::Var;
 
@@ -330,37 +331,13 @@ impl Var {
             parents,
             Box::new(move |g| {
                 let _t = geotorch_telemetry::scope!("nn.conv2d_bwd");
-                let (bsz, c, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-                let (o, kh, kw) = (w.shape()[0], w.shape()[2], w.shape()[3]);
-                let (oh, ow) = (g.shape()[2], g.shape()[3]);
-                let w_mat = w.reshape(&[o, c * kh * kw]);
-                let w_mat_t = w_mat.transpose();
-                // Per-sample gradients are independent, so fan them out over
-                // the device worker pool; summing the weight-gradient parts
-                // in index order keeps the result identical to a serial loop.
-                let parts = parallel_map(bsz, |bi| {
-                    let g_mat = g.index_axis(0, bi).reshape(&[o, oh * ow]);
-                    // grad wrt input: scatter W^T g back through im2col.
-                    let col_g = w_mat_t.matmul(&g_mat);
-                    let gx_part = col2im(&col_g, c, h, wd, kh, kw, stride, pad);
-                    // grad wrt weight: g col^T accumulated over the batch.
-                    let col = im2col(&x.index_axis(0, bi), kh, kw, stride, pad);
-                    (gx_part, g_mat.matmul(&col.transpose()))
-                });
-                let mut gw = Tensor::zeros(&[o, c * kh * kw]);
-                for (_, gw_part) in &parts {
-                    gw.add_assign(gw_part);
-                }
-                let gx_refs: Vec<&Tensor> = parts.iter().map(|(gx, _)| gx).collect();
-                let gx = Tensor::stack(&gx_refs);
-                let mut grads = vec![gx, gw.reshape(w.shape())];
+                let kernel = (w.shape()[2], w.shape()[3]);
+                let mut grads = vec![
+                    conv2d_input_grad(g, &w, (x.shape()[2], x.shape()[3]), stride, pad),
+                    conv2d_weight_grad(&x, g, kernel, stride, pad),
+                ];
                 if has_bias {
-                    // Sum over batch and spatial axes.
-                    let gb = g
-                        .reshape(&[bsz, o, oh * ow])
-                        .sum_axis(2)
-                        .sum_axis(0);
-                    grads.push(gb);
+                    grads.push(sum_per_channel(g));
                 }
                 grads
             }),
@@ -388,37 +365,16 @@ impl Var {
             parents,
             Box::new(move |g| {
                 let _t = geotorch_telemetry::scope!("nn.conv_transpose2d_bwd");
-                let (bsz, c, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-                let (o, kh, kw) = (w.shape()[1], w.shape()[2], w.shape()[3]);
-                let (gh, gw_sp) = (g.shape()[2], g.shape()[3]);
-                let w_mat = w.reshape(&[c, o * kh * kw]);
-                // Per-sample gradients fan out over the worker pool, as in
-                // `conv2d`'s backward pass.
-                let parts = parallel_map(bsz, |bi| {
-                    // Forward was: col = w_mat^T x_mat ; y = col2im(col).
-                    // Adjoint: grad_col = im2col(grad_y); grad_x = w_mat grad_col;
-                    // grad_w = x_mat grad_col^T.
-                    let g_img = g.index_axis(0, bi);
-                    let grad_col = im2col(&g_img, kh, kw, stride, pad);
-                    let x_mat = x.index_axis(0, bi).reshape(&[c, h * wd]);
-                    (
-                        w_mat.matmul(&grad_col).reshape(&[c, h, wd]),
-                        x_mat.matmul(&grad_col.transpose()),
-                    )
-                });
-                let mut gw_acc = Tensor::zeros(&[c, o * kh * kw]);
-                for (_, gw_part) in &parts {
-                    gw_acc.add_assign(gw_part);
-                }
-                let gx_refs: Vec<&Tensor> = parts.iter().map(|(gx, _)| gx).collect();
-                let gx = Tensor::stack(&gx_refs);
-                let mut grads = vec![gx, gw_acc.reshape(w.shape())];
+                // The forward is the adjoint of `conv2d(·, w)`, so its input
+                // gradient is that conv of `g`, and its weight gradient is
+                // that conv's with `g` as the input and `x` as the gradient.
+                let kernel = (w.shape()[2], w.shape()[3]);
+                let mut grads = vec![
+                    conv2d(g, &w, None, stride, pad),
+                    conv2d_weight_grad(g, &x, kernel, stride, pad),
+                ];
                 if has_bias {
-                    let gb = g
-                        .reshape(&[bsz, o, gh * gw_sp])
-                        .sum_axis(2)
-                        .sum_axis(0);
-                    grads.push(gb);
+                    grads.push(sum_per_channel(g));
                 }
                 grads
             }),
@@ -456,6 +412,12 @@ impl Var {
             Box::new(move |g| vec![upsample_nearest2d_backward(g, factor)]),
         )
     }
+}
+
+/// Bias gradient of a conv: `g [B,O,H,W]` summed over batch and space.
+fn sum_per_channel(g: &Tensor) -> Tensor {
+    let (b, o) = (g.shape()[0], g.shape()[1]);
+    g.reshape(&[b, o, g.shape()[2] * g.shape()[3]]).sum_axis(2).sum_axis(0)
 }
 
 /// Place `grad` (the gradient of a narrow) back into a zero tensor of the

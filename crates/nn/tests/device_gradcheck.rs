@@ -80,13 +80,38 @@ fn batchnorm_eval_gradients_both_devices() {
 
 #[test]
 fn conv_3x3_stride1_gradients_both_devices() {
-    // Small plane: the dispatcher routes 3×3/stride-1 through im2col +
-    // blocked GEMM. Input and weights both checked.
+    // A 4→8 filter bank: the dispatcher routes 3×3/stride-1 through the
+    // column-free GEMM, forward and backward (input gradient as a conv
+    // with flipped filters — itself an 8→4 conv, so the direct kernel —
+    // weight gradient through the transposed im2col view). Input and
+    // weights both checked.
     for device in DEVICES {
         with_device(device, || {
             let mut rng = StdRng::seed_from_u64(14);
-            let conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
-            let x = Var::parameter(Tensor::rand_uniform(&[2, 2, 6, 6], -1.0, 1.0, &mut rng));
+            let conv = Conv2d::new(4, 8, 3, 1, 1, &mut rng);
+            let x = Var::parameter(Tensor::rand_uniform(&[2, 4, 5, 5], -1.0, 1.0, &mut rng));
+            let mut params = vec![x];
+            params.extend_from_slice(&conv.parameters());
+            assert_gradients_close(
+                &params,
+                |p| conv.forward(&p[0]).square().mean_all(),
+                1e-2,
+                2e-2,
+            );
+        });
+    }
+}
+
+#[test]
+fn conv_3x3_stride2_gradients_both_devices() {
+    // A strided conv has no convolution for an adjoint: its input
+    // gradient keeps the `col2im` scatter route, which nothing in
+    // `crates/models` exercises.
+    for device in DEVICES {
+        with_device(device, || {
+            let mut rng = StdRng::seed_from_u64(17);
+            let conv = Conv2d::new(2, 3, 3, 2, 1, &mut rng);
+            let x = Var::parameter(Tensor::rand_uniform(&[2, 2, 7, 6], -1.0, 1.0, &mut rng));
             let mut params = vec![x];
             params.extend_from_slice(&conv.parameters());
             assert_gradients_close(
@@ -101,10 +126,10 @@ fn conv_3x3_stride1_gradients_both_devices() {
 
 #[test]
 fn conv_direct_3x3_large_plane_gradients_both_devices() {
-    // A 48×48 plane crosses DIRECT_CONV_MIN_PLANE, so the forward runs
-    // the direct shift-and-axpy kernel while the backward still goes
-    // through the im2col/col2im adjoints — this checks the two
-    // lowerings agree as a forward/adjoint pair on both devices.
+    // Two output channels keep the forward on the direct shift-and-axpy
+    // kernel while the weight gradient goes through the GEMM's transposed
+    // im2col view — this checks the two lowerings agree as a
+    // forward/adjoint pair on both devices.
     // Weights and bias only: sweeping 48²-element inputs through
     // central differences would dwarf the suite's runtime.
     for device in DEVICES {
@@ -124,8 +149,8 @@ fn conv_direct_3x3_large_plane_gradients_both_devices() {
 
 #[test]
 fn conv_1x1_implicit_gemm_gradients_both_devices() {
-    // 1×1/stride-1/no-pad routes through the zero-copy im2col reshape
-    // (implicit GEMM) in both the forward and the backward pass.
+    // 1×1/stride-1/no-pad: the image itself is the GEMM's dense right
+    // operand, in the forward pass and in the input gradient.
     for device in DEVICES {
         with_device(device, || {
             let mut rng = StdRng::seed_from_u64(15);

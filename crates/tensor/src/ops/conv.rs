@@ -1,28 +1,36 @@
-//! Convolution kernels: im2col/col2im, conv2d, conv_transpose2d, upsampling.
+//! Convolution kernels: conv2d and its gradients, conv_transpose2d,
+//! im2col/col2im, upsampling.
 //!
 //! All image tensors use the NCHW layout. The production [`conv2d`] is a
-//! dispatcher over three lowerings:
+//! dispatcher over two lowerings:
 //!
-//! * **1×1 / stride 1 / no pad** — implicit GEMM: [`im2col`] degenerates
-//!   to a zero-copy reshape (the column matrix *is* the image), so the
-//!   conv is one blocked-SIMD GEMM per image with no scratch at all.
-//! * **3×3 / stride 1 with a large output plane** (≥
-//!   [`DIRECT_CONV_MIN_PLANE`]) — [`conv2d_direct`]: a shift-and-axpy
-//!   kernel that accumulates each filter tap as a scaled row-add over
-//!   the output plane, never materialising columns. Taps are applied in
-//!   im2col row order with the bias added last, so the accumulation
-//!   order per output element matches the im2col path exactly.
-//! * **everything else** — [`conv2d_im2col`]: the classic per-image
-//!   lower-to-columns + GEMM strategy PyTorch's CPU backend uses. With
-//!   the blocked GEMM this also wins on small planes, whose column
-//!   matrix stays cache-resident.
+//! * **3×3 / stride 1 with a small filter bank** (fewer output channels
+//!   than a microkernel tile has rows, or `C·O < 32`) — [`conv2d_direct`]:
+//!   a shift-and-axpy kernel that accumulates each filter tap as a scaled
+//!   row-add over the output plane.
+//! * **everything else** — a column-free GEMM. Convolution is a *panel
+//!   source* of the blocked GEMM in [`super::matmul`]: the filter bank
+//!   is packed once per call, then per image the `B` panels are packed
+//!   straight from the image through an im2col *view* (halo read as zero:
+//!   no padded copy, no column matrix) and the `C` tiles are the output
+//!   planes themselves.
 //!
-//! A naive sliding-window reference (`conv2d_naive`) is kept for tests
-//! and for the kernel ablation benchmark. Parallel dispatch is
-//! per-kernel: the direct path fans out over `batch × out-channel`
-//! planes once a conv crosses [`CONV_PARALLEL_FLOPS`], while the im2col
-//! path fans out over batch items.
+//! The gradients use the same seam: [`conv2d_weight_grad`] packs the
+//! *transposed* view, and at stride 1 [`conv2d_input_grad`] is `conv2d`
+//! with flipped filters. [`im2col`]/[`col2im`] remain as explicit helpers
+//! for `conv_transpose2d`, the strided input gradient and the tests.
+//!
+//! Both lowerings, like the sliding-window reference `conv2d_naive`,
+//! start an output element at its bias and add its taps in `(c, ki, kj)`
+//! order. The GEMM multiplies and adds as the detected microkernel tier
+//! does — fused on AVX+FMA — for every element, ragged tiles included;
+//! the direct kernel never fuses. So all agree bit for bit on exactly
+//! representable (lattice) inputs, and otherwise the two lowerings differ
+//! by FMA rounding on an FMA host only. Within the GEMM path an element's
+//! bits depend on its own window alone: not on the batch it rode in, the
+//! device, or where its plane ends.
 
+use super::matmul::{gemm_block, Dense, PackedA, PanelSource, MR, NR};
 use crate::device::{parallel_for, Device, SendPtr};
 use crate::Tensor;
 
@@ -31,12 +39,17 @@ use crate::Tensor;
 /// tasks are coarser (a whole output plane each), so the bar is lower.
 pub const CONV_PARALLEL_FLOPS: usize = 1 << 20;
 
-/// Minimum output-plane size (`oh·ow`) for [`conv2d`] to pick the
-/// direct 3×3 path over im2col + GEMM. Measured crossover on the bench
-/// host: small planes (28²–32²) fit their column matrix in cache, so
-/// the blocked GEMM wins; from ~45² up the materialised columns spill
-/// and the direct path is 1.1–1.2x faster.
-pub const DIRECT_CONV_MIN_PLANE: usize = 2048;
+/// Whether a 3×3 stride-1 conv from `c` to `o` channels runs the direct
+/// kernel rather than the GEMM. Decided by measurement (DESIGN §11): the
+/// GEMM loses when its product has fewer rows than a microkernel tile
+/// (`o < MR`: the spare rows multiply zeros) or the filter bank is too
+/// small to repay packing panels from the image (`c·o < 32`). It is a
+/// function of the *filter shape alone* — never of the plane or the
+/// batch — so a model's tile and its whole scene take the same lowering
+/// at every layer and tiled inference stays exact.
+fn prefers_direct(c: usize, o: usize) -> bool {
+    o < MR || c * o < 32
+}
 
 /// Output spatial extent of a convolution along one axis.
 ///
@@ -58,13 +71,6 @@ pub fn conv_out_len(input: usize, kernel: usize, stride: usize, pad: usize) -> u
 pub fn im2col(img: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -> Tensor {
     let _t = geotorch_telemetry::scope!("tensor.im2col");
     assert_eq!(img.ndim(), 3, "im2col expects [C,H,W], got {:?}", img.shape());
-    if kh == 1 && kw == 1 && stride == 1 && pad == 0 {
-        // A 1×1 column matrix is the image itself: reshape shares the
-        // storage, so no scratch is materialised.
-        geotorch_telemetry::count!("tensor.im2col.zero_copy", 1);
-        let (c, h, w) = (img.shape()[0], img.shape()[1], img.shape()[2]);
-        return img.reshape(&[c, h * w]);
-    }
     let padded = img.pad2d(pad);
     let (c, h, w) = (padded.shape()[0], padded.shape()[1], padded.shape()[2]);
     let oh = conv_out_len(img.shape()[1], kh, stride, pad);
@@ -111,12 +117,6 @@ pub fn col2im(
         &[c * kh * kw, oh * ow],
         "col2im column shape mismatch"
     );
-    if kh == 1 && kw == 1 && stride == 1 && pad == 0 {
-        // Adjoint of the zero-copy im2col: every column owns exactly one
-        // pixel, so the scatter-add is a reshape.
-        geotorch_telemetry::count!("tensor.col2im.zero_copy", 1);
-        return col.reshape(&[c, h, w]);
-    }
     let (ph, pw) = (h + 2 * pad, w + 2 * pad);
     let mut padded = crate::pool::alloc_zeroed(c * ph * pw);
     let src = col.as_slice();
@@ -142,11 +142,12 @@ pub fn col2im(
 /// 2-D convolution. `input [B,C,H,W]`, `weight [O,C,kh,kw]`,
 /// optional `bias [O]` → `[B,O,oh,ow]`.
 ///
-/// Dispatches to the fastest lowering for the shape (see the module
-/// docs): implicit GEMM for 1×1/stride-1/no-pad, the direct
-/// shift-and-axpy kernel for large-plane 3×3/stride-1, and im2col +
-/// GEMM everywhere else. All paths produce the same accumulation order
-/// per output element, so results agree to within SIMD-FMA rounding.
+/// Dispatches on the *filter* shape (see the module docs): the direct
+/// shift-and-axpy kernel for a small 3×3/stride-1 filter bank, the
+/// column-free GEMM everywhere else. Both start each output element at
+/// its bias and add its taps in `(c, ki, kj)` order; only the GEMM fuses
+/// multiply-adds, so the two agree exactly on lattice inputs and to FMA
+/// rounding otherwise.
 pub fn conv2d(
     input: &Tensor,
     weight: &Tensor,
@@ -155,29 +156,22 @@ pub fn conv2d(
     pad: usize,
 ) -> Tensor {
     let _t = geotorch_telemetry::scope!("tensor.conv2d");
-    assert_eq!(input.ndim(), 4, "conv2d input must be [B,C,H,W]");
-    assert_eq!(weight.ndim(), 4, "conv2d weight must be [O,C,kh,kw]");
-    let (kh, kw) = (weight.shape()[2], weight.shape()[3]);
-    // Note: 1×1/stride-1/no-pad stays on im2col *by design* — the
-    // lowering degenerates to a zero-copy reshape, so the whole conv is
-    // one blocked GEMM with no scratch (implicit GEMM).
-    let plane = conv_out_len(input.shape()[2], kh, stride, pad)
-        * conv_out_len(input.shape()[3], kw, stride, pad);
-    if stride == 1 && kh == 3 && kw == 3 && plane >= DIRECT_CONV_MIN_PLANE {
+    let (_, o, g) = Geom::of_conv(input, weight, bias, stride, pad);
+    if stride == 1 && g.kh == 3 && g.kw == 3 && prefers_direct(g.c, o) {
         geotorch_telemetry::count!("tensor.conv2d.direct", 1);
         conv2d_direct(input, weight, bias, pad)
     } else {
-        geotorch_telemetry::count!("tensor.conv2d.im2col", 1);
-        conv2d_im2col(input, weight, bias, stride, pad)
+        geotorch_telemetry::count!("tensor.conv2d.gemm", 1);
+        conv2d_gemm(input, weight, bias, stride, pad)
     }
 }
 
 /// Direct stride-1 convolution: for each `(batch, out-channel)` output
 /// plane, every filter tap `(ic, ki, kj)` is applied as a scaled
 /// row-wise axpy of the shifted input plane. No column matrix is built.
-/// Taps run in im2col row order (`ic → ki → kj`) and the bias is added
-/// after all taps, so each output element's accumulation order matches
-/// [`conv2d_im2col`]'s GEMM exactly.
+/// Each plane starts at its bias and taps run in im2col row order
+/// (`ic → ki → kj`), unfused: the GEMM path's order, and exactly
+/// `conv2d_naive`'s arithmetic.
 pub fn conv2d_direct(
     input: &Tensor,
     weight: &Tensor,
@@ -185,26 +179,7 @@ pub fn conv2d_direct(
     pad: usize,
 ) -> Tensor {
     let _t = geotorch_telemetry::scope!("tensor.conv2d_direct");
-    assert_eq!(input.ndim(), 4, "conv2d input must be [B,C,H,W]");
-    assert_eq!(weight.ndim(), 4, "conv2d weight must be [O,C,kh,kw]");
-    let (b, c, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
-    let (o, wc, kh, kw) = (
-        weight.shape()[0],
-        weight.shape()[1],
-        weight.shape()[2],
-        weight.shape()[3],
-    );
-    assert_eq!(c, wc, "conv2d channel mismatch: input {c}, weight {wc}");
-    if let Some(bias) = bias {
-        assert_eq!(bias.shape(), &[o], "conv2d bias must be [O]");
-    }
-    let oh = conv_out_len(h, kh, 1, pad);
-    let ow = conv_out_len(w, kw, 1, pad);
+    let (b, o, Geom { c, h, w, kh, kw, oh, ow, .. }) = Geom::of_conv(input, weight, bias, 1, pad);
     let padded = if pad > 0 { input.pad2d(pad) } else { input.clone() };
     let (ph, pw) = (h + 2 * pad, w + 2 * pad);
     let x = padded.as_slice();
@@ -218,7 +193,7 @@ pub fn conv2d_direct(
         let dst = unsafe {
             std::slice::from_raw_parts_mut({ &out_ptr }.0.add((bi * o + oc) * plane), plane)
         };
-        dst.fill(0.0);
+        dst.fill(bias.map_or(0.0, |t| t.as_slice()[oc]));
         for ic in 0..c {
             for ki in 0..kh {
                 let w_row = &wt[((oc * c + ic) * kh + ki) * kw..][..kw];
@@ -227,7 +202,7 @@ pub fn conv2d_direct(
                     let row = &mut dst[oi * ow..(oi + 1) * ow];
                     // One pass over the output row applies all kw taps of
                     // this filter row (kj ascending per element, matching
-                    // the im2col accumulation order), so the row is
+                    // the GEMM path's accumulation order), so the row is
                     // loaded/stored once per (ic, ki) instead of per tap.
                     match *w_row {
                         [w0] => {
@@ -257,12 +232,6 @@ pub fn conv2d_direct(
                 }
             }
         }
-        if let Some(bias) = bias {
-            let bv = bias.as_slice()[oc];
-            for d in dst.iter_mut() {
-                *d += bv;
-            }
-        }
     };
     let flops = 2 * b * o * c * kh * kw * plane;
     if Device::current().threads() > 1 && flops >= CONV_PARALLEL_FLOPS {
@@ -275,61 +244,295 @@ pub fn conv2d_direct(
     Tensor::from_vec(out, &[b, o, oh, ow])
 }
 
-/// im2col + GEMM convolution: lower each image to a column matrix and
-/// multiply it against the flattened filter bank. The fallback for
-/// strided convs and the implicit-GEMM path for 1×1 shapes (where
-/// [`im2col`] is a zero-copy reshape). Batch items fan out across the
-/// current device.
-pub fn conv2d_im2col(
+/// The shape of one lowering: image extent, kernel, stride, zero padding
+/// and the output plane it produces.
+#[derive(Clone, Copy)]
+struct Geom {
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl Geom {
+    fn new(input: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -> Geom {
+        let (c, h, w) = (input.shape()[1], input.shape()[2], input.shape()[3]);
+        let (oh, ow) = (conv_out_len(h, kh, stride, pad), conv_out_len(w, kw, stride, pad));
+        Geom { c, h, w, kh, kw, stride, pad, oh, ow }
+    }
+
+    /// Check a conv's operands (`input [B,C,H,W]`, `weight [O,C,kh,kw]`,
+    /// `bias [O]`) and derive `(B, O)` and the geometry.
+    fn of_conv(
+        input: &Tensor,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        stride: usize,
+        pad: usize,
+    ) -> (usize, usize, Geom) {
+        assert_eq!(input.ndim(), 4, "conv2d input must be [B,C,H,W]");
+        assert_eq!(weight.ndim(), 4, "conv2d weight must be [O,C,kh,kw]");
+        let g = Geom::new(input, weight.shape()[2], weight.shape()[3], stride, pad);
+        let (o, wc) = (weight.shape()[0], weight.shape()[1]);
+        assert_eq!(g.c, wc, "conv2d channel mismatch: input {}, weight {wc}", g.c);
+        if let Some(bias) = bias {
+            assert_eq!(bias.shape(), &[o], "conv2d bias must be [O]");
+        }
+        (input.shape()[0], o, g)
+    }
+
+    fn taps(&self) -> usize {
+        self.c * self.kh * self.kw
+    }
+
+    fn plane(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Whether input coordinate `(y, x)` is inside the image rather than
+    /// its zero halo (a negative coordinate wraps past any extent).
+    fn holds(&self, y: i32, x: i32) -> bool {
+        ((y as u32) < self.h as u32) & ((x as u32) < self.w as u32)
+    }
+}
+
+/// The im2col matrix `[C·kh·kw, oh·ow]` of one image `x [C,H,W]` as a
+/// GEMM panel source: panels are packed straight from the image, the
+/// halo reads as zero, and no column matrix exists.
+struct Im2col<'a> {
+    x: &'a [f32],
+    g: Geom,
+}
+
+impl PanelSource for Im2col<'_> {
+    fn pack(&self, bp: &mut [f32], pc: usize, jc: usize, kc: usize, nc: usize) {
+        let g = self.g;
+        let (hw, kk, pad) = (g.h * g.w, g.kh * g.kw, g.pad as i32);
+        // On a stride-1 plane as wide as its image a tap's row is the flat
+        // image shifted by a constant, so a panel row is one masked copy.
+        let shifted = g.stride == 1 && g.ow == g.w;
+        // Per tap: its offset from a window's origin and, for the current
+        // column block, which lanes it reads inside the image.
+        let mut taps: Vec<(isize, [u32; NR])> =
+            (0..kk).map(|t| ((t / g.kw * g.w + t % g.kw) as isize, [0; NR])).collect();
+        let (mut oi, mut oj) = (jc / g.ow, jc % g.ow);
+        for (jb, dst) in bp[..nc.div_ceil(NR) * kc * NR].chunks_exact_mut(kc * NR).enumerate() {
+            // Input coordinate of each lane's window origin; lanes past the
+            // plane sit far outside the image and so read as zero.
+            let mut origin = [(i32::MIN / 2, 0i32); NR];
+            for o in origin.iter_mut().take(nc - jb * NR) {
+                *o = ((oi * g.stride) as i32 - pad, (oj * g.stride) as i32 - pad);
+                (oi, oj) = if oj + 1 == g.ow { (oi + 1, 0) } else { (oi, oj + 1) };
+            }
+            for (t, (_, mask)) in taps.iter_mut().enumerate() {
+                let (ki, kj) = ((t / g.kw) as i32, (t % g.kw) as i32);
+                for (m, &(y, x)) in mask.iter_mut().zip(&origin) {
+                    *m = (g.holds(y + ki, x + kj) as u32).wrapping_neg();
+                }
+            }
+            let lane = origin.map(|(y, x)| y as isize * g.w as isize + x as isize);
+            // Panel rows in order: tap `(c, ki, kj)` of every channel in turn.
+            let (mut t, mut chan) = (pc % kk, (pc / kk * hw) as isize);
+            for row in dst.chunks_exact_mut(NR) {
+                let (off, mask) = &taps[t];
+                let start = chan + off + lane[0];
+                if shifted && start >= 0 && start as usize + NR <= self.x.len() {
+                    let src = &self.x[start as usize..][..NR];
+                    for l in 0..NR {
+                        row[l] = f32::from_bits(src[l].to_bits() & mask[l]);
+                    }
+                } else {
+                    for l in 0..NR {
+                        let at = (chan + off + lane[l]) as usize;
+                        row[l] = if mask[l] != 0 { self.x[at] } else { 0.0 };
+                    }
+                }
+                (t, chan) = if t + 1 == kk { (0, chan + hw as isize) } else { (t + 1, chan) };
+            }
+        }
+    }
+}
+
+/// The transpose `[oh·ow, C·kh·kw]` of the same matrix — the right-hand
+/// operand of the weight gradient `g [O, plane] × im2col(x)ᵀ`.
+struct Im2colT<'a> {
+    x: &'a [f32],
+    g: Geom,
+}
+
+impl PanelSource for Im2colT<'_> {
+    fn pack(&self, bp: &mut [f32], pc: usize, jc: usize, kc: usize, nc: usize) {
+        let g = self.g;
+        let (hw, kk, pad) = (g.h * g.w, g.kh * g.kw, g.pad as i32);
+        let (mut chan, mut ki, mut kj) = (jc / kk * hw, jc % kk / g.kw, jc % g.kw);
+        for (jb, dst) in bp[..nc.div_ceil(NR) * kc * NR].chunks_exact_mut(kc * NR).enumerate() {
+            // A lane is one tap `(c, ki, kj)`: its offset from a window's
+            // origin and its place in the window. Lanes past the last tap
+            // sit far outside every window and so read as zero.
+            let mut tap = [(0isize, i32::MIN / 2, 0i32); NR];
+            let full = nc - jb * NR >= NR;
+            for t in tap.iter_mut().take(nc - jb * NR) {
+                *t = ((chan + ki * g.w + kj) as isize, ki as i32 - pad, kj as i32 - pad);
+                (chan, ki, kj) = match (ki + 1 == g.kh, kj + 1 == g.kw) {
+                    (true, true) => (chan + hw, 0, 0),
+                    (false, true) => (chan, ki + 1, 0),
+                    _ => (chan, ki, kj + 1),
+                };
+            }
+            // A panel row is one pixel: gather its window across the lanes.
+            let (mut oi, mut oj) = (pc / g.ow, pc % g.ow);
+            for row in dst.chunks_exact_mut(NR) {
+                let (y, x) = ((oi * g.stride) as i32, (oj * g.stride) as i32);
+                let origin = (y - pad) as isize * g.w as isize + (x - pad) as isize;
+                let (y1, x1) = (y - pad + g.kh as i32, x - pad + g.kw as i32);
+                if full && y >= pad && x >= pad && y1 <= g.h as i32 && x1 <= g.w as i32 {
+                    // The whole window is inside the image: no lane tests.
+                    for (d, &(off, ..)) in row.iter_mut().zip(&tap) {
+                        *d = self.x[(origin + off) as usize];
+                    }
+                } else {
+                    for (d, &(off, dy, dx)) in row.iter_mut().zip(&tap) {
+                        let inside = g.holds(y + dy, x + dx);
+                        *d = if inside { self.x[(origin + off) as usize] } else { 0.0 };
+                    }
+                }
+                (oi, oj) = if oj + 1 == g.ow { (oi + 1, 0) } else { (oi, oj + 1) };
+            }
+        }
+    }
+}
+
+/// Run `gemm(image, cols)` for every image of a batch on the current
+/// device: one task per image, or — when a large conv has fewer images
+/// than threads — per `NR`-aligned column band of an image. Every tile
+/// of an image's product is computed the same way whichever batch or
+/// band it rides in, so a sample's result never depends on its batch.
+fn for_each_image(b: usize, n: usize, flops: usize, gemm: impl Fn(usize, (usize, usize)) + Sync) {
+    let threads = Device::current().threads();
+    if threads == 1 || flops < CONV_PARALLEL_FLOPS {
+        (0..b).for_each(|bi| gemm(bi, (0, n)));
+        return;
+    }
+    let bands = (threads / b).clamp(1, n.div_ceil(NR));
+    let band = n.div_ceil(bands).div_ceil(NR) * NR;
+    let bands = n.div_ceil(band);
+    parallel_for(b * bands, |t| {
+        let c0 = t % bands * band;
+        gemm(t / bands, (c0, (c0 + band).min(n)));
+    });
+}
+
+/// Column-free GEMM convolution: the `[O, C·kh·kw]` filter bank is packed
+/// once, then each image is one blocked GEMM whose `B` panels are packed
+/// straight from the image ([`Im2col`]) and whose `C` tiles are the
+/// output planes themselves, initialised to the bias.
+fn conv2d_gemm(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     stride: usize,
     pad: usize,
 ) -> Tensor {
-    assert_eq!(input.ndim(), 4, "conv2d input must be [B,C,H,W]");
-    assert_eq!(weight.ndim(), 4, "conv2d weight must be [O,C,kh,kw]");
-    let (b, c, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
-    let (o, wc, kh, kw) = (
-        weight.shape()[0],
-        weight.shape()[1],
-        weight.shape()[2],
-        weight.shape()[3],
-    );
-    assert_eq!(c, wc, "conv2d channel mismatch: input {c}, weight {wc}");
-    if let Some(bias) = bias {
-        assert_eq!(bias.shape(), &[o], "conv2d bias must be [O]");
+    let (b, o, g) = Geom::of_conv(input, weight, bias, stride, pad);
+    let (plane, taps) = (g.plane(), g.taps());
+    let mut out = crate::pool::alloc_uninit(b * o * plane);
+    for (row, dst) in out.chunks_exact_mut(plane.max(1)).enumerate() {
+        dst.fill(bias.map_or(0.0, |t| t.as_slice()[row % o]));
     }
-    let oh = conv_out_len(h, kh, stride, pad);
-    let ow = conv_out_len(w, kw, stride, pad);
-    let w_mat = weight.reshape(&[o, c * kh * kw]);
-    let mut out = crate::pool::alloc_uninit(b * o * oh * ow);
-    let per_img = o * oh * ow;
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    parallel_for(b, |bi| {
-        let img = input.index_axis(0, bi);
-        let col = im2col(&img, kh, kw, stride, pad);
-        let mut res = w_mat.matmul(&col); // [O, oh*ow]
-        if let Some(bias) = bias {
-            let data = res.as_mut_slice();
-            for ch in 0..o {
-                let bv = bias.as_slice()[ch];
-                for v in &mut data[ch * oh * ow..(ch + 1) * oh * ow] {
-                    *v += bv;
-                }
+    if plane > 0 && taps > 0 {
+        let filters = PackedA::pack(weight.as_slice(), taps, o, taps);
+        let x = input.as_slice();
+        let out_ptr = SendPtr(out.as_mut_ptr());
+        // An unpadded stride-1 1×1 conv's column matrix is the image itself.
+        let pointwise = taps == g.c && stride == 1 && pad == 0;
+        for_each_image(b, plane, 2 * b * o * taps * plane, |bi, cols| {
+            let x = &x[bi * g.c * g.h * g.w..][..g.c * g.h * g.w];
+            // SAFETY: each (image, column band) owns a disjoint part of `out`.
+            let c = SendPtr(unsafe { { &out_ptr }.0.add(bi * o * plane) });
+            if pointwise {
+                gemm_block(&filters, &Dense { b: x, ldb: plane }, c, plane, cols);
+            } else {
+                gemm_block(&filters, &Im2col { x, g }, c, plane, cols);
             }
+        });
+    }
+    Tensor::from_vec(out, &[b, o, g.oh, g.ow])
+}
+
+/// Gradient of [`conv2d`] with respect to its weight, `[O,C,kh,kw]`, for
+/// `input [B,C,H,W]` and output gradient `grad [B,O,oh,ow]`: per image
+/// `g_b [O, plane] × im2col(x_b)ᵀ` with the transposed column matrix
+/// packed straight from the image ([`Im2colT`]). The per-image products
+/// are summed in batch order, so every device gives the same bits.
+pub fn conv2d_weight_grad(
+    input: &Tensor,
+    grad: &Tensor,
+    kernel: (usize, usize),
+    stride: usize,
+    pad: usize,
+) -> Tensor {
+    let _t = geotorch_telemetry::scope!("tensor.conv2d_weight_grad");
+    let (b, o) = (grad.shape()[0], grad.shape()[1]);
+    let g = Geom::new(input, kernel.0, kernel.1, stride, pad);
+    assert_eq!(grad.shape(), &[input.shape()[0], o, g.oh, g.ow], "conv2d grad shape mismatch");
+    let (plane, taps) = (g.plane(), g.taps());
+    let mut parts = crate::pool::Buffer::zeroed(b.max(1) * o * taps);
+    if plane > 0 {
+        let (x, gs) = (input.as_slice(), grad.as_slice());
+        let parts_ptr = SendPtr(parts.as_mut_slice().as_mut_ptr());
+        for_each_image(b, taps, 2 * b * o * taps * plane, |bi, cols| {
+            let g_b = PackedA::pack(&gs[bi * o * plane..], plane, o, plane);
+            let image = Im2colT { x: &x[bi * g.c * g.h * g.w..][..g.c * g.h * g.w], g };
+            // SAFETY: each (image, tap band) owns a disjoint part of `parts`.
+            let c = SendPtr(unsafe { { &parts_ptr }.0.add(bi * o * taps) });
+            gemm_block(&g_b, &image, c, taps, cols);
+        });
+    }
+    let mut gw = crate::pool::alloc_copy(&parts[..o * taps]);
+    for part in parts[o * taps..].chunks_exact(o * taps) {
+        gw.iter_mut().zip(part).for_each(|(a, &p)| *a += p);
+    }
+    Tensor::from_vec(gw, &[o, g.c, g.kh, g.kw])
+}
+
+/// Gradient of [`conv2d`] with respect to its input `[B,C,H,W]`, for
+/// `weight [O,C,kh,kw]` and output gradient `grad [B,O,oh,ow]`.
+///
+/// At stride 1 the adjoint of a convolution is a convolution: `grad`
+/// convolved with the spatially flipped, channel-swapped filters at
+/// padding `k−1−pad`, which runs through [`conv2d`] itself. Strided (or
+/// over-padded, or non-square) convs scatter `Wᵀ·g` through [`col2im`].
+pub fn conv2d_input_grad(
+    grad: &Tensor,
+    weight: &Tensor,
+    input_hw: (usize, usize),
+    stride: usize,
+    pad: usize,
+) -> Tensor {
+    let _t = geotorch_telemetry::scope!("tensor.conv2d_input_grad");
+    let &[o, c, kh, kw] = weight.shape() else { panic!("conv2d weight must be [O,C,kh,kw]") };
+    if stride == 1 && kh == kw && pad < kh {
+        let w = weight.as_slice();
+        let mut flipped = crate::pool::alloc_uninit(w.len());
+        for (i, v) in flipped.iter_mut().enumerate() {
+            let (ci, oi, tap) = (i / (o * kh * kw), i / (kh * kw) % o, i % (kh * kw));
+            *v = w[(oi * c + ci + 1) * kh * kw - 1 - tap];
         }
-        // SAFETY: each batch item writes a disjoint region.
-        let dst =
-            unsafe { std::slice::from_raw_parts_mut({ &out_ptr }.0.add(bi * per_img), per_img) };
-        dst.copy_from_slice(res.as_slice());
+        return conv2d(grad, &Tensor::from_vec(flipped, &[c, o, kh, kw]), None, 1, kh - 1 - pad);
+    }
+    let (h, wd) = input_hw;
+    let w_mat_t = weight.reshape(&[o, c * kh * kw]).transpose();
+    let plane = grad.shape()[2] * grad.shape()[3];
+    let parts = crate::device::parallel_map(grad.shape()[0], |bi| {
+        let col = w_mat_t.matmul(&grad.index_axis(0, bi).reshape(&[o, plane]));
+        col2im(&col, c, h, wd, kh, kw, stride, pad)
     });
-    Tensor::from_vec(out, &[b, o, oh, ow])
+    Tensor::stack(&parts.iter().collect::<Vec<_>>())
 }
 
 /// Sliding-window reference convolution (tests + ablation bench only).
@@ -560,19 +763,19 @@ mod tests {
     }
 
     #[test]
-    fn direct_path_matches_im2col_path() {
+    fn direct_path_matches_gemm_path() {
         let mut rng = rng();
         for &(c, o, h, w, k, p) in &[
             (1usize, 1usize, 5usize, 5usize, 3usize, 0usize),
             (3, 4, 8, 8, 3, 1),
             (2, 3, 9, 7, 5, 2),
-            (3, 2, 6, 6, 1, 1), // 1×1 with pad still takes the direct path
+            (3, 2, 6, 6, 1, 1), // a padded 1×1: never dispatched here, still correct
         ] {
             let input = Tensor::rand_uniform(&[2, c, h, w], -1.0, 1.0, &mut rng);
             let weight = Tensor::rand_uniform(&[o, c, k, k], -1.0, 1.0, &mut rng);
             let bias = Tensor::rand_uniform(&[o], -1.0, 1.0, &mut rng);
             let direct = conv2d_direct(&input, &weight, Some(&bias), p);
-            let lowered = conv2d_im2col(&input, &weight, Some(&bias), 1, p);
+            let lowered = conv2d_gemm(&input, &weight, Some(&bias), 1, p);
             assert!(
                 direct.allclose(&lowered, 1e-5),
                 "path mismatch for c={c} o={o} h={h} w={w} k={k} p={p}"
@@ -581,29 +784,18 @@ mod tests {
     }
 
     #[test]
-    fn one_by_one_im2col_is_zero_copy_reshape() {
-        let img = Tensor::arange(12).reshape(&[3, 2, 2]);
-        let col = im2col(&img, 1, 1, 1, 0);
-        assert_eq!(col.shape(), &[3, 4]);
-        assert_eq!(col.as_slice(), img.as_slice());
-        let back = col2im(&col, 3, 2, 2, 1, 1, 1, 0);
-        assert_eq!(back.shape(), &[3, 2, 2]);
-        assert_eq!(back.as_slice(), img.as_slice());
-    }
-
-    #[test]
     fn direct_parallel_matches_serial() {
-        // A 48×48 plane crosses DIRECT_CONV_MIN_PLANE (dispatcher picks
-        // the direct path) and CONV_PARALLEL_FLOPS (Parallel(4) actually
-        // fans out plane tasks).
+        // Four output channels keep the dispatcher on the direct path; a
+        // 48×48 plane crosses CONV_PARALLEL_FLOPS, so Parallel(4) actually
+        // fans out plane tasks.
         let mut rng = rng();
         let input = Tensor::rand_uniform(&[2, 8, 48, 48], -1.0, 1.0, &mut rng);
-        let weight = Tensor::rand_uniform(&[16, 8, 3, 3], -1.0, 1.0, &mut rng);
+        let weight = Tensor::rand_uniform(&[4, 8, 3, 3], -1.0, 1.0, &mut rng);
         let serial = conv2d(&input, &weight, None, 1, 1);
         assert_eq!(
             serial.as_slice(),
             conv2d_direct(&input, &weight, None, 1).as_slice(),
-            "dispatcher should pick the direct path at this plane size"
+            "dispatcher should pick the direct path for this filter shape"
         );
         let parallel = with_device(Device::Parallel(4), || conv2d(&input, &weight, None, 1, 1));
         assert_eq!(serial.as_slice(), parallel.as_slice());

@@ -5,9 +5,12 @@
 //! [`Tensor::matmul`] runs a BLIS-style blocked kernel instead of a
 //! plain loop nest:
 //!
-//! * **Packing.** For each `KC`-deep panel, slices of `A` and `B` are
-//!   repacked into contiguous, microkernel-ordered tiles ([`pack_a`] /
-//!   [`pack_b`]) allocated from the tensor buffer pool — steady-state
+//! * **Packing.** The left operand is packed whole, once, into
+//!   microkernel-ordered tiles ([`PackedA`]); for each `KC`-deep panel the
+//!   right operand is packed by its [`PanelSource`] — a dense row-major
+//!   matrix here ([`Dense`]), an im2col view of an image in `ops::conv`,
+//!   which is how convolution runs on this kernel without a column
+//!   matrix. Pack buffers come from the tensor buffer pool — steady-state
 //!   packing is allocation-free, which the `kernel_regression` gate in
 //!   `geotorch-bench` enforces.
 //! * **Blocking.** The loop nest walks `NC`-wide column blocks, `KC`-deep
@@ -29,8 +32,10 @@
 //! Every kernel variant accumulates each output element's products in
 //! strictly ascending `p` order (the tile is loaded from `C`, updated,
 //! and stored back, so `KC` panel boundaries do not reassociate the
-//! sum). Rust never enables floating-point contraction on its own, so
-//! the only rounding difference against the retained [`matmul_naive`]
+//! sum). A ragged tile at the matrix edge runs the *same* microkernel on
+//! a stack copy, so an element's rounding never depends on where the
+//! edge falls. Rust never enables floating-point contraction on its own,
+//! so the only rounding difference against the retained [`matmul_naive`]
 //! oracle is the FMA microkernel's fused rounding. On inputs whose
 //! products and partial sums are exactly representable (the lattice
 //! inputs used by `tests/kernel_oracle.rs`) every variant is therefore
@@ -173,28 +178,26 @@ pub(crate) fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, k:
         return;
     }
     let threads = Device::current().threads();
+    let parallel = threads > 1 && 2 * m * n * k >= GEMM_PARALLEL_FLOPS;
     let c = SendPtr(out.as_mut_ptr());
-    if threads > 1 && 2 * m * n * k >= GEMM_PARALLEL_FLOPS {
-        // Split the longer output axis into tile-aligned bands; each
-        // band is an independent serial blocked GEMM over disjoint
-        // rows/columns of C.
-        if m >= n {
-            let band = m.div_ceil(threads).div_ceil(MR) * MR;
-            parallel_for(m.div_ceil(band), |bi| {
-                let r0 = bi * band;
-                let r1 = (r0 + band).min(m);
-                gemm_block(a, b, c, (r0, r1), (0, n), k, n);
-            });
-        } else {
-            let band = n.div_ceil(threads).div_ceil(NR) * NR;
-            parallel_for(n.div_ceil(band), |bi| {
-                let c0 = bi * band;
-                let c1 = (c0 + band).min(n);
-                gemm_block(a, b, c, (0, m), (c0, c1), k, n);
-            });
-        }
+    let dense = Dense { b, ldb: n };
+    // Bands split the longer output axis on tile boundaries; each is an
+    // independent serial blocked GEMM over disjoint rows/columns of C.
+    if parallel && m >= n {
+        let band = m.div_ceil(threads).div_ceil(MR) * MR;
+        parallel_for(m.div_ceil(band), |bi| {
+            let r0 = bi * band;
+            let packed = PackedA::pack(&a[r0 * k..], k, band.min(m - r0), k);
+            // SAFETY: rows r0.. of C belong to this band alone.
+            let c_band = SendPtr(unsafe { { &c }.0.add(r0 * n) });
+            gemm_block(&packed, &dense, c_band, n, (0, n));
+        });
     } else {
-        gemm_block(a, b, c, (0, m), (0, n), k, n);
+        let packed = PackedA::pack(a, k, m, k);
+        let band = if parallel { n.div_ceil(threads).div_ceil(NR) * NR } else { n };
+        parallel_for(n.div_ceil(band), |bi| {
+            gemm_block(&packed, &dense, c, n, (bi * band, (bi * band + band).min(n)));
+        });
     }
 }
 
@@ -213,105 +216,151 @@ fn gemm_tiny(a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, k: usize
     }
 }
 
-/// Serial blocked GEMM over `C[rows, cols] += A[rows, :] × B[:, cols]`.
-/// Pack buffers come from the tensor pool, so repeated products recycle
-/// them instead of touching the heap.
-fn gemm_block(
-    a: &[f32],
-    b: &[f32],
-    c: SendPtr<f32>,
-    rows: (usize, usize),
-    cols: (usize, usize),
+/// The right-hand operand of the blocked GEMM, seen only through how a
+/// block of it packs into micro-panels. A dense row-major matrix is one
+/// source ([`Dense`]); `ops::conv` supplies im2col views of an image, so
+/// a convolution's column matrix is never materialised.
+pub(crate) trait PanelSource: Sync {
+    /// Pack logical rows `pc..pc+kc` × columns `jc..jc+nc` into `bp` as
+    /// `NR`-column micro-panels `[col_block][p][lane]`, zero-filling
+    /// ragged lanes so the full microkernel never reads out of bounds.
+    fn pack(&self, bp: &mut [f32], pc: usize, jc: usize, kc: usize, nc: usize);
+}
+
+/// A dense row-major `[k, ldb]` right-hand operand.
+pub(crate) struct Dense<'a> {
+    pub b: &'a [f32],
+    pub ldb: usize,
+}
+
+impl PanelSource for Dense<'_> {
+    fn pack(&self, bp: &mut [f32], pc: usize, jc: usize, kc: usize, nc: usize) {
+        for jb in 0..nc.div_ceil(NR) {
+            let dst = &mut bp[jb * kc * NR..][..kc * NR];
+            let cols = NR.min(nc - jb * NR);
+            for p in 0..kc {
+                let src = &self.b[(pc + p) * self.ldb + jc + jb * NR..][..cols];
+                dst[p * NR..p * NR + cols].copy_from_slice(src);
+                dst[p * NR + cols..(p + 1) * NR].fill(0.0);
+            }
+        }
+    }
+}
+
+/// The left operand packed whole, once: per `KC`-deep panel, `MR`-row
+/// micro-panels laid out `[row_block][p][r]` with the ragged final block
+/// zero-padded. Callers that reuse one `A` across many products (a
+/// conv's filter bank across its batch) pack it a single time.
+pub(crate) struct PackedA {
+    buf: Buffer,
+    m: usize,
     k: usize,
+}
+
+impl PackedA {
+    /// Pack the `m×k` matrix at `a` (row stride `lda`) from the pool.
+    pub(crate) fn pack(a: &[f32], lda: usize, m: usize, k: usize) -> PackedA {
+        let m_pad = m.div_ceil(MR) * MR;
+        let mut buf = Buffer::uninit(m_pad * k);
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            for (ib, dst) in buf.as_mut_slice()[pc * m_pad..][..kc * m_pad]
+                .chunks_exact_mut(kc * MR)
+                .enumerate()
+            {
+                let rows = MR.min(m - ib * MR);
+                for (p, tile) in dst.chunks_exact_mut(MR).enumerate() {
+                    for (r, slot) in tile[..rows].iter_mut().enumerate() {
+                        *slot = a[(ib * MR + r) * lda + pc + p];
+                    }
+                    tile[rows..].fill(0.0);
+                }
+            }
+        }
+        PackedA { buf, m, k }
+    }
+
+    /// The `kc×MR` micro-panel of row block `ib` in the panel at `pc`.
+    fn block(&self, pc: usize, kc: usize, ib: usize) -> &[f32] {
+        &self.buf[pc * self.m.div_ceil(MR) * MR + ib * kc * MR..][..kc * MR]
+    }
+}
+
+/// Serial blocked GEMM `C[:, cols] += A × B[:, cols]`, where `c` points
+/// at row 0, column 0 of `C` (row stride `ldc`) and `B` is whatever
+/// `b` packs. The `B` pack buffer comes from the tensor pool, so
+/// repeated products recycle it instead of touching the heap.
+pub(crate) fn gemm_block(
+    a: &PackedA,
+    b: &impl PanelSource,
+    c: SendPtr<f32>,
     ldc: usize,
+    cols: (usize, usize),
 ) {
     let kern = simd();
-    let (r0, r1) = rows;
     let (c0, c1) = cols;
-    let a_rows = (r1 - r0).min(MC).div_ceil(MR) * MR;
     let b_cols = (c1 - c0).min(NC).div_ceil(NR) * NR;
-    let kc_max = k.min(KC);
-    let mut apack = Buffer::uninit(a_rows * kc_max);
-    let mut bpack = Buffer::uninit(kc_max * b_cols);
-    let ap = apack.as_mut_slice();
+    let mut bpack = Buffer::uninit(a.k.min(KC) * b_cols);
     let bp = bpack.as_mut_slice();
-    let mut jc = c0;
-    while jc < c1 {
+    for jc in (c0..c1).step_by(NC) {
         let nc = NC.min(c1 - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            pack_b(b, bp, pc, jc, kc, nc, ldc);
-            let mut ic = r0;
-            while ic < r1 {
-                let mc = MC.min(r1 - ic);
-                pack_a(a, ap, ic, pc, mc, kc, k);
+        for pc in (0..a.k).step_by(KC) {
+            let kc = KC.min(a.k - pc);
+            b.pack(bp, pc, jc, kc, nc);
+            // `MC`-row blocks keep the live slice of packed `A` in L2
+            // while the `B` micro-panels stream past it.
+            for ic in (0..a.m).step_by(MC) {
+                let mc = MC.min(a.m - ic);
                 for jr in (0..nc).step_by(NR) {
                     let nr = NR.min(nc - jr);
                     let pb = &bp[(jr / NR) * (kc * NR)..][..kc * NR];
-                    for ir in (0..mc).step_by(MR) {
-                        let mr = MR.min(mc - ir);
-                        let pa = &ap[(ir / MR) * (kc * MR)..][..kc * MR];
-                        // SAFETY: the tile covers rows ic+ir..ic+ir+mr and
-                        // columns jc+jr..jc+jr+nr, all inside this band's
-                        // disjoint region of C.
-                        let ctile = unsafe { c.0.add((ic + ir) * ldc + jc + jr) };
-                        if mr == MR && nr == NR {
-                            match kern {
-                                #[cfg(target_arch = "x86_64")]
-                                // SAFETY: tier detected at runtime; full
-                                // tile bounds as above.
-                                Simd::Fma => unsafe {
-                                    mk_fma(pa.as_ptr(), pb.as_ptr(), kc, ctile, ldc)
-                                },
-                                #[cfg(target_arch = "x86_64")]
-                                // SAFETY: as for `mk_fma`.
-                                Simd::Avx => unsafe {
-                                    mk_avx(pa.as_ptr(), pb.as_ptr(), kc, ctile, ldc)
-                                },
-                                _ => mk_portable(pa, pb, kc, ctile, ldc),
+                    for ir in (ic..ic + mc).step_by(MR) {
+                        let mr = MR.min(a.m - ir);
+                        let pa = a.block(pc, kc, ir / MR);
+                        // SAFETY: the tile covers rows ir..ir+mr and columns
+                        // jc+jr..jc+jr+nr, all inside this call's disjoint
+                        // region of C; the tier was detected at runtime.
+                        unsafe {
+                            let ctile = c.0.add(ir * ldc + jc + jr);
+                            if mr == MR && nr == NR {
+                                microkernel(kern, pa, pb, kc, ctile, ldc);
+                            } else {
+                                // A ragged tile runs the same kernel on a
+                                // stack copy, so an element rounds the same
+                                // wherever the matrix edge falls.
+                                let mut tile = [0.0f32; MR * NR];
+                                for r in 0..mr {
+                                    let row = tile.as_mut_ptr().add(r * NR);
+                                    std::ptr::copy_nonoverlapping(ctile.add(r * ldc), row, nr);
+                                }
+                                microkernel(kern, pa, pb, kc, tile.as_mut_ptr(), NR);
+                                for r in 0..mr {
+                                    let row = tile.as_ptr().add(r * NR);
+                                    std::ptr::copy_nonoverlapping(row, ctile.add(r * ldc), nr);
+                                }
                             }
-                        } else {
-                            mk_edge(pa, pb, kc, ctile, ldc, mr, nr);
                         }
                     }
                 }
-                ic += mc;
             }
-            pc += kc;
-        }
-        jc += nc;
-    }
-}
-
-/// Pack `A[ic.., pc..]` (`mc×kc`) into `MR`-row micro-panels laid out
-/// `[row_block][p][r]`, zero-padding the ragged final block so the full
-/// microkernel never reads out of bounds.
-fn pack_a(a: &[f32], ap: &mut [f32], ic: usize, pc: usize, mc: usize, kc: usize, lda: usize) {
-    for ib in 0..mc.div_ceil(MR) {
-        let dst = &mut ap[ib * kc * MR..][..kc * MR];
-        let rows = MR.min(mc - ib * MR);
-        for p in 0..kc {
-            let tile = &mut dst[p * MR..(p + 1) * MR];
-            for (r, slot) in tile[..rows].iter_mut().enumerate() {
-                *slot = a[(ic + ib * MR + r) * lda + pc + p];
-            }
-            tile[rows..].fill(0.0);
         }
     }
 }
 
-/// Pack `B[pc.., jc..]` (`kc×nc`) into `NR`-column micro-panels laid out
-/// `[col_block][p][lane]`, zero-padding ragged lanes.
-fn pack_b(b: &[f32], bp: &mut [f32], pc: usize, jc: usize, kc: usize, nc: usize, ldb: usize) {
-    for jb in 0..nc.div_ceil(NR) {
-        let dst = &mut bp[jb * kc * NR..][..kc * NR];
-        let cols = NR.min(nc - jb * NR);
-        for p in 0..kc {
-            let src = &b[(pc + p) * ldb + jc + jb * NR..][..cols];
-            dst[p * NR..p * NR + cols].copy_from_slice(src);
-            dst[p * NR + cols..(p + 1) * NR].fill(0.0);
-        }
+/// Run the detected tier's full-tile microkernel on one `MR×NR` tile.
+///
+/// # Safety
+/// `kern` must be a tier this CPU supports; `pa`/`pb` must hold `kc·MR`
+/// / `kc·NR` packed elements and `c` a full `MR×NR` tile of row stride
+/// `ldc`.
+#[inline(always)]
+unsafe fn microkernel(kern: Simd, pa: &[f32], pb: &[f32], kc: usize, c: *mut f32, ldc: usize) {
+    match kern {
+        #[cfg(target_arch = "x86_64")]
+        Simd::Fma => mk_fma(pa.as_ptr(), pb.as_ptr(), kc, c, ldc),
+        #[cfg(target_arch = "x86_64")]
+        Simd::Avx => mk_avx(pa.as_ptr(), pb.as_ptr(), kc, c, ldc),
+        _ => mk_portable(pa, pb, kc, c, ldc),
     }
 }
 
@@ -403,31 +452,6 @@ fn mk_portable(pa: &[f32], pb: &[f32], kc: usize, c: *mut f32, ldc: usize) {
                 // SAFETY: as above.
                 unsafe { *c.add(r * ldc + off + l) = v };
             }
-        }
-    }
-}
-
-/// Ragged-edge microkernel for partial `mr×nr` tiles. Each valid row
-/// still accumulates a full `NR`-lane stripe (the packed panels are
-/// zero-padded, so the extra lanes are dead work the autovectorizer
-/// keeps in vectors); only the `nr` valid lanes are stored back.
-fn mk_edge(pa: &[f32], pb: &[f32], kc: usize, c: *mut f32, ldc: usize, mr: usize, nr: usize) {
-    for r in 0..mr {
-        let mut acc = [0.0f32; NR];
-        for (l, v) in acc[..nr].iter_mut().enumerate() {
-            // SAFETY: r < mr and l < nr keep the access inside the valid
-            // corner of the C tile.
-            *v = unsafe { *c.add(r * ldc + l) };
-        }
-        for p in 0..kc {
-            let a = pa[p * MR + r];
-            for (v, &bl) in acc.iter_mut().zip(&pb[p * NR..(p + 1) * NR]) {
-                *v += a * bl;
-            }
-        }
-        for (l, &v) in acc[..nr].iter().enumerate() {
-            // SAFETY: as above.
-            unsafe { *c.add(r * ldc + l) = v };
         }
     }
 }

@@ -1,8 +1,10 @@
 //! Reference-oracle property tests for the fast kernels.
 //!
-//! The blocked SIMD matmul and the direct conv paths are checked against
-//! the retained naive kernels (`matmul_naive`, `conv2d_naive`) and
-//! against each other, on both `Device::Cpu` and `Device::Parallel`.
+//! The blocked SIMD matmul and both conv lowerings (the column-free GEMM
+//! and the direct kernel) are checked against the retained naive kernels
+//! (`matmul_naive`, `conv2d_naive`) and against each other, on both
+//! `Device::Cpu` and `Device::Parallel`. The conv gradients are checked
+//! against the materialising `im2col`/`col2im` route they replaced.
 //!
 //! # Why the oracle can demand bit-for-bit equality
 //!
@@ -20,12 +22,18 @@
 //! Continuous inputs are still covered: a positive-data suite bounds
 //! the FMA-vs-scalar divergence at ≤ 4 ulps by keeping the inner
 //! dimension ≤ 8 (each fused step can contribute at most half an ulp
-//! of the monotone running sum).
+//! of the monotone running sum). And what a convolution must guarantee
+//! *whatever* the data is asserted bit-for-bit on continuous inputs: a
+//! sample's output does not depend on the batch it rode in (batch
+//! invariance), nor an output pixel on where its plane ends (crop
+//! invariance) — the two properties tiled serving relies on.
 //!
 //! Set `GEOTORCH_KERNEL_SEED` to shift every generated input corpus —
 //! CI runs the suite under seeds 1–3.
 
-use geotorch_tensor::ops::conv::{conv2d, conv2d_direct, conv2d_im2col, conv2d_naive};
+use geotorch_tensor::ops::conv::{
+    col2im, conv2d, conv2d_direct, conv2d_input_grad, conv2d_naive, conv2d_weight_grad, im2col,
+};
 use geotorch_tensor::ops::matmul::{matmul_naive, KC, MC, MR, NC, NR};
 use geotorch_tensor::{with_device, Device, Tensor};
 use proptest::prelude::*;
@@ -110,20 +118,21 @@ proptest! {
         prop_assert!(ulps <= 4, "{} ulps at m={} k={} n={}", ulps, m, k, n);
     }
 
-    /// Direct conv, im2col conv, the dispatcher, and the sliding-window
-    /// naive reference all agree bit-for-bit on lattice inputs, with
-    /// bias, across kernel sizes, strides, and paddings, on both devices.
+    /// The direct kernel, the dispatcher (channel counts on both sides of
+    /// its filter-shape rule, so 3×3/stride-1 cases take the direct kernel
+    /// or the column-free GEMM; everything else the GEMM), and the
+    /// sliding-window naive reference all agree bit-for-bit on lattice
+    /// inputs, with bias, across kernel sizes, strides, and paddings, on
+    /// both devices.
     #[test]
     fn conv_lattice_bit_identical(
-        c in 1usize..4, o in 1usize..4, h in 6usize..12, w in 6usize..12,
+        c in 1usize..8, o in 1usize..10, h in 6usize..12, w in 6usize..12,
         k in 1usize..=5, stride in 1usize..=3, pad in 0usize..=2, seed in 0u64..1000,
     ) {
         let input = lattice(&[2, c, h, w], seed);
         let weight = lattice(&[o, c, k, k], seed ^ 0xbeef);
         let bias = lattice(&[o], seed ^ 0xfeed);
         let oracle = conv2d_naive(&input, &weight, Some(&bias), stride, pad);
-        let lowered = conv2d_im2col(&input, &weight, Some(&bias), stride, pad);
-        prop_assert_eq!(bits(&lowered), bits(&oracle), "im2col path k={} s={} p={}", k, stride, pad);
         if stride == 1 {
             let direct = conv2d_direct(&input, &weight, Some(&bias), pad);
             prop_assert_eq!(bits(&direct), bits(&oracle), "direct path k={} p={}", k, pad);
@@ -131,6 +140,156 @@ proptest! {
         for device in [Device::Cpu, Device::parallel()] {
             let got = with_device(device, || conv2d(&input, &weight, Some(&bias), stride, pad));
             prop_assert_eq!(bits(&got), bits(&oracle), "dispatch {:?} k={} s={} p={}", device, k, stride, pad);
+        }
+    }
+
+    /// Conv gradients on lattice inputs: the flipped-filter input gradient
+    /// and the transposed-view weight gradient are bit-identical to the
+    /// materialising `col2im` / `im2col` route, on both devices, for every
+    /// kernel size, stride and padding (strided cases take the retained
+    /// `col2im` route inside `conv2d_input_grad`, so they pin that too).
+    #[test]
+    fn conv_grads_lattice_bit_identical(
+        b in 1usize..4, c in 1usize..4, o in 1usize..4, h in 6usize..12, w in 6usize..12,
+        half in 0usize..=2, stride in 1usize..=2, pad in 0usize..=2,
+        seed in 0u64..1000,
+    ) {
+        let k = 2 * half + 1;
+        let x = lattice(&[b, c, h, w], seed);
+        let weight = lattice(&[o, c, k, k], seed ^ 0xbeef);
+        let g = lattice(conv2d(&x, &weight, None, stride, pad).shape(), seed ^ 0xfeed);
+        let (gx_ref, gw_ref) = grads_materialised(&x, &weight, &g, stride, pad);
+        for device in [Device::Cpu, Device::parallel()] {
+            let (gx, gw) = with_device(device, || (
+                conv2d_input_grad(&g, &weight, (h, w), stride, pad),
+                conv2d_weight_grad(&x, &g, (k, k), stride, pad),
+            ));
+            prop_assert_eq!(bits(&gx), bits(&gx_ref), "input grad {:?} k={} s={} p={}", device, k, stride, pad);
+            prop_assert_eq!(bits(&gw), bits(&gw_ref), "weight grad {:?} k={} s={} p={}", device, k, stride, pad);
+        }
+    }
+
+    /// The same gradients on continuous positive inputs. The weight
+    /// gradient sums the same products in the same order as the
+    /// materialising route (only FMA contraction can differ): ≤ 4 ulps.
+    /// The input gradient is one chain over `(o, ki, kj)` where the old
+    /// route summed over `o` per tap and then over taps, so the two are
+    /// different roundings of the same sum: ≤ 4 ulps apart up to 9 terms,
+    /// and measured up to 8 apart (each within 7 of the exact sum) at 75.
+    #[test]
+    fn conv_grads_continuous_within_ulp_bounds(
+        b in 1usize..3, c in 1usize..3, o in 1usize..=3, h in 5usize..8, w in 5usize..8,
+        half in 0usize..=2, pad in 0usize..=2, seed in 0u64..1000,
+    ) {
+        let k = 2 * half + 1;
+        let x = positive(&[b, c, h, w], seed);
+        let weight = positive(&[o, c, k, k], seed ^ 0xbeef);
+        let g = positive(conv2d(&x, &weight, None, 1, pad).shape(), seed ^ 0xfeed);
+        let (gx_ref, gw_ref) = grads_materialised(&x, &weight, &g, 1, pad);
+        let gw = conv2d_weight_grad(&x, &g, (k, k), 1, pad);
+        prop_assert!(max_ulp_diff(&gw, &gw_ref) <= 4, "weight grad {} ulps k={} p={}", max_ulp_diff(&gw, &gw_ref), k, pad);
+        let gx = conv2d_input_grad(&g, &weight, (h, w), 1, pad);
+        let bound = if o * k * k <= 9 { 4 } else { 16 };
+        prop_assert!(max_ulp_diff(&gx, &gx_ref) <= bound, "input grad {} ulps o={} k={} p={}", max_ulp_diff(&gx, &gx_ref), o, k, pad);
+    }
+}
+
+/// Conv gradients by the route the column-free path replaced: per image,
+/// `col2im(Wᵀ·g)` for the input and `g · im2col(x)ᵀ` for the weight,
+/// the latter summed over the batch in index order.
+fn grads_materialised(x: &Tensor, weight: &Tensor, g: &Tensor, stride: usize, pad: usize) -> (Tensor, Tensor) {
+    let (c, h, w) = (x.shape()[1], x.shape()[2], x.shape()[3]);
+    let (o, kh, kw) = (weight.shape()[0], weight.shape()[2], weight.shape()[3]);
+    let w_mat_t = weight.reshape(&[o, c * kh * kw]).transpose();
+    let mut gw = Tensor::zeros(&[o, c * kh * kw]);
+    let mut gx = Vec::new();
+    for bi in 0..x.shape()[0] {
+        let g_mat = g.index_axis(0, bi).reshape(&[o, g.shape()[2] * g.shape()[3]]);
+        gx.push(col2im(&w_mat_t.matmul(&g_mat), c, h, w, kh, kw, stride, pad));
+        gw.add_assign(&g_mat.matmul(&im2col(&x.index_axis(0, bi), kh, kw, stride, pad).transpose()));
+    }
+    (Tensor::stack(&gx.iter().collect::<Vec<_>>()), gw.reshape(weight.shape()))
+}
+
+/// Continuous tensor in [-1, 1]: cancellation and every rounding mode of
+/// the fused kernels are in play, so only exact invariances can hold.
+fn continuous(shape: &[usize], seed: u64) -> Tensor {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(
+        seed ^ env_seed().wrapping_mul(0x9e37_79b9_7f4a_7c15),
+    );
+    Tensor::rand_uniform(shape, -1.0, 1.0, &mut rng)
+}
+
+/// Batch invariance on continuous inputs: sample `i` of a batched conv
+/// is bit-identical to the conv of sample `i` alone, for every batch
+/// size, on both devices. The shapes cover the GEMM path below and above
+/// `CONV_PARALLEL_FLOPS` (image-parallel at B = 8, column bands of one
+/// image at B = 1), the 1×1 dense-source case, a strided conv, and the
+/// direct kernel.
+#[test]
+fn conv_batch_invariant_on_continuous_inputs() {
+    // (c, o, h, w, k, stride, pad)
+    let shapes = [
+        (16, 16, 21, 12, 3, 1, 1), // DeepSTN+: ragged last column tile
+        (3, 5, 9, 7, 3, 1, 1),     // small: stays serial
+        (8, 6, 20, 20, 1, 1, 0),   // 1×1: the image is the column matrix
+        (4, 6, 17, 19, 5, 2, 2),   // strided gather
+        (4, 4, 48, 48, 3, 1, 1),   // direct kernel (four output channels)
+    ];
+    for (si, &(c, o, h, w, k, stride, pad)) in shapes.iter().enumerate() {
+        let weight = continuous(&[o, c, k, k], 40 + si as u64);
+        let bias = continuous(&[o], 50 + si as u64);
+        let x = continuous(&[8, c, h, w], 60 + si as u64);
+        let alone: Vec<Tensor> = (0..8)
+            .map(|i| conv2d(&x.narrow(0, i, i + 1), &weight, Some(&bias), stride, pad))
+            .collect();
+        if si == 4 {
+            // The direct kernel is the naive reference's arithmetic exactly.
+            let naive = conv2d_naive(&x.narrow(0, 0, 1), &weight, Some(&bias), stride, pad);
+            assert_eq!(bits(&alone[0]), bits(&naive), "direct kernel is not the naive sum");
+        }
+        for device in [Device::Cpu, Device::Parallel(4)] {
+            for b in [1, 2, 4, 8] {
+                let batched = with_device(device, || conv2d(&x.narrow(0, 0, b), &weight, Some(&bias), stride, pad));
+                for (i, single) in alone.iter().enumerate().take(b) {
+                    assert_eq!(
+                        bits(&batched.narrow(0, i, i + 1)),
+                        bits(single),
+                        "sample {i} of batch {b} differs on {device:?} at shape {si}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Crop invariance on continuous inputs, for a filter shape on each
+/// side of the dispatcher's rule: away from the crop's own zero halo,
+/// convolving a window of the image gives exactly the window of the
+/// convolved image — on the GEMM path whether or not the cropped plane's
+/// width is a multiple of `NR`, i.e. wherever the ragged column tile
+/// falls. Because the lowering is chosen by filter shape alone, this is
+/// what makes a tiled forward equal the unsplit one.
+#[test]
+fn conv_crop_invariant_on_continuous_inputs() {
+    let (h, w) = (30, 44);
+    // (c, o, k, pad): GEMM 3×3, 5×5 and 1×1, then the direct kernel.
+    for (si, (c, o, k, pad)) in [(5, 7, 3, 1), (5, 7, 5, 2), (5, 7, 1, 0), (3, 4, 3, 1)].into_iter().enumerate() {
+        let x = continuous(&[1, c, h, w], 70 + si as u64);
+        let weight = continuous(&[o, c, k, k], 80 + si as u64);
+        let bias = continuous(&[o], 90 + si as u64);
+        let whole = conv2d(&x, &weight, Some(&bias), 1, pad);
+        for (r0, c0, ch, cw) in [(0, 0, 16, NR), (3, 5, 20, 2 * NR), (7, 1, 11, NR + 5), (9, 13, 21, 2 * NR - 3)] {
+            let window = x.narrow(2, r0, r0 + ch).narrow(3, c0, c0 + cw);
+            let tile = conv2d(&window, &weight, Some(&bias), 1, pad);
+            let inner = |t: &Tensor, top: usize, left: usize| {
+                t.narrow(2, top + pad, top + ch - pad).narrow(3, left + pad, left + cw - pad)
+            };
+            assert_eq!(
+                bits(&inner(&tile, 0, 0)),
+                bits(&inner(&whole, r0, c0)),
+                "c={c} o={o} k={k}: the {ch}x{cw} crop at ({r0},{c0}) is not the crop of the conv"
+            );
         }
     }
 }
@@ -177,14 +336,14 @@ fn matmul_parallel_band_split_bit_identical() {
     assert_eq!(bits(&par), bits(&oracle));
 }
 
-/// A conv whose 48×48 plane crosses both `DIRECT_CONV_MIN_PLANE` (so
-/// the dispatcher picks the direct path) and `CONV_PARALLEL_FLOPS` (so
-/// the direct path fans out over batch × out-channel plane tasks).
+/// A conv whose four output channels keep the dispatcher on the direct
+/// path and whose 48×48 plane crosses `CONV_PARALLEL_FLOPS`, so it fans
+/// out over batch × out-channel plane tasks.
 #[test]
 fn conv_parallel_planes_bit_identical() {
     let input = lattice(&[2, 8, 48, 48], 21);
-    let weight = lattice(&[16, 8, 3, 3], 22);
-    let bias = lattice(&[16], 23);
+    let weight = lattice(&[4, 8, 3, 3], 22);
+    let bias = lattice(&[4], 23);
     let serial = conv2d_direct(&input, &weight, Some(&bias), 1);
     let cpu = with_device(Device::Cpu, || conv2d(&input, &weight, Some(&bias), 1, 1));
     let par = with_device(Device::parallel(), || conv2d(&input, &weight, Some(&bias), 1, 1));
@@ -192,9 +351,9 @@ fn conv_parallel_planes_bit_identical() {
     assert_eq!(bits(&cpu), bits(&par));
 }
 
-/// The 1×1/stride-1/no-pad conv takes the implicit-GEMM route with a
-/// zero-copy column matrix; it must match the naive reference exactly
-/// on lattice inputs.
+/// The 1×1/stride-1/no-pad conv hands the image to the GEMM as its
+/// dense right operand; it must match the naive reference exactly on
+/// lattice inputs.
 #[test]
 fn conv_one_by_one_implicit_gemm_bit_identical() {
     let input = lattice(&[3, 5, 9, 9], 31);
