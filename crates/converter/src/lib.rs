@@ -14,17 +14,13 @@
 //! 2. [`RowTransformer`] — streams the formatted partitions as batched
 //!    `(features, labels)` tensors, applying an optional user
 //!    [`TransformSpec`] per batch (the Petastorm role).
-//!
-//! The naive alternative the paper warns about — concatenate everything,
-//! then slice — is provided as [`collect_then_batch`] for the ablation
-//! benchmark; it produces identical batches at a higher peak-memory cost.
 
 #![warn(missing_docs)]
 
 pub mod stream;
 
 use geotorch_dataframe::{exec, Column, DataFrame, DfError, DfResult, Schema};
-use geotorch_tensor::{parallel_map, Tensor, PARALLEL_THRESHOLD};
+use geotorch_tensor::Tensor;
 
 pub use stream::{
     BatchStream, FrameBatchStream, LoaderError, PrefetchLoader, SpillBatchStream,
@@ -217,9 +213,8 @@ impl RowTransformer {
 
     /// Build the `(features, labels)` batch for rows `[start, end)` of
     /// partition `pi` — the single construction path shared by
-    /// [`RowTransformer::batches`], [`RowTransformer::all_batches`], and
-    /// the [`stream::BatchStream`] implementations, so every consumer
-    /// sees bit-identical batches.
+    /// [`RowTransformer::batches`] and the [`stream::BatchStream`]
+    /// implementations, so every consumer sees bit-identical batches.
     pub(crate) fn build_batch(
         &self,
         frame: &FormattedFrame,
@@ -247,84 +242,24 @@ impl RowTransformer {
         (features, labels)
     }
 
-    /// Batch spans as `(partition, row start, row end)`; batches never
+    /// Stream `(features [B, ..], labels [B, ..])` batches. Batches never
     /// cross partition boundaries, so each partition can live on its own
     /// worker in a distributed deployment.
-    fn spans(&self, frame: &FormattedFrame) -> Vec<(usize, usize, usize)> {
-        let mut spans = Vec::new();
-        for (pi, part) in frame.partitions.iter().enumerate() {
-            let mut start = 0;
-            while start < part.rows {
-                let end = (start + self.batch_size).min(part.rows);
-                spans.push((pi, start, end));
-                start = end;
-            }
-        }
-        spans
-    }
-
-    /// Stream `(features [B, ..], labels [B, ..])` batches.
     pub fn batches<'a>(
         &'a self,
         frame: &'a FormattedFrame,
     ) -> impl Iterator<Item = (Tensor, Tensor)> + 'a {
-        self.spans(frame)
-            .into_iter()
-            .map(move |(pi, start, end)| self.build_batch(frame, pi, start, end))
-    }
-
-    /// Materialise every batch at once — a compatibility wrapper over the
-    /// same span/build path the streaming loaders use. Training and
-    /// evaluation should prefer a [`stream::BatchStream`] (peak memory
-    /// stays one batch instead of the whole dataset); this bulk form
-    /// remains for tests, benchmarks, and small frames, and fans out over
-    /// the tensor device worker pool past `PARALLEL_THRESHOLD` elements.
-    pub fn all_batches(&self, frame: &FormattedFrame) -> Vec<(Tensor, Tensor)> {
-        let _t = geotorch_telemetry::scope!("converter.all_batches");
-        let f_len: usize = frame.feature_shape.iter().product();
-        let l_len: usize = frame.label_shape.iter().product();
-        let spans = self.spans(frame);
-        if frame.num_rows() * (f_len + l_len) >= PARALLEL_THRESHOLD {
-            parallel_map(spans.len(), |i| {
-                let (pi, start, end) = spans[i];
-                self.build_batch(frame, pi, start, end)
+        frame
+            .partitions
+            .iter()
+            .enumerate()
+            .flat_map(move |(pi, part)| {
+                (0..part.rows).step_by(self.batch_size).map(move |start| {
+                    let end = (start + self.batch_size).min(part.rows);
+                    self.build_batch(frame, pi, start, end)
+                })
             })
-        } else {
-            spans
-                .into_iter()
-                .map(|(pi, start, end)| self.build_batch(frame, pi, start, end))
-                .collect()
-        }
     }
-}
-
-/// The naive strategy of §III-C: concatenate every partition into one
-/// array on the "master", then batch. Identical batches to
-/// [`RowTransformer::batches`] over a single-partition frame, but peak
-/// memory includes the full materialised copy. Kept for the ablation
-/// benchmark.
-pub fn collect_then_batch(
-    frame: &FormattedFrame,
-    batch_size: usize,
-) -> Vec<(Tensor, Tensor)> {
-    let mut all_features = Vec::new();
-    let mut all_labels = Vec::new();
-    let mut rows = 0;
-    for p in &frame.partitions {
-        all_features.extend_from_slice(&p.features);
-        all_labels.extend_from_slice(&p.labels);
-        rows += p.rows;
-    }
-    let collected = FormattedFrame {
-        partitions: vec![FormattedPartition {
-            features: all_features,
-            labels: all_labels,
-            rows,
-        }],
-        feature_shape: frame.feature_shape.clone(),
-        label_shape: frame.label_shape.clone(),
-    };
-    RowTransformer::new(batch_size).batches(&collected).collect()
 }
 
 #[cfg(test)]
@@ -402,20 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_equals_collect_then_batch() {
-        let fmt = DfFormatter::for_classification(&["a", "b"], &[2], "y").unwrap();
-        // Single partition so batch boundaries coincide.
-        let frame = fmt.format(&df()).unwrap();
-        let streamed: Vec<_> = RowTransformer::new(2).batches(&frame).collect();
-        let collected = collect_then_batch(&frame, 2);
-        assert_eq!(streamed.len(), collected.len());
-        for ((sx, sy), (cx, cy)) in streamed.iter().zip(&collected) {
-            assert_eq!(sx, cx);
-            assert_eq!(sy, cy);
-        }
-    }
-
-    #[test]
     fn multidimensional_feature_shape() {
         let fmt =
             DfFormatter::for_prediction(&["a", "b"], &[1, 2, 1], &["y"], &[1, 1]).unwrap();
@@ -429,34 +350,5 @@ mod tests {
     #[should_panic(expected = "batch_size must be positive")]
     fn zero_batch_size_panics() {
         RowTransformer::new(0);
-    }
-
-    #[test]
-    fn all_batches_matches_streaming_on_parallel_device() {
-        // Large enough to clear PARALLEL_THRESHOLD and exercise the pool.
-        let n = 4096;
-        let a: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let b: Vec<f64> = (0..n).map(|i| (i * 2) as f64).collect();
-        let y: Vec<i64> = (0..n).map(|i| (i % 3) as i64).collect();
-        let df = DataFrame::from_columns(vec![
-            ("a".into(), Column::F64(a)),
-            ("b".into(), Column::F64(b)),
-            ("y".into(), Column::I64(y)),
-        ])
-        .unwrap()
-        .repartition(4)
-        .unwrap();
-        let fmt = DfFormatter::for_classification(&["a", "b"], &[2], "y").unwrap();
-        let frame = fmt.format(&df).unwrap();
-        let rt = RowTransformer::new(64).with_transform(Box::new(|t| t.mul_scalar(0.5)));
-        let streamed: Vec<_> = rt.batches(&frame).collect();
-        let all = geotorch_tensor::with_device(geotorch_tensor::Device::parallel(), || {
-            rt.all_batches(&frame)
-        });
-        assert_eq!(streamed.len(), all.len());
-        for ((sx, sy), (ax, ay)) in streamed.iter().zip(&all) {
-            assert_eq!(sx, ax);
-            assert_eq!(sy, ay);
-        }
     }
 }

@@ -6,7 +6,7 @@
 //! cover the pipeline:
 //!
 //! - [`FrameBatchStream`] — over an in-memory [`FormattedFrame`]; the
-//!   streaming twin of [`RowTransformer::all_batches`].
+//!   owning (`Send`, `'static`) twin of [`RowTransformer::batches`].
 //! - [`SpillBatchStream`] — over a [`SpillStore`] of spilled partitions:
 //!   reads one partition at a time (recycled scratch buffer), formats
 //!   it, batches it, drops it. Peak memory is one partition + one batch,
@@ -72,7 +72,7 @@ pub trait BatchStream: Send {
 // ------------------------------------------------------------- frame
 
 /// Streams an in-memory [`FormattedFrame`] batch by batch — identical
-/// batches, in identical order, to [`RowTransformer::all_batches`].
+/// batches, in identical order, to [`RowTransformer::batches`].
 pub struct FrameBatchStream {
     rt: Arc<RowTransformer>,
     frame: Arc<FormattedFrame>,
@@ -376,19 +376,29 @@ mod tests {
     }
 
     #[test]
-    fn frame_stream_matches_all_batches() {
-        let (rt, frame) = frame(22, 3);
-        let mut stream = FrameBatchStream::new(Arc::clone(&rt), Arc::clone(&frame));
-        let streamed = drain(&mut stream);
-        let all = rt.all_batches(&frame);
-        assert_eq!(streamed.len(), all.len());
-        for ((sx, sy), (ax, ay)) in streamed.iter().zip(&all) {
-            assert_eq!(sx, ax);
-            assert_eq!(sy, ay);
+    fn frame_stream_matches_batches() {
+        // Multi-partition (batches stop at partition boundaries) and
+        // single-partition (they never do): the stream equals
+        // `batches` on each, and both carry the same rows in the same
+        // order — partitioning moves batch boundaries, never data.
+        let mut rows_by_layout = Vec::new();
+        for parts in [3, 1] {
+            let (rt, frame) = frame(22, parts);
+            let mut stream = FrameBatchStream::new(Arc::clone(&rt), Arc::clone(&frame));
+            let streamed = drain(&mut stream);
+            let batches: Vec<_> = rt.batches(&frame).collect();
+            assert_eq!(streamed, batches, "{parts} partition(s)");
+            assert_eq!(stream.total_rows(), Some(22));
+            // Exhausted stream stays exhausted.
+            assert!(stream.next_batch().unwrap().is_none());
+            let rows: Vec<f32> = streamed
+                .iter()
+                .flat_map(|(x, _)| x.as_slice().to_vec())
+                .collect();
+            rows_by_layout.push(rows);
         }
-        assert_eq!(stream.total_rows(), Some(22));
-        // Exhausted stream stays exhausted.
-        assert!(stream.next_batch().unwrap().is_none());
+        assert_eq!(rows_by_layout[0].len(), 22);
+        assert_eq!(rows_by_layout[0], rows_by_layout[1]);
     }
 
     #[test]
@@ -411,7 +421,7 @@ mod tests {
         let store = Arc::new(SpillStore::from_frame(&dir, &df).unwrap());
         let fmt = DfFormatter::for_classification(&["a"], &[1], "y").unwrap();
         let rt = Arc::new(RowTransformer::new(8));
-        let in_memory = rt.all_batches(&fmt.format(&df).unwrap());
+        let in_memory: Vec<_> = rt.batches(&fmt.format(&df).unwrap()).collect();
         let mut stream = SpillBatchStream::new(store, fmt, Arc::clone(&rt));
         assert_eq!(stream.total_rows(), Some(rows));
         let streamed = drain(&mut stream);

@@ -1,34 +1,38 @@
-//! Data-parallel training: K model replicas, per-step gradient
-//! averaging, one shared optimizer — the trainer layer of the
-//! `DataSource → Loader → Trainer` seam (DESIGN.md §14).
+//! The one epoch driver and its two step executors — the trainer layer
+//! of the `DataSource → Loader → Trainer` seam (DESIGN.md §14).
 //!
 //! # Architecture
 //!
-//! The master thread owns the canonical model, the optimizer, early
-//! stopping, and validation. K replica worker threads each own a private
-//! model instance (the autograd tape is `Rc`-based and cannot cross
-//! threads, so models are built *on* their threads by a `Sync` factory —
-//! the same pattern as the serving batcher's model-owner threads). One
-//! training step is:
+//! [`fit`] owns everything the paper's protocol fixes (§III-A2 update
+//! cadence, §V-C early stopping on validation): the optimizer, update
+//! cadence, cumulative `1/batches` scaling, report bookkeeping, early
+//! stopping, best-state restore. The only thing that varies is *who runs
+//! one step's forward and backward*:
 //!
-//! 1. master broadcasts its state dict (O(1) `Arc` clones per tensor)
-//!    and deals each replica `r` a shard of `n_r` samples with weight
-//!    `w_r = n_r / N`;
-//! 2. replica `r` forwards its shard, runs `backward` seeded with `w_r`
-//!    (so its gradients arrive pre-scaled), and ships the gradients
-//!    back;
-//! 3. master sums the shard gradients **in replica order**, seeds them
-//!    onto the canonical parameters, and takes one pooled in-place Adam
-//!    step.
+//! - **in-thread** (`config.replicas <= 1`, or an entry point with no
+//!   replica factory): `loss_fn(model, &payload).backward()` on the
+//!   canonical model. No factory call, no thread, no state broadcast, no
+//!   gradient shipping.
+//! - **workers** (`config.replicas = K > 1` and a factory): K replica
+//!   threads each own a private model instance (the autograd tape is
+//!   `Rc`-based and cannot cross threads, so models are built *on* their
+//!   threads by a `Sync` factory — the same pattern as the serving
+//!   batcher's model-owner threads). One step is:
 //!
-//! # K = 1 bit-identity
+//!   1. master broadcasts its state dict (O(1) `Arc` clones per tensor)
+//!      and deals each replica `r` a shard of `n_r` samples with weight
+//!      `w_r = n_r / N`;
+//!   2. replica `r` forwards its shard, runs `backward` seeded with
+//!      `w_r` (so its gradients arrive pre-scaled), and ships the
+//!      gradients back;
+//!   3. master sums the shard gradients **in replica order** and seeds
+//!      them onto the canonical parameters.
 //!
-//! With one replica, `w = n/n = 1.0` exactly, so the seeded backward is
-//! bit-identical to the classic `loss.backward()`; the merge is a
-//! single-term sum; the optimizer sees byte-identical gradients in the
-//! same order. The whole data-parallel machinery therefore reproduces
-//! [`Trainer::fit_loop`]'s trajectory bit-for-bit (asserted in
-//! `tests/replica_parity.rs` down to checkpoint bytes).
+//! Either way the driver then takes one pooled in-place Adam step. With
+//! one worker `w = n/n = 1.0` exactly and the merge is a single-term
+//! sum, so the two executors walk the same trajectory bit for bit (unit
+//! test below, down to checkpoint bytes); `tests/replica_grad_prop.rs`
+//! extends that to K ∈ {2, 3, 4} on lattice inputs.
 //!
 //! # Shard-assignment determinism
 //!
@@ -39,8 +43,7 @@
 //!
 //! Non-trainable parameters (batch-norm running statistics) produce no
 //! gradients; the master adopts their post-forward values from the
-//! lowest-numbered replica that ran, which for K = 1 is exactly the
-//! classic trainer's in-place statistics update.
+//! lowest-numbered replica that ran. In-thread they update in place.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
@@ -48,17 +51,14 @@ use std::time::Instant;
 
 use geotorch_converter::{BatchStream, LoaderError};
 use geotorch_datasets::BatchIndices;
-use geotorch_nn::loss::mse_loss;
 use geotorch_nn::optim::{Adam, Optimizer};
 use geotorch_nn::{Module, Var};
 use geotorch_tensor::{with_device, Device, Tensor};
 
-use crate::trainer::{
-    empty_report, scale_grads, stamp_host, TrainConfig, TrainReport, Trainer, UpdateMode,
-};
+use crate::trainer::{scale_grads, TrainConfig, TrainReport, UpdateMode};
 use crate::StopReason;
 
-/// Why a data-parallel fit failed.
+/// Why a fit failed.
 #[derive(Debug)]
 pub enum TrainError {
     /// The batch source failed (spill read, prefetch fault, …).
@@ -91,43 +91,54 @@ impl From<LoaderError> for TrainError {
     }
 }
 
-/// Per-step work source: deals each step's payloads (one per replica,
-/// with sample counts) until the epoch is exhausted.
-pub trait StepSource<P> {
+/// Builds replica `r`'s private model on its worker thread.
+pub(crate) type Factory<'a, M> = dyn Fn(usize) -> Box<M> + Sync + 'a;
+
+/// Maps a model and one shard's payload to the loss node.
+pub(crate) type LossFn<'a, M, P> = dyn Fn(&M, &P) -> Var + Sync + 'a;
+
+/// Per-step work source: deals each step's payloads (with sample counts)
+/// until the epoch is exhausted.
+pub(crate) trait StepSource<P> {
     /// Reset for epoch `epoch` (rebuild streams, reshuffle indices).
     fn begin_epoch(&mut self, epoch: usize) -> Result<(), TrainError>;
 
-    /// The next step's shards as `(payload, sample_count)` — at most one
-    /// per replica slot, dealt in slot order — or `None` at epoch end.
-    fn next_step(&mut self) -> Result<Option<Vec<(P, usize)>>, TrainError>;
+    /// The next step's shards as `(payload, sample_count)` — at most
+    /// `width`, one per replica slot, dealt in slot order — or `None` at
+    /// epoch end.
+    fn next_step(&mut self, width: usize) -> Result<Option<Vec<(P, usize)>>, TrainError>;
 }
 
 /// Shards each shuffled batch of sample indices contiguously across
-/// replicas — the data-parallel twin of the classic trainer's
-/// `BatchIndices::shuffled` loop.
-pub struct IndexStepSource<'a> {
+/// replica slots and turns each index shard into its payload on the
+/// master, so replica workers never touch the (non-`Sync`) dataset.
+pub(crate) struct IndexStepSource<'a, F> {
     train_idx: &'a [usize],
     batch_size: usize,
     seed: u64,
-    replicas: usize,
+    batch_of: F,
     iter: Option<BatchIndices>,
 }
 
-impl<'a> IndexStepSource<'a> {
-    /// Steps over `train_idx` with `config`'s batch size, seed, and
-    /// replica count.
-    pub fn new(train_idx: &'a [usize], config: &TrainConfig) -> IndexStepSource<'a> {
+impl<'a, F> IndexStepSource<'a, F> {
+    /// Steps over `train_idx` with `config`'s batch size and seed;
+    /// `batch_of` materializes one index shard.
+    pub(crate) fn new(
+        train_idx: &'a [usize],
+        config: &TrainConfig,
+        batch_of: F,
+    ) -> IndexStepSource<'a, F> {
         IndexStepSource {
             train_idx,
             batch_size: config.batch_size,
             seed: config.seed,
-            replicas: config.replicas.max(1),
+            batch_of,
             iter: None,
         }
     }
 }
 
-impl StepSource<Vec<usize>> for IndexStepSource<'_> {
+impl<P, F: FnMut(&[usize]) -> P> StepSource<P> for IndexStepSource<'_, F> {
     fn begin_epoch(&mut self, epoch: usize) -> Result<(), TrainError> {
         self.iter = Some(BatchIndices::shuffled(
             self.train_idx,
@@ -137,11 +148,8 @@ impl StepSource<Vec<usize>> for IndexStepSource<'_> {
         Ok(())
     }
 
-    fn next_step(&mut self) -> Result<Option<Vec<(Vec<usize>, usize)>>, TrainError> {
-        let Some(iter) = self.iter.as_mut() else {
-            return Ok(None);
-        };
-        let Some(batch) = iter.next() else {
+    fn next_step(&mut self, width: usize) -> Result<Option<Vec<(P, usize)>>, TrainError> {
+        let Some(batch) = self.iter.as_mut().and_then(Iterator::next) else {
             self.iter = None;
             return Ok(None);
         };
@@ -149,40 +157,33 @@ impl StepSource<Vec<usize>> for IndexStepSource<'_> {
         // extra sample. Deterministic in (batch, K); empty shards are
         // never dealt (a ragged batch smaller than K uses fewer
         // replicas).
-        let k = self.replicas.min(batch.len()).max(1);
+        let k = width.min(batch.len()).max(1);
         let base = batch.len() / k;
         let rem = batch.len() % k;
         let mut shards = Vec::with_capacity(k);
         let mut start = 0;
         for r in 0..k {
             let len = base + usize::from(r < rem);
-            let shard = batch[start..start + len].to_vec();
+            shards.push(((self.batch_of)(&batch[start..start + len]), len));
             start += len;
-            shards.push((shard, len));
         }
         Ok(Some(shards))
     }
 }
 
 /// Deals consecutive [`BatchStream`] batches to replica slots: step =
-/// up to K stream batches, one per replica.
-pub struct StreamStepSource<'a> {
+/// up to `width` stream batches, one per replica.
+pub(crate) struct StreamStepSource<'a> {
     make: &'a mut dyn FnMut(usize) -> Result<Box<dyn BatchStream>, LoaderError>,
     stream: Option<Box<dyn BatchStream>>,
-    replicas: usize,
 }
 
 impl<'a> StreamStepSource<'a> {
     /// A source that rebuilds its stream via `make` at each epoch.
-    pub fn new(
+    pub(crate) fn new(
         make: &'a mut dyn FnMut(usize) -> Result<Box<dyn BatchStream>, LoaderError>,
-        config: &TrainConfig,
     ) -> StreamStepSource<'a> {
-        StreamStepSource {
-            make,
-            stream: None,
-            replicas: config.replicas.max(1),
-        }
+        StreamStepSource { make, stream: None }
     }
 }
 
@@ -192,12 +193,15 @@ impl StepSource<(Tensor, Tensor)> for StreamStepSource<'_> {
         Ok(())
     }
 
-    fn next_step(&mut self) -> Result<Option<Vec<((Tensor, Tensor), usize)>>, TrainError> {
+    fn next_step(
+        &mut self,
+        width: usize,
+    ) -> Result<Option<Vec<((Tensor, Tensor), usize)>>, TrainError> {
         let Some(stream) = self.stream.as_mut() else {
             return Ok(None);
         };
-        let mut shards = Vec::with_capacity(self.replicas);
-        for _ in 0..self.replicas {
+        let mut shards = Vec::with_capacity(width);
+        for _ in 0..width {
             match stream.next_batch() {
                 Ok(Some(batch)) => {
                     let n = batch.0.shape()[0];
@@ -223,6 +227,178 @@ impl StepSource<(Tensor, Tensor)> for StreamStepSource<'_> {
     }
 }
 
+/// A step executor: runs forward and backward over one step's shards
+/// (`n_total` samples in all), leaves the step's gradient on the
+/// canonical parameters, and adds the sample-weighted shard losses to
+/// the epoch's running loss in slot order.
+type StepFn<'a, P> = dyn FnMut(Vec<(P, usize)>, usize, &mut f32) -> Result<(), TrainError> + 'a;
+
+/// Train `model` under `config.device`: the single entry every `fit_*`
+/// goes through. Steps run in-thread on `model` itself unless there is
+/// both a `factory` to build replicas from and `config.replicas > 1`;
+/// see the module docs.
+pub(crate) fn fit<M, P>(
+    config: &TrainConfig,
+    model: &M,
+    factory: Option<&Factory<M>>,
+    loss_fn: &LossFn<M, P>,
+    source: &mut dyn StepSource<P>,
+    validate: &mut dyn FnMut() -> f32,
+    on_improve: Option<&mut dyn FnMut(usize, f32)>,
+) -> Result<TrainReport, TrainError>
+where
+    M: Module + ?Sized,
+    P: Send,
+{
+    with_device(config.device, || match factory {
+        Some(factory) if config.replicas > 1 => fit_on_workers(
+            config,
+            model,
+            factory,
+            loss_fn,
+            source,
+            validate,
+            on_improve,
+        ),
+        _ => run_epochs(
+            config,
+            model,
+            1,
+            source,
+            validate,
+            on_improve,
+            &mut |mut shards, _n_total, epoch_loss| {
+                let (payload, _) = shards.pop().expect("a width-1 source deals one shard");
+                let loss = loss_fn(model, &payload);
+                *epoch_loss += loss.value().item();
+                loss.backward();
+                // `loss` drops here, before the driver steps: graph nodes
+                // hold clones of the parameter values, and while those are
+                // alive the optimizer's in-place update has to
+                // copy-on-write every parameter buffer.
+                Ok(())
+            },
+        ),
+    })
+}
+
+/// The epoch driver — the only place an epoch is driven.
+fn run_epochs<M, P>(
+    config: &TrainConfig,
+    model: &M,
+    width: usize,
+    source: &mut dyn StepSource<P>,
+    validate: &mut dyn FnMut() -> f32,
+    mut on_improve: Option<&mut dyn FnMut(usize, f32)>,
+    step: &mut StepFn<P>,
+) -> Result<TrainReport, TrainError>
+where
+    M: Module + ?Sized,
+{
+    let mut optimizer = Adam::new(model.parameters(), config.learning_rate);
+    let mut report = TrainReport {
+        train_losses: Vec::new(),
+        val_metrics: Vec::new(),
+        epochs_run: 0,
+        epoch_seconds: Vec::new(),
+        samples_per_sec: Vec::new(),
+        stop_reason: StopReason::MaxEpochs,
+        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        pool_high_water_bytes: 0,
+    };
+    let mut best = f32::INFINITY;
+    let mut best_state: Option<Vec<Tensor>> = None;
+    let mut stale = 0usize;
+    for epoch in 0..config.epochs {
+        model.set_training(true);
+        let start = Instant::now();
+        let mut epoch_loss = 0.0f32;
+        let mut batches = 0usize;
+        let mut samples = 0usize;
+        {
+            let _epoch_t = geotorch_telemetry::scope!("core.trainer.epoch");
+            source.begin_epoch(epoch)?;
+            while let Some(shards) = source.next_step(width)? {
+                let n_total: usize = shards.iter().map(|(_, n)| *n).sum();
+                if n_total == 0 {
+                    continue;
+                }
+                step(shards, n_total, &mut epoch_loss)?;
+                batches += 1;
+                samples += n_total;
+                if config.update_mode == UpdateMode::Incremental {
+                    clip_and_step(config, &mut optimizer);
+                }
+            }
+            if config.update_mode == UpdateMode::Cumulative && batches > 0 {
+                // The parameters hold a gradient *sum* over all batches;
+                // average it so the single step matches the magnitude of
+                // an Incremental step instead of scaling with the number
+                // of batches in the epoch.
+                scale_grads(optimizer.parameters(), 1.0 / batches as f32);
+                clip_and_step(config, &mut optimizer);
+            }
+        }
+        let secs = start.elapsed().as_secs_f64();
+        report.epoch_seconds.push(secs);
+        report
+            .samples_per_sec
+            .push(if secs > 0.0 { samples as f64 / secs } else { 0.0 });
+        report
+            .train_losses
+            .push(if batches > 0 { epoch_loss / batches as f32 } else { 0.0 });
+        report.epochs_run = epoch + 1;
+        geotorch_telemetry::count!("core.trainer.epochs", 1);
+        geotorch_telemetry::count!("core.trainer.samples", samples);
+
+        let val = validate();
+        report.val_metrics.push(val);
+        if val + 1e-6 < best {
+            best = val;
+            best_state = Some(model.state_dict());
+            stale = 0;
+            // The canonical model holds the post-step weights here — the
+            // hook point for atomic checkpoints.
+            if let Some(hook) = on_improve.as_deref_mut() {
+                hook(epoch + 1, val);
+            }
+        } else if val.is_finite() {
+            stale += 1;
+            if let Some(patience) = config.early_stopping_patience {
+                if stale >= patience {
+                    report.stop_reason = StopReason::EarlyStopped {
+                        epoch: epoch + 1,
+                        patience,
+                    };
+                    break;
+                }
+            }
+        }
+        // A non-finite metric (no validation samples) is no evidence
+        // either way: it neither improves nor counts as stale.
+    }
+    // Restore the best-on-validation weights (the paper's protocol
+    // evaluates the converged model, not the last epoch).
+    if let Some(state) = best_state {
+        model
+            .load_state_dict(&state)
+            .expect("state dict snapshot of the same model always matches");
+    }
+    report.pool_high_water_bytes = geotorch_tensor::pool::stats().high_water_bytes;
+    Ok(report)
+}
+
+/// Clip (if configured), step, and clear gradients.
+fn clip_and_step(config: &TrainConfig, optimizer: &mut Adam) {
+    if let Some(max_norm) = config.gradient_clip {
+        geotorch_nn::schedule::clip_grad_norm(optimizer.parameters(), max_norm);
+    }
+    optimizer.step();
+    optimizer.zero_grad();
+}
+
+// ------------------------------------------------------ worker executor
+
 /// One dispatched shard of work.
 struct Job<P> {
     state: Vec<Tensor>,
@@ -242,30 +418,24 @@ struct RepResult {
     outcome: Result<StepOut, String>,
 }
 
-/// The data-parallel epoch driver. See the module docs for the step
-/// protocol and the K = 1 bit-identity argument.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fit_replicated<M, P>(
+/// Drive the epochs with `config.replicas` (at least one) replica worker
+/// threads executing the steps.
+fn fit_on_workers<M, P>(
     config: &TrainConfig,
     model: &M,
-    factory: &(dyn Fn(usize) -> Box<M> + Sync),
-    loss_fn: &(dyn Fn(&M, &P) -> Var + Sync),
+    factory: &Factory<M>,
+    loss_fn: &LossFn<M, P>,
     source: &mut dyn StepSource<P>,
     validate: &mut dyn FnMut() -> f32,
-    mut on_improve: Option<&mut dyn FnMut(usize, f32)>,
+    on_improve: Option<&mut dyn FnMut(usize, f32)>,
 ) -> Result<TrainReport, TrainError>
 where
     M: Module + ?Sized,
     P: Send,
 {
     let k = config.replicas.max(1);
-    let mut optimizer = Adam::new(model.parameters(), config.learning_rate);
     let params = model.parameters();
-    let mut report = empty_report();
-    let mut best = f32::INFINITY;
-    let mut best_state: Option<Vec<Tensor>> = None;
-    let mut stale = 0usize;
-    let run: Result<(), TrainError> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let (res_tx, res_rx) = mpsc::channel::<RepResult>();
         let mut job_txs = Vec::with_capacity(k);
         for r in 0..k {
@@ -276,119 +446,52 @@ where
             scope.spawn(move || replica_worker(r, device, factory, loss_fn, &rx, &res_tx));
         }
         drop(res_tx);
-        for epoch in 0..config.epochs {
-            model.set_training(true);
-            let start = Instant::now();
-            let mut epoch_loss = 0.0f32;
-            let mut batches = 0usize;
-            let mut samples = 0usize;
-            {
-                let _epoch_t = geotorch_telemetry::scope!("core.trainer.epoch");
-                source.begin_epoch(epoch)?;
-                while let Some(shards) = source.next_step()? {
-                    let n_total: usize = shards.iter().map(|(_, n)| *n).sum();
-                    if n_total == 0 {
-                        continue;
-                    }
-                    let state = model.state_dict();
-                    let mut dealt: Vec<(usize, f32)> = Vec::with_capacity(shards.len());
-                    for (slot, (payload, n)) in shards.into_iter().enumerate() {
-                        let weight = n as f32 / n_total as f32;
-                        job_txs[slot]
-                            .send(Job {
-                                state: state.clone(),
-                                payload,
-                                weight,
-                            })
-                            .map_err(|_| TrainError::Replica {
-                                replica: slot,
-                                message: "replica worker exited before dispatch".into(),
-                            })?;
-                        dealt.push((slot, weight));
-                    }
-                    let mut outs: Vec<Option<StepOut>> = (0..k).map(|_| None).collect();
-                    for _ in 0..dealt.len() {
-                        let res = res_rx.recv().map_err(|_| TrainError::Replica {
-                            replica: 0,
-                            message: "all replica workers exited mid-step".into(),
-                        })?;
-                        match res.outcome {
-                            Ok(out) => outs[res.replica] = Some(out),
-                            Err(message) => {
-                                return Err(TrainError::Replica {
-                                    replica: res.replica,
-                                    message,
-                                })
-                            }
-                        }
-                    }
-                    // Weighted step loss: Σ (n_r/N)·loss_r is the
-                    // N-sample mean for mean-style losses; with K = 1
-                    // the weight is exactly 1.0.
-                    for (slot, weight) in &dealt {
-                        epoch_loss += weight * outs[*slot].as_ref().expect("recorded").loss;
-                    }
-                    batches += 1;
-                    samples += n_total;
-                    merge_step(&params, &outs, &dealt);
-                    if config.update_mode == UpdateMode::Incremental {
-                        clip_and_step(config, &mut optimizer);
-                    }
-                }
-                if config.update_mode == UpdateMode::Cumulative && batches > 0 {
-                    scale_grads(optimizer.parameters(), 1.0 / batches as f32);
-                    clip_and_step(config, &mut optimizer);
-                }
+        let mut step = |shards: Vec<(P, usize)>, n_total: usize, epoch_loss: &mut f32| {
+            let state = model.state_dict();
+            let mut dealt: Vec<(usize, f32)> = Vec::with_capacity(shards.len());
+            for (slot, (payload, n)) in shards.into_iter().enumerate() {
+                let weight = n as f32 / n_total as f32;
+                job_txs[slot]
+                    .send(Job {
+                        state: state.clone(),
+                        payload,
+                        weight,
+                    })
+                    .map_err(|_| TrainError::Replica {
+                        replica: slot,
+                        message: "replica worker exited before dispatch".into(),
+                    })?;
+                dealt.push((slot, weight));
             }
-            let secs = start.elapsed().as_secs_f64();
-            report.epoch_seconds.push(secs);
-            report
-                .samples_per_sec
-                .push(if secs > 0.0 { samples as f64 / secs } else { 0.0 });
-            report
-                .train_losses
-                .push(if batches > 0 { epoch_loss / batches as f32 } else { 0.0 });
-            report.epochs_run = epoch + 1;
-            geotorch_telemetry::count!("core.trainer.epochs", 1);
-            geotorch_telemetry::count!("core.trainer.samples", samples);
-
-            let val = validate();
-            report.val_metrics.push(val);
-            if val + 1e-6 < best {
-                best = val;
-                best_state = Some(model.state_dict());
-                stale = 0;
-                // The canonical model holds the post-average, post-step
-                // weights here — the hook point for atomic checkpoints.
-                if let Some(hook) = on_improve.as_deref_mut() {
-                    hook(epoch + 1, val);
-                }
-            } else {
-                stale += 1;
-                if let Some(patience) = config.early_stopping_patience {
-                    if stale >= patience {
-                        report.stop_reason = StopReason::EarlyStopped {
-                            epoch: epoch + 1,
-                            patience,
-                        };
-                        break;
+            let mut outs: Vec<Option<StepOut>> = (0..k).map(|_| None).collect();
+            for _ in 0..dealt.len() {
+                let res = res_rx.recv().map_err(|_| TrainError::Replica {
+                    replica: 0,
+                    message: "all replica workers exited mid-step".into(),
+                })?;
+                match res.outcome {
+                    Ok(out) => outs[res.replica] = Some(out),
+                    Err(message) => {
+                        return Err(TrainError::Replica {
+                            replica: res.replica,
+                            message,
+                        })
                     }
                 }
             }
-        }
-        Ok(())
-        // Scope exit drops every job sender; replica workers drain and
-        // join here — on the error path too, so a failed epoch never
-        // leaks threads or deadlocks.
-    });
-    run?;
-    if let Some(state) = best_state {
-        model
-            .load_state_dict(&state)
-            .expect("state dict snapshot of the same model always matches");
-    }
-    stamp_host(&mut report);
-    Ok(report)
+            // Weighted step loss: Σ (n_r/N)·loss_r is the N-sample mean
+            // for mean-style losses.
+            for (slot, weight) in &dealt {
+                *epoch_loss += weight * outs[*slot].as_ref().expect("recorded").loss;
+            }
+            merge_step(&params, &outs, &dealt);
+            Ok(())
+        };
+        // Returning drops every job sender; replica workers drain and
+        // the scope joins them — on the error path too, so a failed
+        // epoch never leaks threads or deadlocks.
+        run_epochs(config, model, k, source, validate, on_improve, &mut step)
+    })
 }
 
 /// Merge one step's replica results into the canonical parameters:
@@ -415,24 +518,14 @@ fn merge_step(params: &[Var], outs: &[Option<StepOut>], dealt: &[(usize, f32)]) 
     }
 }
 
-/// Clip (if configured), step, and clear gradients — the classic
-/// trainer's cadence, verbatim.
-fn clip_and_step(config: &TrainConfig, optimizer: &mut Adam) {
-    if let Some(max_norm) = config.gradient_clip {
-        geotorch_nn::schedule::clip_grad_norm(optimizer.parameters(), max_norm);
-    }
-    optimizer.step();
-    optimizer.zero_grad();
-}
-
 /// A replica worker: build the private model once, then serve jobs until
 /// the master hangs up. Exactly one result is sent per job — panics in
 /// the factory or the loss surface as `Err` results, never a hang.
 fn replica_worker<M, P>(
     replica: usize,
     device: Device,
-    factory: &(dyn Fn(usize) -> Box<M> + Sync),
-    loss_fn: &(dyn Fn(&M, &P) -> Var + Sync),
+    factory: &Factory<M>,
+    loss_fn: &LossFn<M, P>,
     jobs: &mpsc::Receiver<Job<P>>,
     results: &mpsc::Sender<RepResult>,
 ) where
@@ -471,7 +564,7 @@ fn replica_worker<M, P>(
 
 fn run_job<M, P>(
     model: &M,
-    loss_fn: &(dyn Fn(&M, &P) -> Var + Sync),
+    loss_fn: &LossFn<M, P>,
     device: Device,
     job: &Job<P>,
 ) -> Result<StepOut, String>
@@ -489,8 +582,8 @@ where
         let value = loss.value();
         let item = value.item();
         // Seeding backward with w_r scales every gradient by n_r/N at
-        // the source, so the master's merge is a plain sum. w = 1.0 for
-        // K = 1 makes this bit-identical to `loss.backward()`.
+        // the source, so the master's merge is a plain sum. With one
+        // worker w = 1.0, the seed `loss.backward()` uses.
         let seed = Tensor::from_vec(vec![job.weight; value.len()], value.shape());
         loss.backward_with(seed);
         drop(loss);
@@ -516,153 +609,119 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-// ------------------------------------------------- Trainer entry points
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trainer::{grid_loss, Trainer};
+    use crate::{checkpoint, UpdateMode};
+    use geotorch_datasets::{chronological_split, StGridDataset};
+    use geotorch_models::grid::PeriodicalCnn;
+    use geotorch_models::GridModel;
+    use rand::SeedableRng;
 
-/// [`IndexStepSource`] with a master-side materializer: index shards
-/// become batch payloads *before* dispatch, so replica workers never
-/// touch the (non-`Sync`) dataset.
-type Materializer<'a, P> = Box<dyn FnMut(&[usize]) -> P + 'a>;
-
-struct MaterializedSource<'a, P> {
-    inner: IndexStepSource<'a>,
-    materialize: Materializer<'a, P>,
-}
-
-impl<P> StepSource<P> for MaterializedSource<'_, P> {
-    fn begin_epoch(&mut self, epoch: usize) -> Result<(), TrainError> {
-        self.inner.begin_epoch(epoch)
+    fn cnn() -> PeriodicalCnn {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        PeriodicalCnn::new(2, (2, 1, 1), 8, &mut rng)
     }
 
-    fn next_step(&mut self) -> Result<Option<Vec<(P, usize)>>, TrainError> {
-        Ok(self.inner.next_step()?.map(|shards| {
-            shards
-                .into_iter()
-                .map(|(idx, n)| ((self.materialize)(&idx), n))
-                .collect()
-        }))
-    }
-}
-
-fn classifier_loss(
-    m: &(dyn geotorch_models::RasterClassifier + 'static),
-    batch: &geotorch_datasets::RasterBatchData,
-) -> Var {
-    let x = Var::constant(batch.x.clone());
-    let features = batch.features.clone().map(Var::constant);
-    let logits = m.forward(&x, features.as_ref());
-    geotorch_nn::loss::cross_entropy_loss(&logits, &batch.labels)
-}
-
-fn grid_loss(
-    m: &(dyn geotorch_models::GridModel + 'static),
-    batch: &geotorch_datasets::StBatch,
-) -> Var {
-    let (input, target) = crate::trainer::grid_io(batch);
-    mse_loss(&m.forward(&input), &target)
-}
-
-impl Trainer {
-    /// Data-parallel [`Trainer::fit_classifier`]: `config.replicas`
-    /// model replicas (built per worker thread by `factory`), each batch
-    /// sharded contiguously across them, gradients averaged per step.
-    /// `model` stays canonical — validation, early stopping, and the
-    /// returned weights all live on it. With `replicas = 1` the result
-    /// is bit-identical to [`Trainer::fit_classifier`].
-    ///
-    /// # Errors
-    /// If a replica worker fails (panic in the model's forward, state
-    /// broadcast rejected).
-    pub fn fit_classifier_replicated(
-        &self,
-        model: &(dyn geotorch_models::RasterClassifier + 'static),
-        factory: &(dyn Fn(usize) -> Box<dyn geotorch_models::RasterClassifier> + Sync),
-        dataset: &geotorch_datasets::RasterDataset,
-        train_idx: &[usize],
-        val_idx: &[usize],
-    ) -> Result<TrainReport, TrainError> {
-        let mut source = MaterializedSource {
-            inner: IndexStepSource::new(train_idx, self.config()),
-            materialize: Box::new(|idx| dataset.batch(idx)),
-        };
-        with_device(self.config().device, || {
-            fit_replicated(
-                self.config(),
+    /// One grid fit on the chosen executor: the report and the final
+    /// weights as `checkpoint::save` writes them.
+    fn run(name: &str, config: &TrainConfig, one_worker: bool) -> (TrainReport, Vec<u8>) {
+        let mut ds = StGridDataset::bike_nyc_deepstn(10, 3);
+        ds.set_periodical_representation(2, 1, 1);
+        let (train, val, _) = chronological_split(ds.len());
+        let concrete = cnn();
+        let model: &dyn GridModel = &concrete;
+        let factory = |_replica: usize| -> Box<dyn GridModel> { Box::new(cnn()) };
+        let trainer = Trainer::new(config.clone());
+        let mut source = IndexStepSource::new(&train, config, |idx: &[usize]| ds.batch(idx));
+        let mut validate = || trainer.evaluate_grid(model, &ds, &val).0;
+        let report = if one_worker {
+            with_device(config.device, || {
+                fit_on_workers(
+                    config,
+                    model,
+                    &factory,
+                    &grid_loss,
+                    &mut source,
+                    &mut validate,
+                    None,
+                )
+            })
+        } else {
+            fit(
+                config,
                 model,
-                factory,
-                &classifier_loss,
-                &mut source,
-                &mut || 1.0 - self.evaluate_classifier(model, dataset, val_idx),
                 None,
-            )
-        })
-    }
-
-    /// Data-parallel [`Trainer::fit_grid`] — see
-    /// [`Trainer::fit_classifier_replicated`] for the protocol.
-    ///
-    /// # Errors
-    /// If a replica worker fails.
-    pub fn fit_grid_replicated(
-        &self,
-        model: &(dyn geotorch_models::GridModel + 'static),
-        factory: &(dyn Fn(usize) -> Box<dyn geotorch_models::GridModel> + Sync),
-        dataset: &geotorch_datasets::StGridDataset,
-        train_idx: &[usize],
-        val_idx: &[usize],
-    ) -> Result<TrainReport, TrainError> {
-        let mut source = MaterializedSource {
-            inner: IndexStepSource::new(train_idx, self.config()),
-            materialize: Box::new(|idx| dataset.batch(idx)),
-        };
-        with_device(self.config().device, || {
-            fit_replicated(
-                self.config(),
-                model,
-                factory,
                 &grid_loss,
                 &mut source,
-                &mut || self.evaluate_grid(model, dataset, val_idx).0,
+                &mut validate,
                 None,
             )
-        })
+        }
+        .expect("fit succeeds");
+        let path = std::env::temp_dir().join(format!(
+            "geotorch_executor_parity_{}_{name}_{one_worker}.json",
+            std::process::id()
+        ));
+        checkpoint::save(&concrete, &path).expect("save");
+        let bytes = std::fs::read(&path).expect("read back");
+        std::fs::remove_file(&path).ok();
+        (report, bytes)
     }
 
-    /// Train on a [`BatchStream`] with MSE loss and K data-parallel
-    /// replicas: each step deals up to K consecutive stream batches, one
-    /// per replica. `make_stream` rebuilds the stream per epoch (wrap it
-    /// in a `PrefetchLoader` to overlap formatting with training);
-    /// `forward` maps a feature batch through the model; `on_improve`
-    /// fires while the canonical model holds the post-average weights of
-    /// the best epoch so far — the place to take atomic checkpoints.
-    ///
-    /// # Errors
-    /// If the stream fails mid-epoch (spill read, injected prefetch
-    /// fault) or a replica worker fails. The epoch is abandoned cleanly:
-    /// workers are joined and no partial optimizer step is taken.
-    pub fn fit_stream<M: Module + ?Sized>(
-        &self,
-        model: &M,
-        factory: &(dyn Fn(usize) -> Box<M> + Sync),
-        forward: &(dyn Fn(&M, &Var) -> Var + Sync),
-        make_stream: &mut dyn FnMut(usize) -> Result<Box<dyn BatchStream>, LoaderError>,
-        validate: &mut dyn FnMut() -> f32,
-        on_improve: Option<&mut dyn FnMut(usize, f32)>,
-    ) -> Result<TrainReport, TrainError> {
-        let loss = |m: &M, batch: &(Tensor, Tensor)| {
-            let pred = forward(m, &Var::constant(batch.0.clone()));
-            mse_loss(&pred, &Var::constant(batch.1.clone()))
+    /// The worker executor with one worker and the in-thread executor
+    /// must walk the same trajectory: exact f32 equality of every epoch
+    /// figure and byte-identical checkpoints. Any reordering of float
+    /// ops on either side shows up here.
+    #[test]
+    fn one_worker_bit_identical_to_in_thread() {
+        let base = TrainConfig {
+            epochs: 3,
+            batch_size: 8,
+            learning_rate: 3e-3,
+            early_stopping_patience: None,
+            ..TrainConfig::default()
         };
-        let mut source = StreamStepSource::new(make_stream, self.config());
-        with_device(self.config().device, || {
-            fit_replicated(
-                self.config(),
-                model,
-                factory,
-                &loss,
-                &mut source,
-                validate,
-                on_improve,
-            )
-        })
+        let cases = [
+            ("incremental", base.clone()),
+            (
+                "cumulative",
+                TrainConfig {
+                    epochs: 2,
+                    update_mode: UpdateMode::Cumulative,
+                    ..base.clone()
+                },
+            ),
+            (
+                // A learning rate too small to move the metric: stops
+                // after `patience` stale epochs, restoring epoch 1.
+                "early_stopped",
+                TrainConfig {
+                    epochs: 6,
+                    learning_rate: 1e-12,
+                    early_stopping_patience: Some(2),
+                    ..base
+                },
+            ),
+        ];
+        for (name, config) in &cases {
+            let (in_thread, in_thread_bytes) = run(name, config, false);
+            let (worker, worker_bytes) = run(name, config, true);
+            assert_eq!(in_thread.train_losses, worker.train_losses, "{name}");
+            assert_eq!(in_thread.val_metrics, worker.val_metrics, "{name}");
+            assert_eq!(in_thread.epochs_run, worker.epochs_run, "{name}");
+            assert_eq!(in_thread.stop_reason, worker.stop_reason, "{name}");
+            assert_eq!(in_thread_bytes, worker_bytes, "{name}: checkpoints differ");
+            if *name == "early_stopped" {
+                assert_eq!(
+                    in_thread.stop_reason,
+                    StopReason::EarlyStopped {
+                        epoch: 3,
+                        patience: 2
+                    }
+                );
+            }
+        }
     }
 }

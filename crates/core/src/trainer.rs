@@ -1,22 +1,22 @@
-//! The training loop: batching, optimisation, validation-based early
-//! stopping, and evaluation — implementing the paper's §V-C protocol.
+//! The training front door: configuration, the report, and one `fit_*` /
+//! `evaluate_*` pair per model family — implementing the paper's §V-C
+//! protocol.
 //!
-//! The three model families (grid, classifier, segmenter) share one
-//! epoch driver, [`Trainer::fit_loop`], so optimizer cadence, gradient
-//! clipping, early stopping, and telemetry behave identically across
-//! them; each `fit_*` front-end only supplies the per-batch loss and the
-//! validation metric.
+//! The three model families (grid, classifier, segmenter) and the stream
+//! entry point share the one epoch driver in [`crate::replica`], so
+//! optimizer cadence, gradient clipping, early stopping, and telemetry
+//! behave identically across them; each `fit_*` only names the family's
+//! per-batch loss and its validation metric.
 
-use std::time::Instant;
-
-use geotorch_datasets::{BatchIndices, RasterDataset, StBatch, StGridDataset};
+use geotorch_converter::{BatchStream, LoaderError};
+use geotorch_datasets::{BatchIndices, RasterBatchData, RasterDataset, StBatch, StGridDataset};
 use geotorch_models::{GridInput, GridModel, RasterClassifier, Segmenter};
 use geotorch_nn::loss::{bce_with_logits_loss, cross_entropy_loss, mse_loss};
-use geotorch_nn::optim::{Adam, Optimizer};
 use geotorch_nn::{Module, Var};
 use geotorch_tensor::{with_device, Device, Tensor};
 
 use crate::metrics;
+use crate::replica::{self, Factory, IndexStepSource, LossFn, StreamStepSource, TrainError};
 
 /// When weights update (§III-A2): after every batch (incremental) or once
 /// per epoch with accumulated gradients (cumulative).
@@ -54,11 +54,15 @@ pub struct TrainConfig {
     /// `Device::parallel()` routes the hot kernels through the persistent
     /// worker pool; the default `Device::Cpu` stays serial.
     pub device: Device,
-    /// Data-parallel model replicas for the `fit_*_replicated` /
-    /// `fit_stream` entry points (see [`crate::replica`]). Each step is
-    /// sharded across this many replicas and their gradients averaged
-    /// before one optimizer step; `1` reproduces the classic trainer
-    /// bit-for-bit. The classic `fit_*` entry points ignore this field.
+    /// Data-parallel model replicas (see [`crate::replica`]). With `K > 1`
+    /// the entry points that take a replica factory
+    /// (`fit_*_replicated`, `fit_stream`) shard each step across K worker
+    /// threads and average their gradients before one optimizer step.
+    /// With `K <= 1` every step runs on the caller's model on the
+    /// caller's thread: the factory is never called and no thread is
+    /// spawned. `fit_grid` / `fit_classifier` / `fit_segmenter` have no
+    /// factory to build replicas from, so they train in-thread whatever
+    /// this field holds — bit-for-bit what `replicas: 1` gives.
     pub replicas: usize,
 }
 
@@ -144,6 +148,28 @@ impl TrainReport {
     }
 }
 
+/// The in-thread executor over an in-memory index source has no error
+/// to return: loader and replica failures need a stream or a worker.
+const NO_FACTORY: &str = "a fit without a stream or replica workers cannot fail";
+
+pub(crate) fn grid_loss<'m>(m: &(dyn GridModel + 'm), batch: &StBatch) -> Var {
+    let (input, target) = grid_io(batch);
+    mse_loss(&m.forward(&input), &target)
+}
+
+fn classifier_loss<'m>(m: &(dyn RasterClassifier + 'm), batch: &RasterBatchData) -> Var {
+    let x = Var::constant(batch.x.clone());
+    let features = batch.features.clone().map(Var::constant);
+    let logits = m.forward(&x, features.as_ref());
+    cross_entropy_loss(&logits, &batch.labels)
+}
+
+fn segmenter_loss<'m>(m: &(dyn Segmenter + 'm), batch: &RasterBatchData) -> Var {
+    let x = Var::constant(batch.x.clone());
+    let masks = Var::constant(batch.masks.clone().expect("segmentation dataset"));
+    bce_with_logits_loss(&m.forward(&x), &masks)
+}
+
 /// Drives training and evaluation for the three model families.
 pub struct Trainer {
     config: TrainConfig,
@@ -160,116 +186,31 @@ impl Trainer {
         &self.config
     }
 
-    /// Run `f` under the configured compute device.
-    fn on_device<T>(&self, f: impl FnOnce() -> T) -> T {
-        with_device(self.config.device, f)
-    }
-
-    // --------------------------------------------------- shared driver
-
-    /// Clip (if configured), step, and clear gradients.
-    fn clip_and_step(&self, optimizer: &mut Adam) {
-        if let Some(max_norm) = self.config.gradient_clip {
-            geotorch_nn::schedule::clip_grad_norm(optimizer.parameters(), max_norm);
-        }
-        optimizer.step();
-        optimizer.zero_grad();
-    }
-
-    /// The epoch driver shared by all three `fit_*` entry points.
-    ///
-    /// `forward_loss` maps one batch's sample indices to the loss node
-    /// (the driver runs `backward` and the optimizer cadence);
-    /// `validate` produces the per-epoch validation metric, lower better.
-    fn fit_loop<M: Module + ?Sized>(
+    /// Fit over shuffled batches of `train_idx`, each materialized by
+    /// `batch_of` on the calling thread.
+    fn fit_indexed<M, P>(
         &self,
         model: &M,
+        factory: Option<&Factory<M>>,
+        loss: &LossFn<M, P>,
+        batch_of: impl FnMut(&[usize]) -> P,
         train_idx: &[usize],
-        forward_loss: &mut dyn FnMut(&[usize]) -> Var,
         validate: &mut dyn FnMut() -> f32,
-    ) -> TrainReport {
-        let mut optimizer = Adam::new(model.parameters(), self.config.learning_rate);
-        let mut report = empty_report();
-        let mut best = f32::INFINITY;
-        let mut best_state: Option<Vec<Tensor>> = None;
-        let mut stale = 0usize;
-        for epoch in 0..self.config.epochs {
-            model.set_training(true);
-            let start = Instant::now();
-            let mut epoch_loss = 0.0;
-            let mut batches = 0usize;
-            let mut samples = 0usize;
-            {
-                let _epoch_t = geotorch_telemetry::scope!("core.trainer.epoch");
-                let iter = BatchIndices::shuffled(
-                    train_idx,
-                    self.config.batch_size,
-                    self.config.seed.wrapping_add(epoch as u64),
-                );
-                for batch_idx in iter {
-                    let loss = forward_loss(&batch_idx);
-                    epoch_loss += loss.value().item();
-                    batches += 1;
-                    samples += batch_idx.len();
-                    loss.backward();
-                    // Release the tape before stepping: graph nodes hold
-                    // clones of the parameter values, and while those are
-                    // alive the optimizer's in-place update has to
-                    // copy-on-write every parameter buffer.
-                    drop(loss);
-                    if self.config.update_mode == UpdateMode::Incremental {
-                        self.clip_and_step(&mut optimizer);
-                    }
-                }
-                if self.config.update_mode == UpdateMode::Cumulative && batches > 0 {
-                    // The tape accumulated a gradient *sum* over all batches;
-                    // average it so the single step matches the magnitude of
-                    // an Incremental step instead of scaling with the number
-                    // of batches in the epoch.
-                    scale_grads(optimizer.parameters(), 1.0 / batches as f32);
-                    self.clip_and_step(&mut optimizer);
-                }
-            }
-            let secs = start.elapsed().as_secs_f64();
-            report.epoch_seconds.push(secs);
-            report
-                .samples_per_sec
-                .push(if secs > 0.0 { samples as f64 / secs } else { 0.0 });
-            report
-                .train_losses
-                .push(if batches > 0 { epoch_loss / batches as f32 } else { 0.0 });
-            report.epochs_run = epoch + 1;
-            geotorch_telemetry::count!("core.trainer.epochs", 1);
-            geotorch_telemetry::count!("core.trainer.samples", samples);
-
-            let val = validate();
-            report.val_metrics.push(val);
-            if val + 1e-6 < best {
-                best = val;
-                best_state = Some(model.state_dict());
-                stale = 0;
-            } else {
-                stale += 1;
-                if let Some(patience) = self.config.early_stopping_patience {
-                    if stale >= patience {
-                        report.stop_reason = StopReason::EarlyStopped {
-                            epoch: epoch + 1,
-                            patience,
-                        };
-                        break;
-                    }
-                }
-            }
-        }
-        // Restore the best-on-validation weights (the paper's protocol
-        // evaluates the converged model, not the last epoch).
-        if let Some(state) = best_state {
-            model
-                .load_state_dict(&state)
-                .expect("state dict snapshot of the same model always matches");
-        }
-        stamp_host(&mut report);
-        report
+    ) -> Result<TrainReport, TrainError>
+    where
+        M: Module + ?Sized,
+        P: Send,
+    {
+        let mut source = IndexStepSource::new(train_idx, &self.config, batch_of);
+        replica::fit(
+            &self.config,
+            model,
+            factory,
+            loss,
+            &mut source,
+            validate,
+            None,
+        )
     }
 
     // --------------------------------------------------------- grid
@@ -283,18 +224,38 @@ impl Trainer {
         train_idx: &[usize],
         val_idx: &[usize],
     ) -> TrainReport {
-        self.on_device(|| {
-            self.fit_loop(
-                model,
-                train_idx,
-                &mut |batch_idx| {
-                    let batch = dataset.batch(batch_idx);
-                    let (input, target) = grid_io(&batch);
-                    mse_loss(&model.forward(&input), &target)
-                },
-                &mut || self.evaluate_grid_inner(model, dataset, val_idx).0,
-            )
-        })
+        self.fit_indexed(
+            model,
+            None,
+            &grid_loss,
+            |idx| dataset.batch(idx),
+            train_idx,
+            &mut || self.evaluate_grid(model, dataset, val_idx).0,
+        )
+        .expect(NO_FACTORY)
+    }
+
+    /// Data-parallel [`Trainer::fit_grid`] — see
+    /// [`Trainer::fit_classifier_replicated`] for the protocol.
+    ///
+    /// # Errors
+    /// If a replica worker fails.
+    pub fn fit_grid_replicated(
+        &self,
+        model: &(dyn GridModel + 'static),
+        factory: &(dyn Fn(usize) -> Box<dyn GridModel> + Sync),
+        dataset: &StGridDataset,
+        train_idx: &[usize],
+        val_idx: &[usize],
+    ) -> Result<TrainReport, TrainError> {
+        self.fit_indexed(
+            model,
+            Some(factory),
+            &grid_loss,
+            |idx| dataset.batch(idx),
+            train_idx,
+            &mut || self.evaluate_grid(model, dataset, val_idx).0,
+        )
     }
 
     /// `(MAE, RMSE)` of a grid model over the given samples (normalised
@@ -305,38 +266,32 @@ impl Trainer {
         dataset: &StGridDataset,
         indices: &[usize],
     ) -> (f32, f32) {
-        self.on_device(|| self.evaluate_grid_inner(model, dataset, indices))
-    }
-
-    fn evaluate_grid_inner(
-        &self,
-        model: &dyn GridModel,
-        dataset: &StGridDataset,
-        indices: &[usize],
-    ) -> (f32, f32) {
-        model.set_training(false);
-        let mut preds = Vec::new();
-        let mut targets = Vec::new();
-        for batch_idx in BatchIndices::new(indices, self.config.batch_size) {
-            let batch = dataset.batch(&batch_idx);
-            let (input, target) = grid_io(&batch);
-            // Evaluation never calls backward; skip building the tape.
-            preds.push(geotorch_nn::no_grad(|| model.forward(&input).value()));
-            targets.push(target.value());
-        }
-        if preds.is_empty() {
-            return (f32::NAN, f32::NAN);
-        }
-        let p_refs: Vec<&Tensor> = preds.iter().collect();
-        let t_refs: Vec<&Tensor> = targets.iter().collect();
-        let p = Tensor::concat(&p_refs, 0);
-        let t = Tensor::concat(&t_refs, 0);
-        (metrics::mae(&p, &t), metrics::rmse(&p, &t))
+        with_device(self.config.device, || {
+            model.set_training(false);
+            let mut preds = Vec::new();
+            let mut targets = Vec::new();
+            for batch_idx in BatchIndices::new(indices, self.config.batch_size) {
+                let batch = dataset.batch(&batch_idx);
+                let (input, target) = grid_io(&batch);
+                // Evaluation never calls backward; skip building the tape.
+                preds.push(geotorch_nn::no_grad(|| model.forward(&input).value()));
+                targets.push(target.value());
+            }
+            if preds.is_empty() {
+                return (f32::NAN, f32::NAN);
+            }
+            let p_refs: Vec<&Tensor> = preds.iter().collect();
+            let t_refs: Vec<&Tensor> = targets.iter().collect();
+            let p = Tensor::concat(&p_refs, 0);
+            let t = Tensor::concat(&t_refs, 0);
+            (metrics::mae(&p, &t), metrics::rmse(&p, &t))
+        })
     }
 
     // ------------------------------------------------- classification
 
-    /// Train a raster classifier with cross-entropy.
+    /// Train a raster classifier with cross-entropy; the validation
+    /// metric is `1 - accuracy` (lower is better).
     pub fn fit_classifier(
         &self,
         model: &dyn RasterClassifier,
@@ -344,21 +299,43 @@ impl Trainer {
         train_idx: &[usize],
         val_idx: &[usize],
     ) -> TrainReport {
-        self.on_device(|| {
-            self.fit_loop(
-                model,
-                train_idx,
-                &mut |batch_idx| {
-                    let batch = dataset.batch(batch_idx);
-                    let x = Var::constant(batch.x);
-                    let features = batch.features.map(Var::constant);
-                    let logits = model.forward(&x, features.as_ref());
-                    cross_entropy_loss(&logits, &batch.labels)
-                },
-                // Validation metric: 1 - accuracy (lower is better).
-                &mut || 1.0 - self.evaluate_classifier_inner(model, dataset, val_idx),
-            )
-        })
+        self.fit_indexed(
+            model,
+            None,
+            &classifier_loss,
+            |idx| dataset.batch(idx),
+            train_idx,
+            &mut || 1.0 - self.evaluate_classifier(model, dataset, val_idx),
+        )
+        .expect(NO_FACTORY)
+    }
+
+    /// Data-parallel [`Trainer::fit_classifier`]: `config.replicas`
+    /// model replicas (built per worker thread by `factory`), each batch
+    /// sharded contiguously across them, gradients averaged per step.
+    /// `model` stays canonical — validation, early stopping, and the
+    /// returned weights all live on it. With `replicas <= 1` this *is*
+    /// [`Trainer::fit_classifier`]: `factory` is never called.
+    ///
+    /// # Errors
+    /// If a replica worker fails (panic in the model's forward, state
+    /// broadcast rejected).
+    pub fn fit_classifier_replicated(
+        &self,
+        model: &(dyn RasterClassifier + 'static),
+        factory: &(dyn Fn(usize) -> Box<dyn RasterClassifier> + Sync),
+        dataset: &RasterDataset,
+        train_idx: &[usize],
+        val_idx: &[usize],
+    ) -> Result<TrainReport, TrainError> {
+        self.fit_indexed(
+            model,
+            Some(factory),
+            &classifier_loss,
+            |idx| dataset.batch(idx),
+            train_idx,
+            &mut || 1.0 - self.evaluate_classifier(model, dataset, val_idx),
+        )
     }
 
     /// Accuracy of a classifier over the given samples.
@@ -368,39 +345,33 @@ impl Trainer {
         dataset: &RasterDataset,
         indices: &[usize],
     ) -> f32 {
-        self.on_device(|| self.evaluate_classifier_inner(model, dataset, indices))
-    }
-
-    fn evaluate_classifier_inner(
-        &self,
-        model: &dyn RasterClassifier,
-        dataset: &RasterDataset,
-        indices: &[usize],
-    ) -> f32 {
-        model.set_training(false);
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for batch_idx in BatchIndices::new(indices, self.config.batch_size) {
-            let batch = dataset.batch(&batch_idx);
-            let x = Var::constant(batch.x);
-            let features = batch.features.map(Var::constant);
-            let logits =
-                geotorch_nn::no_grad(|| model.forward(&x, features.as_ref()).value());
-            // Exact integer counts — reconstructing them from a per-batch
-            // accuracy float loses precision on large batches.
-            correct += metrics::correct_count(&logits, &batch.labels);
-            total += batch.labels.len();
-        }
-        if total == 0 {
-            f32::NAN
-        } else {
-            correct as f32 / total as f32
-        }
+        with_device(self.config.device, || {
+            model.set_training(false);
+            let mut correct = 0usize;
+            let mut total = 0usize;
+            for batch_idx in BatchIndices::new(indices, self.config.batch_size) {
+                let batch = dataset.batch(&batch_idx);
+                let x = Var::constant(batch.x);
+                let features = batch.features.map(Var::constant);
+                let logits = geotorch_nn::no_grad(|| model.forward(&x, features.as_ref()).value());
+                // Exact integer counts — reconstructing them from a
+                // per-batch accuracy float loses precision on large
+                // batches.
+                correct += metrics::correct_count(&logits, &batch.labels);
+                total += batch.labels.len();
+            }
+            if total == 0 {
+                f32::NAN
+            } else {
+                correct as f32 / total as f32
+            }
+        })
     }
 
     // --------------------------------------------------- segmentation
 
-    /// Train a segmentation model with BCE-with-logits on the masks.
+    /// Train a segmentation model with BCE-with-logits on the masks; the
+    /// validation metric is `1 - pixel accuracy`.
     pub fn fit_segmenter(
         &self,
         model: &dyn Segmenter,
@@ -408,19 +379,15 @@ impl Trainer {
         train_idx: &[usize],
         val_idx: &[usize],
     ) -> TrainReport {
-        self.on_device(|| {
-            self.fit_loop(
-                model,
-                train_idx,
-                &mut |batch_idx| {
-                    let batch = dataset.batch(batch_idx);
-                    let x = Var::constant(batch.x);
-                    let masks = Var::constant(batch.masks.expect("segmentation dataset"));
-                    bce_with_logits_loss(&model.forward(&x), &masks)
-                },
-                &mut || 1.0 - self.evaluate_segmenter_inner(model, dataset, val_idx),
-            )
-        })
+        self.fit_indexed(
+            model,
+            None,
+            &segmenter_loss,
+            |idx| dataset.batch(idx),
+            train_idx,
+            &mut || 1.0 - self.evaluate_segmenter(model, dataset, val_idx),
+        )
+        .expect(NO_FACTORY)
     }
 
     /// Pixel accuracy of a segmenter over the given samples.
@@ -430,55 +397,70 @@ impl Trainer {
         dataset: &RasterDataset,
         indices: &[usize],
     ) -> f32 {
-        self.on_device(|| self.evaluate_segmenter_inner(model, dataset, indices))
+        with_device(self.config.device, || {
+            model.set_training(false);
+            let mut correct = 0usize;
+            let mut total = 0usize;
+            for batch_idx in BatchIndices::new(indices, self.config.batch_size) {
+                let batch = dataset.batch(&batch_idx);
+                let x = Var::constant(batch.x);
+                let masks = batch.masks.expect("segmentation dataset");
+                let logits = geotorch_nn::no_grad(|| model.forward(&x).value());
+                // Weight by pixel count: averaging per-batch accuracies
+                // unweighted over-weights a ragged final batch.
+                correct += metrics::pixel_correct_count(&logits, &masks);
+                total += logits.len();
+            }
+            if total == 0 {
+                f32::NAN
+            } else {
+                correct as f32 / total as f32
+            }
+        })
     }
 
-    fn evaluate_segmenter_inner(
+    // --------------------------------------------------------- stream
+
+    /// Train on a [`BatchStream`] with MSE loss: each step deals up to
+    /// `config.replicas` consecutive stream batches, one per replica.
+    /// `make_stream` rebuilds the stream per epoch (wrap it in a
+    /// `PrefetchLoader` to overlap formatting with training); `forward`
+    /// maps a feature batch through the model; `on_improve` fires while
+    /// the canonical model holds the post-step weights of the best epoch
+    /// so far — the place to take atomic checkpoints. With
+    /// `replicas <= 1` every step runs on `model` on the calling thread:
+    /// `factory` is never called and no thread is spawned.
+    ///
+    /// # Errors
+    /// If the stream fails mid-epoch (spill read, injected prefetch
+    /// fault) or a replica worker fails. The epoch is abandoned cleanly:
+    /// workers are joined and no partial optimizer step is taken. With
+    /// `replicas <= 1` there is no worker to catch it, so a panic inside
+    /// `forward` unwinds to the caller, as it does from
+    /// [`Trainer::fit_grid`].
+    pub fn fit_stream<M: Module + ?Sized>(
         &self,
-        model: &dyn Segmenter,
-        dataset: &RasterDataset,
-        indices: &[usize],
-    ) -> f32 {
-        model.set_training(false);
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for batch_idx in BatchIndices::new(indices, self.config.batch_size) {
-            let batch = dataset.batch(&batch_idx);
-            let x = Var::constant(batch.x);
-            let masks = batch.masks.expect("segmentation dataset");
-            let logits = geotorch_nn::no_grad(|| model.forward(&x).value());
-            // Weight by pixel count: averaging per-batch accuracies
-            // unweighted over-weights a ragged final batch.
-            correct += metrics::pixel_correct_count(&logits, &masks);
-            total += logits.len();
-        }
-        if total == 0 {
-            f32::NAN
-        } else {
-            correct as f32 / total as f32
-        }
+        model: &M,
+        factory: &(dyn Fn(usize) -> Box<M> + Sync),
+        forward: &(dyn Fn(&M, &Var) -> Var + Sync),
+        make_stream: &mut dyn FnMut(usize) -> Result<Box<dyn BatchStream>, LoaderError>,
+        validate: &mut dyn FnMut() -> f32,
+        on_improve: Option<&mut dyn FnMut(usize, f32)>,
+    ) -> Result<TrainReport, TrainError> {
+        let loss = |m: &M, batch: &(Tensor, Tensor)| {
+            let pred = forward(m, &Var::constant(batch.0.clone()));
+            mse_loss(&pred, &Var::constant(batch.1.clone()))
+        };
+        replica::fit(
+            &self.config,
+            model,
+            Some(factory),
+            &loss,
+            &mut StreamStepSource::new(make_stream),
+            validate,
+            on_improve,
+        )
     }
-}
-
-/// An all-zero [`TrainReport`] for an about-to-run fit.
-pub(crate) fn empty_report() -> TrainReport {
-    TrainReport {
-        train_losses: Vec::new(),
-        val_metrics: Vec::new(),
-        epochs_run: 0,
-        epoch_seconds: Vec::new(),
-        samples_per_sec: Vec::new(),
-        stop_reason: StopReason::MaxEpochs,
-        host_cores: 0,
-        pool_high_water_bytes: 0,
-    }
-}
-
-/// Stamp the host core count and the tensor-pool high-water mark into a
-/// finished report.
-pub(crate) fn stamp_host(report: &mut TrainReport) {
-    report.host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    report.pool_high_water_bytes = geotorch_tensor::pool::stats().high_water_bytes;
 }
 
 /// Replace each parameter's accumulated gradient with `grad * scale`.
@@ -667,6 +649,91 @@ mod tests {
             }
             other => panic!("expected EarlyStopped, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn validation_less_fit_runs_every_epoch() {
+        // No validation samples → the metric is NaN every epoch. That is
+        // no evidence of a plateau: the default patience must not fire.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let mut ds = StGridDataset::taxi_nyc_stdn(3, 9);
+        ds.set_periodical_representation(1, 1, 0);
+        let model = PeriodicalCnn::new(2, (1, 1, 0), 4, &mut rng);
+        let config = TrainConfig {
+            epochs: 5,
+            batch_size: 8,
+            ..TrainConfig::default()
+        };
+        assert_eq!(config.early_stopping_patience, Some(3));
+        let before = model.state_dict();
+        let report = Trainer::new(config).fit_grid(&model, &ds, &[0, 1, 2, 3, 4, 5, 6, 7], &[]);
+        assert_eq!(report.epochs_run, 5);
+        assert_eq!(report.stop_reason, StopReason::MaxEpochs);
+        assert!(report.val_metrics.iter().all(|v| v.is_nan()));
+        // No best epoch to restore, so the last weights stay.
+        assert_ne!(before[0].as_slice(), model.state_dict()[0].as_slice());
+    }
+
+    #[test]
+    fn fit_grid_ignores_replicas_without_a_factory() {
+        // `fit_grid` has no factory to build replicas from, so any
+        // `replicas` value trains in-thread: bit-identical runs.
+        let run = |replicas: usize| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+            let mut ds = StGridDataset::taxi_nyc_stdn(3, 9);
+            ds.set_periodical_representation(1, 1, 0);
+            let model = PeriodicalCnn::new(2, (1, 1, 0), 4, &mut rng);
+            let config = TrainConfig {
+                replicas,
+                batch_size: 3, // ragged against 8 samples and against K = 4
+                ..quick_config(2)
+            };
+            let report =
+                Trainer::new(config).fit_grid(&model, &ds, &[0, 1, 2, 3, 4, 5, 6, 7], &[8, 9]);
+            let weights: Vec<Vec<f32>> = model
+                .state_dict()
+                .iter()
+                .map(|t| t.as_slice().to_vec())
+                .collect();
+            (report.train_losses, report.val_metrics, weights)
+        };
+        assert_eq!(run(1), run(4));
+    }
+
+    #[test]
+    fn fit_stream_with_one_replica_never_calls_the_factory() {
+        use geotorch_nn::layers::Linear;
+        use geotorch_nn::Layer;
+        struct OneBatch(Option<(Tensor, Tensor)>);
+        impl BatchStream for OneBatch {
+            fn next_batch(&mut self) -> Result<Option<(Tensor, Tensor)>, LoaderError> {
+                Ok(self.0.take())
+            }
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let model = Linear::new(2, 1, &mut rng);
+        let caller = std::thread::current().id();
+        let report = Trainer::new(quick_config(2)).fit_stream(
+            &model,
+            &|_| panic!("replicas = 1 must not build a replica"),
+            &|m: &Linear, x: &Var| {
+                assert_eq!(
+                    std::thread::current().id(),
+                    caller,
+                    "step left the caller's thread"
+                );
+                m.forward(x)
+            },
+            &mut |_epoch| {
+                Ok(Box::new(OneBatch(Some((
+                    Tensor::ones(&[4, 2]),
+                    Tensor::zeros(&[4, 1]),
+                )))))
+            },
+            &mut || 0.0,
+            None,
+        );
+        assert_eq!(report.expect("in-thread stream fit").epochs_run, 2);
     }
 
     #[test]

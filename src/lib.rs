@@ -129,9 +129,8 @@ pub mod preprocessing {
 /// pull-based streaming loader (`BatchStream` → `PrefetchLoader`).
 pub mod converter {
     pub use geotorch_converter::{
-        collect_then_batch, BatchStream, DfFormatter, FormattedFrame, FormattedPartition,
-        FrameBatchStream, LoaderError, PrefetchLoader, RowTransformer, SpillBatchStream,
-        TransformSpec,
+        BatchStream, DfFormatter, FormattedFrame, FormattedPartition, FrameBatchStream,
+        LoaderError, PrefetchLoader, RowTransformer, SpillBatchStream, TransformSpec,
     };
 }
 
@@ -154,8 +153,7 @@ pub mod train {
     pub use geotorch_core::metrics;
     pub use geotorch_core::trainer::grid_io;
     pub use geotorch_core::{
-        IndexStepSource, StepSource, StopReason, StreamStepSource, TrainConfig, TrainError,
-        TrainReport, Trainer, UpdateMode,
+        StopReason, TrainConfig, TrainError, TrainReport, Trainer, UpdateMode,
     };
 }
 
