@@ -19,8 +19,8 @@ fn points_df(n: usize, seed: u64) -> DataFrame {
     let lats: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..16.0)).collect();
     let lons: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..12.0)).collect();
     let df = DataFrame::from_columns(vec![
-        ("lat".into(), Column::F64(lats)),
-        ("lon".into(), Column::F64(lons)),
+        ("lat".into(), Column::F64(lats.into())),
+        ("lon".into(), Column::F64(lons.into())),
     ])
     .unwrap();
     add_point_column(&df, "lat", "lon", "pt").unwrap()
@@ -77,8 +77,8 @@ fn bench_groupby(c: &mut Criterion) {
         let keys: Vec<i64> = (0..n).map(|_| rng.gen_range(0..256)).collect();
         let values: Vec<f64> = (0..n).map(|_| rng.gen()).collect();
         let df = DataFrame::from_columns(vec![
-            ("k".into(), Column::I64(keys)),
-            ("v".into(), Column::F64(values)),
+            ("k".into(), Column::I64(keys.into())),
+            ("v".into(), Column::F64(values.into())),
         ])
         .unwrap()
         .repartition(4)

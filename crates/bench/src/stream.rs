@@ -48,11 +48,11 @@ fn chunk_columns(seed: u64, rows: usize) -> Vec<Column> {
         dist.push((dlat * dlat + dlon * dlon).sqrt() * 10.0);
     }
     vec![
-        Column::F64(lat),
-        Column::F64(lon),
-        Column::F64(hour),
-        Column::F64(dow),
-        Column::F64(dist),
+        Column::F64(lat.into()),
+        Column::F64(lon.into()),
+        Column::F64(hour.into()),
+        Column::F64(dow.into()),
+        Column::F64(dist.into()),
     ]
 }
 

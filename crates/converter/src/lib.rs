@@ -268,9 +268,15 @@ mod tests {
 
     fn df() -> DataFrame {
         DataFrame::from_columns(vec![
-            ("a".into(), Column::F64(vec![1.0, 2.0, 3.0, 4.0, 5.0])),
-            ("b".into(), Column::F64(vec![10.0, 20.0, 30.0, 40.0, 50.0])),
-            ("y".into(), Column::I64(vec![0, 1, 0, 1, 1])),
+            (
+                "a".into(),
+                Column::F64(vec![1.0, 2.0, 3.0, 4.0, 5.0].into()),
+            ),
+            (
+                "b".into(),
+                Column::F64(vec![10.0, 20.0, 30.0, 40.0, 50.0].into()),
+            ),
+            ("y".into(), Column::I64(vec![0, 1, 0, 1, 1].into())),
         ])
         .unwrap()
     }
@@ -300,8 +306,8 @@ mod tests {
         let fmt = DfFormatter::for_classification(&["missing"], &[1], "y").unwrap();
         assert!(fmt.format(&df()).is_err());
         let bad_type = DataFrame::from_columns(vec![
-            ("a".into(), Column::Str(vec!["x".into()])),
-            ("y".into(), Column::I64(vec![0])),
+            ("a".into(), Column::Str(vec!["x".into()].into())),
+            ("y".into(), Column::I64(vec![0].into())),
         ])
         .unwrap();
         let fmt = DfFormatter::for_classification(&["a"], &[1], "y").unwrap();

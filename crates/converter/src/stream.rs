@@ -354,8 +354,8 @@ mod tests {
         let a: Vec<f64> = (0..rows).map(|i| i as f64).collect();
         let y: Vec<i64> = (0..rows).map(|i| (i % 2) as i64).collect();
         let df = DataFrame::from_columns(vec![
-            ("a".into(), Column::F64(a)),
-            ("y".into(), Column::I64(y)),
+            ("a".into(), Column::F64(a.into())),
+            ("y".into(), Column::I64(y.into())),
         ])
         .unwrap()
         .repartition(parts)
@@ -407,8 +407,8 @@ mod tests {
         let a: Vec<f64> = (0..rows).map(|i| i as f64 * 0.5).collect();
         let y: Vec<i64> = (0..rows).map(|i| (i % 3) as i64).collect();
         let df = DataFrame::from_columns(vec![
-            ("a".into(), Column::F64(a)),
-            ("y".into(), Column::I64(y)),
+            ("a".into(), Column::F64(a.into())),
+            ("y".into(), Column::I64(y.into())),
         ])
         .unwrap()
         .repartition(4)

@@ -40,9 +40,9 @@ fn trips(rows: usize, parts: usize) -> DataFrame {
     let b: Vec<f64> = (0..rows).map(|i| (i % 11) as f64 * 0.5).collect();
     let y: Vec<f64> = (0..rows).map(|i| (i % 5) as f64).collect();
     DataFrame::from_columns(vec![
-        ("a".into(), Column::F64(a)),
-        ("b".into(), Column::F64(b)),
-        ("y".into(), Column::F64(y)),
+        ("a".into(), Column::F64(a.into())),
+        ("b".into(), Column::F64(b.into())),
+        ("y".into(), Column::F64(y.into())),
     ])
     .unwrap()
     .repartition(parts)

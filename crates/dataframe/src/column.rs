@@ -1,5 +1,9 @@
 //! Typed columns and scalar values.
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
 use crate::error::{DfError, DfResult};
 use crate::geometry::Geometry;
 
@@ -105,21 +109,98 @@ pub enum GroupKey {
     Str(String),
 }
 
+/// A column's payload: a window of rows onto a shared, immutable vector
+/// (Arrow's buffer + offset). Cloning and [`Buffer::slice`] are O(1) and
+/// share storage; it reads as a plain `&[T]` through `Deref`.
+#[derive(Clone)]
+pub struct Buffer<T> {
+    data: Arc<Vec<T>>,
+    start: usize,
+    len: usize,
+}
+
+impl<T> Buffer<T> {
+    /// Rows `[start, end)` of this buffer, sharing its storage.
+    ///
+    /// # Panics
+    /// If the range is out of bounds.
+    pub fn slice(&self, start: usize, end: usize) -> Buffer<T> {
+        assert!(
+            start <= end && end <= self.len,
+            "slice {start}..{end} of {} rows",
+            self.len
+        );
+        Buffer {
+            data: Arc::clone(&self.data),
+            start: self.start + start,
+            len: end - start,
+        }
+    }
+
+    /// Append one value, first taking a private copy of the rows if the
+    /// storage is shared or wider than this window.
+    fn push(&mut self, value: T)
+    where
+        T: Clone,
+    {
+        if self.start != 0 || self.len != self.data.len() {
+            *self = self.to_vec().into();
+        }
+        Arc::make_mut(&mut self.data).push(value);
+        self.len += 1;
+    }
+}
+
+impl<T> Deref for Buffer<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.data[self.start..self.start + self.len]
+    }
+}
+
+impl<T> From<Vec<T>> for Buffer<T> {
+    fn from(data: Vec<T>) -> Self {
+        Buffer {
+            start: 0,
+            len: data.len(),
+            data: Arc::new(data),
+        }
+    }
+}
+
+impl<T> FromIterator<T> for Buffer<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        Vec::from_iter(iter).into()
+    }
+}
+
+impl<T: PartialEq> PartialEq for Buffer<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Buffer<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// A typed column of values.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// 64-bit floats.
-    F64(Vec<f64>),
+    F64(Buffer<f64>),
     /// 64-bit integers.
-    I64(Vec<i64>),
+    I64(Buffer<i64>),
     /// Strings.
-    Str(Vec<String>),
+    Str(Buffer<String>),
     /// Booleans.
-    Bool(Vec<bool>),
+    Bool(Buffer<bool>),
     /// Timestamps (epoch seconds).
-    Ts(Vec<i64>),
+    Ts(Buffer<i64>),
     /// Geometries.
-    Geom(Vec<Geometry>),
+    Geom(Buffer<Geometry>),
 }
 
 impl Column {
@@ -175,12 +256,12 @@ impl Column {
     /// An empty column of the given type.
     pub fn empty(dtype: DType) -> Column {
         match dtype {
-            DType::F64 => Column::F64(Vec::new()),
-            DType::I64 => Column::I64(Vec::new()),
-            DType::Str => Column::Str(Vec::new()),
-            DType::Bool => Column::Bool(Vec::new()),
-            DType::Ts => Column::Ts(Vec::new()),
-            DType::Geom => Column::Geom(Vec::new()),
+            DType::F64 => Column::F64(Vec::new().into()),
+            DType::I64 => Column::I64(Vec::new().into()),
+            DType::Str => Column::Str(Vec::new().into()),
+            DType::Bool => Column::Bool(Vec::new().into()),
+            DType::Ts => Column::Ts(Vec::new().into()),
+            DType::Geom => Column::Geom(Vec::new().into()),
         }
     }
 
@@ -206,7 +287,7 @@ impl Column {
 
     /// Keep only rows where `mask` is true. `mask.len()` must equal rows.
     pub fn filter(&self, mask: &[bool]) -> Column {
-        fn keep<T: Clone>(v: &[T], mask: &[bool]) -> Vec<T> {
+        fn keep<T: Clone>(v: &[T], mask: &[bool]) -> Buffer<T> {
             v.iter()
                 .zip(mask)
                 .filter(|(_, &m)| m)
@@ -225,7 +306,7 @@ impl Column {
 
     /// Rows selected by `indices`, in order (gather).
     pub fn take(&self, indices: &[usize]) -> Column {
-        fn gather<T: Clone>(v: &[T], idx: &[usize]) -> Vec<T> {
+        fn gather<T: Clone>(v: &[T], idx: &[usize]) -> Buffer<T> {
             idx.iter().map(|&i| v[i].clone()).collect()
         }
         match self {
@@ -243,40 +324,44 @@ impl Column {
         let first = parts
             .first()
             .ok_or_else(|| DfError::InvalidArgument("concat of zero columns".into()))?;
-        let mut out = first.empty_like();
-        for part in parts {
-            if part.dtype() != out.dtype() {
-                return Err(DfError::TypeMismatch {
-                    column: String::from("<concat>"),
-                    expected: out.dtype().name(),
-                    found: part.dtype().name(),
-                });
-            }
-            match (&mut out, part) {
-                (Column::F64(o), Column::F64(p)) => o.extend_from_slice(p),
-                (Column::I64(o), Column::I64(p)) => o.extend_from_slice(p),
-                (Column::Str(o), Column::Str(p)) => o.extend_from_slice(p),
-                (Column::Bool(o), Column::Bool(p)) => o.extend_from_slice(p),
-                (Column::Ts(o), Column::Ts(p)) => o.extend_from_slice(p),
-                (Column::Geom(o), Column::Geom(p)) => o.extend_from_slice(p),
-                _ => unreachable!("dtype checked above"),
-            }
+        if let Some(part) = parts.iter().find(|p| p.dtype() != first.dtype()) {
+            return Err(DfError::TypeMismatch {
+                column: String::from("<concat>"),
+                expected: first.dtype().name(),
+                found: part.dtype().name(),
+            });
         }
-        Ok(out)
+        macro_rules! cat {
+            ($variant:ident) => {{
+                let slices: Vec<&[_]> = parts
+                    .iter()
+                    .map(|part| match part {
+                        Column::$variant(v) => &v[..],
+                        _ => unreachable!("dtype checked above"),
+                    })
+                    .collect();
+                Column::$variant(slices.concat().into())
+            }};
+        }
+        Ok(match first {
+            Column::F64(_) => cat!(F64),
+            Column::I64(_) => cat!(I64),
+            Column::Str(_) => cat!(Str),
+            Column::Bool(_) => cat!(Bool),
+            Column::Ts(_) => cat!(Ts),
+            Column::Geom(_) => cat!(Geom),
+        })
     }
 
-    /// Slice rows `[start, end)`.
+    /// Rows `[start, end)`, sharing this column's storage.
     pub fn slice(&self, start: usize, end: usize) -> Column {
-        fn cut<T: Clone>(v: &[T], s: usize, e: usize) -> Vec<T> {
-            v[s..e].to_vec()
-        }
         match self {
-            Column::F64(v) => Column::F64(cut(v, start, end)),
-            Column::I64(v) => Column::I64(cut(v, start, end)),
-            Column::Str(v) => Column::Str(cut(v, start, end)),
-            Column::Bool(v) => Column::Bool(cut(v, start, end)),
-            Column::Ts(v) => Column::Ts(cut(v, start, end)),
-            Column::Geom(v) => Column::Geom(cut(v, start, end)),
+            Column::F64(v) => Column::F64(v.slice(start, end)),
+            Column::I64(v) => Column::I64(v.slice(start, end)),
+            Column::Str(v) => Column::Str(v.slice(start, end)),
+            Column::Bool(v) => Column::Bool(v.slice(start, end)),
+            Column::Ts(v) => Column::Ts(v.slice(start, end)),
+            Column::Geom(v) => Column::Geom(v.slice(start, end)),
         }
     }
 
@@ -347,7 +432,7 @@ mod tests {
 
     #[test]
     fn dtype_and_len() {
-        let c = Column::F64(vec![1.0, 2.0]);
+        let c = Column::F64(vec![1.0, 2.0].into());
         assert_eq!(c.dtype(), DType::F64);
         assert_eq!(c.len(), 2);
         assert!(!c.is_empty());
@@ -356,27 +441,42 @@ mod tests {
 
     #[test]
     fn push_type_checked() {
-        let mut c = Column::I64(vec![]);
+        let mut c = Column::I64(vec![].into());
         c.push(Value::I64(5)).unwrap();
         assert!(c.push(Value::F64(1.0)).is_err());
         assert_eq!(c.len(), 1);
     }
 
     #[test]
+    fn push_onto_shared_storage_copies_and_leaves_the_source_untouched() {
+        let whole = Column::I64(vec![1, 2, 3, 4].into());
+        let mut window = whole.slice(1, 3);
+        window.push(Value::I64(9)).unwrap();
+        assert_eq!(window, Column::I64(vec![2, 3, 9].into()));
+        let mut copy = whole.clone();
+        copy.push(Value::I64(5)).unwrap();
+        assert_eq!(copy.len(), 5);
+        assert_eq!(whole, Column::I64(vec![1, 2, 3, 4].into()));
+    }
+
+    #[test]
     fn filter_take_slice() {
-        let c = Column::I64(vec![10, 20, 30, 40]);
-        assert_eq!(c.filter(&[true, false, true, false]), Column::I64(vec![10, 30]));
-        assert_eq!(c.take(&[3, 0]), Column::I64(vec![40, 10]));
-        assert_eq!(c.slice(1, 3), Column::I64(vec![20, 30]));
+        let c = Column::I64(vec![10, 20, 30, 40].into());
+        assert_eq!(
+            c.filter(&[true, false, true, false]),
+            Column::I64(vec![10, 30].into())
+        );
+        assert_eq!(c.take(&[3, 0]), Column::I64(vec![40, 10].into()));
+        assert_eq!(c.slice(1, 3), Column::I64(vec![20, 30].into()));
     }
 
     #[test]
     fn concat_same_type() {
-        let a = Column::Str(vec!["a".into()]);
-        let b = Column::Str(vec!["b".into(), "c".into()]);
+        let a = Column::Str(vec!["a".into()].into());
+        let b = Column::Str(vec!["b".into(), "c".into()].into());
         let c = Column::concat(&[&a, &b]).unwrap();
         assert_eq!(c.len(), 3);
-        assert!(Column::concat(&[&a, &Column::I64(vec![1])]).is_err());
+        assert!(Column::concat(&[&a, &Column::I64(vec![1].into())]).is_err());
     }
 
     #[test]
@@ -395,17 +495,17 @@ mod tests {
 
     #[test]
     fn typed_accessors() {
-        let c = Column::F64(vec![1.5]);
+        let c = Column::F64(vec![1.5].into());
         assert_eq!(c.f64s().unwrap(), &[1.5]);
         assert!(c.i64s().is_err());
-        let ts = Column::Ts(vec![100]);
+        let ts = Column::Ts(vec![100].into());
         assert_eq!(ts.i64s().unwrap(), &[100]);
     }
 
     #[test]
     fn approx_bytes_scales_with_rows() {
-        let small = Column::F64(vec![0.0; 10]);
-        let big = Column::F64(vec![0.0; 1000]);
+        let small = Column::F64(vec![0.0; 10].into());
+        let big = Column::F64(vec![0.0; 1000].into());
         assert!(big.approx_bytes() > small.approx_bytes() * 50);
     }
 }

@@ -325,13 +325,16 @@ mod tests {
     fn file_round_trip_with_geometry() {
         use crate::geometry::{Geometry, Point};
         let df = DataFrame::from_columns(vec![
-            ("id".into(), Column::I64(vec![1, 2])),
+            ("id".into(), Column::I64(vec![1, 2].into())),
             (
                 "geom".into(),
-                Column::Geom(vec![
-                    Geometry::Point(Point::new(1.0, 2.0)),
-                    Geometry::Point(Point::new(-73.9, 40.7)),
-                ]),
+                Column::Geom(
+                    vec![
+                        Geometry::Point(Point::new(1.0, 2.0)),
+                        Geometry::Point(Point::new(-73.9, 40.7)),
+                    ]
+                    .into(),
+                ),
             ),
         ])
         .unwrap();

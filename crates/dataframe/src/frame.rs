@@ -433,11 +433,11 @@ mod tests {
 
     fn sample() -> DataFrame {
         DataFrame::from_columns(vec![
-            ("id".into(), Column::I64(vec![1, 2, 3, 4])),
-            ("x".into(), Column::F64(vec![0.5, 1.5, 2.5, 3.5])),
+            ("id".into(), Column::I64(vec![1, 2, 3, 4].into())),
+            ("x".into(), Column::F64(vec![0.5, 1.5, 2.5, 3.5].into())),
             (
                 "name".into(),
-                Column::Str(vec!["a".into(), "b".into(), "c".into(), "d".into()]),
+                Column::Str(vec!["a".into(), "b".into(), "c".into(), "d".into()].into()),
             ),
         ])
         .unwrap()
@@ -455,15 +455,15 @@ mod tests {
     fn rejects_duplicate_and_ragged() {
         assert!(matches!(
             DataFrame::from_columns(vec![
-                ("a".into(), Column::I64(vec![1])),
-                ("a".into(), Column::I64(vec![2])),
+                ("a".into(), Column::I64(vec![1].into())),
+                ("a".into(), Column::I64(vec![2].into())),
             ]),
             Err(DfError::DuplicateColumn(_))
         ));
         assert!(matches!(
             DataFrame::from_columns(vec![
-                ("a".into(), Column::I64(vec![1])),
-                ("b".into(), Column::I64(vec![2, 3])),
+                ("a".into(), Column::I64(vec![1].into())),
+                ("b".into(), Column::I64(vec![2, 3].into())),
             ]),
             Err(DfError::LengthMismatch(_))
         ));
@@ -478,8 +478,38 @@ mod tests {
         assert_eq!(merged.num_partitions(), 1);
         assert_eq!(
             merged.column("id").unwrap(),
-            Column::I64(vec![1, 2, 3, 4])
+            Column::I64(vec![1, 2, 3, 4].into())
         );
+    }
+
+    #[test]
+    fn operators_that_move_no_rows_share_storage_with_their_input() {
+        let df = sample();
+        let start_of = |df: &DataFrame, part: usize, name: &str| {
+            let idx = df.schema().index_of(name).unwrap();
+            match &df.partitions()[part][idx] {
+                Column::I64(v) => v.as_ptr() as usize,
+                Column::F64(v) => v.as_ptr() as usize,
+                other => panic!("unexpected {:?} column", other.dtype()),
+            }
+        };
+        let (id, x) = (start_of(&df, 0, "id"), start_of(&df, 0, "x"));
+        let parts = df.repartition(2).unwrap();
+        assert_eq!(start_of(&parts, 0, "id"), id);
+        assert_eq!(
+            start_of(&parts, 1, "id"),
+            id + 2 * std::mem::size_of::<i64>()
+        );
+        assert_eq!(start_of(&parts, 1, "x"), x + 2 * std::mem::size_of::<f64>());
+        assert_eq!(start_of(&df.select(&["x"]).unwrap(), 0, "x"), x);
+        let both = df.union(&parts).unwrap();
+        assert_eq!(start_of(&both, 0, "id"), id);
+        assert_eq!(start_of(&both, 1, "id"), id);
+        let wider = parts
+            .with_column("x2", DType::F64, |row| Ok(Value::F64(row.f64("x")? * 2.0)))
+            .unwrap();
+        assert_eq!(start_of(&wider, 1, "x"), start_of(&parts, 1, "x"));
+        assert_eq!(start_of(&df.concat_partitions().unwrap(), 0, "id"), id);
     }
 
     #[test]
@@ -501,7 +531,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             out.column("x2").unwrap(),
-            Column::F64(vec![1.0, 3.0, 5.0, 7.0])
+            Column::F64(vec![1.0, 3.0, 5.0, 7.0].into())
         );
         // Duplicate name rejected.
         assert!(df
@@ -518,20 +548,26 @@ mod tests {
         let df = sample().repartition(2).unwrap();
         let out = df.filter(|row| Ok(row.i64("id")? % 2 == 0)).unwrap();
         assert_eq!(out.num_rows(), 2);
-        assert_eq!(out.column("id").unwrap(), Column::I64(vec![2, 4]));
+        assert_eq!(out.column("id").unwrap(), Column::I64(vec![2, 4].into()));
     }
 
     #[test]
     fn sort_by_each_type() {
         let df = DataFrame::from_columns(vec![
-            ("k".into(), Column::F64(vec![2.0, 1.0, 3.0])),
-            ("v".into(), Column::I64(vec![20, 10, 30])),
+            ("k".into(), Column::F64(vec![2.0, 1.0, 3.0].into())),
+            ("v".into(), Column::I64(vec![20, 10, 30].into())),
         ])
         .unwrap();
         let sorted = df.sort_by("k").unwrap();
-        assert_eq!(sorted.column("v").unwrap(), Column::I64(vec![10, 20, 30]));
+        assert_eq!(
+            sorted.column("v").unwrap(),
+            Column::I64(vec![10, 20, 30].into())
+        );
         let by_str = sample().sort_by("name").unwrap();
-        assert_eq!(by_str.column("id").unwrap(), Column::I64(vec![1, 2, 3, 4]));
+        assert_eq!(
+            by_str.column("id").unwrap(),
+            Column::I64(vec![1, 2, 3, 4].into())
+        );
     }
 
     #[test]
@@ -546,7 +582,8 @@ mod tests {
         let df = sample();
         let u = df.union(&df).unwrap();
         assert_eq!(u.num_rows(), 8);
-        let other = DataFrame::from_columns(vec![("id".into(), Column::I64(vec![1]))]).unwrap();
+        let other =
+            DataFrame::from_columns(vec![("id".into(), Column::I64(vec![1].into()))]).unwrap();
         assert!(df.union(&other).is_err());
     }
 

@@ -2,8 +2,9 @@
 //!
 //! Aggregation runs in two phases, like a Spark shuffle-free combine +
 //! reduce: each partition builds partial accumulators in parallel, then the
-//! partials merge into the final groups. This is the engine behind
-//! `STManager::get_st_grid_dataframe`'s cell/time aggregation.
+//! partials merge into the final groups. (`STManager`'s cell/time counting
+//! does not come through here: its keys are dense integers, so it indexes
+//! a table instead of hashing — see `geotorch-preprocess::st_manager`.)
 
 use std::collections::HashMap;
 
@@ -214,15 +215,21 @@ mod tests {
         DataFrame::from_columns(vec![
             (
                 "city".into(),
-                Column::Str(vec![
-                    "nyc".into(),
-                    "sf".into(),
-                    "nyc".into(),
-                    "sf".into(),
-                    "nyc".into(),
-                ]),
+                Column::Str(
+                    vec![
+                        "nyc".into(),
+                        "sf".into(),
+                        "nyc".into(),
+                        "sf".into(),
+                        "nyc".into(),
+                    ]
+                    .into(),
+                ),
             ),
-            ("amount".into(), Column::F64(vec![10.0, 20.0, 30.0, 40.0, 50.0])),
+            (
+                "amount".into(),
+                Column::F64(vec![10.0, 20.0, 30.0, 40.0, 50.0].into()),
+            ),
         ])
         .unwrap()
     }
@@ -279,9 +286,12 @@ mod tests {
     #[test]
     fn multi_key_grouping() {
         let df = DataFrame::from_columns(vec![
-            ("a".into(), Column::I64(vec![1, 1, 2, 2, 1])),
-            ("b".into(), Column::I64(vec![0, 1, 0, 0, 0])),
-            ("v".into(), Column::F64(vec![1.0, 2.0, 3.0, 4.0, 5.0])),
+            ("a".into(), Column::I64(vec![1, 1, 2, 2, 1].into())),
+            ("b".into(), Column::I64(vec![0, 1, 0, 0, 0].into())),
+            (
+                "v".into(),
+                Column::F64(vec![1.0, 2.0, 3.0, 4.0, 5.0].into()),
+            ),
         ])
         .unwrap();
         let out = df
@@ -295,8 +305,8 @@ mod tests {
     #[test]
     fn empty_frame_groups_to_empty() {
         let df = DataFrame::from_columns(vec![
-            ("k".into(), Column::I64(vec![])),
-            ("v".into(), Column::F64(vec![])),
+            ("k".into(), Column::I64(vec![].into())),
+            ("v".into(), Column::F64(vec![].into())),
         ])
         .unwrap();
         let out = df

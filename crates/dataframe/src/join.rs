@@ -94,10 +94,10 @@ mod tests {
 
     fn users() -> DataFrame {
         DataFrame::from_columns(vec![
-            ("uid".into(), Column::I64(vec![1, 2, 3])),
+            ("uid".into(), Column::I64(vec![1, 2, 3].into())),
             (
                 "name".into(),
-                Column::Str(vec!["ann".into(), "bob".into(), "cat".into()]),
+                Column::Str(vec!["ann".into(), "bob".into(), "cat".into()].into()),
             ),
         ])
         .unwrap()
@@ -105,8 +105,11 @@ mod tests {
 
     fn orders() -> DataFrame {
         DataFrame::from_columns(vec![
-            ("user".into(), Column::I64(vec![1, 1, 3, 9])),
-            ("total".into(), Column::F64(vec![10.0, 20.0, 30.0, 99.0])),
+            ("user".into(), Column::I64(vec![1, 1, 3, 9].into())),
+            (
+                "total".into(),
+                Column::F64(vec![10.0, 20.0, 30.0, 99.0].into()),
+            ),
         ])
         .unwrap()
     }
@@ -136,13 +139,13 @@ mod tests {
     #[test]
     fn name_collision_gets_suffix() {
         let a = DataFrame::from_columns(vec![
-            ("k".into(), Column::I64(vec![1])),
-            ("v".into(), Column::F64(vec![1.0])),
+            ("k".into(), Column::I64(vec![1].into())),
+            ("v".into(), Column::F64(vec![1.0].into())),
         ])
         .unwrap();
         let b = DataFrame::from_columns(vec![
-            ("k2".into(), Column::I64(vec![1])),
-            ("v".into(), Column::F64(vec![2.0])),
+            ("k2".into(), Column::I64(vec![1].into())),
+            ("v".into(), Column::F64(vec![2.0].into())),
         ])
         .unwrap();
         let joined = a.join_inner(&b, "k", "k2").unwrap();
@@ -154,12 +157,12 @@ mod tests {
     fn join_on_strings() {
         let a = DataFrame::from_columns(vec![(
             "city".into(),
-            Column::Str(vec!["nyc".into(), "sf".into()]),
+            Column::Str(vec!["nyc".into(), "sf".into()].into()),
         )])
         .unwrap();
         let b = DataFrame::from_columns(vec![
-            ("c".into(), Column::Str(vec!["nyc".into()])),
-            ("pop".into(), Column::I64(vec![8_000_000])),
+            ("c".into(), Column::Str(vec!["nyc".into()].into())),
+            ("pop".into(), Column::I64(vec![8_000_000].into())),
         ])
         .unwrap();
         let joined = a.join_inner(&b, "city", "c").unwrap();
@@ -169,8 +172,8 @@ mod tests {
     #[test]
     fn empty_sides_produce_empty_result() {
         let empty = DataFrame::from_columns(vec![
-            ("user".into(), Column::I64(vec![])),
-            ("total".into(), Column::F64(vec![])),
+            ("user".into(), Column::I64(vec![].into())),
+            ("total".into(), Column::F64(vec![].into())),
         ])
         .unwrap();
         let joined = empty.join_inner(&users(), "user", "uid").unwrap();

@@ -139,11 +139,15 @@ impl UniformGrid {
     }
 
     /// Cell id (`row * nx + col`) containing the point, or `None` when the
-    /// point lies outside the extent. The grid's right/top edges are
-    /// inclusive so the extent is fully covered.
+    /// point lies outside the extent or has a NaN coordinate. The grid's
+    /// right/top edges are inclusive so the extent is fully covered.
+    #[inline] // per-row in the grid kernel, which lives in another crate
     pub fn cell_of(&self, p: &Point) -> Option<usize> {
         let e = &self.extent;
-        if p.x < e.min_x || p.x > e.max_x || p.y < e.min_y || p.y > e.max_y {
+        // Containment, so that NaN, which fails every comparison, is
+        // outside; `&` rather than `&&` leaves one branch to predict, not four.
+        let inside = (p.x >= e.min_x) & (p.x <= e.max_x) & (p.y >= e.min_y) & (p.y <= e.max_y);
+        if !inside {
             return None;
         }
         let fx = (p.x - e.min_x) / e.width();
@@ -263,6 +267,14 @@ mod tests {
     }
 
     #[test]
+    fn nan_coordinates_are_outside_the_grid() {
+        let grid = UniformGrid::new(Envelope::new(0.0, 0.0, 1.0, 1.0), 4, 4).unwrap();
+        assert_eq!(grid.cell_of(&Point::new(f64::NAN, 0.5)), None);
+        assert_eq!(grid.cell_of(&Point::new(0.5, f64::NAN)), None);
+        assert_eq!(grid.cell_of(&Point::new(f64::NAN, f64::NAN)), None);
+    }
+
+    #[test]
     fn cell_envelopes_tile_extent() {
         let grid = UniformGrid::new(Envelope::new(0.0, 0.0, 3.0, 3.0), 3, 3).unwrap();
         let total_area: f64 = (0..grid.num_cells())
@@ -287,7 +299,10 @@ mod tests {
         let df = add_point_column(&df, "lat", "lon", "pt").unwrap();
         let grid = UniformGrid::new(Envelope::new(0.0, 0.0, 2.0, 1.0), 2, 1).unwrap();
         let out = assign_grid_cells(&df, "pt", &grid, "cell").unwrap();
-        assert_eq!(out.column("cell").unwrap(), Column::I64(vec![0, 1, -1]));
+        assert_eq!(
+            out.column("cell").unwrap(),
+            Column::I64(vec![0, 1, -1].into())
+        );
     }
 
     #[test]
@@ -310,7 +325,7 @@ mod tests {
         let df = add_point_column(&points_df(&[(100.0, 100.0)]), "lat", "lon", "pt").unwrap();
         let zones = vec![Geometry::Envelope(Envelope::new(0.0, 0.0, 1.0, 1.0))];
         let out = join_points_to_zones(&df, "pt", &zones, "z").unwrap();
-        assert_eq!(out.column("z").unwrap(), Column::I64(vec![-1]));
+        assert_eq!(out.column("z").unwrap(), Column::I64(vec![-1].into()));
     }
 
     #[test]
@@ -345,6 +360,6 @@ mod tests {
         // the refine step must reject it.
         let df = add_point_column(&points_df(&[(1.0, 1.0), (3.5, 3.5)]), "lat", "lon", "pt").unwrap();
         let out = join_points_to_zones(&df, "pt", &[tri], "z").unwrap();
-        assert_eq!(out.column("z").unwrap(), Column::I64(vec![0, -1]));
+        assert_eq!(out.column("z").unwrap(), Column::I64(vec![0, -1].into()));
     }
 }

@@ -229,18 +229,18 @@ fn encode_column(col: &Column, out: &mut Vec<u8>) -> DfResult<()> {
     out.push(dtype_tag(col.dtype()));
     match col {
         Column::F64(v) => {
-            for x in v {
+            for x in v.iter() {
                 out.extend_from_slice(&x.to_le_bytes());
             }
         }
         Column::I64(v) | Column::Ts(v) => {
-            for x in v {
+            for x in v.iter() {
                 out.extend_from_slice(&x.to_le_bytes());
             }
         }
         Column::Bool(v) => out.extend(v.iter().map(|&b| b as u8)),
         Column::Str(v) => {
-            for s in v {
+            for s in v.iter() {
                 out.extend_from_slice(&(s.len() as u32).to_le_bytes());
                 out.extend_from_slice(s.as_bytes());
             }
@@ -291,7 +291,7 @@ fn decode_partition(buf: &[u8], schema: &Schema, rows: usize) -> Result<Vec<Colu
                     .collect(),
             ),
             DType::I64 | DType::Ts => {
-                let v: Vec<i64> = take(&mut pos, rows * 8)?
+                let v = take(&mut pos, rows * 8)?
                     .chunks_exact(8)
                     .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
                     .collect();
@@ -313,7 +313,7 @@ fn decode_partition(buf: &[u8], schema: &Schema, rows: usize) -> Result<Vec<Colu
                             .map_err(|e| format!("non-utf8 string payload: {e}"))?,
                     );
                 }
-                Column::Str(v)
+                Column::Str(v.into())
             }
             DType::Geom => return Err("geometry columns are never spilled".into()),
         };
@@ -344,16 +344,19 @@ mod tests {
 
     fn df() -> DataFrame {
         DataFrame::from_columns(vec![
-            ("lat".into(), Column::F64(vec![40.7, 40.8, 40.9, 41.0])),
-            ("count".into(), Column::I64(vec![1, 2, 3, 4])),
-            ("ts".into(), Column::Ts(vec![10, 20, 30, 40])),
+            (
+                "lat".into(),
+                Column::F64(vec![40.7, 40.8, 40.9, 41.0].into()),
+            ),
+            ("count".into(), Column::I64(vec![1, 2, 3, 4].into())),
+            ("ts".into(), Column::Ts(vec![10, 20, 30, 40].into())),
             (
                 "flag".into(),
-                Column::Bool(vec![true, false, true, false]),
+                Column::Bool(vec![true, false, true, false].into()),
             ),
             (
                 "zone".into(),
-                Column::Str(vec!["a".into(), "b".into(), "".into(), "über".into()]),
+                Column::Str(vec!["a".into(), "b".into(), "".into(), "über".into()].into()),
             ),
         ])
         .unwrap()
@@ -371,6 +374,26 @@ mod tests {
             let back = store.read_with(i, &mut scratch).unwrap();
             assert_eq!(&back, part);
         }
+    }
+
+    #[test]
+    fn window_onto_a_shared_buffer_spills_only_its_rows() {
+        let whole = df();
+        let window: Vec<Column> = whole.partitions()[0]
+            .iter()
+            .map(|c| c.slice(1, 3))
+            .collect();
+        let owned: Vec<Column> = window.iter().map(|c| c.take(&[0, 1])).collect();
+        let mut store = SpillStore::create(tmpdir("window"), whole.schema().clone()).unwrap();
+        store.spill(&window).unwrap();
+        store.spill(&owned).unwrap();
+        let (mut from_window, mut from_owned) = (Vec::new(), Vec::new());
+        assert_eq!(store.read_with(0, &mut from_window).unwrap(), window);
+        assert_eq!(store.read_with(1, &mut from_owned).unwrap(), owned);
+        assert_eq!(
+            from_window, from_owned,
+            "spill files must be byte-identical"
+        );
     }
 
     #[test]
@@ -396,7 +419,7 @@ mod tests {
     fn rejects_mismatched_partitions() {
         let mut store =
             SpillStore::create(tmpdir("mismatch"), df().schema().clone()).unwrap();
-        assert!(store.spill(&[Column::F64(vec![1.0])]).is_err());
+        assert!(store.spill(&[Column::F64(vec![1.0].into())]).is_err());
     }
 
     #[test]

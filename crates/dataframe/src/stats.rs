@@ -82,7 +82,7 @@ impl DataFrame {
             for part in self.partitions() {
                 let idx = self.schema().index_of(name)?;
                 let values: Vec<f64> = match &part[idx] {
-                    Column::F64(v) => v.clone(),
+                    Column::F64(v) => v.to_vec(),
                     Column::I64(v) | Column::Ts(v) => v.iter().map(|&x| x as f64).collect(),
                     _ => unreachable!("dtype filtered above"),
                 };
@@ -119,8 +119,11 @@ mod tests {
 
     fn df() -> DataFrame {
         DataFrame::from_columns(vec![
-            ("k".into(), Column::I64(vec![1, 2, 1, 2, 1])),
-            ("v".into(), Column::F64(vec![1.0, 2.0, 1.0, 4.0, 1.0])),
+            ("k".into(), Column::I64(vec![1, 2, 1, 2, 1].into())),
+            (
+                "v".into(),
+                Column::F64(vec![1.0, 2.0, 1.0, 4.0, 1.0].into()),
+            ),
         ])
         .unwrap()
     }
@@ -129,8 +132,11 @@ mod tests {
     fn distinct_keeps_first_occurrences() {
         let out = df().distinct().unwrap();
         assert_eq!(out.num_rows(), 3); // (1,1.0), (2,2.0), (2,4.0)
-        assert_eq!(out.column("k").unwrap(), Column::I64(vec![1, 2, 2]));
-        assert_eq!(out.column("v").unwrap(), Column::F64(vec![1.0, 2.0, 4.0]));
+        assert_eq!(out.column("k").unwrap(), Column::I64(vec![1, 2, 2].into()));
+        assert_eq!(
+            out.column("v").unwrap(),
+            Column::F64(vec![1.0, 2.0, 4.0].into())
+        );
     }
 
     #[test]
@@ -165,8 +171,8 @@ mod tests {
     #[test]
     fn describe_skips_non_numeric() {
         let df = DataFrame::from_columns(vec![
-            ("s".into(), Column::Str(vec!["a".into()])),
-            ("x".into(), Column::F64(vec![3.0])),
+            ("s".into(), Column::Str(vec!["a".into()].into())),
+            ("x".into(), Column::F64(vec![3.0].into())),
         ])
         .unwrap();
         let summaries = df.describe().unwrap();

@@ -8,11 +8,7 @@ use geotorch_dataframe::spatial::{add_point_column, assign_grid_cells, UniformGr
 use geotorch_dataframe::{Column, DataFrame, Envelope, Geometry, Point};
 
 fn int_frame(values: Vec<i64>) -> DataFrame {
-    DataFrame::from_columns(vec![(
-        "v".to_string(),
-        Column::I64(values),
-    )])
-    .unwrap()
+    DataFrame::from_columns(vec![("v".to_string(), Column::I64(values.into()))]).unwrap()
 }
 
 proptest! {
@@ -22,7 +18,7 @@ proptest! {
         let df = int_frame(values.clone());
         let re = df.repartition(parts).unwrap();
         prop_assert_eq!(re.num_rows(), values.len());
-        prop_assert_eq!(re.column("v").unwrap(), Column::I64(values));
+        prop_assert_eq!(re.column("v").unwrap(), Column::I64(values.into()));
     }
 
     /// filter ∘ union ≡ union ∘ filter.

@@ -133,9 +133,9 @@ pub fn get_st_grid_dataframe_naive(
     }
     let num_steps = steps.iter().max().map_or(0, |&m| m as usize + 1);
     let frame = DataFrame::from_columns(vec![
-        ("time_step".to_string(), Column::I64(steps)),
-        ("cell_id".to_string(), Column::I64(cell_ids)),
-        ("count".to_string(), Column::I64(counts)),
+        ("time_step".to_string(), Column::I64(steps.into())),
+        ("cell_id".to_string(), Column::I64(cell_ids.into())),
+        ("count".to_string(), Column::I64(counts.into())),
     ])?;
     Ok(StGridFrame {
         frame,

@@ -33,8 +33,16 @@ impl SpacePartition {
                 "cannot derive a grid from empty column {geometry_column}"
             ))
         })?;
-        // A degenerate extent (all points identical) gets a tiny halo so
-        // the grid still has positive area.
+        Self::grid_over(extent, partitions_x, partitions_y)
+    }
+
+    /// Grid over a data-derived extent: a degenerate one (all points
+    /// identical) gets a tiny halo so the grid still has positive area.
+    pub(crate) fn grid_over(
+        extent: Envelope,
+        partitions_x: usize,
+        partitions_y: usize,
+    ) -> PreprocessResult<UniformGrid> {
         let extent = if extent.width() <= 0.0 || extent.height() <= 0.0 {
             Envelope::new(
                 extent.min_x - 0.5,
@@ -72,8 +80,8 @@ mod tests {
     #[test]
     fn grid_from_dataframe_extent() {
         let df = DataFrame::from_columns(vec![
-            ("lat".into(), Column::F64(vec![40.0, 41.0, 40.5])),
-            ("lon".into(), Column::F64(vec![-74.0, -73.0, -73.5])),
+            ("lat".into(), Column::F64(vec![40.0, 41.0, 40.5].into())),
+            ("lon".into(), Column::F64(vec![-74.0, -73.0, -73.5].into())),
         ])
         .unwrap();
         let df = add_point_column(&df, "lat", "lon", "pt").unwrap();
@@ -85,8 +93,8 @@ mod tests {
     #[test]
     fn degenerate_extent_gets_halo() {
         let df = DataFrame::from_columns(vec![
-            ("lat".into(), Column::F64(vec![40.0, 40.0])),
-            ("lon".into(), Column::F64(vec![-74.0, -74.0])),
+            ("lat".into(), Column::F64(vec![40.0, 40.0].into())),
+            ("lon".into(), Column::F64(vec![-74.0, -74.0].into())),
         ])
         .unwrap();
         let df = add_point_column(&df, "lat", "lon", "pt").unwrap();
@@ -101,8 +109,8 @@ mod tests {
     #[test]
     fn empty_column_errors() {
         let df = DataFrame::from_columns(vec![
-            ("lat".into(), Column::F64(vec![])),
-            ("lon".into(), Column::F64(vec![])),
+            ("lat".into(), Column::F64(vec![].into())),
+            ("lon".into(), Column::F64(vec![].into())),
         ])
         .unwrap();
         let df = add_point_column(&df, "lat", "lon", "pt").unwrap();

@@ -3,14 +3,13 @@
 //! This is the pipeline of the paper's Listing 8 and Figure 5: raw event
 //! rows with latitude/longitude and timestamps are (1) turned into point
 //! geometries, (2) assigned to uniform grid cells via the spatial fast
-//! path, (3) sliced into fixed-length time intervals, (4) aggregated per
-//! `(time_step, cell)` with the partition-parallel group-by, and (5)
-//! materialised as a dense `[T, H, W, C]` tensor.
-
-use std::collections::HashMap;
+//! path, (3) sliced into fixed-length time intervals, (4) counted per
+//! `(time_step, cell)`, and (5) materialised as a dense `[T, H, W, C]`
+//! tensor. Steps 2–5 are one kernel, `st_grid_counts`, that every entry
+//! point calls: no intermediate column is materialised.
 
 use geotorch_dataframe::spatial::{add_point_column, UniformGrid};
-use geotorch_dataframe::{Column, DataFrame, Envelope};
+use geotorch_dataframe::{exec, Column, DataFrame, DfResult, Envelope, Geometry, Point};
 use geotorch_tensor::Tensor;
 
 use crate::error::{PreprocessError, PreprocessResult};
@@ -26,7 +25,7 @@ pub struct StGridConfig {
     /// Time slot length in seconds (the paper's `step_duration_sec`).
     pub step_duration_sec: i64,
     /// Spatial extent of the grid; `None` derives the tight extent of the
-    /// data.
+    /// points counted.
     pub extent: Option<Envelope>,
 }
 
@@ -107,123 +106,32 @@ impl StManager {
     /// Convert a DataFrame of point events into the aggregated
     /// spatiotemporal grid (Listing 8, line 6).
     ///
-    /// `geometry` names a point column; `col_date` a timestamp column.
-    /// Points outside the grid extent are dropped, as are rows before the
-    /// observed minimum timestamp (there are none unless `extent` clips).
+    /// `geometry` names a geometry column (non-point geometries count at
+    /// their representative point); `col_date` a timestamp column. Points
+    /// outside the grid extent are dropped.
     pub fn get_st_grid_dataframe(
         df: &DataFrame,
         geometry: &str,
         col_date: &str,
         config: &StGridConfig,
     ) -> PreprocessResult<StGridFrame> {
-        if config.step_duration_sec <= 0 {
-            return Err(PreprocessError::InvalidInput(
-                "step_duration_sec must be positive".into(),
-            ));
-        }
-        if df.num_rows() == 0 {
-            return Err(PreprocessError::InvalidInput(
-                "cannot build a grid from an empty DataFrame".into(),
-            ));
-        }
-        let grid = match config.extent {
-            Some(extent) => {
-                SpacePartition::generate_grid(extent, config.partitions_x, config.partitions_y)?
-            }
-            None => SpacePartition::grid_from_dataframe(
-                df,
-                geometry,
-                config.partitions_x,
-                config.partitions_y,
-            )?,
-        };
-
-        // Temporal origin: the minimum timestamp across partitions.
-        let t0 = min_timestamp(df, col_date)?;
-        let step = config.step_duration_sec;
-
-        // Fused operator path: spatial cell assignment, temporal slicing,
-        // filtering, and partial aggregation run as one typed pass over
-        // each partition (the hand-written equivalent of the whole-stage
-        // fusion Spark applies to this plan), then partials merge. This
-        // avoids materialising any intermediate column.
         let geom_idx = df.schema().index_of(geometry)?;
         let ts_idx = df.schema().index_of(col_date)?;
-        let partials: PreprocessResult<Vec<HashMap<(i64, i64), i64>>> =
-            geotorch_dataframe::exec::par_map(
-                df.partitions(),
-                |part| -> geotorch_dataframe::DfResult<HashMap<(i64, i64), i64>> {
-                let geoms = part[geom_idx].geoms()?;
-                let timestamps = part[ts_idx].i64s()?;
-                let mut counts: HashMap<(i64, i64), i64> = HashMap::new();
-                for (geom, &ts) in geoms.iter().zip(timestamps) {
-                    let p = match geom {
-                        geotorch_dataframe::Geometry::Point(p) => *p,
-                        other => other.representative_point(),
-                    };
-                    if let Some(cell) = grid.cell_of(&p) {
-                        *counts.entry(((ts - t0) / step, cell as i64)).or_insert(0) += 1;
-                    }
-                }
-                Ok(counts)
-            },
-            )
-            .into_iter()
-            .map(|r| r.map_err(PreprocessError::from))
-            .collect();
-        let mut merged: HashMap<(i64, i64), i64> = HashMap::new();
-        for partial in partials? {
-            for (key, count) in partial {
-                *merged.entry(key).or_insert(0) += count;
-            }
-        }
-        Self::grid_frame_from_counts(merged, grid, t0, step)
-    }
-
-    /// Materialise the sparse `(time_step, cell_id, count)` DataFrame from
-    /// merged aggregation results.
-    fn grid_frame_from_counts(
-        merged: HashMap<(i64, i64), i64>,
-        grid: geotorch_dataframe::spatial::UniformGrid,
-        t0: i64,
-        step: i64,
-    ) -> PreprocessResult<StGridFrame> {
-        let mut entries: Vec<((i64, i64), i64)> = merged.into_iter().collect();
-        entries.sort_unstable_by_key(|&(key, _)| key);
-        let num_steps = entries
-            .iter()
-            .map(|&((t, _), _)| t as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let frame = DataFrame::from_columns(vec![
-            (
-                "time_step".to_string(),
-                Column::I64(entries.iter().map(|&((t, _), _)| t).collect()),
-            ),
-            (
-                "cell_id".to_string(),
-                Column::I64(entries.iter().map(|&((_, c), _)| c).collect()),
-            ),
-            (
-                "count".to_string(),
-                Column::I64(entries.iter().map(|&(_, n)| n).collect()),
-            ),
-        ])?;
-        Ok(StGridFrame {
-            frame,
-            grid,
-            num_steps,
-            t0,
-            step,
-        })
+        let rows = df.partitions().iter().map(|part| {
+            let points = part[geom_idx].geoms()?.iter().map(|geom| match geom {
+                Geometry::Point(p) => *p,
+                other => other.representative_point(),
+            });
+            Ok(points.zip(part[ts_idx].i64s()?.iter().copied()))
+        });
+        Ok(st_grid_counts(&rows.collect::<DfResult<Vec<_>>>()?, config, false)?.1)
     }
 
     /// Convenience: run the full Listing-8 pipeline from raw lat/lon/ts
     /// columns to the dense `[T, H, W, 1]` tensor.
     ///
-    /// This path fuses even the point construction away: latitude and
-    /// longitude slices feed the grid kernel directly, so no geometry
-    /// column is ever materialised.
+    /// Latitude and longitude slices feed the grid kernel directly, so no
+    /// geometry column is ever materialised.
     pub fn get_st_grid_array(
         df: &DataFrame,
         lat_column: &str,
@@ -231,106 +139,195 @@ impl StManager {
         col_date: &str,
         config: &StGridConfig,
     ) -> PreprocessResult<(Tensor, StGridFrame)> {
-        if config.step_duration_sec <= 0 {
-            return Err(PreprocessError::InvalidInput(
-                "step_duration_sec must be positive".into(),
-            ));
-        }
-        if df.num_rows() == 0 {
-            return Err(PreprocessError::InvalidInput(
-                "cannot build a grid from an empty DataFrame".into(),
-            ));
-        }
         let lat_idx = df.schema().index_of(lat_column)?;
         let lon_idx = df.schema().index_of(lon_column)?;
         let ts_idx = df.schema().index_of(col_date)?;
-        // Derive extent + temporal origin in one parallel scan when needed.
-        let grid = match config.extent {
-            Some(extent) => SpacePartition::generate_grid(
-                extent,
-                config.partitions_x,
-                config.partitions_y,
-            )?,
-            None => {
-                let bounds: Vec<PreprocessResult<(f64, f64, f64, f64)>> =
-                    geotorch_dataframe::exec::par_map(
-                        df.partitions(),
-                        |part| -> geotorch_dataframe::DfResult<(f64, f64, f64, f64)> {
-                        let lats = part[lat_idx].f64s()?;
-                        let lons = part[lon_idx].f64s()?;
-                        let mut b = (f64::INFINITY, f64::INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
-                        for (&lat, &lon) in lats.iter().zip(lons) {
-                            b.0 = b.0.min(lon);
-                            b.1 = b.1.min(lat);
-                            b.2 = b.2.max(lon);
-                            b.3 = b.3.max(lat);
-                        }
-                        Ok(b)
-                    },
-                    )
-                    .into_iter()
-                    .map(|r| r.map_err(PreprocessError::from))
-                    .collect();
-                let mut acc = (f64::INFINITY, f64::INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
-                for b in bounds {
-                    let b = b?;
-                    acc.0 = acc.0.min(b.0);
-                    acc.1 = acc.1.min(b.1);
-                    acc.2 = acc.2.max(b.2);
-                    acc.3 = acc.3.max(b.3);
-                }
-                let mut extent = Envelope::new(acc.0, acc.1, acc.2, acc.3);
-                if extent.width() <= 0.0 || extent.height() <= 0.0 {
-                    extent = Envelope::new(
-                        extent.min_x - 0.5,
-                        extent.min_y - 0.5,
-                        extent.max_x + 0.5,
-                        extent.max_y + 0.5,
-                    );
-                }
-                SpacePartition::generate_grid(extent, config.partitions_x, config.partitions_y)?
-            }
-        };
-        let t0 = min_timestamp(df, col_date)?;
-        let step = config.step_duration_sec;
-        let partials: PreprocessResult<Vec<HashMap<(i64, i64), i64>>> =
-            geotorch_dataframe::exec::par_map(
-                df.partitions(),
-                |part| -> geotorch_dataframe::DfResult<HashMap<(i64, i64), i64>> {
-                let lats = part[lat_idx].f64s()?;
-                let lons = part[lon_idx].f64s()?;
-                let timestamps = part[ts_idx].i64s()?;
-                let mut counts: HashMap<(i64, i64), i64> = HashMap::new();
-                for ((&lat, &lon), &ts) in lats.iter().zip(lons).zip(timestamps) {
-                    if let Some(cell) = grid.cell_of(&geotorch_dataframe::Point::new(lon, lat)) {
-                        *counts.entry(((ts - t0) / step, cell as i64)).or_insert(0) += 1;
-                    }
-                }
-                Ok(counts)
-            },
-            )
-            .into_iter()
-            .map(|r| r.map_err(PreprocessError::from))
-            .collect();
-        let mut merged: HashMap<(i64, i64), i64> = HashMap::new();
-        for partial in partials? {
-            for (key, count) in partial {
-                *merged.entry(key).or_insert(0) += count;
-            }
-        }
-        let grid_frame = Self::grid_frame_from_counts(merged, grid, t0, step)?;
-        let tensor = grid_frame.to_tensor()?;
-        Ok((tensor, grid_frame))
+        let rows = df.partitions().iter().map(|part| {
+            let (lats, lons) = (part[lat_idx].f64s()?, part[lon_idx].f64s()?);
+            let points = lats
+                .iter()
+                .zip(lons)
+                .map(|(&lat, &lon)| Point::new(lon, lat));
+            Ok(points.zip(part[ts_idx].i64s()?.iter().copied()))
+        });
+        let (tensor, grid_frame) =
+            st_grid_counts(&rows.collect::<DfResult<Vec<_>>>()?, config, true)?;
+        Ok((tensor.expect("asked for the tensor"), grid_frame))
     }
 }
 
-fn min_timestamp(df: &DataFrame, col_date: &str) -> PreprocessResult<i64> {
-    let col = df.column(col_date)?;
-    let ts = col.i64s()?;
-    ts.iter()
-        .min()
-        .copied()
-        .ok_or_else(|| PreprocessError::InvalidInput("empty timestamp column".into()))
+/// Above this many table entries per input row, the frame-only entry point
+/// counts by sorting linear keys instead of filling a dense table. Measured
+/// at 20 k and 500 k rows on a 12×16 grid: up to 8 entries per row the table
+/// is no slower than the sort, at 16 they tie, and from 32 the table's
+/// zeroing, summing and scanning cost 1.5–25× the sort (DESIGN §3.5).
+const DENSE_ENTRIES_PER_ROW: usize = 8;
+
+fn invalid<T>(msg: impl Into<String>) -> PreprocessResult<T> {
+    Err(PreprocessError::InvalidInput(msg.into()))
+}
+
+/// A zeroed vector of `len` elements, or an error if it cannot be allocated.
+fn try_zeroed<T: Clone + Default>(len: usize) -> PreprocessResult<Vec<T>> {
+    let mut v = Vec::new();
+    if let Err(e) = v.try_reserve_exact(len) {
+        return invalid(format!(
+            "a grid of {len} time-step cells cannot be allocated: {e}"
+        ));
+    }
+    v.resize(len, T::default());
+    Ok(v)
+}
+
+/// Fold the rows of each worker's run of partitions into one accumulator
+/// per worker, the workers in parallel.
+fn fold_rows<P: Iterator + Clone + Sync, A: Send>(
+    groups: &[&[P]],
+    init: impl Fn() -> PreprocessResult<A> + Sync,
+    row: impl Fn(&mut A, P::Item) + Sync,
+) -> PreprocessResult<Vec<A>> {
+    let fold = |group: &&[P]| {
+        let mut acc = init()?;
+        for part in group.iter() {
+            part.clone().for_each(|item| row(&mut acc, item));
+        }
+        Ok(acc)
+    };
+    exec::par_map(groups, fold).into_iter().collect()
+}
+
+/// The grid-aggregation kernel behind both entry points: count events per
+/// `(time_step, cell)` over `rows`, one iterator of `(point, timestamp)` per
+/// partition. The linear key `time_step · cells + cell` orders exactly as
+/// `(time_step, cell_id)`, so reading counts off in key order gives the
+/// sorted sparse frame.
+fn st_grid_counts<P: ExactSizeIterator<Item = (Point, i64)> + Clone + Sync>(
+    rows: &[P],
+    config: &StGridConfig,
+    want_tensor: bool,
+) -> PreprocessResult<(Option<Tensor>, StGridFrame)> {
+    let step = config.step_duration_sec;
+    if step <= 0 {
+        return invalid("step_duration_sec must be positive");
+    }
+    let num_rows: usize = rows.iter().map(P::len).sum();
+    if num_rows == 0 {
+        return invalid("cannot build a grid from an empty DataFrame");
+    }
+    // Per-worker counts are u32 and are summed in u32.
+    if u32::try_from(num_rows).is_err() {
+        return invalid(format!("{num_rows} rows exceed the kernel's u32 counters"));
+    }
+    let groups: Vec<&[P]> = rows
+        .chunks(rows.len().div_ceil(exec::parallelism()))
+        .collect();
+
+    let (nx, ny) = (config.partitions_x, config.partitions_y);
+    let grid = match config.extent {
+        Some(extent) => SpacePartition::generate_grid(extent, nx, ny)?,
+        None => {
+            let of_row = |extent: &mut Option<Envelope>, (p, _): (Point, i64)| {
+                let of_point = Envelope::of_point(&p);
+                *extent = Some(extent.map_or(of_point, |e| e.union(&of_point)));
+            };
+            let extents = fold_rows(&groups, || Ok(None), of_row)?
+                .into_iter()
+                .flatten();
+            let extent = extents
+                .reduce(|a, b| a.union(&b))
+                .expect("at least one row");
+            SpacePartition::grid_over(extent, nx, ny)?
+        }
+    };
+    let cells = grid.num_cells();
+
+    // Pass 1: the temporal origin is the minimum over all rows; the last
+    // slot is set by the latest row inside the extent.
+    let span_of_row = |(t0, last, seen): &mut (i64, i64, bool), (p, ts): (Point, i64)| {
+        *t0 = ts.min(*t0);
+        if grid.cell_of(&p).is_some() {
+            *last = ts.max(*last);
+            *seen = true;
+        }
+    };
+    let (t0, last) = fold_rows(&groups, || Ok((i64::MAX, i64::MIN, false)), span_of_row)?
+        .into_iter()
+        .map(|(t0, last, seen)| (t0, seen.then_some(last)))
+        .fold((i64::MAX, None), |a, b| (a.0.min(b.0), a.1.max(b.1)));
+    let slots = |last: i64| {
+        usize::try_from(last.checked_sub(t0)? / step)
+            .ok()?
+            .checked_add(1)
+    };
+    let sized = last
+        .map_or(Some(0), slots)
+        .and_then(|t| Some((t, t.checked_mul(cells)?)));
+    let Some((num_steps, entries)) = sized else {
+        return invalid(format!(
+            "timestamps from {t0} in {step}-second slots over {cells} cells overflow the grid size"
+        ));
+    };
+    // Pass 1 bounds every in-extent `ts - t0` by `last - t0`, which did not
+    // overflow, and every key by `entries`. Out-of-extent rows have no key.
+    let key_of = |(p, ts): (Point, i64)| {
+        let cell = grid.cell_of(&p)?;
+        Some(((ts - t0) / step) as usize * cells + cell)
+    };
+
+    // The sparse frame's columns, appended to in key order.
+    let mut columns: [Vec<i64>; 3] = Default::default();
+    let emit = |columns: &mut [Vec<i64>; 3], key: usize, count: usize| {
+        columns[0].push((key / cells) as i64);
+        columns[1].push((key % cells) as i64);
+        columns[2].push(count as i64);
+    };
+    let mut tensor = None;
+    if want_tensor || entries / DENSE_ENTRIES_PER_ROW <= num_rows {
+        // Pass 2, dense: one table per worker, summed into the first.
+        let count_row =
+            |table: &mut Vec<u32>, row| key_of(row).into_iter().for_each(|key| table[key] += 1);
+        let mut tables = fold_rows(&groups, || try_zeroed(entries), count_row)?.into_iter();
+        let mut total = tables.next().expect("at least one worker");
+        for table in tables {
+            total.iter_mut().zip(&table).for_each(|(sum, n)| *sum += n);
+        }
+        if want_tensor {
+            let mut data = try_zeroed::<f32>(entries)?;
+            data.iter_mut()
+                .zip(&total)
+                .for_each(|(out, &n)| *out = n as f32);
+            tensor = Some(Tensor::from_vec(data, &[num_steps, ny, nx, 1]));
+        }
+        // Sized up front: growing by doubling costs as much as the scan.
+        let nonzero = total.iter().filter(|&&n| n != 0).count();
+        columns.iter_mut().for_each(|c| c.reserve_exact(nonzero));
+        for (key, &n) in total.iter().enumerate().filter(|(_, &n)| n != 0) {
+            emit(&mut columns, key, n as usize);
+        }
+    } else {
+        // Pass 2, sparse: sort the keys and run-length encode them.
+        let keep_key = |keys: &mut Vec<usize>, row| keys.extend(key_of(row));
+        let mut keys = fold_rows(&groups, || Ok(Vec::new()), keep_key)?.concat();
+        keys.sort_unstable();
+        for run in keys.chunk_by(|a, b| a == b) {
+            emit(&mut columns, run[0], run.len());
+        }
+    }
+    let frame = DataFrame::from_columns(
+        ["time_step", "cell_id", "count"]
+            .into_iter()
+            .zip(columns)
+            .map(|(name, values)| (name.to_string(), Column::I64(values.into())))
+            .collect(),
+    )?;
+    let grid_frame = StGridFrame {
+        frame,
+        grid,
+        num_steps,
+        t0,
+        step,
+    };
+    Ok((tensor, grid_frame))
 }
 
 /// Build the canonical trip-event DataFrame used throughout tests and
@@ -341,9 +338,9 @@ pub fn trips_dataframe(
     timestamps: Vec<i64>,
 ) -> PreprocessResult<DataFrame> {
     Ok(DataFrame::from_columns(vec![
-        ("lat".to_string(), Column::F64(lats)),
-        ("lon".to_string(), Column::F64(lons)),
-        ("ts".to_string(), Column::Ts(timestamps)),
+        ("lat".to_string(), Column::F64(lats.into())),
+        ("lon".to_string(), Column::F64(lons.into())),
+        ("ts".to_string(), Column::Ts(timestamps.into())),
     ])?)
 }
 
@@ -450,5 +447,72 @@ mod tests {
         cfg.step_duration_sec = 0;
         assert!(StManager::get_st_grid_array(&events(), "lat", "lon", "ts", &cfg).is_err());
         assert!(StManager::get_st_grid_array(&events(), "nope", "lon", "ts", &config()).is_err());
+    }
+
+    #[test]
+    fn nan_coordinates_are_dropped_by_kernel_and_naive_alike() {
+        use crate::geopandas_like::get_st_grid_dataframe_naive;
+        let df = trips_dataframe(
+            vec![0.25, f64::NAN, 0.75, f64::NAN],
+            vec![0.25, 0.5, f64::NAN, f64::NAN],
+            vec![0, 100, 200, 300],
+        )
+        .unwrap();
+        let (tensor, array) =
+            StManager::get_st_grid_array(&df, "lat", "lon", "ts", &config()).unwrap();
+        let with_points = StManager::add_spatial_points(&df, "lat", "lon", "pt").unwrap();
+        let frame = StManager::get_st_grid_dataframe(&with_points, "pt", "ts", &config()).unwrap();
+        let naive = get_st_grid_dataframe_naive(&df, "lat", "lon", "ts", &config()).unwrap();
+        assert_eq!(tensor.sum(), 1.0);
+        assert_eq!(tensor.at(&[0, 0, 0, 0]), 1.0);
+        for grid in [&array, &frame, &naive] {
+            assert_eq!(grid.total_events().unwrap(), 1);
+            assert_eq!(grid.to_tensor().unwrap(), tensor);
+        }
+    }
+
+    #[test]
+    fn no_event_in_the_extent_gives_zero_steps() {
+        let df = trips_dataframe(vec![50.0], vec![50.0], vec![7]).unwrap();
+        let (tensor, gf) =
+            StManager::get_st_grid_array(&df, "lat", "lon", "ts", &config()).unwrap();
+        assert_eq!(tensor.shape(), &[0, 2, 2, 1]);
+        assert_eq!((gf.num_steps, gf.t0, gf.frame.num_rows()), (0, 7, 0));
+    }
+
+    #[test]
+    fn spans_that_overflow_or_cannot_be_allocated_are_errors() {
+        let rejected = |r: PreprocessResult<(Tensor, StGridFrame)>| {
+            matches!(r, Err(PreprocessError::InvalidInput(_)))
+        };
+        let mut cfg = config();
+        cfg.step_duration_sec = 1;
+        // `ts - t0` overflows i64.
+        let df = trips_dataframe(vec![0.5; 2], vec![0.5; 2], vec![i64::MIN, i64::MAX]).unwrap();
+        assert!(rejected(StManager::get_st_grid_array(
+            &df, "lat", "lon", "ts", &cfg
+        )));
+        // `T · H · W` overflows usize.
+        let df = trips_dataframe(vec![0.5; 2], vec![0.5; 2], vec![0, i64::MAX]).unwrap();
+        assert!(rejected(StManager::get_st_grid_array(
+            &df, "lat", "lon", "ts", &cfg
+        )));
+        // 2^50 slots fit in usize but not in memory; the frame-only entry
+        // point sorts two keys instead and succeeds.
+        let df = trips_dataframe(vec![0.5; 2], vec![0.5; 2], vec![0, 1 << 50]).unwrap();
+        assert!(rejected(StManager::get_st_grid_array(
+            &df, "lat", "lon", "ts", &cfg
+        )));
+        let with_points = StManager::add_spatial_points(&df, "lat", "lon", "pt").unwrap();
+        let gf = StManager::get_st_grid_dataframe(&with_points, "pt", "ts", &cfg).unwrap();
+        assert_eq!(gf.num_steps, (1 << 50) + 1);
+        assert_eq!(
+            gf.frame.column("time_step").unwrap().i64s().unwrap(),
+            &[0, 1 << 50]
+        );
+        // An out-of-extent row does not stretch the span.
+        let df = trips_dataframe(vec![0.5, 50.0], vec![0.5, 50.0], vec![0, i64::MAX]).unwrap();
+        let (tensor, gf) = StManager::get_st_grid_array(&df, "lat", "lon", "ts", &cfg).unwrap();
+        assert_eq!((tensor.shape()[0], gf.num_steps), (1, 1));
     }
 }

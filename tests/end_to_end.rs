@@ -57,6 +57,37 @@ fn partitioned_engine_matches_naive_baseline_end_to_end() {
 }
 
 #[test]
+fn three_grid_routes_agree_for_any_partitioning() {
+    let (df, config) = trips_df(5_000);
+    let naive = get_st_grid_dataframe_naive(&df, "lat", "lon", "ts", &config).expect("naive");
+    let naive_tensor = naive.to_tensor().expect("densify");
+    let column = |grid: &geotorchai::preprocessing::grid::StGridFrame, name| {
+        grid.frame.column(name).expect("sparse frame column")
+    };
+    for partitions in [1, 3, 7] {
+        let parts = df.repartition(partitions).expect("repartition");
+        let (tensor, array) =
+            StManager::get_st_grid_array(&parts, "lat", "lon", "ts", &config).expect("array");
+        let with_points =
+            StManager::add_spatial_points(&parts, "lat", "lon", "pt").expect("points");
+        let frame =
+            StManager::get_st_grid_dataframe(&with_points, "pt", "ts", &config).expect("frame");
+        assert_eq!(tensor, naive_tensor);
+        assert_eq!(frame.to_tensor().expect("densify"), naive_tensor);
+        for grid in [&array, &frame] {
+            assert_eq!((grid.num_steps, grid.t0), (naive.num_steps, naive.t0));
+            for name in ["time_step", "cell_id", "count"] {
+                assert_eq!(
+                    column(grid, name),
+                    column(&naive, name),
+                    "{name} at {partitions}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn preprocessed_tensor_trains_a_grid_model() {
     let (df, config) = trips_df(30_000);
     let (tensor, _) =
