@@ -59,11 +59,7 @@ impl Module for Linear {
 
 impl Layer for Linear {
     fn forward(&self, input: &Var) -> Var {
-        let y = input.matmul(&self.weight.permute(&[1, 0]));
-        match &self.bias {
-            Some(b) => y.add(b),
-            None => y,
-        }
+        input.linear(&self.weight, self.bias.as_ref())
     }
 }
 

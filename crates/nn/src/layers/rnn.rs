@@ -57,8 +57,8 @@ impl LstmCell {
     pub fn step(&self, x: &Var, state: (&Var, &Var)) -> (Var, Var) {
         let (h, c) = state;
         let gates = x
-            .matmul(&self.w_ih.permute(&[1, 0]))
-            .add(&h.matmul(&self.w_hh.permute(&[1, 0])))
+            .linear(&self.w_ih, None)
+            .add(&h.linear(&self.w_hh, None))
             .add(&self.bias);
         let hs = self.hidden_size;
         let i = gates.narrow(1, 0, hs).sigmoid();

@@ -308,8 +308,45 @@ impl Var {
         Var::from_op(
             value,
             vec![self.clone(), other.clone()],
+            Box::new(move |g| vec![g.matmul_nt(&vb), va.matmul_tn(g)]),
+        )
+    }
+
+    /// Affine map `self · weightᵀ (+ bias)` for `self [B, in]`,
+    /// `weight [out, in]`, `bias [out]` as **one** tape node: the product
+    /// reads `weight` in place (no transposed copy) and the bias is added
+    /// row-wise after the sum — the arithmetic of
+    /// `self.matmul(&weight.permute(&[1, 0])).add(bias)`, bit for bit,
+    /// in one node instead of three.
+    ///
+    /// Backward: `dx = g·W`, `dW = gᵀ·x`, `db` = the column sums of `g`
+    /// in `sum_axis(0)`'s order. A constant leaf input (a batch of
+    /// features) gets no gradient and is not on the tape at all.
+    pub fn linear(&self, weight: &Var, bias: Option<&Var>) -> Var {
+        let (x, w) = (self.value(), weight.value());
+        let mut value = x.matmul_nt(&w);
+        if let Some(b) = bias {
+            assert_eq!(b.shape(), [w.shape()[0]], "linear bias must be [out]");
+            value.add_(&b.value());
+        }
+        let input_grad = !self.is_constant();
+        let mut parents: Vec<Var> = input_grad.then(|| self.clone()).into_iter().collect();
+        parents.push(weight.clone());
+        parents.extend(bias.cloned());
+        let has_bias = bias.is_some();
+        Var::from_op(
+            value,
+            parents,
             Box::new(move |g| {
-                vec![g.matmul(&vb.transpose()), va.transpose().matmul(g)]
+                let mut grads = Vec::with_capacity(3);
+                if input_grad {
+                    grads.push(g.matmul(&w));
+                }
+                grads.push(g.matmul_tn(&x));
+                if has_bias {
+                    grads.push(g.sum_axis(0));
+                }
+                grads
             }),
         )
     }

@@ -126,6 +126,13 @@ impl Var {
         self.inner.borrow().requires_grad
     }
 
+    /// Whether this is a leaf no gradient can reach: a [`Var::constant`]
+    /// or a result computed under [`no_grad`].
+    pub(crate) fn is_constant(&self) -> bool {
+        let inner = self.inner.borrow();
+        !inner.requires_grad && inner.backward.is_none()
+    }
+
     /// Clear the accumulated gradient.
     pub fn zero_grad(&self) {
         self.inner.borrow_mut().grad = None;

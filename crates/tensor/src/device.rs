@@ -397,6 +397,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Held by the tests that grow the global worker pool past
+    /// `Parallel(4)` and by the one asserting it does not grow, so they
+    /// never race in one test process.
+    static POOL_GROWTH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn default_device_is_cpu() {
         assert_eq!(Device::current(), Device::Cpu);
@@ -439,6 +444,7 @@ mod tests {
 
     #[test]
     fn parallel_for_handles_edge_counts() {
+        let _g = POOL_GROWTH.lock().unwrap_or_else(|e| e.into_inner());
         with_device(Device::Parallel(8), || {
             for tasks in [0usize, 1, 2, 7, 8, 9] {
                 let hits = AtomicUsize::new(0);
@@ -475,6 +481,7 @@ mod tests {
 
     #[test]
     fn pool_reuses_workers_across_dispatches() {
+        let _g = POOL_GROWTH.lock().unwrap_or_else(|e| e.into_inner());
         with_device(Device::Parallel(4), || {
             // Warm the pool, then check that repeated dispatches do not
             // grow it: the same parked workers serve every call.
@@ -494,6 +501,7 @@ mod tests {
 
     #[test]
     fn pool_never_exceeds_cap() {
+        let _g = POOL_GROWTH.lock().unwrap_or_else(|e| e.into_inner());
         with_device(Device::Parallel(MAX_POOL_WORKERS * 4), || {
             parallel_for(MAX_POOL_WORKERS * 8, |_| {});
             assert!(worker_pool_size() <= MAX_POOL_WORKERS);

@@ -37,8 +37,15 @@ fn broadcast_strides(shape: &[usize], out_shape: &[usize]) -> Vec<usize> {
     out
 }
 
+/// Whether `t` is a single row broadcast along every leading axis of a
+/// `[.., n]` result: shape `[n]`, `[1, n]`, `[1, 1, n]`, ….
+fn is_row(t: &Tensor, n: usize) -> bool {
+    n > 0 && t.len() == n && t.shape().last() == Some(&n)
+}
+
 /// Apply `f` elementwise over broadcast inputs, producing a tensor of the
-/// broadcast shape. Fast paths cover equal shapes and scalar operands.
+/// broadcast shape. Fast paths cover equal shapes, scalar operands and a
+/// full operand against a row.
 /// Output buffers come from the size-class pool; every element is
 /// written, so stale recycled contents never escape.
 pub fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
@@ -67,6 +74,17 @@ pub fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Ten
         let mut data = crate::pool::alloc_uninit(b.len());
         for (d, &y) in data.iter_mut().zip(b.as_slice()) {
             *d = f(x, y);
+        }
+        return Tensor::from_vec(data, &out_shape);
+    }
+    // Fast path: a full operand and one row (a bias add): zip row by row.
+    let n = out_shape.last().copied().unwrap_or(1);
+    if a.shape() == out_shape && is_row(b, n) {
+        let mut data = crate::pool::alloc_uninit(a.len());
+        for (d_row, a_row) in data.chunks_exact_mut(n).zip(a.as_slice().chunks_exact(n)) {
+            for ((d, &x), &y) in d_row.iter_mut().zip(a_row).zip(b.as_slice()) {
+                *d = f(x, y);
+            }
         }
         return Tensor::from_vec(data, &out_shape);
     }
@@ -133,6 +151,17 @@ pub fn zip_broadcast_inplace(dst: &mut Tensor, src: &Tensor, f: impl Fn(f32, f32
         let y = src.as_slice()[0];
         for d in dst.as_mut_slice() {
             *d = f(*d, y);
+        }
+        return;
+    }
+    // Fast path: src is one row broadcast down dst.
+    let n = out_shape.last().copied().unwrap_or(1);
+    if is_row(src, n) {
+        let row = src.as_slice();
+        for d_row in dst.as_mut_slice().chunks_exact_mut(n) {
+            for (d, &y) in d_row.iter_mut().zip(row) {
+                *d = f(*d, y);
+            }
         }
         return;
     }
@@ -236,6 +265,23 @@ mod tests {
         let v = Tensor::from_vec(vec![1.0, 0.0, -1.0], &[3]);
         let c = zip_broadcast(&m, &v, |x, y| x * y);
         assert_eq!(c.as_slice(), &[1.0, 0.0, -3.0, 4.0, 0.0, -6.0]);
+    }
+
+    #[test]
+    fn row_fast_path_matches_elementwise_reference() {
+        let m = Tensor::arange(24).reshape(&[2, 3, 4]).mul_scalar(0.37);
+        let row = Tensor::from_vec(vec![1.5, -2.0, 0.25, 3.1], &[4]);
+        let at = |i: usize| (m.as_slice()[i], row.as_slice()[i % 4]);
+        let sub: Vec<f32> = (0..24).map(|i| at(i).0 - at(i).1).collect();
+        let rsub: Vec<f32> = (0..24).map(|i| at(i).1 - at(i).0).collect();
+        for shape in [&[4][..], &[1, 4], &[1, 1, 4]] {
+            let row = row.reshape(shape);
+            assert_eq!(zip_broadcast(&m, &row, |x, y| x - y).as_slice(), &sub[..]);
+            assert_eq!(zip_broadcast(&row, &m, |x, y| x - y).as_slice(), &rsub[..], "odometer");
+            let mut d = m.clone();
+            zip_broadcast_inplace(&mut d, &row, |x, y| x - y);
+            assert_eq!(d.as_slice(), &sub[..]);
+        }
     }
 
     #[test]

@@ -445,7 +445,7 @@ fn conv2d_gemm(
         dst.fill(bias.map_or(0.0, |t| t.as_slice()[row % o]));
     }
     if plane > 0 && taps > 0 {
-        let filters = PackedA::pack(weight.as_slice(), taps, o, taps);
+        let filters = PackedA::pack(Dense::rows(weight.as_slice(), taps), o, taps);
         let x = input.as_slice();
         let out_ptr = SendPtr(out.as_mut_ptr());
         // An unpadded stride-1 1×1 conv's column matrix is the image itself.
@@ -455,7 +455,7 @@ fn conv2d_gemm(
             // SAFETY: each (image, column band) owns a disjoint part of `out`.
             let c = SendPtr(unsafe { { &out_ptr }.0.add(bi * o * plane) });
             if pointwise {
-                gemm_block(&filters, &Dense { b: x, ldb: plane }, c, plane, cols);
+                gemm_block(&filters, &Dense::rows(x, plane), c, plane, cols);
             } else {
                 gemm_block(&filters, &Im2col { x, g }, c, plane, cols);
             }
@@ -486,7 +486,7 @@ pub fn conv2d_weight_grad(
         let (x, gs) = (input.as_slice(), grad.as_slice());
         let parts_ptr = SendPtr(parts.as_mut_slice().as_mut_ptr());
         for_each_image(b, taps, 2 * b * o * taps * plane, |bi, cols| {
-            let g_b = PackedA::pack(&gs[bi * o * plane..], plane, o, plane);
+            let g_b = PackedA::pack(Dense::rows(&gs[bi * o * plane..], plane), o, plane);
             let image = Im2colT { x: &x[bi * g.c * g.h * g.w..][..g.c * g.h * g.w], g };
             // SAFETY: each (image, tap band) owns a disjoint part of `parts`.
             let c = SendPtr(unsafe { { &parts_ptr }.0.add(bi * o * taps) });
@@ -526,10 +526,10 @@ pub fn conv2d_input_grad(
         return conv2d(grad, &Tensor::from_vec(flipped, &[c, o, kh, kw]), None, 1, kh - 1 - pad);
     }
     let (h, wd) = input_hw;
-    let w_mat_t = weight.reshape(&[o, c * kh * kw]).transpose();
+    let w_mat = weight.reshape(&[o, c * kh * kw]);
     let plane = grad.shape()[2] * grad.shape()[3];
     let parts = crate::device::parallel_map(grad.shape()[0], |bi| {
-        let col = w_mat_t.matmul(&grad.index_axis(0, bi).reshape(&[o, plane]));
+        let col = w_mat.matmul_tn(&grad.index_axis(0, bi).reshape(&[o, plane]));
         col2im(&col, c, h, wd, kh, kw, stride, pad)
     });
     Tensor::stack(&parts.iter().collect::<Vec<_>>())
@@ -617,8 +617,8 @@ pub fn conv_transpose2d(
         out_h > 2 * pad && out_w > 2 * pad,
         "conv_transpose2d padding {pad} too large for output {out_h}x{out_w}"
     );
-    // [C, O*kh*kw]^T × [C, H*W] = [O*kh*kw, H*W], then scatter with col2im.
-    let w_mat = weight.reshape(&[c, o * kh * kw]).transpose();
+    // [C, O*kh*kw]ᵀ × [C, H*W] = [O*kh*kw, H*W], then scatter with col2im.
+    let w_mat = weight.reshape(&[c, o * kh * kw]);
     let final_h = out_h - 2 * pad;
     let final_w = out_w - 2 * pad;
     let per_img = o * final_h * final_w;
@@ -626,7 +626,7 @@ pub fn conv_transpose2d(
     let out_ptr = SendPtr(out.as_mut_ptr());
     parallel_for(b, |bi| {
         let x_mat = input.index_axis(0, bi).reshape(&[c, h * w]);
-        let col = w_mat.matmul(&x_mat); // [O*kh*kw, H*W]
+        let col = w_mat.matmul_tn(&x_mat); // [O*kh*kw, H*W]
         // The input positions are conv-output positions of the result:
         // col2im over the *final* image with the same stride/pad recovers it.
         let img = col2im(&col, o, final_h, final_w, kh, kw, stride, pad);

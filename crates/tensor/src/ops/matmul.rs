@@ -7,12 +7,20 @@
 //!
 //! * **Packing.** The left operand is packed whole, once, into
 //!   microkernel-ordered tiles ([`PackedA`]); for each `KC`-deep panel the
-//!   right operand is packed by its [`PanelSource`] — a dense row-major
-//!   matrix here ([`Dense`]), an im2col view of an image in `ops::conv`,
-//!   which is how convolution runs on this kernel without a column
-//!   matrix. Pack buffers come from the tensor buffer pool — steady-state
+//!   right operand is packed by its [`PanelSource`] — a dense matrix here
+//!   ([`Dense`]), an im2col view of an image in `ops::conv`, which is how
+//!   convolution runs on this kernel without a column matrix. A `Dense`
+//!   operand is read in either layout, so [`Tensor::matmul_nt`] (`A·Bᵀ`)
+//!   and [`Tensor::matmul_tn`] (`Aᵀ·B`) run on the same microkernels with
+//!   no transposed copy; both packs read every stored row front to back.
+//!   Pack buffers come from the tensor buffer pool — steady-state
 //!   packing is allocation-free, which the `kernel_regression` gate in
 //!   `geotorch-bench` enforces.
+//! * **Orientation.** A skinny product (`n < NR ≤ m`) would leave most
+//!   lanes of every `B` micro-panel zero, so it is computed as
+//!   `Cᵀ = Bᵀ·Aᵀ` with the wide side along the lanes. Each element's
+//!   chain is the same products in the same order (`fma(a,b,c) =
+//!   fma(b,a,c)`), so the bits do not change.
 //! * **Blocking.** The loop nest walks `NC`-wide column blocks, `KC`-deep
 //!   depth panels, and `MC`-tall row blocks, sized so an `A` block stays
 //!   L2-resident and the `B` micro-panel streams through L1 while a
@@ -42,6 +50,7 @@
 //! **bit-identical** to the oracle; on arbitrary inputs the deltas stay
 //! within ordinary mul+add rounding of the same summation order.
 
+use super::shape_ops::{interleave, transpose_into};
 use crate::device::{parallel_for, Device, SendPtr};
 use crate::pool::Buffer;
 use crate::Tensor;
@@ -75,21 +84,22 @@ impl Tensor {
     /// # Panics
     /// If either operand is not 2-D or the inner dimensions differ.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        let _t = geotorch_telemetry::scope!("tensor.matmul");
-        assert_eq!(self.ndim(), 2, "matmul lhs must be 2-D, got {:?}", self.shape());
-        assert_eq!(other.ndim(), 2, "matmul rhs must be 2-D, got {:?}", other.shape());
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        let (k2, n) = (other.shape()[0], other.shape()[1]);
-        assert_eq!(
-            k, k2,
-            "matmul inner dims differ: {:?} × {:?}",
-            self.shape(),
-            other.shape()
-        );
-        // The kernels accumulate `C += A·B`, so the output starts zeroed.
-        let mut out = crate::pool::alloc_zeroed(m * n);
-        gemm(self.as_slice(), other.as_slice(), &mut out, m, n, k);
-        Tensor::from_vec(out, &[m, n])
+        product(self, false, other, false)
+    }
+
+    /// `self [m,k] × otherᵀ` for `other [n,k]` → `[m,n]`, read straight
+    /// from `other`'s rows: bit-identical to
+    /// `self.matmul(&other.transpose())` without the transposed copy.
+    /// Panics like [`Tensor::matmul`].
+    pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
+        product(self, false, other, true)
+    }
+
+    /// `selfᵀ × other` for `self [k,m]`, `other [k,n]` → `[m,n]`:
+    /// bit-identical to `self.transpose().matmul(other)` without the
+    /// transposed copy. Panics like [`Tensor::matmul`].
+    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
+        product(self, true, other, false)
     }
 
     /// Dot product of two 1-D tensors.
@@ -102,6 +112,22 @@ impl Tensor {
             .map(|(&a, &b)| a * b)
             .sum()
     }
+}
+
+/// `op(a) × op(b)`, where `op` transposes the operands flagged `ta`/`tb`.
+fn product(a: &Tensor, ta: bool, b: &Tensor, tb: bool) -> Tensor {
+    let _t = geotorch_telemetry::scope!("tensor.matmul");
+    assert_eq!(a.ndim(), 2, "matmul lhs must be 2-D, got {:?}", a.shape());
+    assert_eq!(b.ndim(), 2, "matmul rhs must be 2-D, got {:?}", b.shape());
+    // `op(t)`'s extents: `t`'s, swapped when it is read transposed.
+    let dims = |t: &Tensor, tr: bool| (t.shape()[usize::from(tr)], t.shape()[usize::from(!tr)]);
+    let ((m, k), (k2, n)) = (dims(a, ta), dims(b, tb));
+    assert_eq!(k, k2, "matmul inner dims differ: [{m}, {k}] × [{k2}, {n}]");
+    let mut out = crate::pool::alloc_zeroed(m * n);
+    let a = Dense { data: a.as_slice(), ld: a.shape()[1], trans: ta };
+    let b = Dense { data: b.as_slice(), ld: b.shape()[1], trans: tb };
+    gemm(a, b, &mut out, m, n, k);
+    Tensor::from_vec(out, &[m, n])
 }
 
 /// Naive triple-loop reference used as the test oracle and by the kernel
@@ -167,59 +193,83 @@ pub fn simd_kernel_name() -> &'static str {
     }
 }
 
-/// `out[m,n] += a[m,k] × b[k,n]`. `out` must hold `m·n` elements (it is
-/// zeroed by [`Tensor::matmul`], so the net effect there is `A·B`).
-pub(crate) fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, k: usize) {
+/// `out[m,n] = a × b` for dense operands in either layout. `out` must
+/// hold `m·n` zeros: the kernels accumulate into it.
+pub(crate) fn gemm(a: Dense, b: Dense, out: &mut [f32], m: usize, n: usize, k: usize) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
     if m * n * k <= GEMM_TINY_MACS {
         gemm_tiny(a, b, out, m, n, k);
-        return;
+    } else if n < NR && NR <= m {
+        // Skinny: `Cᵀ = Bᵀ·Aᵀ` puts the wide side on the lanes, with the
+        // same bits per element (module docs, "Orientation").
+        if n == 1 {
+            // `Cᵀ [1,m]` is `C [m,1]`'s memory.
+            gemm_packed(b.t(), a.t(), out, 1, m, k);
+        } else {
+            let mut ct = Buffer::zeroed(n * m);
+            gemm_packed(b.t(), a.t(), ct.as_mut_slice(), n, m, k);
+            transpose_into(&ct, out, n, m);
+        }
+    } else {
+        gemm_packed(a, b, out, m, n, k);
     }
+}
+
+/// The blocked path: pack `A` once (per band), then stream `B` panels
+/// through [`gemm_block`].
+fn gemm_packed(a: Dense, b: Dense, out: &mut [f32], m: usize, n: usize, k: usize) {
     let threads = Device::current().threads();
     let parallel = threads > 1 && 2 * m * n * k >= GEMM_PARALLEL_FLOPS;
     let c = SendPtr(out.as_mut_ptr());
-    let dense = Dense { b, ldb: n };
     // Bands split the longer output axis on tile boundaries; each is an
     // independent serial blocked GEMM over disjoint rows/columns of C.
     if parallel && m >= n {
         let band = m.div_ceil(threads).div_ceil(MR) * MR;
         parallel_for(m.div_ceil(band), |bi| {
             let r0 = bi * band;
-            let packed = PackedA::pack(&a[r0 * k..], k, band.min(m - r0), k);
+            let packed = PackedA::pack(a.skip_rows(r0), band.min(m - r0), k);
             // SAFETY: rows r0.. of C belong to this band alone.
             let c_band = SendPtr(unsafe { { &c }.0.add(r0 * n) });
-            gemm_block(&packed, &dense, c_band, n, (0, n));
+            gemm_block(&packed, &b, c_band, n, (0, n));
         });
     } else {
-        let packed = PackedA::pack(a, k, m, k);
+        let packed = PackedA::pack(a, m, k);
         let band = if parallel { n.div_ceil(threads).div_ceil(NR) * NR } else { n };
         parallel_for(n.div_ceil(band), |bi| {
-            gemm_block(&packed, &dense, c, n, (bi * band, (bi * band + band).min(n)));
+            gemm_block(&packed, &b, c, n, (bi * band, (bi * band + band).min(n)));
         });
     }
 }
 
-/// Tiny-product path: plain `ipj` accumulation, no packing. Same
-/// per-element accumulation order as the blocked path and the oracle.
-fn gemm_tiny(a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, k: usize) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (p, &a_ip) in a_row.iter().enumerate() {
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &b_pj) in out_row.iter_mut().zip(b_row) {
-                *o += a_ip * b_pj;
+/// Tiny-product path: plain multiply-then-add accumulation, no packing.
+/// Same per-element accumulation order as the blocked path and the
+/// oracle.
+fn gemm_tiny(a: Dense, b: Dense, out: &mut [f32], m: usize, n: usize, k: usize) {
+    for (i, out_row) in out.chunks_exact_mut(n).take(m).enumerate() {
+        if b.trans {
+            // `B`'s columns are stored rows: one dot product per element.
+            for (j, o) in out_row.iter_mut().enumerate() {
+                for (p, &b_pj) in b.data[j * b.ld..][..k].iter().enumerate() {
+                    *o += a.at(i, p) * b_pj;
+                }
+            }
+        } else {
+            for p in 0..k {
+                let a_ip = a.at(i, p);
+                for (o, &b_pj) in out_row.iter_mut().zip(&b.data[p * b.ld..][..n]) {
+                    *o += a_ip * b_pj;
+                }
             }
         }
     }
 }
 
 /// The right-hand operand of the blocked GEMM, seen only through how a
-/// block of it packs into micro-panels. A dense row-major matrix is one
-/// source ([`Dense`]); `ops::conv` supplies im2col views of an image, so
-/// a convolution's column matrix is never materialised.
+/// block of it packs into micro-panels. A dense matrix in either layout
+/// is one source ([`Dense`]); `ops::conv` supplies im2col views of an
+/// image, so a convolution's column matrix is never materialised.
 pub(crate) trait PanelSource: Sync {
     /// Pack logical rows `pc..pc+kc` × columns `jc..jc+nc` into `bp` as
     /// `NR`-column micro-panels `[col_block][p][lane]`, zero-filling
@@ -227,22 +277,69 @@ pub(crate) trait PanelSource: Sync {
     fn pack(&self, bp: &mut [f32], pc: usize, jc: usize, kc: usize, nc: usize);
 }
 
-/// A dense row-major `[k, ldb]` right-hand operand.
+/// A dense operand in either layout: logical element `(i, j)` is
+/// `data[i·ld + j]`, or `data[j·ld + i]` when `trans` (the matrix is
+/// stored as its row-major transpose). Both the packed left operand and
+/// the right-hand panel source read it in place, so `A·Bᵀ` and `Aᵀ·B`
+/// never build a transposed copy.
+#[derive(Clone, Copy)]
 pub(crate) struct Dense<'a> {
-    pub b: &'a [f32],
-    pub ldb: usize,
+    data: &'a [f32],
+    ld: usize,
+    trans: bool,
+}
+
+impl<'a> Dense<'a> {
+    /// A row-major matrix of row stride `ld`.
+    pub(crate) fn rows(data: &'a [f32], ld: usize) -> Dense<'a> {
+        Dense { data, ld, trans: false }
+    }
+
+    /// The same storage read as the transposed matrix.
+    fn t(self) -> Dense<'a> {
+        Dense { trans: !self.trans, ..self }
+    }
+
+    /// The matrix from logical row `r0` down.
+    fn skip_rows(self, r0: usize) -> Dense<'a> {
+        let skip = if self.trans { r0 } else { r0 * self.ld };
+        Dense { data: &self.data[skip..], ..self }
+    }
+
+    /// Pack logical rows `i0..i0+rows` (`rows ≤ N`) as the `N` lanes of the
+    /// micro-panel `dst`, `kc = dst.len() / N` deep from column `p0`:
+    /// `dst[p·N + r] = (i0+r, p0+p)`, lanes `rows..N` zero. Both operands
+    /// of the GEMM pack through here, so every source row is read front
+    /// to back: a stored row holds either one lane (`interleave` streams
+    /// `N` of them in step) or one depth step's run of lanes (one copy).
+    fn pack_lanes<const N: usize>(&self, i0: usize, rows: usize, p0: usize, dst: &mut [f32]) {
+        let kc = dst.len() / N;
+        if self.trans {
+            for (p, lanes) in dst.chunks_exact_mut(N).enumerate() {
+                lanes[..rows].copy_from_slice(&self.data[(p0 + p) * self.ld + i0..][..rows]);
+            }
+        } else {
+            interleave::<N>(&self.data[i0 * self.ld + p0..], self.ld, rows, kc, dst, N);
+        }
+        if rows < N {
+            dst.chunks_exact_mut(N).for_each(|lanes| lanes[rows..].fill(0.0));
+        }
+    }
+
+    fn at(&self, i: usize, j: usize) -> f32 {
+        if self.trans {
+            self.data[j * self.ld + i]
+        } else {
+            self.data[i * self.ld + j]
+        }
+    }
 }
 
 impl PanelSource for Dense<'_> {
     fn pack(&self, bp: &mut [f32], pc: usize, jc: usize, kc: usize, nc: usize) {
-        for jb in 0..nc.div_ceil(NR) {
-            let dst = &mut bp[jb * kc * NR..][..kc * NR];
-            let cols = NR.min(nc - jb * NR);
-            for p in 0..kc {
-                let src = &self.b[(pc + p) * self.ldb + jc + jb * NR..][..cols];
-                dst[p * NR..p * NR + cols].copy_from_slice(src);
-                dst[p * NR + cols..(p + 1) * NR].fill(0.0);
-            }
+        for (jb, dst) in bp[..nc.div_ceil(NR) * kc * NR].chunks_exact_mut(kc * NR).enumerate() {
+            // A `B` micro-panel's lanes are columns of `B`: rows of `Bᵀ`.
+            self.t().pack_lanes::<NR>(jc + jb * NR, NR.min(nc - jb * NR), pc, dst);
         }
     }
 }
@@ -258,8 +355,8 @@ pub(crate) struct PackedA {
 }
 
 impl PackedA {
-    /// Pack the `m×k` matrix at `a` (row stride `lda`) from the pool.
-    pub(crate) fn pack(a: &[f32], lda: usize, m: usize, k: usize) -> PackedA {
+    /// Pack the `m×k` matrix `a` (either layout) from the pool.
+    pub(crate) fn pack(a: Dense, m: usize, k: usize) -> PackedA {
         let m_pad = m.div_ceil(MR) * MR;
         let mut buf = Buffer::uninit(m_pad * k);
         for pc in (0..k).step_by(KC) {
@@ -268,13 +365,7 @@ impl PackedA {
                 .chunks_exact_mut(kc * MR)
                 .enumerate()
             {
-                let rows = MR.min(m - ib * MR);
-                for (p, tile) in dst.chunks_exact_mut(MR).enumerate() {
-                    for (r, slot) in tile[..rows].iter_mut().enumerate() {
-                        *slot = a[(ib * MR + r) * lda + pc + p];
-                    }
-                    tile[rows..].fill(0.0);
-                }
+                a.pack_lanes::<MR>(ib * MR, MR.min(m - ib * MR), pc, dst);
             }
         }
         PackedA { buf, m, k }

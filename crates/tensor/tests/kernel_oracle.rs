@@ -1,7 +1,8 @@
 //! Reference-oracle property tests for the fast kernels.
 //!
-//! The blocked SIMD matmul and both conv lowerings (the column-free GEMM
-//! and the direct kernel) are checked against the retained naive kernels
+//! The blocked SIMD matmul (in both operand layouts: `matmul_nt`,
+//! `matmul_tn`) and both conv lowerings (the column-free GEMM and the
+//! direct kernel) are checked against the retained naive kernels
 //! (`matmul_naive`, `conv2d_naive`) and against each other, on both
 //! `Device::Cpu` and `Device::Parallel`. The conv gradients are checked
 //! against the materialising `im2col`/`col2im` route they replaced.
@@ -18,6 +19,11 @@
 //! banded, fused, naive — produce the identical bit pattern, so the
 //! oracle asserts `to_bits` equality, the strongest possible check
 //! (and far inside the ≤ 4-ulp acceptance bound).
+//!
+//! Where two routes run the *same* products in the *same* order — a
+//! transposed-operand product and the product of a transposed copy, or
+//! a skinny product and its `Cᵀ = Bᵀ·Aᵀ` orientation — equality is
+//! asserted bit for bit on continuous inputs too.
 //!
 //! Continuous inputs are still covered: a positive-data suite bounds
 //! the FMA-vs-scalar divergence at ≤ 4 ulps by keeping the inner
@@ -104,6 +110,25 @@ proptest! {
         prop_assert_eq!(bits(&cpu), bits(&oracle), "Cpu mismatch at m={} k={} n={}", m, k, n);
         let par = with_device(Device::parallel(), || a.matmul(&b));
         prop_assert_eq!(bits(&par), bits(&oracle), "Parallel mismatch at m={} k={} n={}", m, k, n);
+    }
+
+    /// `A·Bᵀ` and `Aᵀ·B` read in place vs the naive triple loop over
+    /// materialised transposes, on lattice inputs: bit-for-bit, on both
+    /// devices, across the tiny cutoff, the skinny orientation and every
+    /// ragged MR/NR tail.
+    #[test]
+    fn matmul_nt_tn_lattice_bit_identical(m in 1usize..48, k in 1usize..48, n in 1usize..48, seed in 0u64..1000) {
+        let a = lattice(&[m, k], seed);
+        let bt = lattice(&[n, k], seed ^ 0xabcd);
+        let at = lattice(&[k, m], seed ^ 0x1234);
+        let b = lattice(&[k, n], seed ^ 0x5678);
+        let nt_oracle = matmul_naive(&a, &bt.transpose());
+        let tn_oracle = matmul_naive(&at.transpose(), &b);
+        for device in [Device::Cpu, Device::Parallel(4)] {
+            let (nt, tn) = with_device(device, || (a.matmul_nt(&bt), at.matmul_tn(&b)));
+            prop_assert_eq!(bits(&nt), bits(&nt_oracle), "A·Bᵀ {:?} at m={} k={} n={}", device, m, k, n);
+            prop_assert_eq!(bits(&tn), bits(&tn_oracle), "Aᵀ·B {:?} at m={} k={} n={}", device, m, k, n);
+        }
     }
 
     /// Continuous positive inputs with inner dimension ≤ 8: the fused
@@ -318,6 +343,67 @@ fn matmul_block_edges_bit_identical() {
                 bits(&oracle),
                 "mismatch on {device:?} at m={m} k={k} n={n}"
             );
+        }
+    }
+}
+
+/// The layout-reading products on *continuous* inputs: `a.matmul_nt(b)`
+/// is bit-identical to `a.matmul(&b.transpose())` and `a.matmul_tn(b)`
+/// to `a.transpose().matmul(&b)` — same per-element order, so equality,
+/// not ulps. The sweep crosses the tiny cutoff, the skinny orientation
+/// (`n < NR ≤ m`, computed as `Cᵀ = Bᵀ·Aᵀ`), ragged tiles, a `KC` panel
+/// edge and, on `Parallel(4)`, the band split of both output axes.
+#[test]
+fn matmul_nt_tn_equal_transposed_copies_on_continuous_inputs() {
+    let sizes = [1, 2, 4, 5, MR, NR - 1, NR + 1, 64, 130];
+    let mut case = 0u64;
+    for &m in &sizes {
+        for &n in &sizes {
+            for k in [1, 4, 64, KC + 5] {
+                case += 1;
+                let a = continuous(&[m, k], 300 + case);
+                let bt = continuous(&[n, k], 400 + case);
+                let at = continuous(&[k, m], 500 + case);
+                let b = continuous(&[k, n], 600 + case);
+                for device in [Device::Cpu, Device::Parallel(4)] {
+                    with_device(device, || {
+                        let want = a.matmul(&bt.transpose());
+                        assert_eq!(bits(&a.matmul_nt(&bt)), bits(&want), "A·Bᵀ {device:?} m={m} k={k} n={n}");
+                        let want = at.transpose().matmul(&b);
+                        assert_eq!(bits(&at.matmul_tn(&b)), bits(&want), "Aᵀ·B {device:?} m={m} k={k} n={n}");
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// The skinny orientation is the same arithmetic as the direct one:
+/// both halves of a product that straddles the rule agree bit for bit
+/// with the oracle on lattice inputs, whichever operand layout.
+#[test]
+fn matmul_skinny_orientation_bit_identical() {
+    for (i, &(m, k, n)) in [(512, 64, 1), (64, 512, 4), (130, KC + 5, NR - 1), (NR, 300, 2)].iter().enumerate() {
+        let a = lattice(&[m, k], 700 + i as u64);
+        let b = lattice(&[k, n], 800 + i as u64);
+        let oracle = bits(&matmul_naive(&a, &b));
+        for device in [Device::Cpu, Device::Parallel(4)] {
+            with_device(device, || {
+                assert_eq!(bits(&a.matmul(&b)), oracle, "A·B {device:?} m={m} k={k} n={n}");
+                assert_eq!(bits(&a.matmul_nt(&b.transpose())), oracle, "A·Bᵀ {device:?} m={m} k={k} n={n}");
+                assert_eq!(bits(&a.transpose().matmul_tn(&b)), oracle, "Aᵀ·B {device:?} m={m} k={k} n={n}");
+            });
+        }
+    }
+    // Continuous inputs: fewer than NR rows keep the direct orientation,
+    // the whole product takes the skinny one — the same bits per element.
+    for n in [1, NR - 1] {
+        let a = continuous(&[130, 1200], 900 + n as u64);
+        let b = continuous(&[1200, n], 950 + n as u64);
+        let whole = a.matmul(&b);
+        for r0 in [0, 7, 130 - (NR - 1)] {
+            let rows = a.narrow(0, r0, r0 + NR - 1).matmul(&b);
+            assert_eq!(bits(&rows), bits(&whole.narrow(0, r0, r0 + NR - 1)), "n={n} rows {r0}..");
         }
     }
 }

@@ -82,6 +82,39 @@ fn two_replica_workers_bit_equal_the_in_thread_step() {
     assert_eq!(in_thread, stream_step(2));
 }
 
+/// Thin cut of `crates/nn/tests/fused_linear.rs`: one Adam step of a
+/// two-layer MLP through the fused `Linear` node is bit-identical —
+/// loss and post-step weights — to the same step through the
+/// `matmul(permute) + add` composition it replaced, on continuous data.
+#[test]
+fn fused_linear_step_bit_equals_the_composed_ops() {
+    use geotorchai::nn::loss::mse_loss;
+    use geotorchai::nn::optim::{Adam, Optimizer};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+    let (l1, l2) = (Linear::new(4, 16, &mut rng), Linear::new(16, 1, &mut rng));
+    let fused: Vec<Var> = l1.parameters().into_iter().chain(l2.parameters()).collect();
+    let composed: Vec<Var> = fused.iter().map(|p| Var::parameter(p.value())).collect();
+    let x = Var::constant(Tensor::rand_uniform(&[64, 4], -1.0, 1.0, &mut rng));
+    let y = Var::constant(Tensor::rand_uniform(&[64, 1], -1.0, 1.0, &mut rng));
+    let affine = |x: &Var, w: &Var, b: &Var| x.matmul(&w.permute(&[1, 0])).add(b);
+    let step = |params: &[Var], loss: Var| {
+        let value = loss.value().item().to_bits();
+        loss.backward();
+        drop(loss);
+        let mut opt = Adam::new(params.to_vec(), 1e-2);
+        opt.step();
+        let weights: Vec<Vec<u32>> = params
+            .iter()
+            .map(|p| p.value().as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect();
+        (value, weights)
+    };
+    let out = step(&fused, mse_loss(&l2.forward(&l1.forward(&x).relu()), &y));
+    let h = affine(&x, &composed[0], &composed[1]).relu();
+    let reference = step(&composed, mse_loss(&affine(&h, &composed[2], &composed[3]), &y));
+    assert_eq!(out, reference);
+}
+
 #[test]
 fn classifier_fit_repeats_exactly_from_one_seed() {
     let run = || {
