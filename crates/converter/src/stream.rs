@@ -367,6 +367,14 @@ mod tests {
         )
     }
 
+    /// The prefetch tests share the process-global `PREFETCH_QUEUED`
+    /// gauge, so one test's queued batches must not show in another's
+    /// drop check.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        GATE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn drain(stream: &mut dyn BatchStream) -> Vec<(Tensor, Tensor)> {
         let mut out = Vec::new();
         while let Some(b) = stream.next_batch().unwrap() {
@@ -434,6 +442,7 @@ mod tests {
 
     #[test]
     fn prefetch_preserves_order_and_contents() {
+        let _g = serial();
         let (rt, frame) = frame(37, 2);
         let direct = drain(&mut FrameBatchStream::new(
             Arc::clone(&rt),
@@ -451,6 +460,7 @@ mod tests {
 
     #[test]
     fn prefetch_drop_mid_stream_does_not_hang() {
+        let _g = serial();
         let (rt, frame) = frame(1000, 1);
         let mut loader =
             PrefetchLoader::new(Box::new(FrameBatchStream::new(rt, frame)), 2);
@@ -461,6 +471,7 @@ mod tests {
 
     #[test]
     fn prefetch_propagates_inner_panic_as_error() {
+        let _g = serial();
         struct Bomb(usize);
         impl BatchStream for Bomb {
             fn next_batch(&mut self) -> Result<Option<(Tensor, Tensor)>, LoaderError> {

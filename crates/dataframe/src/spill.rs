@@ -333,6 +333,14 @@ mod tests {
     use super::*;
     use crate::column::Value;
 
+    /// Tests that spill take this gate: the telemetry test counts
+    /// `dataframe.spill_bytes`, a process-global counter every spill in
+    /// this binary adds to while it is enabled.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        GATE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
             "geotorch-spill-test-{tag}-{}",
@@ -364,6 +372,7 @@ mod tests {
 
     #[test]
     fn round_trips_every_dtype() {
+        let _g = serial();
         let df = df().repartition(2).unwrap();
         let store = SpillStore::from_frame(tmpdir("roundtrip"), &df).unwrap();
         assert_eq!(store.len(), df.num_partitions());
@@ -378,6 +387,7 @@ mod tests {
 
     #[test]
     fn window_onto_a_shared_buffer_spills_only_its_rows() {
+        let _g = serial();
         let whole = df();
         let window: Vec<Column> = whole.partitions()[0]
             .iter()
@@ -398,6 +408,7 @@ mod tests {
 
     #[test]
     fn read_buffer_is_recycled() {
+        let _g = serial();
         let df = df();
         let store = SpillStore::from_frame(tmpdir("recycle"), &df).unwrap();
         let mut scratch = Vec::new();
@@ -424,6 +435,7 @@ mod tests {
 
     #[test]
     fn drop_removes_spill_files() {
+        let _g = serial();
         let dir = tmpdir("cleanup");
         let path;
         {
@@ -438,6 +450,7 @@ mod tests {
 
     #[test]
     fn counts_spilled_bytes_in_telemetry() {
+        let _g = serial();
         geotorch_telemetry::reset();
         geotorch_telemetry::set_enabled(true);
         let store = SpillStore::from_frame(tmpdir("telemetry"), &df()).unwrap();
@@ -452,6 +465,7 @@ mod tests {
 
     #[test]
     fn truncated_file_is_rejected_not_misread() {
+        let _g = serial();
         let dir = tmpdir("truncate");
         let store = SpillStore::from_frame(&dir, &df()).unwrap();
         let path = dir.join("part-000000.spill");
@@ -463,6 +477,7 @@ mod tests {
 
     #[test]
     fn values_survive_via_value_api() {
+        let _g = serial();
         let df = df();
         let store = SpillStore::from_frame(tmpdir("values"), &df).unwrap();
         let back = store.read(0).unwrap();

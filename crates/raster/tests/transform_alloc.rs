@@ -1,5 +1,6 @@
 //! Steady-state allocation regression for the transform pipeline,
-//! mirroring the training/serving budgets in `geotorch-bench`: after a
+//! mirroring the training/serving budgets of `geotorch-core`'s
+//! `alloc_regression.rs`: after a
 //! warm-up pass populates the pool's size classes, a chained augment +
 //! index pipeline must run entirely from recycled buffers. The small
 //! budget absorbs one-off wobble; it fails loudly if a transform
@@ -41,7 +42,6 @@ fn pipeline() -> Compose {
 
 #[test]
 fn chained_transform_pipeline_is_steady_state_allocation_free() {
-    pool::set_enabled(true);
     let chain = pipeline();
     let mut raster = scene();
 
@@ -78,7 +78,6 @@ fn chained_transform_pipeline_is_steady_state_allocation_free() {
 
 #[test]
 fn cloning_apply_path_recycles_the_clone() {
-    pool::set_enabled(true);
     let chain = pipeline();
     let raster = scene();
 

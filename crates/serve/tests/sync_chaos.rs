@@ -3,13 +3,19 @@
 //! apply, and the replica hot-swap — and prove a failed sync leaves the
 //! old model serving **byte-identically**, while a retry after the
 //! fault clears converges both nodes to the same head (bit-identical
-//! stores) with zero dropped requests.
+//! stores) with zero dropped requests. A soak publishes fine-tunes over
+//! HTTP under live `/predict` load and checks every reply's version.
 //!
 //! The fault registry is process-global; every test takes `serial()`.
 //! `GEOTORCH_CHAOS_SEED` (CI sweeps 1–3) seeds the fault plans.
 
+use std::collections::BTreeSet;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 use geotorch_core::Manifest;
 use geotorch_models::raster::SatCnn;
@@ -18,6 +24,7 @@ use geotorch_serve::{BatchConfig, Registry, ServeConfig, Server};
 use geotorch_tensor::{Device, Tensor};
 use geotorch_telemetry::fault::{self, FaultAction, FaultPlan};
 use rand::SeedableRng;
+use serde::Value;
 
 fn serial() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
@@ -272,4 +279,100 @@ fn concurrent_publishes_converge_to_one_head_on_both_nodes() {
     node_b.shutdown();
     std::fs::remove_dir_all(&dir_a).ok();
     std::fs::remove_dir_all(&dir_b).ok();
+}
+
+/// One-shot HTTP POST: (status, `X-Model-Version` header, body).
+fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, Option<String>, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let request = format!(
+        "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(request.as_bytes()).expect("send");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("receive");
+    let (head, payload) = response.split_once("\r\n\r\n").expect("header/body split");
+    let status = head
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("status code");
+    let version = head.lines().find_map(|line| {
+        let (name, value) = line.split_once(':')?;
+        name.eq_ignore_ascii_case("x-model-version")
+            .then(|| value.trim().to_string())
+    });
+    (status, version, payload.to_string())
+}
+
+/// The hot-swap soak: closed-loop clients drive `/predict` over HTTP
+/// while three fine-tunes are published through `POST
+/// /models/<m>/publish`. Every reply must be a 200 whose
+/// `X-Model-Version` names the seed head or a published id, and at
+/// least two versions must answer — a swap landed mid-load.
+#[test]
+fn republish_under_load_versions_every_reply() {
+    let _g = serial();
+    let dir = store_dir("republish");
+    let node = start_node(&dir, 2);
+    let addr = node.addr();
+    let (_, seed_id) = predict(&node);
+    let payload = serde_json::to_string(&sample()).expect("serialize sample");
+    let bodies: Vec<String> = (1..=3)
+        .map(|k| serde_json::to_string(&fine_tuned(k as f32 * 0.4)).expect("checkpoint body"))
+        .collect();
+
+    let stop = AtomicBool::new(false);
+    let (replies, publishes) = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut replies = Vec::new();
+                    while !stop.load(Ordering::Relaxed) {
+                        replies.push(post(addr, "/predict/satcnn", &payload));
+                    }
+                    replies
+                })
+            })
+            .collect();
+        let publishes: Vec<(u16, String)> = bodies
+            .iter()
+            .map(|body| {
+                std::thread::sleep(Duration::from_millis(50));
+                let (status, _, reply) = post(addr, "/models/satcnn/publish", body);
+                (status, reply)
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(50));
+        stop.store(true, Ordering::Relaxed);
+        let replies: Vec<_> = clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("client thread"))
+            .collect();
+        (replies, publishes)
+    });
+    node.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let mut known = vec![seed_id];
+    for (status, reply) in &publishes {
+        assert_eq!(*status, 200, "publish failed: {reply}");
+        let reply: Value = serde_json::from_str(reply).expect("publish reply is JSON");
+        let id = reply.get("id").and_then(Value::as_str).expect("manifest id");
+        known.push(id.to_string());
+    }
+    let mut seen = BTreeSet::new();
+    for (status, version, body) in &replies {
+        assert_eq!(*status, 200, "a reply under republish failed: {body}");
+        let version = version.as_ref().expect("every reply carries X-Model-Version");
+        assert!(
+            known.contains(version),
+            "reply names version {version}, never published (known {known:?})"
+        );
+        seen.insert(version);
+    }
+    assert!(
+        seen.len() >= 2,
+        "only {seen:?} answered across 3 publishes — no swap landed mid-load"
+    );
 }

@@ -217,6 +217,29 @@ fn non_overlapping_identity_mosaic_is_bit_exact_and_roi_georeferenced() {
     worker.shutdown();
 }
 
+/// The tile counters `/metrics` serves advance with every mosaic: one
+/// `serve.tile.mosaics`, and one `serve.tile.stitched` per tile.
+#[test]
+fn tile_counters_advance_per_mosaic() {
+    let _g = serial();
+    let count = |name: &str| {
+        geotorch_telemetry::snapshot()
+            .iter()
+            .find(|s| s.name == name)
+            .map_or(0, |s| s.count)
+    };
+    geotorch_telemetry::set_enabled(true);
+    let (mosaics, stitched) = (count("serve.tile.mosaics"), count("serve.tile.stitched"));
+    let scene = small_scene();
+    let worker = identity_worker("identity-count", 16);
+    let (_, stats) =
+        run_mosaic(&worker.client(), &scene, scene.extent(), identity_cfg()).unwrap();
+    geotorch_telemetry::set_enabled(false);
+    worker.shutdown();
+    assert_eq!(count("serve.tile.mosaics"), mosaics + 1);
+    assert_eq!(count("serve.tile.stitched"), stitched + stats.tiles as u64);
+}
+
 #[test]
 fn cosine_blend_preserves_identity_within_tolerance() {
     let _g = serial();

@@ -14,8 +14,8 @@
 //!   and [`Tensor::matmul_tn`] (`Aᵀ·B`) run on the same microkernels with
 //!   no transposed copy; both packs read every stored row front to back.
 //!   Pack buffers come from the tensor buffer pool — steady-state
-//!   packing is allocation-free, which the `kernel_regression` gate in
-//!   `geotorch-bench` enforces.
+//!   packing is allocation-free, which this crate's `kernel_regression`
+//!   gate enforces.
 //! * **Orientation.** A skinny product (`n < NR ≤ m`) would leave most
 //!   lanes of every `B` micro-panel zero, so it is computed as
 //!   `Cᵀ = Bᵀ·Aᵀ` with the wide side along the lanes. Each element's

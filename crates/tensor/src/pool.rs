@@ -23,10 +23,7 @@
 //! `Mutex` around a shelf `Vec`), so worker threads recycle without
 //! contending on a single lock. Idle bytes are capped
 //! ([`MAX_POOLED_BYTES`]): past the cap, released vectors are simply
-//! freed. [`set_enabled`] turns pooling off entirely (every allocation
-//! is a fresh `Vec`, every release a free) — the seed allocator
-//! behaviour, kept for A/B benchmarks and the allocation-regression
-//! test.
+//! freed.
 //!
 //! Counters ([`stats`]) are always-on relaxed atomics; they are also
 //! registered as `geotorch-telemetry` gauges (`alloc.pool_hit`,
@@ -35,7 +32,7 @@
 //! and serve's `/metrics` endpoint report allocator health without any
 //! extra wiring.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once};
 
 /// Shelves cover classes `2^0 ..= 2^MAX_CLASS_LOG2` elements. Larger
@@ -49,8 +46,6 @@ const MAX_POOLED_BYTES: u64 = 1 << 30;
 
 static SHELVES: [Mutex<Vec<Vec<f32>>>; NUM_CLASSES] =
     [const { Mutex::new(Vec::new()) }; NUM_CLASSES];
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
 
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
@@ -95,34 +90,6 @@ pub fn stats() -> PoolStats {
     }
 }
 
-/// Turn pooling on or off. Off means every allocation is a fresh `Vec`
-/// and every release a free — the pre-pool allocator behaviour. The
-/// shelves are cleared on disable so A/B comparisons start cold.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-    if !on {
-        clear();
-    }
-}
-
-/// Whether pooling is currently on.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Drop every shelved vector, returning idle memory to the OS.
-pub fn clear() {
-    for shelf in &SHELVES {
-        let mut freed = {
-            let mut guard = shelf.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *guard)
-        };
-        let bytes: u64 = freed.iter().map(cap_bytes).sum();
-        POOLED_BYTES.fetch_sub(bytes, Ordering::Relaxed);
-        freed.clear();
-    }
-}
-
 fn cap_bytes(v: &Vec<f32>) -> u64 {
     (v.capacity() * std::mem::size_of::<f32>()) as u64
 }
@@ -157,9 +124,6 @@ fn note_fresh(len: usize) {
 /// Pop a recycled vector for `len` elements, or `None` on a pool miss.
 /// The returned vector has length exactly `len` and stale contents.
 fn try_recycle(len: usize) -> Option<Vec<f32>> {
-    if !enabled() {
-        return None;
-    }
     let class = class_for_len(len)?;
     let mut v = {
         let mut shelf = SHELVES[class].lock().unwrap_or_else(|e| e.into_inner());
@@ -225,18 +189,15 @@ fn fresh_vec(len: usize, value: f32) -> Vec<f32> {
 
 fn fresh_with_capacity(len: usize) -> Vec<f32> {
     let capacity = match class_for_len(len) {
-        Some(class) if enabled() => 1usize << class,
-        _ => len,
+        Some(class) => 1usize << class,
+        None => len,
     };
     Vec::with_capacity(capacity)
 }
 
-/// Return a vector to the pool (or free it: pooling disabled, zero or
-/// oversized capacity, or the idle-byte cap is reached).
+/// Return a vector to the pool (or free it: zero or oversized
+/// capacity, or the idle-byte cap is reached).
 pub fn release(v: Vec<f32>) {
-    if !enabled() {
-        return;
-    }
     let Some(class) = class_for_capacity(v.capacity()) else {
         return;
     };
@@ -407,10 +368,8 @@ mod tests {
         let v2 = alloc_uninit(3000);
         assert_eq!(v2.len(), 3000);
         let after = stats();
-        if enabled() {
-            assert!(v2.capacity() >= 4096);
-            assert!(after.hits > before.hits);
-        }
+        assert!(v2.capacity() >= 4096);
+        assert!(after.hits > before.hits);
         drop(v2);
     }
 
