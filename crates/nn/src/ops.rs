@@ -329,10 +329,7 @@ impl Var {
             assert_eq!(b.shape(), [w.shape()[0]], "linear bias must be [out]");
             value.add_(&b.value());
         }
-        let input_grad = !self.is_constant();
-        let mut parents: Vec<Var> = input_grad.then(|| self.clone()).into_iter().collect();
-        parents.push(weight.clone());
-        parents.extend(bias.cloned());
+        let (input_grad, parents) = layer_parents(self, weight, bias);
         let has_bias = bias.is_some();
         Var::from_op(
             value,
@@ -354,14 +351,13 @@ impl Var {
     // ----------------------------------------------------------- conv/pool
 
     /// 2-D convolution (`input = self [B,C,H,W]`, `weight [O,C,kh,kw]`).
+    /// A constant input (an input batch) gets no gradient and is not on
+    /// the tape, as in [`Var::linear`].
     pub fn conv2d(&self, weight: &Var, bias: Option<&Var>, stride: usize, pad: usize) -> Var {
         let x = self.value();
         let w = weight.value();
         let value = conv2d(&x, &w, bias.map(|b| b.value()).as_ref(), stride, pad);
-        let mut parents = vec![self.clone(), weight.clone()];
-        if let Some(b) = bias {
-            parents.push(b.clone());
-        }
+        let (input_grad, parents) = layer_parents(self, weight, bias);
         let has_bias = bias.is_some();
         Var::from_op(
             value,
@@ -369,10 +365,11 @@ impl Var {
             Box::new(move |g| {
                 let _t = geotorch_telemetry::scope!("nn.conv2d_bwd");
                 let kernel = (w.shape()[2], w.shape()[3]);
-                let mut grads = vec![
-                    conv2d_input_grad(g, &w, (x.shape()[2], x.shape()[3]), stride, pad),
-                    conv2d_weight_grad(&x, g, kernel, stride, pad),
-                ];
+                let mut grads = Vec::with_capacity(3);
+                if input_grad {
+                    grads.push(conv2d_input_grad(g, &w, (x.shape()[2], x.shape()[3]), stride, pad));
+                }
+                grads.push(conv2d_weight_grad(&x, g, kernel, stride, pad));
                 if has_bias {
                     grads.push(sum_per_channel(g));
                 }
@@ -381,7 +378,8 @@ impl Var {
         )
     }
 
-    /// Transposed 2-D convolution (`weight [C,O,kh,kw]`).
+    /// Transposed 2-D convolution (`weight [C,O,kh,kw]`). A constant input
+    /// is not on the tape, as in [`Var::conv2d`].
     pub fn conv_transpose2d(
         &self,
         weight: &Var,
@@ -392,10 +390,7 @@ impl Var {
         let x = self.value();
         let w = weight.value();
         let value = conv_transpose2d(&x, &w, bias.map(|b| b.value()).as_ref(), stride, pad);
-        let mut parents = vec![self.clone(), weight.clone()];
-        if let Some(b) = bias {
-            parents.push(b.clone());
-        }
+        let (input_grad, parents) = layer_parents(self, weight, bias);
         let has_bias = bias.is_some();
         Var::from_op(
             value,
@@ -406,10 +401,11 @@ impl Var {
                 // gradient is that conv of `g`, and its weight gradient is
                 // that conv's with `g` as the input and `x` as the gradient.
                 let kernel = (w.shape()[2], w.shape()[3]);
-                let mut grads = vec![
-                    conv2d(g, &w, None, stride, pad),
-                    conv2d_weight_grad(g, &x, kernel, stride, pad),
-                ];
+                let mut grads = Vec::with_capacity(3);
+                if input_grad {
+                    grads.push(conv2d(g, &w, None, stride, pad));
+                }
+                grads.push(conv2d_weight_grad(g, &x, kernel, stride, pad));
                 if has_bias {
                     grads.push(sum_per_channel(g));
                 }
@@ -449,6 +445,16 @@ impl Var {
             Box::new(move |g| vec![upsample_nearest2d_backward(g, factor)]),
         )
     }
+}
+
+/// A layer op's parents — input, weight, optional bias — leaving a constant
+/// input off (its gradient would be discarded), and whether the input is on.
+fn layer_parents(input: &Var, weight: &Var, bias: Option<&Var>) -> (bool, Vec<Var>) {
+    let input_grad = !input.is_constant();
+    let mut parents: Vec<Var> = input_grad.then(|| input.clone()).into_iter().collect();
+    parents.push(weight.clone());
+    parents.extend(bias.cloned());
+    (input_grad, parents)
 }
 
 /// Bias gradient of a conv: `g [B,O,H,W]` summed over batch and space.

@@ -89,14 +89,15 @@ impl Var {
         Var::make(value, true, Vec::new(), None)
     }
 
-    /// Internal: an op result node. Under [`no_grad`] the tape entry is
-    /// elided — the result is a plain leaf with no parents and no
-    /// backward closure.
+    /// Internal: an op result node. Under [`no_grad`], or when every
+    /// parent is a constant, the tape entry is elided — the result is a
+    /// constant leaf with no parents and no backward closure. No gradient
+    /// can reach a parameter through an op whose inputs are all constant,
+    /// so a constant subgraph (`concat`/`narrow`/`reshape` of input
+    /// batches) never becomes tape nodes or gradient work.
     pub(crate) fn from_op(value: Tensor, parents: Vec<Var>, backward: BackwardFn) -> Var {
-        if is_no_grad() {
-            drop(parents);
-            drop(backward);
-            return Var::make(value, false, Vec::new(), None);
+        if is_no_grad() || parents.iter().all(Var::is_constant) {
+            return Var::constant(value);
         }
         Var::make(value, false, parents, Some(backward))
     }
@@ -126,8 +127,8 @@ impl Var {
         self.inner.borrow().requires_grad
     }
 
-    /// Whether this is a leaf no gradient can reach: a [`Var::constant`]
-    /// or a result computed under [`no_grad`].
+    /// Whether this is a leaf no gradient can reach: a [`Var::constant`],
+    /// a result computed under [`no_grad`], or an op over constants.
     pub(crate) fn is_constant(&self) -> bool {
         let inner = self.inner.borrow();
         !inner.requires_grad && inner.backward.is_none()
@@ -419,6 +420,28 @@ mod tests {
         let caught = std::panic::catch_unwind(|| no_grad(|| panic!("boom")));
         assert!(caught.is_err());
         assert!(!is_no_grad(), "flag restored even when the closure panics");
+    }
+
+    #[test]
+    fn ops_over_constants_are_constant_leaves() {
+        let leaf = |v: &Var| {
+            let inner = v.inner.borrow();
+            !inner.requires_grad && inner.parents.is_empty() && inner.backward.is_none()
+        };
+        let a = Var::constant(Tensor::ones(&[2, 3, 4]));
+        let b = Var::constant(Tensor::zeros(&[2, 1, 4]));
+        let cat = Var::concat(&[&a, &b], 1);
+        assert!(leaf(&cat), "concat of constants");
+        assert!(leaf(&cat.narrow(1, 1, 3)), "narrow of a constant");
+        assert!(leaf(&cat.flatten_batch()), "flatten_batch of a constant");
+        let values = Tensor::concat(&[&a.value(), &b.value()], 1);
+        assert_eq!(cat.flatten_batch().value().as_slice(), values.as_slice());
+        // One trainable parent puts the op back on the tape.
+        let w = Var::parameter(Tensor::ones(&[2, 1, 4]));
+        let mixed = Var::concat(&[&a, &w], 1);
+        assert!(!leaf(&mixed));
+        mixed.sum_all().backward();
+        assert_eq!(w.grad().unwrap().as_slice(), &[1.0; 8]);
     }
 
     #[test]

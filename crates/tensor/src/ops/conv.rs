@@ -6,8 +6,9 @@
 //!
 //! * **3×3 / stride 1 with a small filter bank** (fewer output channels
 //!   than a microkernel tile has rows, or `C·O < 32`) — [`conv2d_direct`]:
-//!   a shift-and-axpy kernel that accumulates each filter tap as a scaled
-//!   row-add over the output plane.
+//!   up to four output channels × a strip of pixels held in registers
+//!   across every filter tap, each tap one shifted load of the padded
+//!   input.
 //! * **everything else** — a column-free GEMM. Convolution is a *panel
 //!   source* of the blocked GEMM in [`super::matmul`]: the filter bank
 //!   is packed once per call, then per image the `B` panels are packed
@@ -16,9 +17,11 @@
 //!   planes themselves.
 //!
 //! The gradients use the same seam: [`conv2d_weight_grad`] packs the
-//! *transposed* view, and at stride 1 [`conv2d_input_grad`] is `conv2d`
-//! with flipped filters. [`im2col`]/[`col2im`] remain as explicit helpers
-//! for `conv_transpose2d`, the strided input gradient and the tests.
+//! image's taps from a padded copy as whichever operand puts the wider of
+//! taps and filters on the microkernel's lanes, and at stride 1
+//! [`conv2d_input_grad`] is `conv2d` with flipped filters.
+//! [`im2col`]/[`col2im`] remain as explicit helpers for
+//! `conv_transpose2d`, the strided input gradient and the tests.
 //!
 //! Both lowerings, like the sliding-window reference `conv2d_naive`,
 //! start an output element at its bias and add its taps in `(c, ki, kj)`
@@ -30,7 +33,8 @@
 //! bits depend on its own window alone: not on the batch it rode in, the
 //! device, or where its plane ends.
 
-use super::matmul::{gemm_block, Dense, PackedA, PanelSource, MR, NR};
+use super::matmul::{gemm_block, Dense, PackedA, PanelSource, Simd, KC, MR, NR};
+use super::shape_ops::transpose_into;
 use crate::device::{parallel_for, Device, SendPtr};
 use crate::Tensor;
 
@@ -166,12 +170,24 @@ pub fn conv2d(
     }
 }
 
-/// Direct stride-1 convolution: for each `(batch, out-channel)` output
-/// plane, every filter tap `(ic, ki, kj)` is applied as a scaled
-/// row-wise axpy of the shifted input plane. No column matrix is built.
-/// Each plane starts at its bias and taps run in im2col row order
-/// (`ic → ki → kj`), unfused: the GEMM path's order, and exactly
-/// `conv2d_naive`'s arithmetic.
+/// Flat pixels × output channels one register block of [`conv2d_direct`]
+/// covers at most: eight 8-lane accumulators.
+const STRIP: usize = 64;
+
+/// Direct stride-1 convolution, register-blocked. The input is copied
+/// once into a zero-padded buffer; output pixels are then addressed in
+/// *padded-width* flat coordinates `q = oi·pw + oj`, in which tap
+/// `(ic, ki, kj)` of every pixel is the padded channel shifted by
+/// `ki·pw + kj`. Up to four output channels × a strip of consecutive `q`
+/// (64 wide at one channel, 32 at two, 16 at three or four) live in
+/// registers across all `C·kh·kw` taps — each tap one shifted load per
+/// lane group and a multiply then an add per channel — and a strip, which
+/// may span rows, is written out row by row, dropping each row's `pw − ow`
+/// columns past its end.
+/// Every element starts at its bias and adds its taps in `(c, ki, kj)`
+/// order, unfused: exactly `conv2d_naive`'s arithmetic. Tasks are images,
+/// or bands of output rows when a large conv has fewer images than
+/// threads; neither changes any element's arithmetic.
 pub fn conv2d_direct(
     input: &Tensor,
     weight: &Tensor,
@@ -179,69 +195,171 @@ pub fn conv2d_direct(
     pad: usize,
 ) -> Tensor {
     let _t = geotorch_telemetry::scope!("tensor.conv2d_direct");
-    let (b, o, Geom { c, h, w, kh, kw, oh, ow, .. }) = Geom::of_conv(input, weight, bias, 1, pad);
-    let padded = if pad > 0 { input.pad2d(pad) } else { input.clone() };
-    let (ph, pw) = (h + 2 * pad, w + 2 * pad);
-    let x = padded.as_slice();
-    let wt = weight.as_slice();
-    let plane = oh * ow;
-    let mut out = crate::pool::alloc_uninit(b * o * plane);
+    let (b, o, g) = Geom::of_conv(input, weight, bias, 1, pad);
+    let ((ph, pw), w) = (g.padded(), g.w);
+    // Slack past the last image, so a strip may run past the last row.
+    let mut x = crate::pool::alloc_zeroed(b * g.c * ph * pw + STRIP);
+    let images = input.as_slice().chunks_exact((g.h * w).max(1));
+    for (src, dst) in images.zip(x.chunks_exact_mut(ph * pw)) {
+        for (row, out) in src.chunks_exact(w.max(1)).zip(dst[pad * pw + pad..].chunks_mut(pw)) {
+            out[..w].copy_from_slice(row);
+        }
+    }
+    let mut out = crate::pool::alloc_uninit(b * o * g.plane());
+    let d = Direct { x: &x, wt: weight.as_slice(), bias: bias.map(|t| t.as_slice()), o, g };
     let out_ptr = SendPtr(out.as_mut_ptr());
+    let threads = Device::current().threads();
+    let parallel = threads > 1 && 2 * b * o * g.taps() * g.plane() >= CONV_PARALLEL_FLOPS;
+    let bands = if parallel { (threads / b.max(1)).clamp(1, g.oh) } else { 1 };
+    let rows = g.oh.div_ceil(bands);
     let task = |t: usize| {
-        let (bi, oc) = (t / o, t % o);
-        // SAFETY: each (bi, oc) task owns a disjoint output plane.
-        let dst = unsafe {
-            std::slice::from_raw_parts_mut({ &out_ptr }.0.add((bi * o + oc) * plane), plane)
-        };
-        dst.fill(bias.map_or(0.0, |t| t.as_slice()[oc]));
-        for ic in 0..c {
-            for ki in 0..kh {
-                let w_row = &wt[((oc * c + ic) * kh + ki) * kw..][..kw];
-                for oi in 0..oh {
-                    let src = &x[((bi * c + ic) * ph + oi + ki) * pw..][..ow + kw - 1];
-                    let row = &mut dst[oi * ow..(oi + 1) * ow];
-                    // One pass over the output row applies all kw taps of
-                    // this filter row (kj ascending per element, matching
-                    // the GEMM path's accumulation order), so the row is
-                    // loaded/stored once per (ic, ki) instead of per tap.
-                    match *w_row {
-                        [w0] => {
-                            for (d, &s) in row.iter_mut().zip(src) {
-                                *d += w0 * s;
-                            }
-                        }
-                        [w0, w1, w2] => {
-                            for (j, d) in row.iter_mut().enumerate() {
-                                let mut v = *d;
-                                v += w0 * src[j];
-                                v += w1 * src[j + 1];
-                                v += w2 * src[j + 2];
-                                *d = v;
-                            }
-                        }
-                        _ => {
-                            for (j, d) in row.iter_mut().enumerate() {
-                                let mut v = *d;
-                                for (kj, &wv) in w_row.iter().enumerate() {
-                                    v += wv * src[j + kj];
-                                }
-                                *d = v;
-                            }
+        let (bi, r0) = (t / bands, t % bands * rows);
+        for oc0 in (0..o).step_by(4) {
+            d.block(bi, oc0, (r0, (r0 + rows).min(g.oh)), out_ptr);
+        }
+    };
+    if parallel {
+        parallel_for(b * bands, task);
+    } else {
+        (0..b * bands).for_each(task);
+    }
+    Tensor::from_vec(out, &[b, o, g.oh, g.ow])
+}
+
+/// A direct conv's operands: padded input plus slack, filters, bias, shape.
+struct Direct<'a> {
+    x: &'a [f32],
+    wt: &'a [f32],
+    bias: Option<&'a [f32]>,
+    o: usize,
+    g: Geom,
+}
+
+/// One strip's accumulators: `OB` output channels × `V` groups of 8 lanes.
+type Strip<const OB: usize, const V: usize> = [[[f32; 8]; V]; OB];
+
+impl Direct<'_> {
+    /// Output channels `oc0..` (up to four) of image `bi`, output rows
+    /// `r0..r1`, into the `[B, O, oh, ow]` buffer at `out`.
+    fn block(&self, bi: usize, oc0: usize, rows: (usize, usize), out: SendPtr<f32>) {
+        match self.o - oc0 {
+            1 => self.strips::<1, { STRIP / 8 }>(bi, oc0, rows, out),
+            2 => self.strips::<2, { STRIP / 16 }>(bi, oc0, rows, out),
+            3 => self.strips::<3, { STRIP / 32 }>(bi, oc0, rows, out),
+            _ => self.strips::<4, { STRIP / 32 }>(bi, oc0, rows, out),
+        }
+    }
+
+    /// `OB` output channels from `oc0`, `8·V` flat pixels at a time,
+    /// across padded-width positions `r0·pw .. (r1−1)·pw + ow`, each strip
+    /// written out row by row: its pixels `q` with `q % pw < ow`.
+    fn strips<const OB: usize, const V: usize>(
+        &self,
+        bi: usize,
+        oc0: usize,
+        (r0, r1): (usize, usize),
+        out: SendPtr<f32>,
+    ) {
+        let ((_, pw), ow) = (self.g.padded(), self.g.ow);
+        let end = (r1 - 1) * pw + ow;
+        for q0 in (r0 * pw..end).step_by(8 * V) {
+            let acc = self.strip::<OB, V>(bi, oc0, q0);
+            let (mut q, stop) = (q0, (q0 + 8 * V).min(end));
+            while q < stop {
+                let (oi, oj) = (q / pw, q % pw);
+                let n = (pw - oj).min(stop - q);
+                if oj < ow {
+                    for (ob, a) in acc.iter().enumerate() {
+                        let at = ((bi * self.o + oc0 + ob) * self.g.oh + oi) * ow + oj;
+                        // SAFETY: row `oi` of this image's planes belongs to
+                        // this task alone, and `oj + n.min(ow − oj) ≤ ow`.
+                        unsafe {
+                            let src = a.as_flattened()[q - q0..].as_ptr();
+                            std::ptr::copy_nonoverlapping(src, out.0.add(at), n.min(ow - oj));
                         }
                     }
                 }
+                q += n;
             }
         }
-    };
-    let flops = 2 * b * o * c * kh * kw * plane;
-    if Device::current().threads() > 1 && flops >= CONV_PARALLEL_FLOPS {
-        parallel_for(b * o, task);
-    } else {
-        for t in 0..b * o {
-            task(t);
-        }
     }
-    Tensor::from_vec(out, &[b, o, oh, ow])
+
+    /// One strip from flat position `q0`: each accumulator starts at its
+    /// channel's bias and adds `w · x` for every tap in `(c, ki, kj)`
+    /// order, multiply then add.
+    fn strip<const OB: usize, const V: usize>(
+        &self,
+        bi: usize,
+        oc0: usize,
+        q0: usize,
+    ) -> Strip<OB, V> {
+        let (g, (ph, pw)) = (self.g, self.g.padded());
+        let (chan, taps) = (ph * pw, g.taps());
+        #[cfg(target_arch = "x86_64")]
+        if taps > 0 && matches!(super::matmul::simd(), Simd::Fma | Simd::Avx) {
+            // SAFETY: AVX was detected at runtime.
+            return unsafe { self.strip_avx::<OB, V>(bi, oc0, q0) };
+        }
+        let mut acc: Strip<OB, V> =
+            std::array::from_fn(|ob| [[self.bias.map_or(0.0, |b| b[oc0 + ob]); 8]; V]);
+        for t in 0..taps {
+            let (ic, ki, kj) = (t / (g.kh * g.kw), t / g.kw % g.kh, t % g.kw);
+            let xs = &self.x[(bi * g.c + ic) * chan + q0 + ki * pw + kj..][..8 * V];
+            for (ob, a) in acc.iter_mut().enumerate() {
+                let wv = self.wt[(oc0 + ob) * taps + t];
+                for (v, &s) in a.as_flattened_mut().iter_mut().zip(xs) {
+                    *v += wv * s;
+                }
+            }
+        }
+        acc
+    }
+
+    /// [`Direct::strip`] on AVX: the strip's `OB·V` accumulators stay in
+    /// registers across all taps; each tap is `V` unaligned loads, one
+    /// broadcast per channel and `_mm256_mul_ps` then `_mm256_add_ps`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX, and the filter bank have at least one tap.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    unsafe fn strip_avx<const OB: usize, const V: usize>(
+        &self,
+        bi: usize,
+        oc0: usize,
+        q0: usize,
+    ) -> Strip<OB, V> {
+        use std::arch::x86_64::*;
+        let (g, (ph, pw)) = (self.g, self.g.padded());
+        let (chan, taps) = (ph * pw, g.taps());
+        // Every tap's `8·V` lanes: the slice bounds-checks the last one (the
+        // padded input holds `STRIP` slack floats past its last row).
+        let span = (g.c - 1) * chan + (g.kh - 1) * pw + g.kw - 1 + 8 * V;
+        let x = &self.x[bi * g.c * chan + q0..][..span];
+        let wt = &self.wt[oc0 * taps..][..OB * taps];
+        let mut acc: [[__m256; V]; OB] =
+            std::array::from_fn(|ob| [_mm256_set1_ps(self.bias.map_or(0.0, |b| b[oc0 + ob])); V]);
+        let mut t = 0;
+        for ic in 0..g.c {
+            for ki in 0..g.kh {
+                for kj in 0..g.kw {
+                    // SAFETY: `src + 8·V` is at most `span` into `x`, and
+                    // `ob·taps + t < OB·taps`, the length of `wt`.
+                    let src = x.as_ptr().add(ic * chan + ki * pw + kj);
+                    let xs: [__m256; V] = std::array::from_fn(|v| _mm256_loadu_ps(src.add(8 * v)));
+                    for (ob, a) in acc.iter_mut().enumerate() {
+                        let wv = _mm256_set1_ps(*wt.get_unchecked(ob * taps + t));
+                        for (av, &xv) in a.iter_mut().zip(&xs) {
+                            *av = _mm256_add_ps(*av, _mm256_mul_ps(wv, xv));
+                        }
+                    }
+                    t += 1;
+                }
+            }
+        }
+        // SAFETY: an `__m256` is eight `f32` lanes, in order.
+        std::mem::transmute_copy(&acc)
+    }
 }
 
 /// The shape of one lowering: image extent, kernel, stride, zero padding
@@ -288,6 +406,11 @@ impl Geom {
 
     fn taps(&self) -> usize {
         self.c * self.kh * self.kw
+    }
+
+    /// The zero-padded image's extent `(h + 2·pad, w + 2·pad)`.
+    fn padded(&self) -> (usize, usize) {
+        (self.h + 2 * self.pad, self.w + 2 * self.pad)
     }
 
     fn plane(&self) -> usize {
@@ -358,58 +481,9 @@ impl PanelSource for Im2col<'_> {
     }
 }
 
-/// The transpose `[oh·ow, C·kh·kw]` of the same matrix — the right-hand
-/// operand of the weight gradient `g [O, plane] × im2col(x)ᵀ`.
-struct Im2colT<'a> {
-    x: &'a [f32],
-    g: Geom,
-}
-
-impl PanelSource for Im2colT<'_> {
-    fn pack(&self, bp: &mut [f32], pc: usize, jc: usize, kc: usize, nc: usize) {
-        let g = self.g;
-        let (hw, kk, pad) = (g.h * g.w, g.kh * g.kw, g.pad as i32);
-        let (mut chan, mut ki, mut kj) = (jc / kk * hw, jc % kk / g.kw, jc % g.kw);
-        for (jb, dst) in bp[..nc.div_ceil(NR) * kc * NR].chunks_exact_mut(kc * NR).enumerate() {
-            // A lane is one tap `(c, ki, kj)`: its offset from a window's
-            // origin and its place in the window. Lanes past the last tap
-            // sit far outside every window and so read as zero.
-            let mut tap = [(0isize, i32::MIN / 2, 0i32); NR];
-            let full = nc - jb * NR >= NR;
-            for t in tap.iter_mut().take(nc - jb * NR) {
-                *t = ((chan + ki * g.w + kj) as isize, ki as i32 - pad, kj as i32 - pad);
-                (chan, ki, kj) = match (ki + 1 == g.kh, kj + 1 == g.kw) {
-                    (true, true) => (chan + hw, 0, 0),
-                    (false, true) => (chan, ki + 1, 0),
-                    _ => (chan, ki, kj + 1),
-                };
-            }
-            // A panel row is one pixel: gather its window across the lanes.
-            let (mut oi, mut oj) = (pc / g.ow, pc % g.ow);
-            for row in dst.chunks_exact_mut(NR) {
-                let (y, x) = ((oi * g.stride) as i32, (oj * g.stride) as i32);
-                let origin = (y - pad) as isize * g.w as isize + (x - pad) as isize;
-                let (y1, x1) = (y - pad + g.kh as i32, x - pad + g.kw as i32);
-                if full && y >= pad && x >= pad && y1 <= g.h as i32 && x1 <= g.w as i32 {
-                    // The whole window is inside the image: no lane tests.
-                    for (d, &(off, ..)) in row.iter_mut().zip(&tap) {
-                        *d = self.x[(origin + off) as usize];
-                    }
-                } else {
-                    for (d, &(off, dy, dx)) in row.iter_mut().zip(&tap) {
-                        let inside = g.holds(y + dy, x + dx);
-                        *d = if inside { self.x[(origin + off) as usize] } else { 0.0 };
-                    }
-                }
-                (oi, oj) = if oj + 1 == g.ow { (oi + 1, 0) } else { (oi, oj + 1) };
-            }
-        }
-    }
-}
-
-/// Run `gemm(image, cols)` for every image of a batch on the current
+/// Run `gemm(image, band)` for every image of a batch on the current
 /// device: one task per image, or — when a large conv has fewer images
-/// than threads — per `NR`-aligned column band of an image. Every tile
+/// than threads — per `NR`-aligned band of an image's `0..n`. Every tile
 /// of an image's product is computed the same way whichever batch or
 /// band it rides in, so a sample's result never depends on its batch.
 fn for_each_image(b: usize, n: usize, flops: usize, gemm: impl Fn(usize, (usize, usize)) + Sync) {
@@ -464,11 +538,84 @@ fn conv2d_gemm(
     Tensor::from_vec(out, &[b, o, g.oh, g.ow])
 }
 
+/// The im2col matrix of one *zero-padded* image `x [C, H+2·pad, W+2·pad]`,
+/// read tap by tap for the weight gradient: tap `(c, ki, kj)` of output
+/// pixel `(oi, oj)` is `x[(c·ph + oi·s + ki)·pw + oj·s + kj]`, so the halo
+/// needs no test.
+#[derive(Clone, Copy)]
+struct PaddedTaps<'a> {
+    x: &'a [f32],
+    g: Geom,
+}
+
+impl PaddedTaps<'_> {
+    /// Pack taps `t0..t0+rows` over pixels `p0..p0+kc` as the `N` lanes of
+    /// a micro-panel (`dst[p·N + r]`, `kc = dst.len() / N`, lanes
+    /// `rows..N` zero): the left operand's panel at `N = MR`, the right's
+    /// at `NR`. Along an output row each tap reads one run of the padded
+    /// image (every `s`-th element), so a full block streams its `N` runs
+    /// in step and writes each pixel's `N` lanes as one copy.
+    fn pack<const N: usize>(&self, t0: usize, rows: usize, p0: usize, dst: &mut [f32]) {
+        let (g, (ph, pw)) = (self.g, self.g.padded());
+        let kk = g.kh * g.kw;
+        // Each lane's offset from a window's origin, stepped through
+        // `(c, ki, kj)` order from `t0`; lanes past `rows` repeat the last
+        // tap and are zeroed after.
+        let (mut c, mut ki, mut kj, mut off) = (t0 / kk, t0 % kk / g.kw, t0 % g.kw, 0);
+        let lanes: [usize; N] = std::array::from_fn(|r| {
+            if r < rows {
+                off = (c * ph + ki) * pw + kj;
+                (c, ki, kj) = match (ki + 1 == g.kh, kj + 1 == g.kw) {
+                    (true, true) => (c + 1, 0, 0),
+                    (false, true) => (c, ki + 1, 0),
+                    _ => (c, ki, kj + 1),
+                };
+            }
+            off
+        });
+        let (mut oi, mut oj, mut rest) = (p0 / g.ow, p0 % g.ow, dst);
+        while !rest.is_empty() {
+            // This output row's pixels from `oj` on, up to the panel's end.
+            let n = (g.ow - oj).min(rest.len() / N);
+            let (origin, span) = ((oi * pw + oj) * g.stride, (n - 1) * g.stride + 1);
+            let src: [&[f32]; N] = std::array::from_fn(|r| &self.x[origin + lanes[r]..][..span]);
+            let (run, tail) = rest.split_at_mut(n * N);
+            for (j, px) in run.chunks_exact_mut(N).enumerate() {
+                px.copy_from_slice(&std::array::from_fn::<f32, N, _>(|r| src[r][j * g.stride]));
+                px[rows..].fill(0.0);
+            }
+            (oi, oj, rest) = (oi + 1, 0, tail);
+        }
+    }
+}
+
+/// The transposed im2col matrix `[oh·ow, C·kh·kw]` from pixel `p0` down,
+/// as a panel source: a micro-panel's lanes are `NR` taps.
+struct TapPanels<'a> {
+    taps: PaddedTaps<'a>,
+    p0: usize,
+}
+
+impl PanelSource for TapPanels<'_> {
+    fn pack(&self, bp: &mut [f32], pc: usize, jc: usize, kc: usize, nc: usize) {
+        for (jb, dst) in bp[..nc.div_ceil(NR) * kc * NR].chunks_exact_mut(kc * NR).enumerate() {
+            self.taps.pack::<NR>(jc + jb * NR, NR.min(nc - jb * NR), self.p0 + pc, dst);
+        }
+    }
+}
+
 /// Gradient of [`conv2d`] with respect to its weight, `[O,C,kh,kw]`, for
 /// `input [B,C,H,W]` and output gradient `grad [B,O,oh,ow]`: per image
-/// `g_b [O, plane] × im2col(x_b)ᵀ` with the transposed column matrix
-/// packed straight from the image ([`Im2colT`]). The per-image products
-/// are summed in batch order, so every device gives the same bits.
+/// the product of `g_b [O, plane]` and `im2col(x_b)ᵀ`, whose depth is the
+/// plane. `g_b` is read in place as a dense matrix, the taps are packed
+/// from one zero-padded copy of the input ([`PaddedTaps`]), and the wider
+/// of `O` and the taps goes on the microkernel's lanes, as in the GEMM's
+/// skinny rule: with `O ≥ NR` filters the product is computed as its
+/// transpose `im2col(x_b) · g_bᵀ`, the taps down the rows. Either way an
+/// element is the chain `fma(g, x, acc)` (or its swap, the same bits) over
+/// the plane in pixel order. The per-image slabs are summed in batch
+/// order, so every device gives the bits of summing
+/// `g_b.matmul_nt(&im2col(x_b))` over the batch in order.
 pub fn conv2d_weight_grad(
     input: &Tensor,
     grad: &Tensor,
@@ -481,21 +628,45 @@ pub fn conv2d_weight_grad(
     let g = Geom::new(input, kernel.0, kernel.1, stride, pad);
     assert_eq!(grad.shape(), &[input.shape()[0], o, g.oh, g.ow], "conv2d grad shape mismatch");
     let (plane, taps) = (g.plane(), g.taps());
-    let mut parts = crate::pool::Buffer::zeroed(b.max(1) * o * taps);
+    // Transposed (`[taps, O]` slabs) when the filters fill the lanes.
+    let transposed = o >= NR;
+    let mut parts = crate::pool::Buffer::zeroed(b.max(1) * taps * o);
     if plane > 0 {
-        let (x, gs) = (input.as_slice(), grad.as_slice());
+        let padded = input.pad2d(pad);
+        let (x, gs) = (padded.as_slice(), grad.as_slice());
+        let image_len = g.c * g.padded().0 * g.padded().1;
         let parts_ptr = SendPtr(parts.as_mut_slice().as_mut_ptr());
-        for_each_image(b, taps, 2 * b * o * taps * plane, |bi, cols| {
-            let g_b = PackedA::pack(Dense::rows(&gs[bi * o * plane..], plane), o, plane);
-            let image = Im2colT { x: &x[bi * g.c * g.h * g.w..][..g.c * g.h * g.w], g };
-            // SAFETY: each (image, tap band) owns a disjoint part of `parts`.
-            let c = SendPtr(unsafe { { &parts_ptr }.0.add(bi * o * taps) });
-            gemm_block(&g_b, &image, c, taps, cols);
+        for_each_image(b, taps, 2 * b * o * taps * plane, |bi, (t0, t1)| {
+            let image = PaddedTaps { x: &x[bi * image_len..][..image_len], g };
+            let g_b = &gs[bi * o * plane..][..o * plane];
+            // SAFETY: each (image, tap band) owns taps t0..t1 of its slab.
+            let slab = unsafe { { &parts_ptr }.0.add(bi * taps * o) };
+            for p0 in (0..plane).step_by(KC) {
+                let kc = KC.min(plane - p0);
+                if transposed {
+                    let a = PackedA::pack_with(t1 - t0, kc, |i0, rows, p, dst| {
+                        image.pack::<MR>(t0 + i0, rows, p0 + p, dst)
+                    });
+                    // SAFETY: as above; rows t0..t1 of the `[taps, O]` slab.
+                    let c = SendPtr(unsafe { slab.add(t0 * o) });
+                    gemm_block(&a, &Dense::rows(g_b, plane).t().skip_rows(p0), c, o, (0, o));
+                } else {
+                    let a = PackedA::pack(Dense::rows(&g_b[p0..], plane), o, kc);
+                    gemm_block(&a, &TapPanels { taps: image, p0 }, SendPtr(slab), taps, (t0, t1));
+                }
+            }
         });
     }
-    let mut gw = crate::pool::alloc_copy(&parts[..o * taps]);
-    for part in parts[o * taps..].chunks_exact(o * taps) {
-        gw.iter_mut().zip(part).for_each(|(a, &p)| *a += p);
+    // Sum the slabs in batch order into the first, then lay it out.
+    let (sum, rest) = parts.as_mut_slice().split_at_mut(taps * o);
+    for part in rest.chunks_exact(taps * o) {
+        sum.iter_mut().zip(part).for_each(|(a, &p)| *a += p);
+    }
+    let mut gw = crate::pool::alloc_uninit(o * taps);
+    if transposed {
+        transpose_into(sum, &mut gw, taps, o);
+    } else {
+        gw.copy_from_slice(sum);
     }
     Tensor::from_vec(gw, &[o, g.c, g.kh, g.kw])
 }

@@ -296,12 +296,12 @@ impl<'a> Dense<'a> {
     }
 
     /// The same storage read as the transposed matrix.
-    fn t(self) -> Dense<'a> {
+    pub(crate) fn t(self) -> Dense<'a> {
         Dense { trans: !self.trans, ..self }
     }
 
     /// The matrix from logical row `r0` down.
-    fn skip_rows(self, r0: usize) -> Dense<'a> {
+    pub(crate) fn skip_rows(self, r0: usize) -> Dense<'a> {
         let skip = if self.trans { r0 } else { r0 * self.ld };
         Dense { data: &self.data[skip..], ..self }
     }
@@ -357,6 +357,16 @@ pub(crate) struct PackedA {
 impl PackedA {
     /// Pack the `m×k` matrix `a` (either layout) from the pool.
     pub(crate) fn pack(a: Dense, m: usize, k: usize) -> PackedA {
+        PackedA::pack_with(m, k, |i0, rows, p0, dst| a.pack_lanes::<MR>(i0, rows, p0, dst))
+    }
+
+    /// Pack an `m×k` left operand from any source: `lanes(i0, rows, p0,
+    /// dst)` does what [`Dense::pack_lanes`]`::<MR>` does for a matrix.
+    pub(crate) fn pack_with(
+        m: usize,
+        k: usize,
+        lanes: impl Fn(usize, usize, usize, &mut [f32]),
+    ) -> PackedA {
         let m_pad = m.div_ceil(MR) * MR;
         let mut buf = Buffer::uninit(m_pad * k);
         for pc in (0..k).step_by(KC) {
@@ -365,7 +375,7 @@ impl PackedA {
                 .chunks_exact_mut(kc * MR)
                 .enumerate()
             {
-                a.pack_lanes::<MR>(ib * MR, MR.min(m - ib * MR), pc, dst);
+                lanes(ib * MR, MR.min(m - ib * MR), pc, dst);
             }
         }
         PackedA { buf, m, k }

@@ -5,12 +5,21 @@
 //! in chunk order — so the parallel result is deterministic for a given
 //! length. Axis reductions fan out over the `outer` dimension instead, each
 //! task writing a disjoint row of the output.
+//!
+//! Every axis-reduced element folds its values in ascending order from the
+//! initial value. When the trailing extent is narrow (a conv's bias
+//! gradient: 252-long rows, `inner = 1`), eight outer rows are folded side
+//! by side, each in its own register: that changes which chains overlap,
+//! never a chain's order, so the bits are the sequential loop's.
 
 use crate::device::{parallel_for, SendPtr, PARALLEL_THRESHOLD};
 use crate::Tensor;
 
 /// Chunk length for parallel full-tensor reductions.
 const REDUCE_CHUNK: usize = 64 * 1024;
+
+/// Outer rows an axis reduction folds side by side when `inner < ROWS`.
+const ROWS: usize = 8;
 
 /// Reduce each `REDUCE_CHUNK`-sized chunk of `data` with `f` on the worker
 /// pool, returning the per-chunk partials in chunk order.
@@ -201,25 +210,48 @@ impl Tensor {
         let mut out = crate::pool::alloc_filled(outer * inner, init);
         let out_ptr = SendPtr(out.as_mut_ptr());
         let f = &f;
-        let reduce_outer = move |o: usize| {
-            let out_ptr = out_ptr;
-            let src_base = o * n * inner;
-            let dst_base = o * inner;
-            for k in 0..n {
-                let row = &data[src_base + k * inner..src_base + (k + 1) * inner];
-                for (j, &v) in row.iter().enumerate() {
-                    // SAFETY: task `o` owns output range [o*inner, (o+1)*inner).
-                    unsafe {
-                        let d = out_ptr.0.add(dst_base + j);
-                        *d = f(*d, v);
+        // Narrow rows fold `ROWS` outer rows side by side, in registers: the
+        // row-add loop would chain every add through one stored slot.
+        let rows = if inner < ROWS { ROWS } else { 1 };
+        let task = move |t: usize| {
+            let (out_ptr, o0) = (out_ptr, t * rows);
+            if rows == ROWS && o0 + ROWS <= outer {
+                // One register accumulator per row, each folding its own
+                // row in ascending `k`: the one-row loop's order.
+                let len = n * inner;
+                let src: [&[f32]; ROWS] = std::array::from_fn(|r| &data[(o0 + r) * len..][..len]);
+                for j in 0..inner {
+                    let mut acc = [init; ROWS];
+                    for k in 0..n {
+                        for (a, row) in acc.iter_mut().zip(&src) {
+                            *a = f(*a, row[k * inner + j]);
+                        }
+                    }
+                    for (r, &a) in acc.iter().enumerate() {
+                        // SAFETY: task `t` owns output rows o0..o0+ROWS.
+                        unsafe { *out_ptr.0.add((o0 + r) * inner + j) = a };
+                    }
+                }
+                return;
+            }
+            for o in o0..(o0 + rows).min(outer) {
+                let (src_base, dst_base) = (o * n * inner, o * inner);
+                for k in 0..n {
+                    let row = &data[src_base + k * inner..src_base + (k + 1) * inner];
+                    for (j, &v) in row.iter().enumerate() {
+                        // SAFETY: task `t` owns output rows o0..o0+rows.
+                        unsafe {
+                            let d = out_ptr.0.add(dst_base + j);
+                            *d = f(*d, v);
+                        }
                     }
                 }
             }
         };
         if data.len() >= PARALLEL_THRESHOLD && outer > 1 {
-            parallel_for(outer, reduce_outer);
+            parallel_for(outer.div_ceil(rows), task);
         } else {
-            (0..outer).for_each(reduce_outer);
+            (0..outer.div_ceil(rows)).for_each(task);
         }
         let mut out_shape = shape.to_vec();
         out_shape[axis] = 1;

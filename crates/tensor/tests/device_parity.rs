@@ -162,6 +162,53 @@ fn big_reduction_parity() {
     assert_eq!(c, p, "argmax_rows");
 }
 
+/// Narrow axis reductions (`inner < 8`) fold several outer rows side by
+/// side; each output element must still be the plain sequential fold
+/// along the axis, bit for bit, on both devices — for outer counts that
+/// are and are not multiples of the interleave, below and above
+/// `PARALLEL_THRESHOLD`.
+#[test]
+fn narrow_axis_reductions_equal_the_sequential_loop() {
+    for (i, &(outer, n, inner)) in [
+        (256, 252, 1),
+        (13, 40, 3),
+        (37, 600, 7),
+        (9, 3, 1),
+        (1, 5, 7),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let x = rnd(&[outer, n, inner], 40 + i as u64);
+        let fold = |init: f32, f: fn(f32, f32) -> f32| {
+            let data = x.as_slice();
+            let out: Vec<f32> = (0..outer * inner)
+                .map(|oj| {
+                    (0..n).fold(init, |acc, k| {
+                        f(acc, data[(oj / inner * n + k) * inner + oj % inner])
+                    })
+                })
+                .collect();
+            Tensor::from_vec(out, &[outer, inner])
+        };
+        let (sum, max) = (fold(0.0, |a, v| a + v), fold(f32::NEG_INFINITY, f32::max));
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for device in [Device::Cpu, PAR] {
+            let (s, m) = with_device(device, || (x.sum_axis(1), x.max_axis(1)));
+            assert_eq!(
+                bits(&s),
+                bits(&sum),
+                "sum_axis {device:?} [{outer}, {n}, {inner}]"
+            );
+            assert_eq!(
+                bits(&m),
+                bits(&max),
+                "max_axis {device:?} [{outer}, {n}, {inner}]"
+            );
+        }
+    }
+}
+
 // --------------------------------------------------------------- linalg
 
 #[test]

@@ -32,7 +32,10 @@
 //! *whatever* the data is asserted bit-for-bit on continuous inputs: a
 //! sample's output does not depend on the batch it rode in (batch
 //! invariance), nor an output pixel on where its plane ends (crop
-//! invariance) — the two properties tiled serving relies on.
+//! invariance) — the two properties tiled serving relies on. So is what
+//! each conv kernel promises about its arithmetic: the weight gradient is
+//! its per-image chain summed in batch order, and the direct kernel is
+//! `conv2d_naive`, bit for bit.
 //!
 //! Set `GEOTORCH_KERNEL_SEED` to shift every generated input corpus —
 //! CI runs the suite under seeds 1–3.
@@ -40,7 +43,7 @@
 use geotorch_tensor::ops::conv::{
     col2im, conv2d, conv2d_direct, conv2d_input_grad, conv2d_naive, conv2d_weight_grad, im2col,
 };
-use geotorch_tensor::ops::matmul::{matmul_naive, KC, MC, MR, NC, NR};
+use geotorch_tensor::ops::matmul::{matmul_naive, simd_kernel_name, KC, MC, MR, NC, NR};
 use geotorch_tensor::{with_device, Device, Tensor};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -449,5 +452,130 @@ fn conv_one_by_one_implicit_gemm_bit_identical() {
     for device in [Device::Cpu, Device::parallel()] {
         let got = with_device(device, || conv2d(&input, &weight, Some(&bias), 1, 0));
         assert_eq!(bits(&got), bits(&oracle), "1x1 mismatch on {device:?}");
+    }
+}
+
+/// The weight gradient's arithmetic rebuilt element by element: per
+/// image, `gw_b[o][t]` is one chain over the plane's pixels in order from
+/// `+0` — fused exactly when the GEMM microkernel fuses (the `avx+fma`
+/// tier) — and the per-image slabs are summed in batch order (`gw_0`,
+/// then `+= gw_1`, …). That is what summing `g_b.matmul_nt(&im2col(x_b))`
+/// over the batch computes wherever the product takes the packed path;
+/// it is spelled out because below `matmul`'s tiny-product cutoff the
+/// unpacked path does not fuse.
+fn weight_grad_reference(x: &Tensor, g: &Tensor, k: usize, stride: usize, pad: usize) -> Tensor {
+    let fused = simd_kernel_name() == "avx+fma";
+    let (c, o) = (x.shape()[1], g.shape()[1]);
+    let mut gw: Option<Vec<f32>> = None;
+    for bi in 0..x.shape()[0] {
+        let col = im2col(&x.index_axis(0, bi), k, k, stride, pad);
+        let (taps, plane) = (col.shape()[0], col.shape()[1]);
+        let g_b = g.index_axis(0, bi);
+        let part = (0..o * taps).map(|i| {
+            let g_row = &g_b.as_slice()[i / taps * plane..][..plane];
+            let col_row = &col.as_slice()[i % taps * plane..][..plane];
+            g_row.iter().zip(col_row).fold(0.0f32, |acc, (&a, &b)| {
+                if fused {
+                    a.mul_add(b, acc)
+                } else {
+                    acc + a * b
+                }
+            })
+        });
+        gw = Some(match gw {
+            None => part.collect(),
+            Some(mut sum) => {
+                sum.iter_mut().zip(part).for_each(|(s, p)| *s += p);
+                sum
+            }
+        });
+    }
+    Tensor::from_vec(
+        gw.unwrap_or_else(|| vec![0.0; o * c * k * k]),
+        &[o, c, k, k],
+    )
+}
+
+/// The weight gradient on continuous inputs is the per-image chain above,
+/// bit for bit, on `Cpu` and `Parallel(4)`, for DeepSTN+'s and the tile
+/// UNet's filter banks (both orientations: `O ≥ NR` runs as the transposed
+/// product) at planes 21×12, 7×5 and 1×1, at 128² with one image (the
+/// tap-band split), and strided.
+#[test]
+fn weight_grad_equals_the_per_image_chain_on_continuous_inputs() {
+    let banks = [(16, 16), (16, 2), (6, 16), (2, 16), (3, 4), (4, 4), (12, 4)];
+    let planes = [(3, 21, 12, 1), (3, 7, 5, 1), (3, 1, 1, 1), (1, 128, 128, 1)];
+    let cases = banks
+        .iter()
+        .flat_map(|&co| planes.iter().map(move |&p| (co, p)));
+    for (i, ((c, o), (b, h, w, stride))) in cases.chain([((4, 6), (3, 17, 19, 2))]).enumerate() {
+        let x = continuous(&[b, c, h, w], 1000 + i as u64);
+        let g = continuous(
+            &[b, o, (h - 1) / stride + 1, (w - 1) / stride + 1],
+            2000 + i as u64,
+        );
+        let want = bits(&weight_grad_reference(&x, &g, 3, stride, 1));
+        for device in [Device::Cpu, Device::Parallel(4)] {
+            let got = with_device(device, || conv2d_weight_grad(&x, &g, (3, 3), stride, 1));
+            assert_eq!(
+                bits(&got),
+                want,
+                "{c}->{o} at {b}x{h}x{w} stride {stride} on {device:?}"
+            );
+        }
+    }
+}
+
+/// Every filter bank the dispatcher sends to the direct kernel (`O < MR`
+/// or `C·O < 32`, up to 16 channels in) equals the naive reference bit for
+/// bit on continuous inputs — 1-wide, odd-width and DeepSTN+ planes, with
+/// bias — and so does the kernel itself at other kernel sizes and
+/// paddings, and at 128² on `Parallel(4)`, where it splits rows.
+#[test]
+fn direct_kernel_equals_naive_for_every_direct_shape() {
+    let mut case = 0u64;
+    for c in 1..=16usize {
+        for o in (1..=31usize).filter(|&o| o < MR || c * o < 32) {
+            for (b, h, w) in [(2, 5, 1), (1, 7, 5), (2, 9, 13), (3, 21, 12)] {
+                case += 1;
+                let x = continuous(&[b, c, h, w], 3000 + case);
+                let weight = continuous(&[o, c, 3, 3], 4000 + case);
+                let bias = continuous(&[o], 5000 + case);
+                let want = bits(&conv2d_naive(&x, &weight, Some(&bias), 1, 1));
+                assert_eq!(
+                    bits(&conv2d(&x, &weight, Some(&bias), 1, 1)),
+                    want,
+                    "{c}->{o} at {b}x{h}x{w}"
+                );
+            }
+        }
+    }
+    for (i, &(c, o, k, pad)) in [(3, 2, 1, 0), (2, 5, 5, 2), (4, 3, 3, 0), (1, 7, 5, 1)]
+        .iter()
+        .enumerate()
+    {
+        let x = continuous(&[2, c, 11, 6], 6000 + i as u64);
+        let (weight, bias) = (
+            continuous(&[o, c, k, k], 6100 + i as u64),
+            continuous(&[o], 6200 + i as u64),
+        );
+        let want = bits(&conv2d_naive(&x, &weight, Some(&bias), 1, pad));
+        assert_eq!(
+            bits(&conv2d_direct(&x, &weight, Some(&bias), pad)),
+            want,
+            "{c}->{o} k={k} pad={pad}"
+        );
+    }
+    for (i, &(b, c, o)) in [(1, 4, 4), (2, 3, 2), (1, 12, 4)].iter().enumerate() {
+        let x = continuous(&[b, c, 128, 128], 7000 + i as u64);
+        let (weight, bias) = (
+            continuous(&[o, c, 3, 3], 7100 + i as u64),
+            continuous(&[o], 7200 + i as u64),
+        );
+        let want = bits(&conv2d_naive(&x, &weight, Some(&bias), 1, 1));
+        for device in [Device::Cpu, Device::Parallel(4)] {
+            let got = with_device(device, || conv2d(&x, &weight, Some(&bias), 1, 1));
+            assert_eq!(bits(&got), want, "{b}x{c}->{o} at 128² on {device:?}");
+        }
     }
 }

@@ -4,7 +4,9 @@
 //! buffers must recycle from the tensor pool at steady state, the
 //! parallel band split must actually scale when more than one core is
 //! available, and a DeepSTN+-shaped 3×3 convolution must run at a fixed
-//! fraction of the GEMM's own rate on the same host.
+//! fraction of the GEMM's own rate on the same host — its weight gradient
+//! near the forward's rate, and its 16→2 output head (the direct kernel)
+//! at a fixed fraction of the 16→16 layer's.
 //!
 //! Wall-clock assertions are meaningless in unoptimised builds and
 //! noisy CI matrices, so the timed tests skip themselves under
@@ -12,7 +14,7 @@
 //! and — for the scaling test — on single-core runners. CI runs this
 //! file with `--release`.
 
-use geotorch_tensor::ops::conv::conv2d;
+use geotorch_tensor::ops::conv::{conv2d, conv2d_weight_grad};
 use geotorch_tensor::ops::matmul::matmul_naive;
 use geotorch_tensor::{pool, with_device, Device, Tensor};
 use rand::SeedableRng;
@@ -38,6 +40,19 @@ const MIN_PARALLEL_SPEEDUP: f64 = 1.3;
 /// replaced measured 0.20, so 0.4 fails on any return of a materialised
 /// column matrix without depending on the host's clock.
 const MIN_CONV_SHARE_OF_MATMUL: f64 = 0.4;
+
+/// Minimum weight-gradient rate at DeepSTN+'s 16→16 / 21×12 / batch-16
+/// shape, as a fraction of the forward conv's rate at the same shape in
+/// the same process. The transposed product (taps down the microkernel's
+/// rows, panels packed straight from the padded image) measures
+/// 0.96–1.0; the `g · im2colᵀ` product with a lane-by-lane transposed
+/// gather measured 0.76.
+const MIN_WEIGHT_GRAD_SHARE_OF_FORWARD: f64 = 0.9;
+
+/// Minimum rate of DeepSTN+'s 16→2 output head (the register-blocked
+/// direct kernel) as a fraction of the 16→16 forward rate. It measures
+/// ~0.6; the row-by-row axpy kernel measured ~0.16.
+const MIN_HEAD_SHARE_OF_WIDE_CONV: f64 = 0.35;
 
 fn perf_skip_reason() -> Option<&'static str> {
     if cfg!(debug_assertions) {
@@ -125,6 +140,60 @@ fn conv3x3_reaches_a_fixed_share_of_the_matmul_rate() {
         share >= MIN_CONV_SHARE_OF_MATMUL,
         "conv 3×3 fell to {share:.2} of the matmul rate (gate {MIN_CONV_SHARE_OF_MATMUL}) \
          — the lowering is copying again"
+    );
+}
+
+/// GFLOP/s of a 3×3 / pad-1 conv from `c` to `o` channels of `[16, c,
+/// 21, 12]` that took `secs`.
+fn deepstn_gflops(c: usize, o: usize, secs: f64) -> f64 {
+    2.0 * (16 * c * o * 9 * 21 * 12) as f64 / secs / 1e9
+}
+
+#[test]
+fn conv_backward_and_small_heads_keep_pace_with_the_forward() {
+    if let Some(reason) = perf_skip_reason() {
+        eprintln!("skipping timed conv backward gate: {reason}");
+        return;
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let x = Tensor::rand_uniform(&[16, 16, 21, 12], -1.0, 1.0, &mut rng);
+    let w = Tensor::rand_uniform(&[16, 16, 3, 3], -1.0, 1.0, &mut rng);
+    let head = Tensor::rand_uniform(&[2, 16, 3, 3], -1.0, 1.0, &mut rng);
+    let g = Tensor::rand_uniform(&[16, 16, 21, 12], -1.0, 1.0, &mut rng);
+    // Interleaved best-of, so a slow stretch of a shared runner hits all three.
+    let (mut forward, mut weight_grad, mut small) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    for _ in 0..100 {
+        forward = forward.min(best_of(1, || {
+            std::hint::black_box(conv2d(&x, &w, None, 1, 1));
+        }));
+        weight_grad = weight_grad.min(best_of(1, || {
+            std::hint::black_box(conv2d_weight_grad(&x, &g, (3, 3), 1, 1));
+        }));
+        small = small.min(best_of(1, || {
+            std::hint::black_box(conv2d(&x, &head, None, 1, 1));
+        }));
+    }
+    let (fwd, wgrad, head) = (
+        deepstn_gflops(16, 16, forward),
+        deepstn_gflops(16, 16, weight_grad),
+        deepstn_gflops(16, 2, small),
+    );
+    eprintln!(
+        "16x16x21x12: forward {fwd:.1} GFLOP/s, weight grad {wgrad:.1} ({:.2}, gate \
+         {MIN_WEIGHT_GRAD_SHARE_OF_FORWARD}); 16->2 head {head:.1} ({:.2}, gate {MIN_HEAD_SHARE_OF_WIDE_CONV})",
+        wgrad / fwd,
+        head / fwd
+    );
+    assert!(
+        wgrad / fwd >= MIN_WEIGHT_GRAD_SHARE_OF_FORWARD,
+        "conv weight gradient fell to {:.2} of the forward rate (gate {MIN_WEIGHT_GRAD_SHARE_OF_FORWARD})",
+        wgrad / fwd
+    );
+    assert!(
+        head / fwd >= MIN_HEAD_SHARE_OF_WIDE_CONV,
+        "the 16->2 head fell to {:.2} of the 16->16 rate (gate {MIN_HEAD_SHARE_OF_WIDE_CONV}) \
+         — the direct kernel stopped holding its outputs in registers",
+        head / fwd
     );
 }
 
