@@ -4,12 +4,10 @@
 //! All image tensors use the NCHW layout. The production [`conv2d`] is a
 //! dispatcher over two lowerings:
 //!
-//! * **3×3 / stride 1 with a small filter bank** (fewer output channels
-//!   than a microkernel tile has rows, or `C·O < 32`) — [`conv2d_direct`]:
-//!   up to four output channels × a strip of pixels held in registers
-//!   across every filter tap, each tap one shifted load of the padded
-//!   input.
-//! * **everything else** — a column-free GEMM. Convolution is a *panel
+//! * **stride 1, any filter but an unpadded 1×1** — [`conv2d_direct`]: up
+//!   to four output channels × a strip of pixels held in registers across
+//!   every filter tap, each tap one shifted load of the padded input.
+//! * **strided, or an unpadded 1×1** — a column-free GEMM. Convolution is a *panel
 //!   source* of the blocked GEMM in [`super::matmul`]: the filter bank
 //!   is packed once per call, then per image the `B` panels are packed
 //!   straight from the image through an im2col *view* (halo read as zero:
@@ -25,13 +23,12 @@
 //!
 //! Both lowerings, like the sliding-window reference `conv2d_naive`,
 //! start an output element at its bias and add its taps in `(c, ki, kj)`
-//! order. The GEMM multiplies and adds as the detected microkernel tier
-//! does — fused on AVX+FMA — for every element, ragged tiles included;
-//! the direct kernel never fuses. So all agree bit for bit on exactly
-//! representable (lattice) inputs, and otherwise the two lowerings differ
-//! by FMA rounding on an FMA host only. Within the GEMM path an element's
-//! bits depend on its own window alone: not on the batch it rode in, the
-//! device, or where its plane ends.
+//! order, and both multiply and add as the detected microkernel tier
+//! does — fused on AVX+FMA — for every element. So the two lowerings
+//! agree bit for bit on any input, and with the unfused naive reference
+//! on exactly representable (lattice) inputs. An element's bits depend on
+//! its own window alone: not on the batch it rode in, the device, or
+//! where its plane ends.
 
 use super::matmul::{gemm_block, Dense, PackedA, PanelSource, Simd, KC, MR, NR};
 use super::shape_ops::transpose_into;
@@ -42,18 +39,6 @@ use crate::Tensor;
 /// the calling thread. Tuned alongside `GEMM_PARALLEL_FLOPS`: conv
 /// tasks are coarser (a whole output plane each), so the bar is lower.
 pub const CONV_PARALLEL_FLOPS: usize = 1 << 20;
-
-/// Whether a 3×3 stride-1 conv from `c` to `o` channels runs the direct
-/// kernel rather than the GEMM. Decided by measurement (DESIGN §11): the
-/// GEMM loses when its product has fewer rows than a microkernel tile
-/// (`o < MR`: the spare rows multiply zeros) or the filter bank is too
-/// small to repay packing panels from the image (`c·o < 32`). It is a
-/// function of the *filter shape alone* — never of the plane or the
-/// batch — so a model's tile and its whole scene take the same lowering
-/// at every layer and tiled inference stays exact.
-fn prefers_direct(c: usize, o: usize) -> bool {
-    o < MR || c * o < 32
-}
 
 /// Output spatial extent of a convolution along one axis.
 ///
@@ -146,12 +131,13 @@ pub fn col2im(
 /// 2-D convolution. `input [B,C,H,W]`, `weight [O,C,kh,kw]`,
 /// optional `bias [O]` → `[B,O,oh,ow]`.
 ///
-/// Dispatches on the *filter* shape (see the module docs): the direct
-/// shift-and-axpy kernel for a small 3×3/stride-1 filter bank, the
-/// column-free GEMM everywhere else. Both start each output element at
-/// its bias and add its taps in `(c, ki, kj)` order; only the GEMM fuses
-/// multiply-adds, so the two agree exactly on lattice inputs and to FMA
-/// rounding otherwise.
+/// Dispatches on the *filter* (see the module docs): the register-blocked
+/// direct kernel at stride 1, the column-free GEMM for a strided filter
+/// or an unpadded 1×1, whose column matrix is the image itself. Both
+/// start each output element at its bias and add its taps in
+/// `(c, ki, kj)` order with the microkernel tier's multiply-add, so which
+/// one runs never changes a bit. The rule reads the filter alone — never
+/// the plane or the batch.
 pub fn conv2d(
     input: &Tensor,
     weight: &Tensor,
@@ -160,8 +146,8 @@ pub fn conv2d(
     pad: usize,
 ) -> Tensor {
     let _t = geotorch_telemetry::scope!("tensor.conv2d");
-    let (_, o, g) = Geom::of_conv(input, weight, bias, stride, pad);
-    if stride == 1 && g.kh == 3 && g.kw == 3 && prefers_direct(g.c, o) {
+    let (_, _, g) = Geom::of_conv(input, weight, bias, stride, pad);
+    if stride == 1 && (g.kh * g.kw > 1 || pad > 0) {
         geotorch_telemetry::count!("tensor.conv2d.direct", 1);
         conv2d_direct(input, weight, bias, pad)
     } else {
@@ -181,13 +167,14 @@ const STRIP: usize = 64;
 /// `ki·pw + kj`. Up to four output channels × a strip of consecutive `q`
 /// (64 wide at one channel, 32 at two, 16 at three or four) live in
 /// registers across all `C·kh·kw` taps — each tap one shifted load per
-/// lane group and a multiply then an add per channel — and a strip, which
-/// may span rows, is written out row by row, dropping each row's `pw − ow`
+/// lane group and a multiply-add per channel — and a strip, which may
+/// span rows, is written out row by row, dropping each row's `pw − ow`
 /// columns past its end.
 /// Every element starts at its bias and adds its taps in `(c, ki, kj)`
-/// order, unfused: exactly `conv2d_naive`'s arithmetic. Tasks are images,
-/// or bands of output rows when a large conv has fewer images than
-/// threads; neither changes any element's arithmetic.
+/// order, fused exactly when the GEMM microkernel fuses: the GEMM
+/// lowering's arithmetic, and `conv2d_naive`'s on a host without FMA.
+/// Tasks are images, or bands of output rows when a large conv has fewer
+/// images than threads; neither changes any element's arithmetic.
 pub fn conv2d_direct(
     input: &Tensor,
     weight: &Tensor,
@@ -223,6 +210,7 @@ pub fn conv2d_direct(
     } else {
         (0..b * bands).for_each(task);
     }
+    crate::pool::release(x);
     Tensor::from_vec(out, &[b, o, g.oh, g.ow])
 }
 
@@ -286,7 +274,8 @@ impl Direct<'_> {
 
     /// One strip from flat position `q0`: each accumulator starts at its
     /// channel's bias and adds `w · x` for every tap in `(c, ki, kj)`
-    /// order, multiply then add.
+    /// order, multiplying and adding as the GEMM microkernel's tier does
+    /// (here, without AVX: multiply then add).
     fn strip<const OB: usize, const V: usize>(
         &self,
         bi: usize,
@@ -296,9 +285,12 @@ impl Direct<'_> {
         let (g, (ph, pw)) = (self.g, self.g.padded());
         let (chan, taps) = (ph * pw, g.taps());
         #[cfg(target_arch = "x86_64")]
-        if taps > 0 && matches!(super::matmul::simd(), Simd::Fma | Simd::Avx) {
+        match super::matmul::simd() {
+            // SAFETY: AVX and FMA were detected at runtime.
+            Simd::Fma if taps > 0 => return unsafe { self.strip_fma::<OB, V>(bi, oc0, q0) },
             // SAFETY: AVX was detected at runtime.
-            return unsafe { self.strip_avx::<OB, V>(bi, oc0, q0) };
+            Simd::Avx if taps > 0 => return unsafe { self.strip_avx::<OB, V>(bi, oc0, q0) },
+            _ => {}
         }
         let mut acc: Strip<OB, V> =
             std::array::from_fn(|ob| [[self.bias.map_or(0.0, |b| b[oc0 + ob]); 8]; V]);
@@ -315,15 +307,49 @@ impl Direct<'_> {
         acc
     }
 
-    /// [`Direct::strip`] on AVX: the strip's `OB·V` accumulators stay in
-    /// registers across all taps; each tap is `V` unaligned loads, one
-    /// broadcast per channel and `_mm256_mul_ps` then `_mm256_add_ps`.
+    /// [`Direct::strip_simd`] fused, on the GEMM's `avx+fma` tier.
     ///
     /// # Safety
-    /// The CPU must support AVX, and the filter bank have at least one tap.
+    /// As [`Direct::strip_simd`], and the CPU must support FMA.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx,fma")]
+    unsafe fn strip_fma<const OB: usize, const V: usize>(
+        &self,
+        bi: usize,
+        oc0: usize,
+        q0: usize,
+    ) -> Strip<OB, V> {
+        self.strip_simd::<OB, V, true>(bi, oc0, q0)
+    }
+
+    /// [`Direct::strip_simd`] unfused, on the GEMM's `avx` tier.
+    ///
+    /// # Safety
+    /// As [`Direct::strip_simd`].
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx")]
     unsafe fn strip_avx<const OB: usize, const V: usize>(
+        &self,
+        bi: usize,
+        oc0: usize,
+        q0: usize,
+    ) -> Strip<OB, V> {
+        self.strip_simd::<OB, V, false>(bi, oc0, q0)
+    }
+
+    /// [`Direct::strip`] in AVX registers: the strip's `OB·V` accumulators
+    /// stay in registers across all taps; each tap is `V` unaligned loads,
+    /// one broadcast per channel and, per accumulator, the microkernel's
+    /// multiply-add — `_mm256_fmadd_ps(w, x, acc)` when `FUSED`, else
+    /// `_mm256_mul_ps` then `_mm256_add_ps`. Always inlined into one of the
+    /// two wrappers above, which enable the features it uses.
+    ///
+    /// # Safety
+    /// The CPU must support AVX (and FMA when `FUSED`), and the filter bank
+    /// have at least one tap.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn strip_simd<const OB: usize, const V: usize, const FUSED: bool>(
         &self,
         bi: usize,
         oc0: usize,
@@ -350,7 +376,11 @@ impl Direct<'_> {
                     for (ob, a) in acc.iter_mut().enumerate() {
                         let wv = _mm256_set1_ps(*wt.get_unchecked(ob * taps + t));
                         for (av, &xv) in a.iter_mut().zip(&xs) {
-                            *av = _mm256_add_ps(*av, _mm256_mul_ps(wv, xv));
+                            *av = if FUSED {
+                                _mm256_fmadd_ps(wv, xv, *av)
+                            } else {
+                                _mm256_add_ps(*av, _mm256_mul_ps(wv, xv))
+                            };
                         }
                     }
                     t += 1;
@@ -436,13 +466,11 @@ impl PanelSource for Im2col<'_> {
     fn pack(&self, bp: &mut [f32], pc: usize, jc: usize, kc: usize, nc: usize) {
         let g = self.g;
         let (hw, kk, pad) = (g.h * g.w, g.kh * g.kw, g.pad as i32);
-        // On a stride-1 plane as wide as its image a tap's row is the flat
-        // image shifted by a constant, so a panel row is one masked copy.
-        let shifted = g.stride == 1 && g.ow == g.w;
         // Per tap: its offset from a window's origin and, for the current
         // column block, which lanes it reads inside the image.
-        let mut taps: Vec<(isize, [u32; NR])> =
-            (0..kk).map(|t| ((t / g.kw * g.w + t % g.kw) as isize, [0; NR])).collect();
+        let mut taps: Vec<(isize, [bool; NR])> = (0..kk)
+            .map(|t| ((t / g.kw * g.w + t % g.kw) as isize, [false; NR]))
+            .collect();
         let (mut oi, mut oj) = (jc / g.ow, jc % g.ow);
         for (jb, dst) in bp[..nc.div_ceil(NR) * kc * NR].chunks_exact_mut(kc * NR).enumerate() {
             // Input coordinate of each lane's window origin; lanes past the
@@ -452,28 +480,23 @@ impl PanelSource for Im2col<'_> {
                 *o = ((oi * g.stride) as i32 - pad, (oj * g.stride) as i32 - pad);
                 (oi, oj) = if oj + 1 == g.ow { (oi + 1, 0) } else { (oi, oj + 1) };
             }
-            for (t, (_, mask)) in taps.iter_mut().enumerate() {
+            for (t, (_, inside)) in taps.iter_mut().enumerate() {
                 let (ki, kj) = ((t / g.kw) as i32, (t % g.kw) as i32);
-                for (m, &(y, x)) in mask.iter_mut().zip(&origin) {
-                    *m = (g.holds(y + ki, x + kj) as u32).wrapping_neg();
+                for (m, &(y, x)) in inside.iter_mut().zip(&origin) {
+                    *m = g.holds(y + ki, x + kj);
                 }
             }
             let lane = origin.map(|(y, x)| y as isize * g.w as isize + x as isize);
             // Panel rows in order: tap `(c, ki, kj)` of every channel in turn.
             let (mut t, mut chan) = (pc % kk, (pc / kk * hw) as isize);
             for row in dst.chunks_exact_mut(NR) {
-                let (off, mask) = &taps[t];
-                let start = chan + off + lane[0];
-                if shifted && start >= 0 && start as usize + NR <= self.x.len() {
-                    let src = &self.x[start as usize..][..NR];
-                    for l in 0..NR {
-                        row[l] = f32::from_bits(src[l].to_bits() & mask[l]);
-                    }
-                } else {
-                    for l in 0..NR {
-                        let at = (chan + off + lane[l]) as usize;
-                        row[l] = if mask[l] != 0 { self.x[at] } else { 0.0 };
-                    }
+                let (off, inside) = &taps[t];
+                for l in 0..NR {
+                    row[l] = if inside[l] {
+                        self.x[(chan + off + lane[l]) as usize]
+                    } else {
+                        0.0
+                    };
                 }
                 (t, chan) = if t + 1 == kk { (0, chan + hw as isize) } else { (t + 1, chan) };
             }
@@ -933,32 +956,56 @@ mod tests {
         }
     }
 
+    /// The two lowerings are one arithmetic: on continuous inputs the
+    /// direct kernel equals the GEMM bit for bit, at the tile UNet's,
+    /// DeepSTN+'s and SatCNN's filter banks, on 1-wide, 1-tall and odd
+    /// planes, at pad 0, 1 and 2 and other kernel sizes, on `Cpu` and
+    /// `Parallel(4)` (row bands of one image, or images).
     #[test]
-    fn direct_path_matches_gemm_path() {
+    fn direct_path_equals_gemm_path_bitwise() {
         let mut rng = rng();
-        for &(c, o, h, w, k, p) in &[
-            (1usize, 1usize, 5usize, 5usize, 3usize, 0usize),
-            (3, 4, 8, 8, 3, 1),
-            (2, 3, 9, 7, 5, 2),
-            (3, 2, 6, 6, 1, 1), // a padded 1×1: never dispatched here, still correct
-        ] {
-            let input = Tensor::rand_uniform(&[2, c, h, w], -1.0, 1.0, &mut rng);
+        // (b, c, o, h, w, k, pad)
+        let shapes = [
+            (1, 4, 8, 64, 64, 3, 1),
+            (1, 8, 8, 64, 64, 3, 1),
+            (1, 24, 8, 64, 64, 3, 1),
+            (1, 16, 16, 32, 32, 3, 1),
+            (16, 16, 16, 21, 12, 3, 1),
+            (16, 6, 16, 21, 12, 3, 1),
+            (1, 32, 32, 16, 16, 3, 1),
+            (4, 3, 16, 32, 32, 3, 1),
+            (2, 3, 7, 9, 13, 3, 1),
+            (2, 5, 3, 7, 1, 3, 1),
+            (1, 2, 9, 1, 5, 3, 2),
+            (3, 3, 6, 11, 9, 3, 0),
+            (2, 4, 5, 8, 7, 3, 2),
+            (2, 3, 4, 9, 7, 5, 2),
+            (2, 3, 2, 6, 6, 1, 1),
+        ];
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (b, c, o, h, w, k, pad) in shapes {
+            let input = Tensor::rand_uniform(&[b, c, h, w], -1.0, 1.0, &mut rng);
             let weight = Tensor::rand_uniform(&[o, c, k, k], -1.0, 1.0, &mut rng);
             let bias = Tensor::rand_uniform(&[o], -1.0, 1.0, &mut rng);
-            let direct = conv2d_direct(&input, &weight, Some(&bias), p);
-            let lowered = conv2d_gemm(&input, &weight, Some(&bias), 1, p);
-            assert!(
-                direct.allclose(&lowered, 1e-5),
-                "path mismatch for c={c} o={o} h={h} w={w} k={k} p={p}"
-            );
+            for device in [Device::Cpu, Device::Parallel(4)] {
+                let (direct, gemm) = with_device(device, || {
+                    let direct = conv2d_direct(&input, &weight, Some(&bias), pad);
+                    (direct, conv2d_gemm(&input, &weight, Some(&bias), 1, pad))
+                });
+                assert_eq!(
+                    bits(&direct),
+                    bits(&gemm),
+                    "{b}x{c}->{o}x{h}x{w} k={k} pad={pad} on {device:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn direct_parallel_matches_serial() {
-        // Four output channels keep the dispatcher on the direct path; a
-        // 48×48 plane crosses CONV_PARALLEL_FLOPS, so Parallel(4) actually
-        // fans out plane tasks.
+        // A 3×3 filter keeps the dispatcher on the direct path; a 48×48
+        // plane crosses CONV_PARALLEL_FLOPS, so Parallel(4) actually fans
+        // out plane tasks.
         let mut rng = rng();
         let input = Tensor::rand_uniform(&[2, 8, 48, 48], -1.0, 1.0, &mut rng);
         let weight = Tensor::rand_uniform(&[4, 8, 3, 3], -1.0, 1.0, &mut rng);

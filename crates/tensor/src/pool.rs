@@ -8,9 +8,11 @@
 //! instead of freed. The pool keeps freed vectors on power-of-two
 //! size-class shelves: a request for `len` elements rounds up to the
 //! next class and pops that shelf, so any recycled vector is guaranteed
-//! to have enough capacity. After a training loop or serving pipeline
-//! has warmed up, steady-state allocation becomes shelf pop + `resize`
-//! — no heap traffic.
+//! to have enough capacity. Only a vector whose capacity *is* a class
+//! size is shelved — any other, typically a caller's own `vec!`, is
+//! freed, since no request for its own length would ever find it. After a training loop
+//! or serving pipeline has warmed up, steady-state allocation becomes
+//! shelf pop + `resize` — no heap traffic.
 //!
 //! Safety: recycling never touches uninitialised memory. A recycled
 //! vector is re-lengthed with safe `Vec::resize`/`truncate` calls, so
@@ -105,15 +107,15 @@ fn class_for_len(len: usize) -> Option<usize> {
     Some(class as usize)
 }
 
-/// Shelf a freed vector of `capacity` elements belongs on: the largest
-/// power of two ≤ capacity, so every vector on shelf `c` has capacity
-/// ≥ `2^c` and can serve any request of class `c`.
+/// Shelf a freed vector of `capacity` elements belongs on: `log2` of a
+/// power-of-two capacity — every vector the pool makes has one — so a
+/// vector on shelf `c` serves exactly the requests of class `c`, its own
+/// length's among them. `None` for any other capacity: shelved by
+/// `floor(log2)` a foreign vector would sit one class below its own
+/// length's, where no request of that length looks, so it is freed.
 fn class_for_capacity(capacity: usize) -> Option<usize> {
-    if capacity == 0 {
-        return None;
-    }
-    let class = usize::BITS - 1 - capacity.leading_zeros();
-    (class <= MAX_CLASS_LOG2).then_some(class as usize)
+    let class = capacity.trailing_zeros();
+    (capacity.is_power_of_two() && class <= MAX_CLASS_LOG2).then_some(class as usize)
 }
 
 fn note_fresh(len: usize) {
@@ -195,8 +197,9 @@ fn fresh_with_capacity(len: usize) -> Vec<f32> {
     Vec::with_capacity(capacity)
 }
 
-/// Return a vector to the pool (or free it: zero or oversized
-/// capacity, or the idle-byte cap is reached).
+/// Return a vector to the pool, or free it: its capacity is not a power
+/// of two (a vector the pool did not make) or is oversized, or the
+/// idle-byte cap is reached.
 pub fn release(v: Vec<f32>) {
     let Some(class) = class_for_capacity(v.capacity()) else {
         return;
@@ -347,8 +350,9 @@ mod tests {
         assert_eq!(class_for_len(usize::MAX), None);
         assert_eq!(class_for_capacity(0), None);
         assert_eq!(class_for_capacity(1), Some(0));
-        assert_eq!(class_for_capacity(1023), Some(9));
+        assert_eq!(class_for_capacity(1023), None);
         assert_eq!(class_for_capacity(1024), Some(10));
+        assert_eq!(class_for_capacity(1 << (MAX_CLASS_LOG2 + 1)), None);
         // Invariant: a vector shelved by capacity class always has
         // enough room for any request routed to that class.
         for len in [1usize, 2, 3, 7, 100, 1 << 12] {
@@ -400,6 +404,32 @@ mod tests {
         let v = b.into_vec();
         assert_eq!(v.len(), 64);
         assert!(v.iter().all(|&x| x == 2.0));
+    }
+
+    #[test]
+    fn only_vectors_the_pool_can_hand_back_are_shelved() {
+        let shelved = |pred: &dyn Fn(&Vec<f32>) -> bool| {
+            SHELVES
+                .iter()
+                .any(|s| s.lock().unwrap_or_else(|e| e.into_inner()).iter().any(pred))
+        };
+        // A scene built by its caller: shelved by `floor(log2)` it would sit
+        // on class 23, while a request for its own length asks class 24.
+        let len = 3 * 2048 * 2048;
+        let foreign: Vec<f32> = Vec::with_capacity(len);
+        let cap = foreign.capacity();
+        assert!(!cap.is_power_of_two());
+        drop(Buffer::from_vec(foreign));
+        assert!(
+            !shelved(&|v| v.capacity() == cap),
+            "a foreign vector was shelved"
+        );
+        // A vector the pool made for the same length comes back to it.
+        let made = Buffer::uninit(len);
+        let ptr = made.as_ptr();
+        drop(made);
+        let again = alloc_uninit(len);
+        assert_eq!(again.as_ptr(), ptr, "a pool-made vector did not round-trip");
     }
 
     #[test]

@@ -139,7 +139,8 @@ impl Tensor {
 
     /// Tensor with elements drawn from `dist` using `rng`.
     pub fn rand_with<D: Distribution<f32>, R: Rng>(shape: &[usize], dist: &D, rng: &mut R) -> Self {
-        let data = (0..numel(shape)).map(|_| dist.sample(rng)).collect();
+        let mut data = crate::pool::alloc_uninit(numel(shape));
+        data.iter_mut().for_each(|v| *v = dist.sample(rng));
         Tensor::from_vec(data, shape)
     }
 

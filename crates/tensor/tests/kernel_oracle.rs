@@ -33,9 +33,12 @@
 //! sample's output does not depend on the batch it rode in (batch
 //! invariance), nor an output pixel on where its plane ends (crop
 //! invariance) — the two properties tiled serving relies on. So is what
-//! each conv kernel promises about its arithmetic: the weight gradient is
-//! its per-image chain summed in batch order, and the direct kernel is
-//! `conv2d_naive`, bit for bit.
+//! each conv kernel promises about its arithmetic, rebuilt element by
+//! element with one chain builder that fuses exactly when the GEMM
+//! microkernel does: the weight gradient is its per-image chain summed in
+//! batch order, and every forward lowering is each output's chain from its
+//! bias over its taps in `(c, ki, kj)` order — so the direct kernel and
+//! the GEMM are one arithmetic, bit for bit.
 //!
 //! Set `GEOTORCH_KERNEL_SEED` to shift every generated input corpus —
 //! CI runs the suite under seeds 1–3.
@@ -146,10 +149,9 @@ proptest! {
         prop_assert!(ulps <= 4, "{} ulps at m={} k={} n={}", ulps, m, k, n);
     }
 
-    /// The direct kernel, the dispatcher (channel counts on both sides of
-    /// its filter-shape rule, so 3×3/stride-1 cases take the direct kernel
-    /// or the column-free GEMM; everything else the GEMM), and the
-    /// sliding-window naive reference all agree bit-for-bit on lattice
+    /// The direct kernel, the dispatcher (stride 1 takes the direct
+    /// kernel, strided and unpadded 1×1 filters the column-free GEMM), and
+    /// the sliding-window naive reference all agree bit-for-bit on lattice
     /// inputs, with bias, across kernel sizes, strides, and paddings, on
     /// both devices.
     #[test]
@@ -250,19 +252,20 @@ fn continuous(shape: &[usize], seed: u64) -> Tensor {
 
 /// Batch invariance on continuous inputs: sample `i` of a batched conv
 /// is bit-identical to the conv of sample `i` alone, for every batch
-/// size, on both devices. The shapes cover the GEMM path below and above
-/// `CONV_PARALLEL_FLOPS` (image-parallel at B = 8, column bands of one
-/// image at B = 1), the 1×1 dense-source case, a strided conv, and the
-/// direct kernel.
+/// size, on both devices, and sample 0 is its tap chain. The shapes cover
+/// the direct kernel below and above `CONV_PARALLEL_FLOPS` (images, or
+/// row bands of one image at B = 1), the GEMM's 1×1 dense-source case,
+/// and strided GEMMs below and above it (column bands at B = 1).
 #[test]
 fn conv_batch_invariant_on_continuous_inputs() {
     // (c, o, h, w, k, stride, pad)
     let shapes = [
-        (16, 16, 21, 12, 3, 1, 1), // DeepSTN+: ragged last column tile
+        (16, 16, 21, 12, 3, 1, 1), // DeepSTN+
         (3, 5, 9, 7, 3, 1, 1),     // small: stays serial
         (8, 6, 20, 20, 1, 1, 0),   // 1×1: the image is the column matrix
         (4, 6, 17, 19, 5, 2, 2),   // strided gather
-        (4, 4, 48, 48, 3, 1, 1),   // direct kernel (four output channels)
+        (4, 4, 48, 48, 3, 1, 1),   // the tile UNet's first level
+        (16, 16, 42, 24, 3, 2, 1), // strided, split into column bands
     ];
     for (si, &(c, o, h, w, k, stride, pad)) in shapes.iter().enumerate() {
         let weight = continuous(&[o, c, k, k], 40 + si as u64);
@@ -271,11 +274,12 @@ fn conv_batch_invariant_on_continuous_inputs() {
         let alone: Vec<Tensor> = (0..8)
             .map(|i| conv2d(&x.narrow(0, i, i + 1), &weight, Some(&bias), stride, pad))
             .collect();
-        if si == 4 {
-            // The direct kernel is the naive reference's arithmetic exactly.
-            let naive = conv2d_naive(&x.narrow(0, 0, 1), &weight, Some(&bias), stride, pad);
-            assert_eq!(bits(&alone[0]), bits(&naive), "direct kernel is not the naive sum");
-        }
+        let chained = conv_reference(&x.narrow(0, 0, 1), &weight, &bias, stride, pad);
+        assert_eq!(
+            bits(&alone[0]),
+            bits(&chained),
+            "shape {si} is not its tap chain"
+        );
         for device in [Device::Cpu, Device::Parallel(4)] {
             for b in [1, 2, 4, 8] {
                 let batched = with_device(device, || conv2d(&x.narrow(0, 0, b), &weight, Some(&bias), stride, pad));
@@ -294,14 +298,14 @@ fn conv_batch_invariant_on_continuous_inputs() {
 /// Crop invariance on continuous inputs, for a filter shape on each
 /// side of the dispatcher's rule: away from the crop's own zero halo,
 /// convolving a window of the image gives exactly the window of the
-/// convolved image — on the GEMM path whether or not the cropped plane's
-/// width is a multiple of `NR`, i.e. wherever the ragged column tile
-/// falls. Because the lowering is chosen by filter shape alone, this is
-/// what makes a tiled forward equal the unsplit one.
+/// convolved image — whether or not the cropped plane's width is a
+/// multiple of `NR` (where the GEMM's ragged column tile falls) or of a
+/// direct strip. Because the lowering is chosen by filter shape alone,
+/// this is what makes a tiled forward equal the unsplit one.
 #[test]
 fn conv_crop_invariant_on_continuous_inputs() {
     let (h, w) = (30, 44);
-    // (c, o, k, pad): GEMM 3×3, 5×5 and 1×1, then the direct kernel.
+    // (c, o, k, pad): direct 3×3 and 5×5, the GEMM's 1×1, direct 3→4.
     for (si, (c, o, k, pad)) in [(5, 7, 3, 1), (5, 7, 5, 2), (5, 7, 1, 0), (3, 4, 3, 1)].into_iter().enumerate() {
         let x = continuous(&[1, c, h, w], 70 + si as u64);
         let weight = continuous(&[o, c, k, k], 80 + si as u64);
@@ -425,9 +429,8 @@ fn matmul_parallel_band_split_bit_identical() {
     assert_eq!(bits(&par), bits(&oracle));
 }
 
-/// A conv whose four output channels keep the dispatcher on the direct
-/// path and whose 48×48 plane crosses `CONV_PARALLEL_FLOPS`, so it fans
-/// out over batch × out-channel plane tasks.
+/// A 3×3 conv (the direct path) whose 48×48 plane crosses
+/// `CONV_PARALLEL_FLOPS`, so it fans out over image tasks.
 #[test]
 fn conv_parallel_planes_bit_identical() {
     let input = lattice(&[2, 8, 48, 48], 21);
@@ -455,16 +458,51 @@ fn conv_one_by_one_implicit_gemm_bit_identical() {
     }
 }
 
+/// One multiply-add chain from `init` over `terms` in order, fused exactly
+/// when the GEMM microkernel fuses (the `avx+fma` tier): the arithmetic of
+/// every conv output element and of every weight-gradient slab element.
+fn chain(init: f32, terms: impl IntoIterator<Item = (f32, f32)>) -> f32 {
+    let fused = simd_kernel_name() == "avx+fma";
+    terms.into_iter().fold(init, |acc, (a, b)| {
+        if fused {
+            a.mul_add(b, acc)
+        } else {
+            acc + a * b
+        }
+    })
+}
+
+/// A convolution rebuilt element by element: output `(b, o, oi, oj)` is
+/// the [`chain`] from its bias over `w · x` for taps `(c, ki, kj)` in
+/// order, the halo reading as `+0`. Both lowerings compute exactly this.
+fn conv_reference(x: &Tensor, weight: &Tensor, bias: &Tensor, stride: usize, pad: usize) -> Tensor {
+    let (b, c) = (x.shape()[0], x.shape()[1]);
+    let (o, kh, kw) = (weight.shape()[0], weight.shape()[2], weight.shape()[3]);
+    let padded = x.pad2d(pad);
+    let (ph, pw) = (padded.shape()[2], padded.shape()[3]);
+    let (oh, ow) = ((ph - kh) / stride + 1, (pw - kw) / stride + 1);
+    let (xs, ws, taps) = (padded.as_slice(), weight.as_slice(), c * kh * kw);
+    let mut out = Vec::with_capacity(b * o * oh * ow);
+    for i in 0..b * o * oh * ow {
+        let (bi, oc, oi, oj) = (i / (o * oh * ow), i / (oh * ow) % o, i / ow % oh, i % ow);
+        let terms = (0..taps).map(|t| {
+            let (ic, ki, kj) = (t / (kh * kw), t / kw % kh, t % kw);
+            let at = ((bi * c + ic) * ph + oi * stride + ki) * pw + oj * stride + kj;
+            (ws[oc * taps + t], xs[at])
+        });
+        out.push(chain(bias.as_slice()[oc], terms));
+    }
+    Tensor::from_vec(out, &[b, o, oh, ow])
+}
+
 /// The weight gradient's arithmetic rebuilt element by element: per
-/// image, `gw_b[o][t]` is one chain over the plane's pixels in order from
-/// `+0` — fused exactly when the GEMM microkernel fuses (the `avx+fma`
-/// tier) — and the per-image slabs are summed in batch order (`gw_0`,
+/// image, `gw_b[o][t]` is one [`chain`] over the plane's pixels in order
+/// from `+0`, and the per-image slabs are summed in batch order (`gw_0`,
 /// then `+= gw_1`, …). That is what summing `g_b.matmul_nt(&im2col(x_b))`
 /// over the batch computes wherever the product takes the packed path;
 /// it is spelled out because below `matmul`'s tiny-product cutoff the
 /// unpacked path does not fuse.
 fn weight_grad_reference(x: &Tensor, g: &Tensor, k: usize, stride: usize, pad: usize) -> Tensor {
-    let fused = simd_kernel_name() == "avx+fma";
     let (c, o) = (x.shape()[1], g.shape()[1]);
     let mut gw: Option<Vec<f32>> = None;
     for bi in 0..x.shape()[0] {
@@ -474,13 +512,7 @@ fn weight_grad_reference(x: &Tensor, g: &Tensor, k: usize, stride: usize, pad: u
         let part = (0..o * taps).map(|i| {
             let g_row = &g_b.as_slice()[i / taps * plane..][..plane];
             let col_row = &col.as_slice()[i % taps * plane..][..plane];
-            g_row.iter().zip(col_row).fold(0.0f32, |acc, (&a, &b)| {
-                if fused {
-                    a.mul_add(b, acc)
-                } else {
-                    acc + a * b
-                }
-            })
+            chain(0.0, g_row.iter().copied().zip(col_row.iter().copied()))
         });
         gw = Some(match gw {
             None => part.collect(),
@@ -526,22 +558,23 @@ fn weight_grad_equals_the_per_image_chain_on_continuous_inputs() {
     }
 }
 
-/// Every filter bank the dispatcher sends to the direct kernel (`O < MR`
-/// or `C·O < 32`, up to 16 channels in) equals the naive reference bit for
-/// bit on continuous inputs — 1-wide, odd-width and DeepSTN+ planes, with
-/// bias — and so does the kernel itself at other kernel sizes and
-/// paddings, and at 128² on `Parallel(4)`, where it splits rows.
+/// The direct kernel is each output's tap chain ([`conv_reference`]), bit
+/// for bit on continuous inputs: for every 3×3 filter bank from 1–16
+/// channels to heads of 1–6, 8 and 16 on 1-wide, odd-width and DeepSTN+
+/// planes, with bias; at other kernel sizes and paddings, the dispatcher
+/// too (an unpadded 1×1 runs the GEMM, the same chain); and at 128² on
+/// `Parallel(4)`, where it splits rows.
 #[test]
-fn direct_kernel_equals_naive_for_every_direct_shape() {
+fn direct_kernel_equals_the_tap_chain_for_every_filter_bank() {
     let mut case = 0u64;
     for c in 1..=16usize {
-        for o in (1..=31usize).filter(|&o| o < MR || c * o < 32) {
+        for o in [1, 2, 3, 4, 5, 6, 8, 16] {
             for (b, h, w) in [(2, 5, 1), (1, 7, 5), (2, 9, 13), (3, 21, 12)] {
                 case += 1;
                 let x = continuous(&[b, c, h, w], 3000 + case);
                 let weight = continuous(&[o, c, 3, 3], 4000 + case);
                 let bias = continuous(&[o], 5000 + case);
-                let want = bits(&conv2d_naive(&x, &weight, Some(&bias), 1, 1));
+                let want = bits(&conv_reference(&x, &weight, &bias, 1, 1));
                 assert_eq!(
                     bits(&conv2d(&x, &weight, Some(&bias), 1, 1)),
                     want,
@@ -550,29 +583,36 @@ fn direct_kernel_equals_naive_for_every_direct_shape() {
             }
         }
     }
-    for (i, &(c, o, k, pad)) in [(3, 2, 1, 0), (2, 5, 5, 2), (4, 3, 3, 0), (1, 7, 5, 1)]
-        .iter()
-        .enumerate()
-    {
+    // (c, o, k, pad)
+    let banks = [
+        (3, 2, 1, 0),
+        (2, 5, 5, 2),
+        (4, 3, 3, 0),
+        (1, 7, 5, 1),
+        (3, 4, 1, 1),
+    ];
+    for (i, &(c, o, k, pad)) in banks.iter().enumerate() {
         let x = continuous(&[2, c, 11, 6], 6000 + i as u64);
         let (weight, bias) = (
             continuous(&[o, c, k, k], 6100 + i as u64),
             continuous(&[o], 6200 + i as u64),
         );
-        let want = bits(&conv2d_naive(&x, &weight, Some(&bias), 1, pad));
-        assert_eq!(
-            bits(&conv2d_direct(&x, &weight, Some(&bias), pad)),
-            want,
-            "{c}->{o} k={k} pad={pad}"
-        );
+        let want = bits(&conv_reference(&x, &weight, &bias, 1, pad));
+        let direct = conv2d_direct(&x, &weight, Some(&bias), pad);
+        assert_eq!(bits(&direct), want, "direct {c}->{o} k={k} pad={pad}");
+        let dispatched = conv2d(&x, &weight, Some(&bias), 1, pad);
+        assert_eq!(bits(&dispatched), want, "conv2d {c}->{o} k={k} pad={pad}");
     }
-    for (i, &(b, c, o)) in [(1, 4, 4), (2, 3, 2), (1, 12, 4)].iter().enumerate() {
+    for (i, &(b, c, o)) in [(1, 4, 4), (2, 3, 2), (1, 12, 4), (1, 4, 8)]
+        .iter()
+        .enumerate()
+    {
         let x = continuous(&[b, c, 128, 128], 7000 + i as u64);
         let (weight, bias) = (
             continuous(&[o, c, 3, 3], 7100 + i as u64),
             continuous(&[o], 7200 + i as u64),
         );
-        let want = bits(&conv2d_naive(&x, &weight, Some(&bias), 1, 1));
+        let want = bits(&conv_reference(&x, &weight, &bias, 1, 1));
         for device in [Device::Cpu, Device::Parallel(4)] {
             let got = with_device(device, || conv2d(&x, &weight, Some(&bias), 1, 1));
             assert_eq!(bits(&got), want, "{b}x{c}->{o} at 128² on {device:?}");

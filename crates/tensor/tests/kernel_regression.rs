@@ -5,8 +5,7 @@
 //! parallel band split must actually scale when more than one core is
 //! available, and a DeepSTN+-shaped 3×3 convolution must run at a fixed
 //! fraction of the GEMM's own rate on the same host — its weight gradient
-//! near the forward's rate, and its 16→2 output head (the direct kernel)
-//! at a fixed fraction of the 16→16 layer's.
+//! too, and its 16→2 output head at a fixed fraction of the 16→16 layer's.
 //!
 //! Wall-clock assertions are meaningless in unoptimised builds and
 //! noisy CI matrices, so the timed tests skip themselves under
@@ -18,6 +17,7 @@ use geotorch_tensor::ops::conv::{conv2d, conv2d_weight_grad};
 use geotorch_tensor::ops::matmul::matmul_naive;
 use geotorch_tensor::{pool, with_device, Device, Tensor};
 use rand::SeedableRng;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Minimum speedup of the blocked kernel over `matmul_naive` at
@@ -34,24 +34,25 @@ const PACK_MISS_BUDGET: u64 = 4;
 const MIN_PARALLEL_SPEEDUP: f64 = 1.3;
 
 /// Minimum conv 3×3 rate at DeepSTN+'s 16×16×21×12 shape, as a fraction
-/// of the 512³ matmul rate measured in the same process. The column-free
-/// lowering measures 0.50–0.60 (the rest is the 16-of-18-row tile and
-/// packing the panels from the image); the per-image im2col + matmul it
-/// replaced measured 0.20, so 0.4 fails on any return of a materialised
-/// column matrix without depending on the host's clock.
-const MIN_CONV_SHARE_OF_MATMUL: f64 = 0.4;
+/// of the 512³ matmul rate measured in the same process. The direct
+/// kernel (four output channels × 16 pixels in registers, fused) measures
+/// 0.57–0.75 best-of-60 on a 2-vCPU host, so 0.5 — that low minus a 12%
+/// margin — fails on a lost register block or a return of a materialised
+/// column matrix (0.20) without depending on the host's clock.
+const MIN_CONV_SHARE_OF_MATMUL: f64 = 0.5;
 
 /// Minimum weight-gradient rate at DeepSTN+'s 16→16 / 21×12 / batch-16
-/// shape, as a fraction of the forward conv's rate at the same shape in
-/// the same process. The transposed product (taps down the microkernel's
-/// rows, panels packed straight from the padded image) measures
-/// 0.96–1.0; the `g · im2colᵀ` product with a lane-by-lane transposed
-/// gather measured 0.76.
-const MIN_WEIGHT_GRAD_SHARE_OF_FORWARD: f64 = 0.9;
+/// shape, as a fraction of the 512³ matmul rate measured in the same
+/// process. The transposed product (taps down the microkernel's rows,
+/// panels packed straight from the padded image) measures 0.47–0.56
+/// best-of-100 on a 2-vCPU host, so the gate is that low minus a 10%
+/// margin. The matmul, not the forward, is the denominator: the forward's
+/// rate moves with its lowering, the weight gradient's does not.
+const MIN_WEIGHT_GRAD_SHARE_OF_MATMUL: f64 = 0.42;
 
-/// Minimum rate of DeepSTN+'s 16→2 output head (the register-blocked
-/// direct kernel) as a fraction of the 16→16 forward rate. It measures
-/// ~0.6; the row-by-row axpy kernel measured ~0.16.
+/// Minimum rate of DeepSTN+'s 16→2 output head as a fraction of the 16→16
+/// forward rate, both on the register-blocked direct kernel. It measures
+/// 0.59–0.76; the row-by-row axpy kernel measured ~0.16.
 const MIN_HEAD_SHARE_OF_WIDE_CONV: f64 = 0.35;
 
 fn perf_skip_reason() -> Option<&'static str> {
@@ -62,6 +63,14 @@ fn perf_skip_reason() -> Option<&'static str> {
         return Some("chaos matrix run");
     }
     None
+}
+
+/// The gates share a host of two cores or so and difference the pool's
+/// global counters, so they run one at a time: no gate times its kernel
+/// against another gate's.
+fn serial() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn square(n: usize, seed: u64) -> Tensor {
@@ -87,6 +96,7 @@ fn blocked_matmul_is_at_least_3x_naive_at_512() {
         eprintln!("skipping timed kernel gate: {reason}");
         return;
     }
+    let _serial = serial();
     let a = square(512, 1);
     let b = square(512, 2);
     let _ = a.matmul(&b); // warm caches, pool, and SIMD detection
@@ -115,13 +125,14 @@ fn conv3x3_reaches_a_fixed_share_of_the_matmul_rate() {
         eprintln!("skipping timed conv gate: {reason}");
         return;
     }
+    let _serial = serial();
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let x = Tensor::rand_uniform(&[16, 16, 21, 12], -1.0, 1.0, &mut rng);
     let w = Tensor::rand_uniform(&[16, 16, 3, 3], -1.0, 1.0, &mut rng);
     let (a, b) = (square(512, 8), square(512, 9));
     // Interleaved, so a slow stretch of a shared runner hits both rates.
     let (mut conv, mut matmul) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..20 {
+    for _ in 0..60 {
         matmul = matmul.min(best_of(1, || {
             std::hint::black_box(a.matmul(&b));
         }));
@@ -139,7 +150,7 @@ fn conv3x3_reaches_a_fixed_share_of_the_matmul_rate() {
     assert!(
         share >= MIN_CONV_SHARE_OF_MATMUL,
         "conv 3×3 fell to {share:.2} of the matmul rate (gate {MIN_CONV_SHARE_OF_MATMUL}) \
-         — the lowering is copying again"
+         — the direct kernel lost its register blocking or the lowering is copying again"
     );
 }
 
@@ -155,13 +166,16 @@ fn conv_backward_and_small_heads_keep_pace_with_the_forward() {
         eprintln!("skipping timed conv backward gate: {reason}");
         return;
     }
+    let _serial = serial();
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
     let x = Tensor::rand_uniform(&[16, 16, 21, 12], -1.0, 1.0, &mut rng);
     let w = Tensor::rand_uniform(&[16, 16, 3, 3], -1.0, 1.0, &mut rng);
     let head = Tensor::rand_uniform(&[2, 16, 3, 3], -1.0, 1.0, &mut rng);
     let g = Tensor::rand_uniform(&[16, 16, 21, 12], -1.0, 1.0, &mut rng);
-    // Interleaved best-of, so a slow stretch of a shared runner hits all three.
-    let (mut forward, mut weight_grad, mut small) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let (a, b) = (square(512, 18), square(512, 19));
+    // Interleaved best-of, so a slow stretch of a shared runner hits all four.
+    let (mut forward, mut weight_grad, mut small, mut matmul) =
+        (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..100 {
         forward = forward.min(best_of(1, || {
             std::hint::black_box(conv2d(&x, &w, None, 1, 1));
@@ -172,22 +186,28 @@ fn conv_backward_and_small_heads_keep_pace_with_the_forward() {
         small = small.min(best_of(1, || {
             std::hint::black_box(conv2d(&x, &head, None, 1, 1));
         }));
+        matmul = matmul.min(best_of(1, || {
+            std::hint::black_box(a.matmul(&b));
+        }));
     }
     let (fwd, wgrad, head) = (
         deepstn_gflops(16, 16, forward),
         deepstn_gflops(16, 16, weight_grad),
         deepstn_gflops(16, 2, small),
     );
+    let matmul_gflops = 2.0 * 512f64.powi(3) / matmul / 1e9;
     eprintln!(
-        "16x16x21x12: forward {fwd:.1} GFLOP/s, weight grad {wgrad:.1} ({:.2}, gate \
-         {MIN_WEIGHT_GRAD_SHARE_OF_FORWARD}); 16->2 head {head:.1} ({:.2}, gate {MIN_HEAD_SHARE_OF_WIDE_CONV})",
-        wgrad / fwd,
+        "16x16x21x12: forward {fwd:.1} GFLOP/s, weight grad {wgrad:.1} ({:.2} of the 512³ matmul's \
+         {matmul_gflops:.1}, gate {MIN_WEIGHT_GRAD_SHARE_OF_MATMUL}); 16->2 head {head:.1} ({:.2} of \
+         the forward, gate {MIN_HEAD_SHARE_OF_WIDE_CONV})",
+        wgrad / matmul_gflops,
         head / fwd
     );
     assert!(
-        wgrad / fwd >= MIN_WEIGHT_GRAD_SHARE_OF_FORWARD,
-        "conv weight gradient fell to {:.2} of the forward rate (gate {MIN_WEIGHT_GRAD_SHARE_OF_FORWARD})",
-        wgrad / fwd
+        wgrad / matmul_gflops >= MIN_WEIGHT_GRAD_SHARE_OF_MATMUL,
+        "conv weight gradient fell to {:.2} of the matmul rate \
+         (gate {MIN_WEIGHT_GRAD_SHARE_OF_MATMUL})",
+        wgrad / matmul_gflops
     );
     assert!(
         head / fwd >= MIN_HEAD_SHARE_OF_WIDE_CONV,
@@ -199,6 +219,7 @@ fn conv_backward_and_small_heads_keep_pace_with_the_forward() {
 
 #[test]
 fn pack_buffers_recycle_from_the_pool() {
+    let _serial = serial();
     let a = square(512, 3);
     let b = square(512, 4);
     // Warm-up populates the pack-buffer and output size classes.
@@ -230,6 +251,7 @@ fn parallel_band_split_scales_with_cores() {
         eprintln!("skipping parallel scaling gate: {reason}");
         return;
     }
+    let _serial = serial();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores < 2 {
         eprintln!("skipping parallel scaling gate: single-core runner");
