@@ -145,10 +145,10 @@ impl DfFormatter {
         let mut labels = Vec::with_capacity(rows * l_idx.len());
         for row in 0..rows {
             for &i in &f_idx {
-                features.push(numeric_at(part, i, row, &self.feature_columns)?);
+                features.push(numeric_at(schema, part, i, row)?);
             }
             for &i in &l_idx {
-                labels.push(numeric_at(part, i, row, &self.label_columns)?);
+                labels.push(numeric_at(schema, part, i, row)?);
             }
         }
         Ok(FormattedPartition {
@@ -169,16 +169,17 @@ impl DfFormatter {
     }
 }
 
-fn numeric_at(part: &[Column], idx: usize, row: usize, names: &[String]) -> DfResult<f32> {
-    part[idx]
-        .value(row)
-        .as_f64()
-        .map(|v| v as f32)
-        .ok_or_else(|| DfError::TypeMismatch {
-            column: names.get(idx).cloned().unwrap_or_default(),
+/// Column `idx` at `row` as f32, through f64 for integers and timestamps.
+fn numeric_at(schema: &Schema, part: &[Column], idx: usize, row: usize) -> DfResult<f32> {
+    match &part[idx] {
+        Column::F64(v) => Ok(v[row] as f32),
+        Column::I64(v) | Column::Ts(v) => Ok(v[row] as f64 as f32),
+        other => Err(DfError::TypeMismatch {
+            column: schema.fields()[idx].0.clone(),
             expected: "numeric",
-            found: part[idx].dtype().name(),
-        })
+            found: other.dtype().name(),
+        }),
+    }
 }
 
 /// A per-batch tensor transform (normalisation, augmentation, …).
@@ -306,12 +307,19 @@ mod tests {
         let fmt = DfFormatter::for_classification(&["missing"], &[1], "y").unwrap();
         assert!(fmt.format(&df()).is_err());
         let bad_type = DataFrame::from_columns(vec![
-            ("a".into(), Column::Str(vec!["x".into()].into())),
             ("y".into(), Column::I64(vec![0].into())),
+            ("a".into(), Column::Str(vec!["x".into()].into())),
         ])
         .unwrap();
         let fmt = DfFormatter::for_classification(&["a"], &[1], "y").unwrap();
-        assert!(fmt.format(&bad_type).is_err());
+        assert_eq!(
+            fmt.format(&bad_type).unwrap_err(),
+            DfError::TypeMismatch {
+                column: "a".into(),
+                expected: "numeric",
+                found: "str",
+            }
+        );
     }
 
     #[test]

@@ -67,46 +67,6 @@ impl Value {
             Value::Geom(_) => DType::Geom,
         }
     }
-
-    /// Extract an f64, coercing integers.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::F64(v) => Some(*v),
-            Value::I64(v) | Value::Ts(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    /// Extract an i64 (also accepts timestamps).
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::I64(v) | Value::Ts(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// A key usable for hashing/grouping: integers and strings hash
-    /// directly; floats hash by bit pattern.
-    pub fn group_key(&self) -> GroupKey {
-        match self {
-            Value::F64(v) => GroupKey::Bits(v.to_bits()),
-            Value::I64(v) | Value::Ts(v) => GroupKey::Int(*v),
-            Value::Str(s) => GroupKey::Str(s.clone()),
-            Value::Bool(b) => GroupKey::Int(*b as i64),
-            Value::Geom(_) => GroupKey::Str(format!("{:?}", self)),
-        }
-    }
-}
-
-/// Hashable projection of a [`Value`] used by group-by and joins.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum GroupKey {
-    /// Integer-like key.
-    Int(i64),
-    /// Float key by bit pattern.
-    Bits(u64),
-    /// String key.
-    Str(String),
 }
 
 /// A column's payload: a window of rows onto a shared, immutable vector
@@ -248,11 +208,6 @@ impl Column {
         }
     }
 
-    /// An empty column of the same type.
-    pub fn empty_like(&self) -> Column {
-        Column::empty(self.dtype())
-    }
-
     /// An empty column of the given type.
     pub fn empty(dtype: DType) -> Column {
         match dtype {
@@ -283,40 +238,6 @@ impl Column {
             }
         }
         Ok(())
-    }
-
-    /// Keep only rows where `mask` is true. `mask.len()` must equal rows.
-    pub fn filter(&self, mask: &[bool]) -> Column {
-        fn keep<T: Clone>(v: &[T], mask: &[bool]) -> Buffer<T> {
-            v.iter()
-                .zip(mask)
-                .filter(|(_, &m)| m)
-                .map(|(x, _)| x.clone())
-                .collect()
-        }
-        match self {
-            Column::F64(v) => Column::F64(keep(v, mask)),
-            Column::I64(v) => Column::I64(keep(v, mask)),
-            Column::Str(v) => Column::Str(keep(v, mask)),
-            Column::Bool(v) => Column::Bool(keep(v, mask)),
-            Column::Ts(v) => Column::Ts(keep(v, mask)),
-            Column::Geom(v) => Column::Geom(keep(v, mask)),
-        }
-    }
-
-    /// Rows selected by `indices`, in order (gather).
-    pub fn take(&self, indices: &[usize]) -> Column {
-        fn gather<T: Clone>(v: &[T], idx: &[usize]) -> Buffer<T> {
-            idx.iter().map(|&i| v[i].clone()).collect()
-        }
-        match self {
-            Column::F64(v) => Column::F64(gather(v, indices)),
-            Column::I64(v) => Column::I64(gather(v, indices)),
-            Column::Str(v) => Column::Str(gather(v, indices)),
-            Column::Bool(v) => Column::Bool(gather(v, indices)),
-            Column::Ts(v) => Column::Ts(gather(v, indices)),
-            Column::Geom(v) => Column::Geom(gather(v, indices)),
-        }
     }
 
     /// Concatenate same-typed columns.
@@ -460,13 +381,8 @@ mod tests {
     }
 
     #[test]
-    fn filter_take_slice() {
+    fn slice_selects_a_window() {
         let c = Column::I64(vec![10, 20, 30, 40].into());
-        assert_eq!(
-            c.filter(&[true, false, true, false]),
-            Column::I64(vec![10, 30].into())
-        );
-        assert_eq!(c.take(&[3, 0]), Column::I64(vec![40, 10].into()));
         assert_eq!(c.slice(1, 3), Column::I64(vec![20, 30].into()));
     }
 
@@ -477,20 +393,6 @@ mod tests {
         let c = Column::concat(&[&a, &b]).unwrap();
         assert_eq!(c.len(), 3);
         assert!(Column::concat(&[&a, &Column::I64(vec![1].into())]).is_err());
-    }
-
-    #[test]
-    fn value_coercions() {
-        assert_eq!(Value::I64(3).as_f64(), Some(3.0));
-        assert_eq!(Value::Ts(7).as_i64(), Some(7));
-        assert_eq!(Value::Str("x".into()).as_f64(), None);
-    }
-
-    #[test]
-    fn group_keys_distinguish_values() {
-        assert_ne!(Value::F64(1.0).group_key(), Value::F64(2.0).group_key());
-        assert_eq!(Value::I64(5).group_key(), Value::Ts(5).group_key());
-        assert_ne!(Value::Str("a".into()).group_key(), Value::Str("b".into()).group_key());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! partitioned loading (rows are split into chunks as they stream in, so
 //! a large file lands directly in partition-parallel form).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 use crate::column::{Column, DType, Value};
@@ -22,7 +22,9 @@ pub struct CsvOptions {
     pub has_header: bool,
     /// Target rows per partition (0 = single partition).
     pub rows_per_partition: usize,
-    /// Explicit column types; `None` infers from the first data rows.
+    /// Explicit column types; `None` infers each column's type from every
+    /// data row (the narrowest of i64, f64, bool and str that parses all of
+    /// its non-empty fields).
     pub schema: Option<Vec<DType>>,
 }
 
@@ -122,19 +124,18 @@ pub fn read_csv_from(reader: impl BufRead, options: &CsvOptions) -> DfResult<Dat
 
 /// Write a DataFrame as CSV (geometry columns serialise as WKT).
 pub fn write_csv(df: &DataFrame, path: impl AsRef<Path>) -> DfResult<()> {
-    let mut file = std::fs::File::create(path.as_ref())
+    let file = std::fs::File::create(path.as_ref())
         .map_err(|e| DfError::InvalidArgument(format!("cannot create csv: {e}")))?;
-    let names = df.schema().names();
-    writeln!(file, "{}", names.join(","))
-        .map_err(|e| DfError::InvalidArgument(format!("csv write: {e}")))?;
-    df.for_each_row(|row| {
-        let fields: Vec<String> = names
-            .iter()
-            .map(|n| format_value(&row.value(n).expect("schema column")))
-            .collect();
-        writeln!(file, "{}", fields.join(","))
-            .map_err(|e| DfError::InvalidArgument(format!("csv write: {e}")))
-    })
+    let mut out = BufWriter::new(file);
+    let write_err = |e: std::io::Error| DfError::InvalidArgument(format!("csv write: {e}"));
+    writeln!(out, "{}", df.schema().names().join(",")).map_err(write_err)?;
+    for part in df.partitions() {
+        for row in 0..part.first().map_or(0, Column::len) {
+            let fields: Vec<String> = part.iter().map(|c| format_value(&c.value(row))).collect();
+            writeln!(out, "{}", fields.join(",")).map_err(write_err)?;
+        }
+    }
+    out.flush().map_err(write_err)
 }
 
 fn split_line(line: &str, delimiter: char) -> Vec<String> {
@@ -173,7 +174,7 @@ fn infer_types(rows: &[Vec<String>], columns: usize) -> Vec<DType> {
             let mut all_float = true;
             let mut all_bool = true;
             let mut seen = false;
-            for row in rows.iter().take(100) {
+            for row in rows {
                 let field = &row[col];
                 if field.is_empty() {
                     continue;
@@ -322,6 +323,15 @@ mod tests {
     }
 
     #[test]
+    fn inference_reads_past_the_first_hundred_rows() {
+        let text = format!("v\n{}2.5\n", "1\n".repeat(100));
+        let df = read(&text, &CsvOptions::default()).unwrap();
+        assert_eq!(df.schema().dtype_of("v").unwrap(), DType::F64);
+        let v = df.column("v").unwrap();
+        assert_eq!((v.len(), v.f64s().unwrap()[100]), (101, 2.5));
+    }
+
+    #[test]
     fn file_round_trip_with_geometry() {
         use crate::geometry::{Geometry, Point};
         let df = DataFrame::from_columns(vec![
@@ -337,6 +347,8 @@ mod tests {
                 ),
             ),
         ])
+        .unwrap()
+        .repartition(2)
         .unwrap();
         let path = std::env::temp_dir().join(format!("geotorch_csv_{}.csv", std::process::id()));
         write_csv(&df, &path).unwrap();

@@ -1,39 +1,15 @@
 //! Partition-parallel execution.
 //!
 //! The engine's analogue of Spark's executor pool: independent partitions
-//! are processed concurrently on a `std::thread` scope. Parallelism defaults
-//! to the machine's core count and can be overridden per scope with
-//! [`with_parallelism`] — the preprocessing benchmarks use this to compare
-//! single-threaded against multicore execution.
+//! are processed concurrently on a `std::thread` scope, one worker per
+//! core.
 
-use std::cell::Cell;
-
-thread_local! {
-    static PARALLELISM: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Worker-thread count used by partition-parallel operations on the
-/// current thread.
+/// Worker-thread count used by partition-parallel operations: the
+/// machine's core count.
 pub fn parallelism() -> usize {
-    PARALLELISM.with(|p| p.get()).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-/// Run `f` with an explicit worker count, restoring the previous setting
-/// afterwards (also on panic).
-pub fn with_parallelism<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PARALLELISM.with(|p| p.set(self.0));
-        }
-    }
-    let _restore = Restore(PARALLELISM.with(|p| p.get()));
-    PARALLELISM.with(|p| p.set(Some(threads.max(1))));
-    f()
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Map `f` over items in parallel, preserving order of results.
@@ -65,47 +41,6 @@ where
         .collect()
 }
 
-/// Map `f` over owned items in parallel, preserving order.
-pub fn par_map_owned<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    let threads = parallelism().min(items.len().max(1));
-    if threads <= 1 || items.len() <= 1 {
-        return items.into_iter().map(&f).collect();
-    }
-    let n = items.len();
-    let chunk = n.div_ceil(threads);
-    let mut slots: Vec<Option<U>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    // Move items into per-thread queues.
-    let mut queues: Vec<Vec<T>> = Vec::new();
-    let mut iter = items.into_iter();
-    loop {
-        let batch: Vec<T> = iter.by_ref().take(chunk).collect();
-        if batch.is_empty() {
-            break;
-        }
-        queues.push(batch);
-    }
-    std::thread::scope(|scope| {
-        for (queue, outputs) in queues.into_iter().zip(slots.chunks_mut(chunk)) {
-            let f = &f;
-            scope.spawn(move || {
-                for (item, slot) in queue.into_iter().zip(outputs.iter_mut()) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|v| v.expect("all slots filled"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,29 +53,8 @@ mod tests {
     }
 
     #[test]
-    fn par_map_owned_preserves_order() {
-        let items: Vec<String> = (0..100).map(|i| i.to_string()).collect();
-        let lens = par_map_owned(items.clone(), |s| s.len());
-        assert_eq!(lens, items.iter().map(|s| s.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn with_parallelism_scopes_setting() {
-        let outer = parallelism();
-        with_parallelism(2, || {
-            assert_eq!(parallelism(), 2);
-            with_parallelism(7, || assert_eq!(parallelism(), 7));
-            assert_eq!(parallelism(), 2);
-        });
-        assert_eq!(parallelism(), outer);
-    }
-
-    #[test]
-    fn single_threaded_path() {
-        with_parallelism(1, || {
-            let out = par_map(&[1, 2, 3], |x| x + 1);
-            assert_eq!(out, vec![2, 3, 4]);
-        });
+    fn single_item_runs_inline() {
+        assert_eq!(par_map(&[1], |x| x + 1), vec![2]);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! Covers the Sedona feature subset GeoTorchAI's preprocessing relies on:
 //! points (from lat/lon columns), axis-aligned envelopes (grid cells),
-//! simple polygons (zones), containment / intersection predicates, and
-//! distance.
+//! simple polygons, and point containment.
 
 use crate::error::{DfError, DfResult};
 
@@ -20,11 +19,6 @@ impl Point {
     /// Construct a point.
     pub fn new(x: f64, y: f64) -> Self {
         Point { x, y }
-    }
-
-    /// Euclidean distance to another point.
-    pub fn distance(&self, other: &Point) -> f64 {
-        ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
     }
 }
 
@@ -72,14 +66,6 @@ impl Envelope {
     /// without double-counting boundary points.
     pub fn contains_point(&self, p: &Point) -> bool {
         p.x >= self.min_x && p.x < self.max_x && p.y >= self.min_y && p.y < self.max_y
-    }
-
-    /// Whether two envelopes overlap (closed comparison).
-    pub fn intersects(&self, other: &Envelope) -> bool {
-        self.min_x <= other.max_x
-            && other.min_x <= self.max_x
-            && self.min_y <= other.max_y
-            && other.min_y <= self.max_y
     }
 
     /// Envelope width.
@@ -133,17 +119,6 @@ impl Polygon {
         })
     }
 
-    /// Axis-aligned rectangle as a polygon.
-    pub fn rectangle(env: &Envelope) -> Polygon {
-        Polygon::new(vec![
-            Point::new(env.min_x, env.min_y),
-            Point::new(env.max_x, env.min_y),
-            Point::new(env.max_x, env.max_y),
-            Point::new(env.min_x, env.max_y),
-        ])
-        .expect("rectangle always has 4 vertices")
-    }
-
     /// Exterior ring vertices (open).
     pub fn vertices(&self) -> &[Point] {
         &self.vertices
@@ -174,19 +149,6 @@ impl Polygon {
             j = i;
         }
         inside
-    }
-
-    /// Signed area via the shoelace formula (positive when counter-
-    /// clockwise).
-    pub fn signed_area(&self) -> f64 {
-        let n = self.vertices.len();
-        let mut acc = 0.0;
-        for i in 0..n {
-            let a = &self.vertices[i];
-            let b = &self.vertices[(i + 1) % n];
-            acc += a.x * b.y - b.x * a.y;
-        }
-        acc / 2.0
     }
 }
 
@@ -327,13 +289,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn point_distance() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(3.0, 4.0);
-        assert_eq!(a.distance(&b), 5.0);
-    }
-
-    #[test]
     fn envelope_semantics_are_half_open() {
         let e = Envelope::new(0.0, 0.0, 1.0, 1.0);
         assert!(e.contains_point(&Point::new(0.0, 0.0)));
@@ -361,12 +316,9 @@ mod tests {
     }
 
     #[test]
-    fn envelope_intersection() {
+    fn envelope_union_covers_both() {
         let a = Envelope::new(0.0, 0.0, 2.0, 2.0);
-        let b = Envelope::new(1.0, 1.0, 3.0, 3.0);
         let c = Envelope::new(5.0, 5.0, 6.0, 6.0);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
         let u = a.union(&c);
         assert_eq!((u.min_x, u.max_x), (0.0, 6.0));
     }
@@ -404,12 +356,6 @@ mod tests {
         assert!(l.contains_point(&Point::new(0.5, 2.0)));
         assert!(l.contains_point(&Point::new(2.0, 0.5)));
         assert!(!l.contains_point(&Point::new(2.0, 2.0)));
-    }
-
-    #[test]
-    fn shoelace_area() {
-        let sq = Polygon::rectangle(&Envelope::new(0.0, 0.0, 2.0, 3.0));
-        assert_eq!(sq.signed_area().abs(), 6.0);
     }
 
     #[test]

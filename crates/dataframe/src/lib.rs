@@ -1,23 +1,23 @@
 //! # geotorch-dataframe
 //!
-//! A columnar, partitioned DataFrame engine with geospatial operators —
-//! the Apache Spark + Apache Sedona substrate of the GeoTorchAI
-//! reproduction.
+//! A columnar, partitioned DataFrame engine with the geospatial types the
+//! preprocessing pipeline needs — the Apache Spark + Apache Sedona
+//! substrate of the GeoTorchAI reproduction.
 //!
 //! The engine keeps a [`DataFrame`] as a set of *partitions* (column
-//! chunks). Row-parallel operations (filter, projection, map) and
-//! partition-local aggregation run concurrently across a scoped thread
-//! pool, mirroring how Spark distributes stages over executors; the final
-//! merge step plays the role of the shuffle/reduce. This preserves the
-//! property GeoTorchAI's preprocessing evaluation measures: partitioned,
-//! streaming execution keeps memory flat and scales with cores, while a
-//! naive materialising engine (see `geotorch-preprocess::geopandas_like`)
-//! does not.
+//! chunks). Partition-local work runs concurrently across a scoped thread
+//! pool ([`exec::par_map`]), mirroring how Spark distributes stages over
+//! executors; the final merge step plays the role of the shuffle/reduce.
+//! This preserves the property GeoTorchAI's preprocessing evaluation
+//! measures: partitioned, streaming execution keeps memory flat and scales
+//! with cores, while a naive materialising engine (see
+//! `geotorch-preprocess::geopandas_like`) does not.
 //!
-//! Spatial support mirrors the Sedona feature set used by the paper:
-//! geometry columns ([`geometry::Geometry`]), WKT round-tripping, an STR
-//! packed R-tree ([`rtree::StrTree`]), spatial predicates, and
-//! [`spatial::join_points_to_zones`].
+//! Spatial support covers what the paper's Listing 8 uses on a uniform
+//! grid: geometry columns ([`geometry::Geometry`]), WKT round-tripping,
+//! [`spatial::add_point_column`] and [`spatial::UniformGrid`]. The Sedona
+//! spatial join and group-by behind Listing 8 are fused into one grid kernel
+//! in `geotorch-preprocess`; irregular-zone joins are not reproduced.
 //!
 //! Unlike the tensor crates (where shape errors are programmer bugs and
 //! panic), this crate deals with *data-dependent* failure and returns
@@ -31,12 +31,8 @@ pub mod error;
 pub mod exec;
 pub mod frame;
 pub mod geometry;
-pub mod groupby;
-pub mod join;
-pub mod rtree;
 pub mod spatial;
 pub mod spill;
-pub mod stats;
 
 pub use column::{Column, DType, Value};
 pub use error::{DfError, DfResult};

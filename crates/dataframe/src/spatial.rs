@@ -1,93 +1,67 @@
-//! Spatial operators: point construction, spatial join, grid partitioning.
+//! Spatial operators: point construction and the uniform grid.
 //!
 //! These mirror the Sedona operations GeoTorchAI's preprocessing module
-//! drives: building a geometry column from lat/lon columns, joining points
-//! against a set of zone geometries, and the uniform-grid fast path that
-//! maps points straight to cell ids without an index.
+//! drives: building a geometry column from lat/lon columns and the uniform
+//! grid (`SpacePartition.generate_grid`) that maps points straight to cell
+//! ids without an index.
 
-use crate::column::{DType, Value};
+use std::borrow::Cow;
+
+use crate::column::{Column, DType};
 use crate::error::{DfError, DfResult};
 use crate::exec;
-use crate::frame::DataFrame;
+use crate::frame::{DataFrame, Schema};
 use crate::geometry::{Envelope, Geometry, Point};
-use crate::rtree::StrTree;
 
 /// Append a `Geom` point column built from two numeric columns.
 ///
 /// Mirrors `STManager.add_spatial_points(df, lat_column, lon_column, ...)`
-/// from the paper's Listing 8 (longitude becomes x, latitude y).
+/// from the paper's Listing 8 (longitude becomes x, latitude y). Each
+/// partition zips its coordinate slices into one geometry buffer, the
+/// partitions in parallel; the existing columns are shared, not copied.
+///
+/// # Errors
+/// `DuplicateColumn` if `alias` exists, `ColumnNotFound` for a missing
+/// coordinate column, and `TypeMismatch` for one that is not f64, i64 or
+/// timestamp (integers are cast to f64).
 pub fn add_point_column(
     df: &DataFrame,
     lat_column: &str,
     lon_column: &str,
     alias: &str,
 ) -> DfResult<DataFrame> {
-    df.with_column(alias, DType::Geom, |row| {
-        let lat = row.f64(lat_column)?;
-        let lon = row.f64(lon_column)?;
-        Ok(Value::Geom(Geometry::Point(Point::new(lon, lat))))
-    })
-}
-
-/// Join each point in `df[point_column]` to the index of the first
-/// geometry in `zones` containing it, appended as an i64 column
-/// `zone_alias`. Points matching no zone get `-1`.
-///
-/// Uses an STR-tree over zone envelopes with an exact refinement step —
-/// the filter/refine pattern of Sedona's spatial join. Runs partition-
-/// parallel.
-pub fn join_points_to_zones(
-    df: &DataFrame,
-    point_column: &str,
-    zones: &[Geometry],
-    zone_alias: &str,
-) -> DfResult<DataFrame> {
-    let envelopes: Vec<Envelope> = zones.iter().map(Geometry::envelope).collect();
-    let tree = StrTree::build(&envelopes);
-    df.with_column(zone_alias, DType::I64, |row| {
-        let geom = row.geometry(point_column)?;
-        let Geometry::Point(p) = geom else {
-            return Err(DfError::TypeMismatch {
-                column: point_column.to_string(),
-                expected: "point geometry",
-                found: "non-point geometry",
-            });
-        };
-        let mut candidates = tree.query_point(&p);
-        candidates.sort_unstable(); // deterministic "first zone wins"
-        let hit = candidates
-            .into_iter()
-            .find(|&i| zones[i].contains_point(&p))
-            .map(|i| i as i64)
-            .unwrap_or(-1);
-        Ok(Value::I64(hit))
-    })
-}
-
-/// Reference implementation of [`join_points_to_zones`] that scans every
-/// zone per point (no index). Used by tests and the index ablation bench.
-pub fn join_points_to_zones_brute(
-    df: &DataFrame,
-    point_column: &str,
-    zones: &[Geometry],
-    zone_alias: &str,
-) -> DfResult<DataFrame> {
-    df.with_column(zone_alias, DType::I64, |row| {
-        let geom = row.geometry(point_column)?;
-        let Geometry::Point(p) = geom else {
-            return Err(DfError::TypeMismatch {
-                column: point_column.to_string(),
-                expected: "point geometry",
-                found: "non-point geometry",
-            });
-        };
-        let hit = zones
+    let mut fields = df.schema().fields().to_vec();
+    fields.push((alias.to_string(), DType::Geom));
+    let schema = Schema::new(fields)?;
+    let lat_idx = df.schema().index_of(lat_column)?;
+    let lon_idx = df.schema().index_of(lon_column)?;
+    let results = exec::par_map(df.partitions(), |part| {
+        let lats = coordinates(&part[lat_idx], lat_column)?;
+        let lons = coordinates(&part[lon_idx], lon_column)?;
+        let points = lats
             .iter()
-            .position(|z| z.contains_point(&p))
-            .map(|i| i as i64)
-            .unwrap_or(-1);
-        Ok(Value::I64(hit))
-    })
+            .zip(lons.iter())
+            .map(|(&lat, &lon)| Geometry::Point(Point::new(lon, lat)))
+            .collect();
+        let mut columns = part.clone();
+        columns.push(Column::Geom(points));
+        Ok(columns)
+    });
+    DataFrame::from_partitions(schema, results.into_iter().collect::<DfResult<_>>()?)
+}
+
+/// A coordinate column as f64s: borrowed when it is f64, cast when it holds
+/// integers or timestamps.
+fn coordinates<'a>(column: &'a Column, name: &str) -> DfResult<Cow<'a, [f64]>> {
+    match column {
+        Column::F64(v) => Ok(Cow::Borrowed(v)),
+        Column::I64(v) | Column::Ts(v) => Ok(v.iter().map(|&x| x as f64).collect()),
+        other => Err(DfError::TypeMismatch {
+            column: name.to_string(),
+            expected: "f64",
+            found: other.dtype().name(),
+        }),
+    }
 }
 
 /// A uniform grid over an extent: `nx × ny` equal cells (the paper's
@@ -182,27 +156,6 @@ impl UniformGrid {
     }
 }
 
-/// Append an i64 `cell_alias` column mapping each point to its grid cell
-/// (`-1` outside the extent). This is the O(1)-per-point fast path the
-/// generic zone join is benchmarked against.
-pub fn assign_grid_cells(
-    df: &DataFrame,
-    point_column: &str,
-    grid: &UniformGrid,
-    cell_alias: &str,
-) -> DfResult<DataFrame> {
-    df.with_column(cell_alias, DType::I64, |row| {
-        let geom = row.geometry(point_column)?;
-        let p = match geom {
-            Geometry::Point(p) => p,
-            other => other.representative_point(),
-        };
-        Ok(Value::I64(
-            grid.cell_of(&p).map(|c| c as i64).unwrap_or(-1),
-        ))
-    })
-}
-
 /// The tight envelope of every geometry in a column.
 pub fn column_extent(df: &DataFrame, geom_column: &str) -> DfResult<Option<Envelope>> {
     let idx = df.schema().index_of(geom_column)?;
@@ -294,38 +247,64 @@ mod tests {
     }
 
     #[test]
-    fn assign_grid_cells_column() {
-        let df = points_df(&[(0.5, 0.5), (1.5, 0.5), (9.0, 9.0)]);
-        let df = add_point_column(&df, "lat", "lon", "pt").unwrap();
-        let grid = UniformGrid::new(Envelope::new(0.0, 0.0, 2.0, 1.0), 2, 1).unwrap();
-        let out = assign_grid_cells(&df, "pt", &grid, "cell").unwrap();
+    fn integer_and_timestamp_coordinates_give_the_points_f64_does() {
+        let lats = [40, -3, 0];
+        let lons = [-74, 12, 7];
+        let column = |dtype, v: &[i64]| match dtype {
+            DType::I64 => Column::I64(v.to_vec().into()),
+            DType::Ts => Column::Ts(v.to_vec().into()),
+            _ => Column::F64(v.iter().map(|&x| x as f64).collect()),
+        };
+        let points = |lat_dtype, lon_dtype| {
+            let df = DataFrame::from_columns(vec![
+                ("lat".into(), column(lat_dtype, &lats)),
+                ("lon".into(), column(lon_dtype, &lons)),
+            ])
+            .unwrap()
+            .repartition(2)
+            .unwrap();
+            add_point_column(&df, "lat", "lon", "pt")
+                .unwrap()
+                .column("pt")
+                .unwrap()
+        };
+        let expected = points(DType::F64, DType::F64);
         assert_eq!(
-            out.column("cell").unwrap(),
-            Column::I64(vec![0, 1, -1].into())
+            expected.geoms().unwrap()[0],
+            Geometry::Point(Point::new(-74.0, 40.0))
         );
+        for (lat, lon) in [
+            (DType::I64, DType::Ts),
+            (DType::Ts, DType::F64),
+            (DType::F64, DType::I64),
+        ] {
+            assert_eq!(points(lat, lon), expected, "lat {lat:?}, lon {lon:?}");
+        }
     }
 
     #[test]
-    fn zone_join_indexed_matches_brute_force() {
-        let coords: Vec<(f64, f64)> = (0..200)
-            .map(|i| ((i % 20) as f64 * 0.5 + 0.25, (i / 20) as f64 * 0.5 + 0.25))
-            .collect();
-        let df = add_point_column(&points_df(&coords), "lat", "lon", "pt").unwrap();
-        let grid = UniformGrid::new(Envelope::new(0.0, 0.0, 10.0, 5.0), 5, 5).unwrap();
-        let zones = grid.cell_geometries();
-        let a = join_points_to_zones(&df, "pt", &zones, "z").unwrap();
-        let b = join_points_to_zones_brute(&df, "pt", &zones, "z").unwrap();
-        assert_eq!(a.column("z").unwrap(), b.column("z").unwrap());
-        // Every point fell inside some zone.
-        assert!(a.column("z").unwrap().i64s().unwrap().iter().all(|&v| v >= 0));
-    }
-
-    #[test]
-    fn zone_join_flags_misses() {
-        let df = add_point_column(&points_df(&[(100.0, 100.0)]), "lat", "lon", "pt").unwrap();
-        let zones = vec![Geometry::Envelope(Envelope::new(0.0, 0.0, 1.0, 1.0))];
-        let out = join_points_to_zones(&df, "pt", &zones, "z").unwrap();
-        assert_eq!(out.column("z").unwrap(), Column::I64(vec![-1].into()));
+    fn add_point_column_rejects_bad_columns() {
+        let df = DataFrame::from_columns(vec![
+            ("lat".into(), Column::F64(vec![1.0].into())),
+            ("name".into(), Column::Str(vec!["a".into()].into())),
+        ])
+        .unwrap();
+        assert_eq!(
+            add_point_column(&df, "lat", "name", "pt").unwrap_err(),
+            DfError::TypeMismatch {
+                column: "name".into(),
+                expected: "f64",
+                found: "str",
+            }
+        );
+        assert_eq!(
+            add_point_column(&df, "lat", "lat", "name").unwrap_err(),
+            DfError::DuplicateColumn("name".into())
+        );
+        assert_eq!(
+            add_point_column(&df, "lat", "missing", "pt").unwrap_err(),
+            DfError::ColumnNotFound("missing".into())
+        );
     }
 
     #[test]
@@ -342,24 +321,5 @@ mod tests {
         let ext = column_extent(&df, "pt").unwrap().unwrap();
         assert_eq!((ext.min_x, ext.max_x), (0.0, 5.0));
         assert_eq!((ext.min_y, ext.max_y), (-2.0, 7.0));
-    }
-
-    #[test]
-    fn polygon_zones_respect_shape() {
-        use crate::geometry::Polygon;
-        // A triangle zone: only points inside the triangle join.
-        let tri = Geometry::Polygon(
-            Polygon::new(vec![
-                Point::new(0.0, 0.0),
-                Point::new(4.0, 0.0),
-                Point::new(0.0, 4.0),
-            ])
-            .unwrap(),
-        );
-        // (3.5, 3.5) is inside the bounding box but outside the triangle —
-        // the refine step must reject it.
-        let df = add_point_column(&points_df(&[(1.0, 1.0), (3.5, 3.5)]), "lat", "lon", "pt").unwrap();
-        let out = join_points_to_zones(&df, "pt", &[tri], "z").unwrap();
-        assert_eq!(out.column("z").unwrap(), Column::I64(vec![0, -1].into()));
     }
 }

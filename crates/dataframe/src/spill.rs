@@ -393,7 +393,10 @@ mod tests {
             .iter()
             .map(|c| c.slice(1, 3))
             .collect();
-        let owned: Vec<Column> = window.iter().map(|c| c.take(&[0, 1])).collect();
+        let owned: Vec<Column> = window
+            .iter()
+            .map(|c| Column::concat(&[c]).unwrap())
+            .collect();
         let mut store = SpillStore::create(tmpdir("window"), whole.schema().clone()).unwrap();
         store.spill(&window).unwrap();
         store.spill(&owned).unwrap();

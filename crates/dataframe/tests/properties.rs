@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 
-use geotorch_dataframe::groupby::Agg;
-use geotorch_dataframe::rtree::StrTree;
-use geotorch_dataframe::spatial::{add_point_column, assign_grid_cells, UniformGrid};
+use geotorch_dataframe::spatial::{add_point_column, UniformGrid};
 use geotorch_dataframe::{Column, DataFrame, Envelope, Geometry, Point};
 
 fn int_frame(values: Vec<i64>) -> DataFrame {
@@ -19,74 +17,6 @@ proptest! {
         let re = df.repartition(parts).unwrap();
         prop_assert_eq!(re.num_rows(), values.len());
         prop_assert_eq!(re.column("v").unwrap(), Column::I64(values.into()));
-    }
-
-    /// filter ∘ union ≡ union ∘ filter.
-    #[test]
-    fn filter_commutes_with_union(
-        a in prop::collection::vec(-50i64..50, 0..50),
-        b in prop::collection::vec(-50i64..50, 0..50),
-    ) {
-        let da = int_frame(a);
-        let db = int_frame(b);
-        let pred = |row: geotorch_dataframe::frame::RowRef<'_>| Ok(row.i64("v")? % 2 == 0);
-        let left = da.union(&db).unwrap().filter(pred).unwrap();
-        let right = da.filter(pred).unwrap().union(&db.filter(pred).unwrap()).unwrap();
-        prop_assert_eq!(left.column("v").unwrap(), right.column("v").unwrap());
-    }
-
-    /// Group-by COUNT totals always equal the row count, for any
-    /// partitioning.
-    #[test]
-    fn groupby_count_conserves_rows(
-        keys in prop::collection::vec(0i64..10, 1..200),
-        parts in 1usize..8,
-    ) {
-        let df = int_frame(keys.clone()).repartition(parts).unwrap();
-        let out = df.group_by(&["v"], &[Agg::Count("n".into())]).unwrap();
-        let total: i64 = out.column("n").unwrap().i64s().unwrap().iter().sum();
-        prop_assert_eq!(total as usize, keys.len());
-        // Group count = distinct keys.
-        let distinct: std::collections::HashSet<i64> = keys.into_iter().collect();
-        prop_assert_eq!(out.num_rows(), distinct.len());
-    }
-
-    /// Sorting yields a non-decreasing column with the same multiset.
-    #[test]
-    fn sort_is_a_permutation(values in prop::collection::vec(-1000i64..1000, 0..200)) {
-        let sorted = int_frame(values.clone()).sort_by("v").unwrap();
-        let col = sorted.column("v").unwrap();
-        let got = col.i64s().unwrap();
-        prop_assert!(got.windows(2).all(|w| w[0] <= w[1]));
-        let mut expected = values;
-        expected.sort_unstable();
-        prop_assert_eq!(got, &expected[..]);
-    }
-
-    /// STR-tree point queries agree with a linear scan for random
-    /// envelope sets.
-    #[test]
-    fn rtree_matches_linear_scan(
-        boxes in prop::collection::vec((0.0f64..10.0, 0.0f64..10.0, 0.1f64..3.0, 0.1f64..3.0), 1..60),
-        px in 0.0f64..12.0,
-        py in 0.0f64..12.0,
-    ) {
-        let envelopes: Vec<Envelope> = boxes
-            .iter()
-            .map(|&(x, y, w, h)| Envelope::new(x, y, x + w, y + h))
-            .collect();
-        let tree = StrTree::build(&envelopes);
-        let p = Point::new(px, py);
-        let mut hits = tree.query_point(&p);
-        hits.sort_unstable();
-        let mut expected: Vec<usize> = envelopes
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.contains_point(&p))
-            .map(|(i, _)| i)
-            .collect();
-        expected.sort_unstable();
-        prop_assert_eq!(hits, expected);
     }
 
     /// Every in-extent point maps to exactly one grid cell, and that
@@ -125,10 +55,20 @@ proptest! {
         .unwrap();
         let df = add_point_column(&df, "lat", "lon", "pt").unwrap();
         let grid = UniformGrid::new(Envelope::new(0.0, 0.0, 4.0, 4.0), 4, 4).unwrap();
-        let out = assign_grid_cells(&df, "pt", &grid, "cell").unwrap();
-        let cells = out.column("cell").unwrap();
-        prop_assert!(cells.i64s().unwrap().iter().all(|&c| c >= 0));
-        prop_assert_eq!(out.num_rows(), coords.len());
+        let pt = df.schema().index_of("pt").unwrap();
+        let mut counts = vec![0usize; grid.num_cells()];
+        for part in df.partitions() {
+            for geom in part[pt].geoms().unwrap() {
+                let Geometry::Point(p) = geom else { panic!("{geom:?} is not a point") };
+                counts[grid.cell_of(p).expect("every point is in the extent")] += 1;
+            }
+        }
+        let mut expected = vec![0usize; grid.num_cells()];
+        for &(x, y) in &coords {
+            expected[grid.cell_of(&Point::new(x, y)).unwrap()] += 1;
+        }
+        prop_assert_eq!(counts.iter().sum::<usize>(), coords.len());
+        prop_assert_eq!(counts, expected);
     }
 
     /// WKT round-trips points exactly (f64 formatting is lossless for

@@ -18,7 +18,9 @@ impl SpacePartition {
         Ok(UniformGrid::new(extent, partitions_x, partitions_y)?)
     }
 
-    /// Grid covering the tight extent of a geometry column.
+    /// Grid covering the union of a geometry column's envelopes. (A grid
+    /// `StManager::get_st_grid_dataframe` derives spans the geometries'
+    /// representative points instead; see [`crate::StGridConfig::extent`].)
     ///
     /// # Errors
     /// If the column is missing, non-geometry, or empty.
@@ -56,8 +58,8 @@ impl SpacePartition {
         Ok(UniformGrid::new(extent, partitions_x, partitions_y)?)
     }
 
-    /// The grid's cell polygons in cell-id order (for generic spatial
-    /// joins and for exporting the partitioning).
+    /// The grid's cell envelopes in cell-id order (for exporting the
+    /// partitioning).
     pub fn cell_geometries(grid: &UniformGrid) -> Vec<Geometry> {
         grid.cell_geometries()
     }

@@ -25,7 +25,15 @@ pub struct StGridConfig {
     /// Time slot length in seconds (the paper's `step_duration_sec`).
     pub step_duration_sec: i64,
     /// Spatial extent of the grid; `None` derives the tight extent of the
-    /// points counted.
+    /// points counted: the lat/lon points in
+    /// [`StManager::get_st_grid_array`], each geometry's representative
+    /// point (its envelope's centre) in
+    /// [`StManager::get_st_grid_dataframe`]. For a column of non-point
+    /// geometries that is narrower than
+    /// [`SpacePartition::grid_from_dataframe`], which covers the union of
+    /// the geometries' envelopes; on point columns the two agree. A
+    /// derived extent of zero width or height is widened by 0.5 on every
+    /// side.
     pub extent: Option<Envelope>,
 }
 
@@ -420,6 +428,31 @@ mod tests {
         let (tensor, gf) = StManager::get_st_grid_array(&df, "lat", "lon", "ts", &cfg).unwrap();
         assert_eq!(tensor.sum(), 4.0);
         assert_eq!(gf.num_steps, 4);
+    }
+
+    #[test]
+    fn derived_extents_of_non_point_geometries() {
+        let boxes = [
+            Envelope::new(0.0, 0.0, 2.0, 2.0),
+            Envelope::new(4.0, 4.0, 8.0, 6.0),
+        ];
+        let df = DataFrame::from_columns(vec![
+            (
+                "zone".into(),
+                Column::Geom(boxes.iter().map(|&e| Geometry::Envelope(e)).collect()),
+            ),
+            ("ts".into(), Column::Ts(vec![0, 0].into())),
+        ])
+        .unwrap();
+        // The kernel counts each geometry at its representative point and
+        // spans only those points...
+        let gf = StManager::get_st_grid_dataframe(&df, "zone", "ts", &StGridConfig::new(2, 2, 60))
+            .unwrap();
+        assert_eq!(gf.grid.extent(), Envelope::new(1.0, 1.0, 6.0, 5.0));
+        assert_eq!(gf.total_events().unwrap(), 2);
+        // ...while `SpacePartition` covers the geometries' envelopes.
+        let grid = SpacePartition::grid_from_dataframe(&df, "zone", 2, 2).unwrap();
+        assert_eq!(grid.extent(), Envelope::new(0.0, 0.0, 8.0, 6.0));
     }
 
     #[test]
