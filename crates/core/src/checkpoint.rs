@@ -1,9 +1,9 @@
 //! Model checkpointing: JSON serialisation of a module's state dict.
 //!
-//! Format version 1 wraps the tensors in a header that records the model
-//! name (when known) and every tensor's shape, so a checkpoint can be
-//! validated against a target architecture — or rejected with an error —
-//! *before* any parameter is overwritten:
+//! A checkpoint is one file: the tensors inside a header that records
+//! the model name (when known) and every tensor's shape, so a checkpoint
+//! can be validated against a target architecture — or rejected with an
+//! error — *before* any parameter is overwritten:
 //!
 //! ```json
 //! {"format":"geotorch.checkpoint","version":1,"model":"SatCNN",
@@ -11,15 +11,10 @@
 //!  "tensors":[{"shape":[16,2,3,3],"data":[...]}, ...]}
 //! ```
 //!
-//! Legacy headerless files (a bare JSON array of tensors, the pre-v1
-//! format) are still readable by [`load`] and [`load_named`].
-//!
-//! Format version 2 is the *manifest* form used by the replicated
-//! registry (see [`crate::delta`]): the file holds per-tensor
-//! `(version, content-hash)` entries and DAG parents instead of inline
-//! tensors, with payloads in sibling files. [`peek`] reads a manifest
-//! without touching any payload; [`load`]/[`load_named`] resolve the
-//! payloads from the manifest's directory.
+//! This is the one format [`load`], [`peek`] and [`parse_bytes`] read: a
+//! bare JSON array of tensors is a [`CheckpointError::Format`] error, and
+//! the manifests of the replicated registry are read by
+//! [`crate::delta::DeltaStore`] alone.
 
 use std::path::Path;
 
@@ -27,10 +22,10 @@ use geotorch_nn::Module;
 use geotorch_tensor::Tensor;
 use serde::{Deserialize, Serialize, Value};
 
-/// The `format` marker written into every v1+ checkpoint.
+/// The `format` marker written into every checkpoint and manifest.
 pub const FORMAT_MARKER: &str = "geotorch.checkpoint";
 
-/// The newest checkpoint format version this build writes and reads.
+/// The checkpoint format version this build writes and reads.
 pub const FORMAT_VERSION: u64 = 1;
 
 /// Errors from checkpoint I/O.
@@ -65,7 +60,7 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Save a module's parameters under the v1 header, without a model name.
+/// Save a module's parameters under the header, without a model name.
 ///
 /// The write is atomic with respect to the destination: the bytes go to
 /// a `.tmp` sibling first and are `rename`d into place, so a crash (or
@@ -131,7 +126,7 @@ fn save_impl(
 /// touching any model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointMeta {
-    /// Format version (`0` for legacy headerless files).
+    /// Format version ([`FORMAT_VERSION`]).
     pub version: u64,
     /// Model name recorded at save time, if any.
     pub model: Option<String>,
@@ -139,165 +134,118 @@ pub struct CheckpointMeta {
     pub shapes: Vec<Vec<usize>>,
 }
 
-/// What a checkpoint file turned out to hold.
-enum ParsedFile {
-    /// Legacy array or v1 header: tensors inline.
-    Inline(CheckpointMeta, Vec<Tensor>),
-    /// v2 manifest: per-tensor versions, payloads in sibling files.
-    Manifest(crate::delta::Manifest),
-}
-
-fn parse_file(path: &Path) -> Result<ParsedFile, CheckpointError> {
+fn parse_file(
+    path: &Path,
+    expected: Option<&str>,
+) -> Result<(CheckpointMeta, Vec<Tensor>), CheckpointError> {
     if let Err(msg) = geotorch_telemetry::fault_point!("core.checkpoint.load") {
         return Err(CheckpointError::Format(format!(
             "injected load fault: {msg}"
         )));
     }
     let json = std::fs::read_to_string(path).map_err(CheckpointError::Io)?;
-    let value: Value =
-        serde_json::from_str(&json).map_err(|e| CheckpointError::Format(e.to_string()))?;
-    if value.get("version").and_then(Value::as_f64) == Some(crate::delta::MANIFEST_VERSION as f64)
-    {
-        return crate::delta::Manifest::from_value(&value).map(ParsedFile::Manifest);
-    }
-    parse_inline(&value).map(|(meta, tensors)| ParsedFile::Inline(meta, tensors))
+    parse_bytes(&json, expected)
 }
 
-/// Parse an *inline* checkpoint (legacy headerless array or the v1
-/// header format) from already-read JSON text. Manifest files carry no
-/// tensor data and are rejected here — load them through a
-/// [`crate::delta::DeltaStore`] or by path via [`load`].
-pub fn parse_bytes(json: &str) -> Result<(CheckpointMeta, Vec<Tensor>), CheckpointError> {
+/// Parse a checkpoint from already-read JSON text. When `expected` is
+/// given, a header that names a different model is
+/// [`CheckpointError::WrongModel`] (a header without a name passes).
+pub fn parse_bytes(
+    json: &str,
+    expected: Option<&str>,
+) -> Result<(CheckpointMeta, Vec<Tensor>), CheckpointError> {
     let value: Value =
         serde_json::from_str(json).map_err(|e| CheckpointError::Format(e.to_string()))?;
-    if value.get("version").and_then(Value::as_f64) == Some(crate::delta::MANIFEST_VERSION as f64)
-    {
-        return Err(CheckpointError::Format(
-            "a manifest carries no tensor payloads; load it through its store".to_string(),
-        ));
+    let marker = value.get("format").and_then(Value::as_str).ok_or_else(|| {
+        CheckpointError::Format(
+            "missing `format` marker (a checkpoint is a header object, not a bare tensor array)"
+                .to_string(),
+        )
+    })?;
+    if marker != FORMAT_MARKER {
+        return Err(CheckpointError::Format(format!(
+            "unknown format marker `{marker}`"
+        )));
     }
-    parse_inline(&value)
-}
-
-/// Parse an inline checkpoint value, accepting both the v1 header
-/// format and legacy headerless arrays.
-fn parse_inline(value: &Value) -> Result<(CheckpointMeta, Vec<Tensor>), CheckpointError> {
-    match value {
-        // Legacy: a bare array of tensors, no metadata.
-        Value::Array(_) => {
-            let tensors = Vec::<Tensor>::from_value(value)
-                .map_err(|e| CheckpointError::Format(e.to_string()))?;
-            let shapes = tensors.iter().map(|t| t.shape().to_vec()).collect();
-            Ok((
-                CheckpointMeta {
-                    version: 0,
-                    model: None,
-                    shapes,
-                },
-                tensors,
-            ))
-        }
-        Value::Object(_) => {
-            let marker = value
-                .get("format")
-                .and_then(Value::as_str)
-                .ok_or_else(|| {
-                    CheckpointError::Format("missing `format` marker".to_string())
-                })?;
-            if marker != FORMAT_MARKER {
-                return Err(CheckpointError::Format(format!(
-                    "unknown format marker `{marker}`"
-                )));
-            }
-            let version = value
-                .get("version")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| CheckpointError::Format("missing `version`".to_string()))?
-                as u64;
-            if version == 0 || version > FORMAT_VERSION {
-                return Err(CheckpointError::Format(format!(
-                    "unsupported checkpoint version {version} (this build reads ≤ {FORMAT_VERSION})"
-                )));
-            }
-            let model = match value.get("model") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(
-                    v.as_str()
-                        .ok_or_else(|| {
-                            CheckpointError::Format("`model` must be a string".to_string())
-                        })?
-                        .to_string(),
-                ),
-            };
-            let shapes: Vec<Vec<usize>> = value
-                .get("shapes")
-                .map(Vec::<Vec<usize>>::from_value)
-                .transpose()
-                .map_err(|e| CheckpointError::Format(e.to_string()))?
-                .ok_or_else(|| CheckpointError::Format("missing `shapes`".to_string()))?;
-            let tensors = value
-                .get("tensors")
-                .map(Vec::<Tensor>::from_value)
-                .transpose()
-                .map_err(|e| CheckpointError::Format(e.to_string()))?
-                .ok_or_else(|| CheckpointError::Format("missing `tensors`".to_string()))?;
-            if shapes.len() != tensors.len() {
-                return Err(CheckpointError::Format(format!(
-                    "header lists {} shapes but file holds {} tensors",
-                    shapes.len(),
-                    tensors.len()
-                )));
-            }
-            for (i, (shape, t)) in shapes.iter().zip(&tensors).enumerate() {
-                if shape.as_slice() != t.shape() {
-                    return Err(CheckpointError::Format(format!(
-                        "tensor {i}: header shape {:?} disagrees with payload shape {:?}",
-                        shape,
-                        t.shape()
-                    )));
-                }
-            }
-            Ok((
-                CheckpointMeta {
-                    version,
-                    model,
-                    shapes,
-                },
-                tensors,
-            ))
-        }
-        other => Err(CheckpointError::Format(format!(
-            "expected a checkpoint object or legacy array, found {other:?}"
-        ))),
+    let version = value
+        .get("version")
+        .and_then(Value::as_f64)
+        .ok_or_else(|| CheckpointError::Format("missing `version`".to_string()))?
+        as u64;
+    if version != FORMAT_VERSION {
+        return Err(CheckpointError::Format(format!(
+            "unsupported checkpoint version {version} (this build reads {FORMAT_VERSION})"
+        )));
     }
+    let model = match value.get("model") {
+        None | Some(Value::Null) => None,
+        Some(v) => Some(
+            v.as_str()
+                .ok_or_else(|| CheckpointError::Format("`model` must be a string".to_string()))?
+                .to_string(),
+        ),
+    };
+    if let (Some(expected), Some(saved)) = (expected, model.as_deref()) {
+        if expected != saved {
+            return Err(CheckpointError::WrongModel {
+                saved: saved.to_string(),
+                expected: expected.to_string(),
+            });
+        }
+    }
+    let shapes: Vec<Vec<usize>> = value
+        .get("shapes")
+        .map(Vec::<Vec<usize>>::from_value)
+        .transpose()
+        .map_err(|e| CheckpointError::Format(e.to_string()))?
+        .ok_or_else(|| CheckpointError::Format("missing `shapes`".to_string()))?;
+    let tensors = value
+        .get("tensors")
+        .map(Vec::<Tensor>::from_value)
+        .transpose()
+        .map_err(|e| CheckpointError::Format(e.to_string()))?
+        .ok_or_else(|| CheckpointError::Format("missing `tensors`".to_string()))?;
+    if shapes.len() != tensors.len() {
+        return Err(CheckpointError::Format(format!(
+            "header lists {} shapes but file holds {} tensors",
+            shapes.len(),
+            tensors.len()
+        )));
+    }
+    for (i, (shape, t)) in shapes.iter().zip(&tensors).enumerate() {
+        if shape.as_slice() != t.shape() {
+            return Err(CheckpointError::Format(format!(
+                "tensor {i}: header shape {:?} disagrees with payload shape {:?}",
+                shape,
+                t.shape()
+            )));
+        }
+    }
+    Ok((
+        CheckpointMeta {
+            version,
+            model,
+            shapes,
+        },
+        tensors,
+    ))
 }
 
 /// Read only a checkpoint's metadata (version, model name, shapes).
-///
-/// For a v2 manifest this reads *just* the manifest file — no tensor
-/// payload is touched, so peeking a multi-hundred-MB checkpoint stays
-/// O(header).
 pub fn peek(path: impl AsRef<Path>) -> Result<CheckpointMeta, CheckpointError> {
-    match parse_file(path.as_ref())? {
-        ParsedFile::Inline(meta, _) => Ok(meta),
-        ParsedFile::Manifest(manifest) => Ok(CheckpointMeta {
-            version: crate::delta::MANIFEST_VERSION,
-            model: manifest.model,
-            shapes: manifest.shapes,
-        }),
-    }
+    parse_file(path.as_ref(), None).map(|(meta, _)| meta)
 }
 
-/// Load parameters saved by [`save`]/[`save_named`] (or a legacy file)
-/// into a structurally identical model. Shape mismatches are reported as
-/// errors before any parameter is touched.
+/// Load parameters saved by [`save`]/[`save_named`] into a structurally
+/// identical model. Shape mismatches are reported as errors before any
+/// parameter is touched.
 pub fn load(model: &dyn Module, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
     load_impl(model, None, path.as_ref())
 }
 
 /// Like [`load`], but additionally require the checkpoint header to name
-/// `expected` (legacy headerless files, which carry no name, are
-/// accepted as long as the shapes match).
+/// `expected` (a file saved without a name is accepted as long as the
+/// shapes match).
 pub fn load_named(
     model: &dyn Module,
     expected: &str,
@@ -311,30 +259,7 @@ fn load_impl(
     expected: Option<&str>,
     path: &Path,
 ) -> Result<(), CheckpointError> {
-    let (meta, state) = match parse_file(path)? {
-        ParsedFile::Inline(meta, tensors) => (meta, tensors),
-        ParsedFile::Manifest(manifest) => {
-            // Payloads live next to the manifest file (the store root).
-            let dir = path.parent().unwrap_or_else(|| Path::new("."));
-            let tensors = crate::delta::manifest_tensors(dir, &manifest)?;
-            (
-                CheckpointMeta {
-                    version: crate::delta::MANIFEST_VERSION,
-                    model: manifest.model,
-                    shapes: manifest.shapes,
-                },
-                tensors,
-            )
-        }
-    };
-    if let (Some(expected), Some(saved)) = (expected, meta.model.as_deref()) {
-        if expected != saved {
-            return Err(CheckpointError::WrongModel {
-                saved: saved.to_string(),
-                expected: expected.to_string(),
-            });
-        }
-    }
+    let (_, state) = parse_file(path, expected)?;
     model
         .load_state_dict(&state)
         .map_err(|e| CheckpointError::Format(e.to_string()))
@@ -385,31 +310,6 @@ mod tests {
             .map(|t| t.shape().to_vec())
             .collect();
         assert_eq!(meta.shapes, expected);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn legacy_headerless_files_still_load() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let model = SatCnn::new(2, 8, 8, 3, &mut rng);
-        let x = Var::constant(Tensor::rand_uniform(&[1, 2, 8, 8], 0.0, 1.0, &mut rng));
-        let before = model.forward(&x, None).value();
-        // Write the pre-v1 format by hand: a bare array of tensors.
-        let path = tmp("legacy");
-        let json = serde_json::to_string(&model.state_dict()).unwrap();
-        assert!(json.starts_with('['), "legacy format is a bare array");
-        std::fs::write(&path, json).unwrap();
-
-        let meta = peek(&path).unwrap();
-        assert_eq!(meta.version, 0, "legacy files report version 0");
-        assert_eq!(meta.model, None);
-
-        let mut rng2 = rand::rngs::StdRng::seed_from_u64(77);
-        let model2 = SatCnn::new(2, 8, 8, 3, &mut rng2);
-        load(&model2, &path).unwrap();
-        assert!(model2.forward(&x, None).value().allclose(&before, 1e-6));
-        // A named load accepts legacy files too — there is no name to check.
-        load_named(&model2, "whatever", &path).unwrap();
         std::fs::remove_file(&path).ok();
     }
 

@@ -207,10 +207,9 @@ impl Manifest {
         }
     }
 
-    /// Serialise to the on-disk / on-wire JSON form. The header fields
-    /// (`format`, `version`, `model`, `shapes`) match the classic
-    /// checkpoint header so [`crate::checkpoint::peek`] reads a manifest
-    /// without touching any payload.
+    /// Serialise to the on-disk / on-wire JSON form: the checkpoint
+    /// header fields (`format`, `version` [`MANIFEST_VERSION`], `model`,
+    /// `shapes`) plus the id, parents and entries.
     pub fn to_json(&self) -> String {
         let entries = Value::Array(
             self.entries
@@ -245,11 +244,6 @@ impl Manifest {
     pub fn from_json(json: &str) -> Result<Manifest, CheckpointError> {
         let value: Value = serde_json::from_str(json)
             .map_err(|e| CheckpointError::Format(format!("manifest: {e}")))?;
-        Manifest::from_value(&value)
-    }
-
-    /// Parse a manifest from an already-decoded JSON value.
-    pub fn from_value(value: &Value) -> Result<Manifest, CheckpointError> {
         let bad = |msg: &str| CheckpointError::Format(format!("manifest: {msg}"));
         let marker = value.get("format").and_then(Value::as_str);
         if marker != Some(FORMAT_MARKER) {
@@ -419,18 +413,13 @@ impl DeltaStore {
         self.head.as_ref()
     }
 
-    /// Path of the head manifest file — usable directly as a checkpoint
-    /// path for [`crate::checkpoint::load_named`]/[`crate::checkpoint::peek`].
-    pub fn head_path(&self) -> PathBuf {
+    fn head_path(&self) -> PathBuf {
         self.root.join("head.json")
     }
 
-    fn payload_name(idx: usize, entry: &TensorVersion) -> String {
-        format!("t{idx}@{}-{}.json", entry.ver, entry.hash)
-    }
-
     fn payload_path(&self, idx: usize, entry: &TensorVersion) -> PathBuf {
-        self.root.join(Self::payload_name(idx, entry))
+        self.root
+            .join(format!("t{idx}@{}-{}.json", entry.ver, entry.hash))
     }
 
     /// Whether the payload for `(idx, entry)` is on disk locally.
@@ -704,20 +693,29 @@ impl DeltaStore {
         Ok(report(self, true, changed))
     }
 
-    /// Read the head's full state dict from payload files.
+    /// Read the head's full state dict from payload files, verifying
+    /// shapes (hash verification happens at fetch time; local payloads
+    /// were verified when written).
     pub fn materialize(&self) -> Result<Vec<Tensor>, CheckpointError> {
         let head = self.head.as_ref().ok_or_else(|| {
             CheckpointError::Format("store has no head manifest".to_string())
         })?;
-        manifest_tensors(&self.root, head)
-    }
-
-    /// Load the head state into a structurally identical model.
-    pub fn load_into(&self, model: &dyn Module) -> Result<(), CheckpointError> {
-        let state = self.materialize()?;
-        model
-            .load_state_dict(&state)
-            .map_err(|e| CheckpointError::Format(e.to_string()))
+        let mut tensors = Vec::with_capacity(head.entries.len());
+        for (i, entry) in head.entries.iter().enumerate() {
+            let json = std::fs::read_to_string(self.payload_path(i, entry))
+                .map_err(CheckpointError::Io)?;
+            let tensor: Tensor = serde_json::from_str(&json)
+                .map_err(|e| CheckpointError::Format(format!("payload {i}: {e}")))?;
+            if tensor.shape() != head.shapes[i].as_slice() {
+                return Err(CheckpointError::Format(format!(
+                    "payload {i} has shape {:?}, manifest says {:?}",
+                    tensor.shape(),
+                    head.shapes[i]
+                )));
+            }
+            tensors.push(tensor);
+        }
+        Ok(tensors)
     }
 
     fn payload_files(&self) -> Result<Vec<(PathBuf, usize, TensorVersion)>, CheckpointError> {
@@ -845,29 +843,4 @@ fn parse_payload_name(name: &str) -> Option<(usize, TensorVersion)> {
             hash: hash.to_string(),
         },
     ))
-}
-
-/// Load the tensors a manifest references from payload files in `dir`,
-/// verifying shapes (hash verification happens at fetch time; local
-/// payloads were verified when written).
-pub(crate) fn manifest_tensors(
-    dir: &Path,
-    manifest: &Manifest,
-) -> Result<Vec<Tensor>, CheckpointError> {
-    let mut tensors = Vec::with_capacity(manifest.entries.len());
-    for (i, entry) in manifest.entries.iter().enumerate() {
-        let path = dir.join(DeltaStore::payload_name(i, entry));
-        let json = std::fs::read_to_string(&path).map_err(CheckpointError::Io)?;
-        let tensor: Tensor = serde_json::from_str(&json)
-            .map_err(|e| CheckpointError::Format(format!("payload {i}: {e}")))?;
-        if tensor.shape() != manifest.shapes[i].as_slice() {
-            return Err(CheckpointError::Format(format!(
-                "payload {i} has shape {:?}, manifest says {:?}",
-                tensor.shape(),
-                manifest.shapes[i]
-            )));
-        }
-        tensors.push(tensor);
-    }
-    Ok(tensors)
 }

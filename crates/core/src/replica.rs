@@ -3,25 +3,25 @@
 //!
 //! # Architecture
 //!
-//! [`fit`] owns everything the paper's protocol fixes (§III-A2 update
+//! `fit` owns everything the paper's protocol fixes (§III-A2 update
 //! cadence, §V-C early stopping on validation): the optimizer, update
 //! cadence, cumulative `1/batches` scaling, report bookkeeping, early
 //! stopping, best-state restore. The only thing that varies is *who runs
 //! one step's forward and backward*:
 //!
-//! - **in-thread** (`config.replicas <= 1`, or an entry point with no
-//!   replica factory): `loss_fn(model, &payload).backward()` on the
-//!   canonical model. No factory call, no thread, no state broadcast, no
-//!   gradient shipping.
-//! - **workers** (`config.replicas = K > 1` and a factory): K replica
+//! - **in-thread** (`config.replicas <= 1`, or an in-memory fit, which
+//!   has no replica factory): `loss_fn(model, &payload).backward()` on
+//!   the canonical model. No factory call, no thread, no state
+//!   broadcast, no gradient shipping.
+//! - **workers** (`fit_stream` with `config.replicas = K > 1`): K replica
 //!   threads each own a private model instance (the autograd tape is
 //!   `Rc`-based and cannot cross threads, so models are built *on* their
 //!   threads by a `Sync` factory — the same pattern as the serving
 //!   batcher's model-owner threads). One step is:
 //!
 //!   1. master broadcasts its state dict (O(1) `Arc` clones per tensor)
-//!      and deals each replica `r` a shard of `n_r` samples with weight
-//!      `w_r = n_r / N`;
+//!      and deals each replica `r` one stream batch of `n_r` samples
+//!      with weight `w_r = n_r / N`;
 //!   2. replica `r` forwards its shard, runs `backward` seeded with
 //!      `w_r` (so its gradients arrive pre-scaled), and ships the
 //!      gradients back;
@@ -36,10 +36,9 @@
 //!
 //! # Shard-assignment determinism
 //!
-//! Shards are contiguous slices of the shuffled batch (index path) or
-//! consecutive stream batches (stream path), dealt to replicas in slot
-//! order. No work stealing: the assignment is a pure function of
-//! `(seed, epoch, step, K)`, so reruns are reproducible.
+//! Shards are consecutive stream batches, dealt to replicas in slot
+//! order. No work stealing: the assignment is a pure function of the
+//! stream order and K, so reruns are reproducible.
 //!
 //! Non-trainable parameters (batch-norm running statistics) produce no
 //! gradients; the master adopts their post-forward values from the
@@ -109,9 +108,8 @@ pub(crate) trait StepSource<P> {
     fn next_step(&mut self, width: usize) -> Result<Option<Vec<(P, usize)>>, TrainError>;
 }
 
-/// Shards each shuffled batch of sample indices contiguously across
-/// replica slots and turns each index shard into its payload on the
-/// master, so replica workers never touch the (non-`Sync`) dataset.
+/// Deals each shuffled batch of sample indices as one step's single
+/// shard, materialized by `batch_of` on the calling thread.
 pub(crate) struct IndexStepSource<'a, F> {
     train_idx: &'a [usize],
     batch_size: usize,
@@ -122,7 +120,7 @@ pub(crate) struct IndexStepSource<'a, F> {
 
 impl<'a, F> IndexStepSource<'a, F> {
     /// Steps over `train_idx` with `config`'s batch size and seed;
-    /// `batch_of` materializes one index shard.
+    /// `batch_of` materializes one batch.
     pub(crate) fn new(
         train_idx: &'a [usize],
         config: &TrainConfig,
@@ -148,26 +146,14 @@ impl<P, F: FnMut(&[usize]) -> P> StepSource<P> for IndexStepSource<'_, F> {
         Ok(())
     }
 
-    fn next_step(&mut self, width: usize) -> Result<Option<Vec<(P, usize)>>, TrainError> {
+    /// One shard per step whatever the width: in-memory fits train
+    /// in-thread (and the one-worker executor takes one shard).
+    fn next_step(&mut self, _width: usize) -> Result<Option<Vec<(P, usize)>>, TrainError> {
         let Some(batch) = self.iter.as_mut().and_then(Iterator::next) else {
             self.iter = None;
             return Ok(None);
         };
-        // Contiguous balanced split: the first `rem` shards get one
-        // extra sample. Deterministic in (batch, K); empty shards are
-        // never dealt (a ragged batch smaller than K uses fewer
-        // replicas).
-        let k = width.min(batch.len()).max(1);
-        let base = batch.len() / k;
-        let rem = batch.len() % k;
-        let mut shards = Vec::with_capacity(k);
-        let mut start = 0;
-        for r in 0..k {
-            let len = base + usize::from(r < rem);
-            shards.push(((self.batch_of)(&batch[start..start + len]), len));
-            start += len;
-        }
-        Ok(Some(shards))
+        Ok(Some(vec![((self.batch_of)(&batch), batch.len())]))
     }
 }
 

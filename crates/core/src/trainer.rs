@@ -16,7 +16,7 @@ use geotorch_nn::{Module, Var};
 use geotorch_tensor::{with_device, Device, Tensor};
 
 use crate::metrics;
-use crate::replica::{self, Factory, IndexStepSource, LossFn, StreamStepSource, TrainError};
+use crate::replica::{self, IndexStepSource, LossFn, StreamStepSource, TrainError};
 
 /// When weights update (§III-A2): after every batch (incremental) or once
 /// per epoch with accumulated gradients (cumulative).
@@ -55,14 +55,13 @@ pub struct TrainConfig {
     /// worker pool; the default `Device::Cpu` stays serial.
     pub device: Device,
     /// Data-parallel model replicas (see [`crate::replica`]). With `K > 1`
-    /// the entry points that take a replica factory
-    /// (`fit_*_replicated`, `fit_stream`) shard each step across K worker
-    /// threads and average their gradients before one optimizer step.
-    /// With `K <= 1` every step runs on the caller's model on the
-    /// caller's thread: the factory is never called and no thread is
-    /// spawned. `fit_grid` / `fit_classifier` / `fit_segmenter` have no
-    /// factory to build replicas from, so they train in-thread whatever
-    /// this field holds — bit-for-bit what `replicas: 1` gives.
+    /// [`Trainer::fit_stream`] deals each step across K worker threads
+    /// and averages their gradients before one optimizer step. With
+    /// `K <= 1` every step runs on the caller's model on the caller's
+    /// thread: the factory is never called and no thread is spawned.
+    /// `fit_grid` / `fit_classifier` / `fit_segmenter` have no factory to
+    /// build replicas from, so they train in-thread whatever this field
+    /// holds — bit-for-bit what `replicas: 1` gives.
     pub replicas: usize,
 }
 
@@ -186,31 +185,23 @@ impl Trainer {
         &self.config
     }
 
-    /// Fit over shuffled batches of `train_idx`, each materialized by
-    /// `batch_of` on the calling thread.
+    /// Fit in-thread over shuffled batches of `train_idx`, each
+    /// materialized by `batch_of`.
     fn fit_indexed<M, P>(
         &self,
         model: &M,
-        factory: Option<&Factory<M>>,
         loss: &LossFn<M, P>,
         batch_of: impl FnMut(&[usize]) -> P,
         train_idx: &[usize],
         validate: &mut dyn FnMut() -> f32,
-    ) -> Result<TrainReport, TrainError>
+    ) -> TrainReport
     where
         M: Module + ?Sized,
         P: Send,
     {
         let mut source = IndexStepSource::new(train_idx, &self.config, batch_of);
-        replica::fit(
-            &self.config,
-            model,
-            factory,
-            loss,
-            &mut source,
-            validate,
-            None,
-        )
+        replica::fit(&self.config, model, None, loss, &mut source, validate, None)
+            .expect(NO_FACTORY)
     }
 
     // --------------------------------------------------------- grid
@@ -226,31 +217,6 @@ impl Trainer {
     ) -> TrainReport {
         self.fit_indexed(
             model,
-            None,
-            &grid_loss,
-            |idx| dataset.batch(idx),
-            train_idx,
-            &mut || self.evaluate_grid(model, dataset, val_idx).0,
-        )
-        .expect(NO_FACTORY)
-    }
-
-    /// Data-parallel [`Trainer::fit_grid`] — see
-    /// [`Trainer::fit_classifier_replicated`] for the protocol.
-    ///
-    /// # Errors
-    /// If a replica worker fails.
-    pub fn fit_grid_replicated(
-        &self,
-        model: &(dyn GridModel + 'static),
-        factory: &(dyn Fn(usize) -> Box<dyn GridModel> + Sync),
-        dataset: &StGridDataset,
-        train_idx: &[usize],
-        val_idx: &[usize],
-    ) -> Result<TrainReport, TrainError> {
-        self.fit_indexed(
-            model,
-            Some(factory),
             &grid_loss,
             |idx| dataset.batch(idx),
             train_idx,
@@ -301,36 +267,6 @@ impl Trainer {
     ) -> TrainReport {
         self.fit_indexed(
             model,
-            None,
-            &classifier_loss,
-            |idx| dataset.batch(idx),
-            train_idx,
-            &mut || 1.0 - self.evaluate_classifier(model, dataset, val_idx),
-        )
-        .expect(NO_FACTORY)
-    }
-
-    /// Data-parallel [`Trainer::fit_classifier`]: `config.replicas`
-    /// model replicas (built per worker thread by `factory`), each batch
-    /// sharded contiguously across them, gradients averaged per step.
-    /// `model` stays canonical — validation, early stopping, and the
-    /// returned weights all live on it. With `replicas <= 1` this *is*
-    /// [`Trainer::fit_classifier`]: `factory` is never called.
-    ///
-    /// # Errors
-    /// If a replica worker fails (panic in the model's forward, state
-    /// broadcast rejected).
-    pub fn fit_classifier_replicated(
-        &self,
-        model: &(dyn RasterClassifier + 'static),
-        factory: &(dyn Fn(usize) -> Box<dyn RasterClassifier> + Sync),
-        dataset: &RasterDataset,
-        train_idx: &[usize],
-        val_idx: &[usize],
-    ) -> Result<TrainReport, TrainError> {
-        self.fit_indexed(
-            model,
-            Some(factory),
             &classifier_loss,
             |idx| dataset.batch(idx),
             train_idx,
@@ -381,13 +317,11 @@ impl Trainer {
     ) -> TrainReport {
         self.fit_indexed(
             model,
-            None,
             &segmenter_loss,
             |idx| dataset.batch(idx),
             train_idx,
             &mut || 1.0 - self.evaluate_segmenter(model, dataset, val_idx),
         )
-        .expect(NO_FACTORY)
     }
 
     /// Pixel accuracy of a segmenter over the given samples.

@@ -1,8 +1,8 @@
-//! Regression tests for checkpoint format compatibility: the v2
-//! versioned manifest must not break anything that loaded before it —
-//! bare-array (v0) files, v1 named headers — and a manifest must
-//! round-trip through `peek` from its header fields alone, without
-//! reading a single tensor payload.
+//! Regression tests for the checkpoint formats each reader accepts:
+//! `checkpoint` reads only the named header file `save` writes — a bare
+//! tensor array (the pre-header format) is a `Format` error, never a
+//! silent load — and a manifest is read by its `DeltaStore` alone, whose
+//! head answers from the manifest without reading a single payload.
 
 use std::path::PathBuf;
 
@@ -33,22 +33,35 @@ fn logits(m: &SatCnn) -> Vec<f32> {
 }
 
 #[test]
-fn bare_array_checkpoints_still_load() {
-    // The original format: a JSON array of tensors, no header at all.
+fn bare_array_checkpoints_are_format_errors() {
+    // The pre-header format: a JSON array of tensors, nothing else.
     let path = tmp("bare.json");
-    let donor = model(0);
-    let json = serde_json::to_string(&donor.state_dict().to_value()).expect("serialise");
-    std::fs::write(&path, json).expect("write");
+    let json = serde_json::to_string(&model(0).state_dict().to_value()).expect("serialise");
+    std::fs::write(&path, &json).expect("write");
 
-    let meta = checkpoint::peek(&path).expect("peek");
-    assert_eq!(meta.version, 0, "bare arrays are version 0");
-    assert_eq!(meta.model, None);
-
-    let restored = model(9);
-    checkpoint::load(&restored, &path).expect("bare array loads");
-    assert_eq!(logits(&restored), logits(&donor));
-    // load_named accepts a nameless file (nothing to validate against).
-    checkpoint::load_named(&model(8), "satcnn", &path).expect("load_named tolerates no name");
+    let target = model(9);
+    let before = logits(&target);
+    assert!(matches!(
+        checkpoint::peek(&path),
+        Err(CheckpointError::Format(_))
+    ));
+    assert!(matches!(
+        checkpoint::parse_bytes(&json, None),
+        Err(CheckpointError::Format(_))
+    ));
+    assert!(matches!(
+        checkpoint::load(&target, &path),
+        Err(CheckpointError::Format(_))
+    ));
+    assert!(matches!(
+        checkpoint::load_named(&target, "satcnn", &path),
+        Err(CheckpointError::Format(_))
+    ));
+    assert_eq!(
+        logits(&target),
+        before,
+        "a refused file must not touch the model"
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -72,43 +85,55 @@ fn v1_named_checkpoints_still_load() {
 }
 
 #[test]
-fn manifest_peeks_without_reading_payloads_and_loads_through_the_store() {
+fn manifest_is_read_by_its_store_alone() {
     let dir = tmp("store");
     std::fs::remove_dir_all(&dir).ok();
     let donor = model(2);
     let mut store = DeltaStore::open(&dir, Some("satcnn")).expect("open");
     store.publish_module(&donor).expect("publish");
 
-    // The head manifest file is itself a loadable checkpoint path…
+    // The store materialises its head into the donor's weights…
     let restored = model(9);
-    checkpoint::load_named(&restored, "satcnn", store.head_path()).expect("manifest loads");
+    restored
+        .load_state_dict(&store.materialize().expect("materialize"))
+        .expect("same architecture");
     assert_eq!(logits(&restored), logits(&donor));
+    // …while the checkpoint reader refuses the manifest file.
+    let head_path = dir.join("head.json");
+    assert!(matches!(
+        checkpoint::peek(&head_path),
+        Err(CheckpointError::Format(_))
+    ));
 
-    // …and `peek` reads its header without touching any payload: after
-    // deleting every payload file, peek still answers from the manifest
-    // alone while a full load (which needs the tensors) now fails.
+    // With every payload file deleted, a reopened store's `head()` still
+    // answers from the manifest alone, while `materialize` (which needs
+    // the tensors) now fails.
     let head = store.head().expect("head").clone();
+    drop(store);
     for entry in std::fs::read_dir(&dir).expect("read dir") {
         let entry = entry.expect("dir entry");
         if entry.file_name().to_string_lossy().starts_with('t') {
             std::fs::remove_file(entry.path()).expect("remove payload");
         }
     }
-    let meta = checkpoint::peek(store.head_path()).expect("peek needs no payloads");
-    assert_eq!(meta.version, 2, "manifests are format version 2");
-    assert_eq!(meta.model.as_deref(), Some("satcnn"));
-    assert_eq!(meta.shapes, head.shapes);
+    let store = DeltaStore::open(&dir, Some("satcnn")).expect("reopen needs no payloads");
+    assert_eq!(store.head(), Some(&head));
+    assert_eq!(head.model.as_deref(), Some("satcnn"));
     assert!(
-        checkpoint::load_named(&model(8), "satcnn", store.head_path()).is_err(),
-        "a full load without payloads must fail, proving peek never read them"
+        store.materialize().is_err(),
+        "materializing without payloads must fail, proving open never read them"
     );
 
     // The manifest JSON itself round-trips exactly (content id verified
     // on parse).
-    let json = std::fs::read_to_string(store.head_path()).expect("read head");
+    let json = std::fs::read_to_string(&head_path).expect("read head");
     let parsed = Manifest::from_json(&json).expect("parse");
     assert_eq!(parsed, head);
-    assert_eq!(parsed.to_json(), json, "manifest JSON round-trips byte-for-byte");
+    assert_eq!(
+        parsed.to_json(),
+        json,
+        "manifest JSON round-trips byte-for-byte"
+    );
 
     drop(store);
     std::fs::remove_dir_all(&dir).ok();

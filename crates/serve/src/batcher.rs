@@ -2,10 +2,11 @@
 //!
 //! Each served model is owned by `replicas` dedicated worker threads —
 //! the autograd graph (`Rc`-based [`Var`]) is single-threaded by design,
-//! so every replica builds, checkpoint-loads, and runs its own copy of
-//! the model entirely on its own thread (weights are immutable after
-//! load, and the tensor pool's COW buffers make the per-replica copies
-//! cheap in steady state). Callers talk to the shard through a cloneable
+//! so every replica builds and runs its own copy of the model entirely on
+//! its own thread. The copies share their weight buffers: the registry
+//! reads a model's state dict once and every replica loads it (tensor
+//! storage is `Arc`-backed, and weights are immutable between
+//! hot-swaps). Callers talk to the shard through a cloneable
 //! [`ModelClient`]: `predict` routes a sample-shaped tensor to the
 //! least-loaded live replica's queue and blocks on a one-shot reply.
 //!
@@ -90,10 +91,11 @@ pub struct BatchConfig {
     /// [`ServeError::Overloaded`] instead of queueing without limit.
     pub queue_bound: usize,
     /// Replica worker threads per model. Each replica owns its own copy
-    /// of the model (built by running the registered constructor and
-    /// checkpoint load on the replica thread) and its own batch queue;
-    /// requests are routed to the least-loaded live replica. `1` (the
-    /// default) reproduces the single-owner-thread behaviour exactly.
+    /// of the model (built by the registered constructor on the replica
+    /// thread, sharing the weights the registry read) and its own batch
+    /// queue; requests are routed to the least-loaded live replica. `1`
+    /// (the default) reproduces the single-owner-thread behaviour
+    /// exactly.
     pub replicas: usize,
 }
 
@@ -367,12 +369,11 @@ impl ModelWorker {
     /// Spawn the replica threads for one model.
     ///
     /// `init` runs once *on each replica thread* (models are not `Send`,
-    /// so every replica constructs its own copy and loads its own
-    /// checkpoint); the first error — e.g. a wrong-architecture
-    /// checkpoint — is propagated back out of `spawn` and the already-
-    /// started replicas are torn down, so a server never starts
-    /// half-broken. Every replica is switched to eval mode before its
-    /// first request.
+    /// so every replica constructs its own copy); the first error — e.g.
+    /// a state dict of the wrong architecture — is propagated back out of
+    /// `spawn` and the already-started replicas are torn down, so a
+    /// server never starts half-broken. Every replica is switched to eval
+    /// mode before its first request.
     pub fn spawn<F>(name: &str, config: BatchConfig, init: F) -> Result<ModelWorker, ServeError>
     where
         F: Fn() -> Result<Box<dyn ServeModel>, ServeError> + Send + Sync + 'static,

@@ -1,11 +1,10 @@
 //! A hand-rolled HTTP/1.1 layer over `std::net`.
 //!
 //! No external HTTP dependency: requests are parsed with a small
-//! incremental byte-scanner ([`try_parse`]: request line → headers →
-//! `Content-Length` body) that works the same whether it is fed by the
-//! event-driven epoll front (non-blocking sockets, partial buffers) or
-//! the portable blocking fallback. The parsed request keeps the raw
-//! receive buffer and hands the body out as a slice — no copy between
+//! incremental byte-scanner (`try_parse`: request line → headers →
+//! `Content-Length` body) fed by the event-driven epoll front
+//! (non-blocking sockets, partial buffers). The parsed request keeps the
+//! raw receive buffer and hands the body out as a slice — no copy between
 //! socket and JSON decoder. HTTP/1.1 keep-alive is honored (including
 //! pipelined requests already sitting in the buffer); `Connection:
 //! close` and HTTP/1.0 defaults behave per spec.
@@ -52,9 +51,6 @@ pub struct ServeConfig {
     /// (blocking) model call, and the response write for complete
     /// requests. Slow clients never occupy one.
     pub http_workers: usize,
-    /// Turn on `geotorch-telemetry` recording at startup so `/metrics`
-    /// has data. Leave `false` to manage telemetry yourself.
-    pub enable_telemetry: bool,
     /// Default per-request deadline in milliseconds, used when the
     /// client sends no `X-Deadline-Ms` header. `0` disables the default
     /// (requests then only time out if the client asks for one).
@@ -77,7 +73,6 @@ impl Default for ServeConfig {
         ServeConfig {
             batch: BatchConfig::default(),
             http_workers: 4,
-            enable_telemetry: true,
             default_deadline_ms: 30_000,
             socket_timeout_ms: 10_000,
             max_body: 64 << 20,
@@ -118,7 +113,8 @@ pub(crate) struct FrontState {
 
 impl Server {
     /// Build every registered model (loading checkpoints, eval mode),
-    /// bind `addr` (use port 0 for an ephemeral port), and start
+    /// bind `addr` (use port 0 for an ephemeral port), turn on
+    /// `geotorch-telemetry` recording so `/metrics` has data, and start
     /// serving. Any model that fails to build or load aborts startup
     /// with the error.
     pub fn start(
@@ -126,10 +122,8 @@ impl Server {
         registry: Registry,
         config: ServeConfig,
     ) -> Result<Server, ServeError> {
-        if config.enable_telemetry {
-            geotorch_telemetry::set_enabled(true);
-        }
-        let (workers, stores) = registry.spawn_all_with_stores(config.batch)?;
+        geotorch_telemetry::set_enabled(true);
+        let (workers, stores) = registry.spawn_all(config.batch)?;
         let clients: BTreeMap<String, ModelClient> = workers
             .iter()
             .map(|(name, w)| (name.clone(), w.client()))
@@ -509,8 +503,8 @@ fn registry_get(rest: &str, front: &FrontState) -> Response {
     respond(404, error_json(&format!("no route for /models/{name}/{tail}")))
 }
 
-/// `POST /models/<name>/publish` (body: a classic checkpoint — bare
-/// array or named header — holding the *full* state dict) and
+/// `POST /models/<name>/publish` (body: a checkpoint file's JSON holding
+/// the *full* state dict) and
 /// `POST /models/<name>/sync` (body: `{"peer": "host:port"}`).
 fn registry_post(rest: &str, request: &HttpRequest, front: &FrontState) -> Response {
     let Some((name, tail)) = rest.split_once('/') else {
@@ -545,15 +539,8 @@ fn parse_tensor_spec(spec: &str) -> Option<(usize, TensorVersion)> {
 }
 
 fn publish_body(front: &FrontState, name: &str, body: &str) -> Result<String, ServeError> {
-    let (meta, state) = geotorch_core::checkpoint::parse_bytes(body)
+    let (_, state) = geotorch_core::checkpoint::parse_bytes(body, Some(name))
         .map_err(|e| ServeError::BadRequest(format!("checkpoint body: {e}")))?;
-    if let Some(saved) = &meta.model {
-        if saved != name {
-            return Err(ServeError::BadRequest(format!(
-                "checkpoint is for model `{saved}`, published to `{name}`"
-            )));
-        }
-    }
     let report = publish_state(front, name, &state)?;
     Ok(render(&Value::Object(vec![
         ("model".to_string(), name.to_value()),

@@ -20,16 +20,19 @@
 //! * [`http`] — a hand-rolled HTTP/1.1 layer with JSON bodies: `POST
 //!   /predict/<model>`, `GET /healthz`, and `GET /metrics` (a
 //!   `geotorch-telemetry` snapshot including the `serve.*` stats). The
-//!   front is event-driven on Linux: one epoll readiness loop (raw
-//!   syscalls, still zero-dep) owns every idle or half-read connection
-//!   with incremental parsing, keep-alive, and per-connection idle
-//!   timers, while a responder pool runs the blocking model calls — so
-//!   a slow client costs a buffer, not a thread. Other targets fall
-//!   back to a blocking accept pool with the same semantics.
+//!   front is event-driven: one epoll readiness loop (raw syscalls,
+//!   still zero-dep) owns every idle or half-read connection with
+//!   incremental parsing, keep-alive, and per-connection idle timers,
+//!   while a responder pool runs the blocking model calls — so a slow
+//!   client costs a buffer, not a thread.
 //!
 //! Models can additionally be sharded across N replica threads
-//! ([`BatchConfig::replicas`]) with least-loaded routing, since
-//! checkpointed weights are immutable after load.
+//! ([`BatchConfig::replicas`]) with least-loaded routing; the replicas
+//! share the one copy of the weights the registry read, which is
+//! immutable between hot-swaps.
+//!
+//! The crate builds on Linux x86_64 and aarch64 only: the front calls
+//! epoll through raw syscalls.
 //!
 //! ```no_run
 //! use geotorch_serve::{Registry, ServeConfig, Server};
@@ -47,13 +50,16 @@
 
 #![warn(missing_docs)]
 
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+compile_error!(
+    "geotorch-serve needs Linux on x86_64 or aarch64: its front calls epoll through raw syscalls"
+);
+
 pub mod batcher;
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 mod epoll;
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-mod front;
-#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-#[path = "front_fallback.rs"]
 mod front;
 pub mod http;
 pub mod registry;

@@ -2,12 +2,14 @@
 //!
 //! A [`Registry`] is the declarative half of the serving subsystem: it
 //! records how to *build* each model and where its trained weights live.
-//! [`Registry::spawn_all`] (called by [`crate::Server::start`]) turns
-//! every entry into a [`ModelWorker`]: the constructor runs on the
-//! worker thread, the checkpoint is loaded through
-//! [`geotorch_core::checkpoint::load_named`] — so a wrong-architecture
-//! or wrong-model checkpoint aborts startup with an error instead of a
-//! panic — and the model is flipped to eval mode before the first
+//! [`Registry::spawn_all`] (called by [`crate::Server::start`]) reads
+//! each model's weights once, on the calling thread — the store head of
+//! a sync-enabled model, otherwise its checkpoint file, whose header
+//! must name the registered model — and turns every entry into a
+//! [`ModelWorker`]: each replica runs the constructor on its own thread
+//! and loads that one shared state dict, so a wrong-architecture or
+//! wrong-model checkpoint aborts startup with an error instead of a
+//! panic, and the model is flipped to eval mode before the first
 //! request.
 
 use std::collections::BTreeMap;
@@ -16,6 +18,7 @@ use std::sync::{Arc, Mutex};
 
 use geotorch_core::DeltaStore;
 use geotorch_models::{GridModel, RasterClassifier, Segmenter};
+use geotorch_tensor::Tensor;
 
 use crate::batcher::{BatchConfig, ModelWorker};
 use crate::{ClassifierServe, GridServe, SegmenterServe, ServeError, ServeModel};
@@ -123,23 +126,14 @@ impl Registry {
         self.entries.is_empty()
     }
 
-    /// Spawn one [`ModelWorker`] per entry. The first model that fails
-    /// to build or load aborts the whole call (already-spawned workers
-    /// shut down cleanly on drop).
-    pub fn spawn_all(
-        &self,
-        config: BatchConfig,
-    ) -> Result<BTreeMap<String, ModelWorker>, ServeError> {
-        self.spawn_all_with_stores(config).map(|(workers, _)| workers)
-    }
-
-    /// Like [`Registry::spawn_all`], additionally opening (and seeding,
-    /// if empty) the [`DeltaStore`] of every sync-enabled entry. Sync
-    /// entries spawn with the store head as both their weights and
-    /// their version label, so every reply is attributable to a
-    /// manifest id from the very first request.
+    /// Spawn one [`ModelWorker`] per entry, opening (and seeding, if
+    /// empty) the [`DeltaStore`] of every sync-enabled entry. Sync
+    /// entries serve the store head, labelled with its manifest id, so
+    /// every reply is attributable from the very first request. The
+    /// first model that fails to build or load aborts the whole call
+    /// (already-spawned workers shut down cleanly on drop).
     #[allow(clippy::type_complexity)]
-    pub fn spawn_all_with_stores(
+    pub fn spawn_all(
         &self,
         config: BatchConfig,
     ) -> Result<
@@ -152,84 +146,67 @@ impl Registry {
         let mut workers = BTreeMap::new();
         let mut stores = BTreeMap::new();
         for (name, entry) in &self.entries {
+            let (label, state) = resolve(name, entry, &mut stores)?;
             let builder = Arc::clone(&entry.builder);
             let model_name = name.clone();
-            let worker = match &entry.sync_dir {
-                None => {
-                    let checkpoint = entry.checkpoint.clone();
-                    ModelWorker::spawn(name, config, move || {
-                        let model = builder();
-                        if let Some(path) = &checkpoint {
-                            load_checkpoint(model.as_ref(), &model_name, path)?;
-                        }
-                        Ok(model)
-                    })?
+            let worker = ModelWorker::spawn_versioned(name, config, &label, move || {
+                let model = builder();
+                if let Some(state) = &state {
+                    model
+                        .load_state_dict(state)
+                        .map_err(|e| ServeError::ModelLoad(format!("{model_name}: {e}")))?;
                 }
-                Some(dir) => {
-                    let store = open_store(name, dir, entry)?;
-                    let head_id = store
-                        .head()
-                        .map(|h| h.id.clone())
-                        .expect("open_store guarantees a head");
-                    let head_path = store.head_path();
-                    let worker =
-                        ModelWorker::spawn_versioned(name, config, &head_id, move || {
-                            let model = builder();
-                            load_checkpoint(model.as_ref(), &model_name, &head_path)?;
-                            Ok(model)
-                        })?;
-                    stores.insert(name.clone(), Arc::new(Mutex::new(store)));
-                    worker
-                }
-            };
+                Ok(model)
+            })?;
             workers.insert(name.clone(), worker);
         }
         Ok((workers, stores))
     }
 }
 
-/// Open a sync entry's store, seeding an empty one so the head always
-/// exists: from the classic checkpoint file when the entry has one,
-/// otherwise from the freshly built model's own state dict.
-fn open_store(name: &str, dir: &Path, entry: &Entry) -> Result<DeltaStore, ServeError> {
-    let mut store = DeltaStore::open(dir, Some(name))
-        .map_err(|e| ServeError::ModelLoad(format!("{name}: delta store: {e}")))?;
-    if store.head().is_none() {
-        let state = match &entry.checkpoint {
-            Some(path) => {
-                let json = std::fs::read_to_string(path).map_err(|e| {
-                    ServeError::ModelLoad(format!("{name}: {}: {e}", path.display()))
-                })?;
-                let (meta, tensors) = geotorch_core::checkpoint::parse_bytes(&json)
-                    .map_err(|e| ServeError::ModelLoad(format!("{name}: {e}")))?;
-                if let Some(saved) = &meta.model {
-                    if saved != name {
-                        return Err(ServeError::ModelLoad(format!(
-                            "{name}: checkpoint is for model `{saved}`"
-                        )));
-                    }
-                }
-                tensors
-            }
-            None => (entry.builder)().state_dict(),
-        };
-        store
-            .publish(&state)
-            .map_err(|e| ServeError::ModelLoad(format!("{name}: seed publish: {e}")))?;
-    }
-    Ok(store)
-}
-
-fn load_checkpoint(
-    model: &dyn ServeModel,
+/// Read an entry's weights once: the label replies carry and the state
+/// dict every replica loads (`None`: serve the freshly built weights).
+/// A sync entry's store is opened — and seeded, if empty, from the
+/// checkpoint file or the built model — and handed over in `stores`.
+fn resolve(
     name: &str,
-    path: &Path,
-) -> Result<(), ServeError> {
+    entry: &Entry,
+    stores: &mut BTreeMap<String, Arc<Mutex<DeltaStore>>>,
+) -> Result<(String, Option<Vec<Tensor>>), ServeError> {
+    if entry.checkpoint.is_none() && entry.sync_dir.is_none() {
+        return Ok(("v0".to_string(), None));
+    }
     if let Err(msg) = geotorch_telemetry::fault_point!("serve.registry.load") {
         return Err(ServeError::ModelLoad(format!(
             "{name}: injected load fault: {msg}"
         )));
     }
-    geotorch_core::checkpoint::load_named(model, name, path)
+    let load_error = |e: geotorch_core::checkpoint::CheckpointError| {
+        ServeError::ModelLoad(format!("{name}: {e}"))
+    };
+    let Some(dir) = &entry.sync_dir else {
+        let path = entry.checkpoint.as_deref().expect("an entry with weights");
+        return Ok(("v0".to_string(), Some(read_checkpoint(name, path)?)));
+    };
+    let mut store = DeltaStore::open(dir, Some(name)).map_err(load_error)?;
+    if store.head().is_none() {
+        let state = match &entry.checkpoint {
+            Some(path) => read_checkpoint(name, path)?,
+            None => (entry.builder)().state_dict(),
+        };
+        store.publish(&state).map_err(load_error)?;
+    }
+    let label = store.head().expect("the store was seeded").id.clone();
+    let state = store.materialize().map_err(load_error)?;
+    stores.insert(name.to_string(), Arc::new(Mutex::new(store)));
+    Ok((label, Some(state)))
+}
+
+/// A checkpoint file's state dict; its header must name `name`.
+fn read_checkpoint(name: &str, path: &Path) -> Result<Vec<Tensor>, ServeError> {
+    let json = std::fs::read_to_string(path)
+        .map_err(|e| ServeError::ModelLoad(format!("{name}: {}: {e}", path.display())))?;
+    geotorch_core::checkpoint::parse_bytes(&json, Some(name))
+        .map(|(_, state)| state)
         .map_err(|e| ServeError::ModelLoad(format!("{name}: {e}")))
 }

@@ -34,10 +34,12 @@ use geotorch_core::{DeltaStore, IntegrateReport, Manifest, TensorVersion};
 
 use crate::ServeError;
 
+/// Per-request read and write timeout of a [`SyncClient`].
+const TIMEOUT: Duration = Duration::from_secs(10);
+
 /// A minimal HTTP/1.1 client for the sync routes of one peer node.
 pub struct SyncClient {
     addr: String,
-    timeout: Duration,
 }
 
 impl SyncClient {
@@ -46,14 +48,7 @@ impl SyncClient {
     pub fn new(addr: &str) -> SyncClient {
         SyncClient {
             addr: addr.to_string(),
-            timeout: Duration::from_secs(10),
         }
-    }
-
-    /// Override the per-request timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> SyncClient {
-        self.timeout = timeout;
-        self
     }
 
     /// The peer address this client talks to.
@@ -65,8 +60,8 @@ impl SyncClient {
         let unavailable =
             |e: std::io::Error| ServeError::Unavailable(format!("peer {}: {e}", self.addr));
         let mut stream = TcpStream::connect(&self.addr).map_err(unavailable)?;
-        stream.set_read_timeout(Some(self.timeout)).ok();
-        stream.set_write_timeout(Some(self.timeout)).ok();
+        stream.set_read_timeout(Some(TIMEOUT)).ok();
+        stream.set_write_timeout(Some(TIMEOUT)).ok();
         let request =
             format!("GET {path} HTTP/1.1\r\nHost: {}\r\nConnection: close\r\n\r\n", self.addr);
         stream.write_all(request.as_bytes()).map_err(unavailable)?;

@@ -58,7 +58,6 @@ fn start_server(http_workers: usize, socket_timeout_ms: u64) -> Server {
             replicas: 1,
         },
         http_workers,
-        enable_telemetry: true,
         default_deadline_ms: 10_000,
         socket_timeout_ms,
         max_body: 1 << 20,

@@ -81,7 +81,6 @@ fn start_server(queue_bound: usize, socket_timeout_ms: u64, max_body: usize) -> 
             replicas: 1,
         },
         http_workers: 4,
-        enable_telemetry: true,
         default_deadline_ms: 10_000,
         socket_timeout_ms,
         max_body,
@@ -254,6 +253,43 @@ fn stalled_client_gets_408_within_the_socket_timeout() {
         "the 408 must arrive at the socket timeout, took {elapsed:?}"
     );
     assert!(counter(addr, "serve.error.slow_client") > before);
+    server.shutdown();
+}
+
+#[test]
+fn hostile_shapes_are_400_and_a_lone_responder_survives_them() {
+    // One responder: a body that killed it would leave no thread to
+    // answer anything after.
+    let mut registry = Registry::new();
+    registry.register("echo", None, || Box::new(Echo) as Box<dyn ServeModel>);
+    let config = ServeConfig {
+        batch: BatchConfig {
+            device: Device::Cpu,
+            ..BatchConfig::default()
+        },
+        http_workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", registry, config).expect("server starts");
+    let addr = server.addr();
+    for body in [
+        // The element count overflows `usize`.
+        r#"{"shape":[4294967296,4294967296],"data":[]}"#,
+        // Dimensions outside `usize`: negative, and past its range.
+        r#"{"shape":[-3,2],"data":[]}"#,
+        r#"{"shape":[1e20],"data":[]}"#,
+    ] {
+        let (status, _, reply) = http(addr, "POST", "/predict/echo", body);
+        assert_eq!(status, 400, "{body}: {reply}");
+        assert!(error_body(&reply).contains("tensor payload"), "{reply}");
+    }
+    let (status, _, reply) = http(
+        addr,
+        "POST",
+        "/predict/echo",
+        &payload_for(&Tensor::from_vec(vec![21.0], &[1])),
+    );
+    assert_eq!(status, 200, "the lone responder must survive: {reply}");
     server.shutdown();
 }
 

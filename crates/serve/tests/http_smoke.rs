@@ -34,7 +34,6 @@ fn serve_config() -> ServeConfig {
             ..BatchConfig::default()
         },
         http_workers: 2,
-        enable_telemetry: true,
         ..ServeConfig::default()
     }
 }

@@ -71,7 +71,6 @@ fn start_server(drain_timeout_ms: u64) -> Server {
         // Enough HTTP workers that sockets are never the bottleneck:
         // admission control, not accept capacity, must do the shedding.
         http_workers: 3 * BOUND,
-        enable_telemetry: true,
         default_deadline_ms: 10_000,
         socket_timeout_ms: 10_000,
         max_body: 1 << 20,

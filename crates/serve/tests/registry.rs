@@ -83,7 +83,7 @@ fn served_batchnorm_uses_running_stats_not_batch_stats() {
     // first request.
     let mut registry = Registry::new();
     registry.register("bn", None, || Box::new(BnNet::new()) as Box<dyn ServeModel>);
-    let workers = registry.spawn_all(cpu_config()).expect("spawn");
+    let (workers, _) = registry.spawn_all(cpu_config()).expect("spawn");
     let served = workers["bn"].client().predict(sample).expect("predict");
 
     assert_eq!(
@@ -113,6 +113,7 @@ fn wrong_architecture_checkpoint_aborts_spawn() {
     });
     let err = registry
         .spawn_all(cpu_config())
+        .map(|(workers, _)| workers)
         .expect_err("name mismatch must abort startup");
     assert!(
         matches!(&err, ServeError::ModelLoad(msg) if msg.contains("other-model")),
@@ -135,7 +136,7 @@ fn matching_checkpoint_restores_weights_through_registry() {
     registry.register("bn", Some(path.clone()), || {
         Box::new(BnNet::new()) as Box<dyn ServeModel>
     });
-    let workers = registry.spawn_all(cpu_config()).expect("spawn");
+    let (workers, _) = registry.spawn_all(cpu_config()).expect("spawn");
     let sample = Tensor::from_vec(vec![0.0, 4.0, 8.0, 12.0], &[1, 2, 2]);
     let served = workers["bn"].client().predict(sample.clone()).expect("predict");
 

@@ -12,12 +12,14 @@ mod common;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use geotorch_nn::{Module, Var};
+use geotorch_nn::layers::Linear;
+use geotorch_nn::{Layer, Module, Var};
 use geotorch_serve::{
     BatchConfig, ModelWorker, Registry, ServeConfig, ServeError, ServeModel, Server,
 };
 use geotorch_tensor::{Device, Tensor};
 use geotorch_telemetry::fault::{self, FaultAction, FaultPlan};
+use rand::SeedableRng;
 use serde::Value;
 
 use common::{latched_worker, wait_for_routed};
@@ -83,6 +85,32 @@ impl ServeModel for Slow {
         std::thread::sleep(Duration::from_millis(self.ms));
         self.log.lock().unwrap().push(batch.value().as_slice()[0]);
         batch.mul_scalar(2.0)
+    }
+}
+
+/// A one-weight linear model, seeded so a checkpoint differs from a
+/// fresh build.
+struct Affine(Linear);
+
+impl Affine {
+    fn new(seed: u64) -> Affine {
+        Affine(Linear::new(
+            1,
+            1,
+            &mut rand::rngs::StdRng::seed_from_u64(seed),
+        ))
+    }
+}
+
+impl Module for Affine {
+    fn parameters(&self) -> Vec<Var> {
+        self.0.parameters()
+    }
+}
+
+impl ServeModel for Affine {
+    fn predict(&self, batch: &Var) -> Var {
+        self.0.forward(batch)
     }
 }
 
@@ -267,7 +295,6 @@ fn healthz_reports_a_dead_worker_as_degraded() {
     let config = ServeConfig {
         batch: cpu_config(4, 16),
         http_workers: 2,
-        enable_telemetry: true,
         default_deadline_ms: 2_000,
         ..ServeConfig::default()
     };
@@ -319,7 +346,6 @@ fn begin_drain_flips_healthz_and_refuses_predictions() {
     let config = ServeConfig {
         batch: cpu_config(4, 16),
         http_workers: 2,
-        enable_telemetry: true,
         ..ServeConfig::default()
     };
     let server = Server::start("127.0.0.1:0", registry, config).expect("server starts");
@@ -353,7 +379,6 @@ fn deadline_header_is_honoured_and_validated_over_http() {
     let config = ServeConfig {
         batch: cpu_config(1, 16),
         http_workers: 2,
-        enable_telemetry: true,
         default_deadline_ms: 10_000,
         ..ServeConfig::default()
     };
@@ -380,6 +405,65 @@ fn deadline_header_is_honoured_and_validated_over_http() {
         http(addr, "POST", "/predict/slow", &payload, &[("X-Deadline-Ms", "5000")]);
     assert_eq!(status, 200, "{body}");
     server.shutdown();
+}
+
+#[test]
+fn a_checkpointed_model_is_read_once_for_all_its_replicas() {
+    let _g = serial();
+    let path = std::env::temp_dir().join(format!(
+        "geotorch_robustness_{}_read_once.json",
+        std::process::id()
+    ));
+    let donor = Affine::new(1);
+    geotorch_core::checkpoint::save_named(&donor, "affine", &path).expect("save");
+    let start = || {
+        let mut registry = Registry::new();
+        registry.register("affine", Some(path.clone()), || {
+            Box::new(Affine::new(2)) as Box<dyn ServeModel>
+        });
+        let config = ServeConfig {
+            batch: BatchConfig {
+                replicas: 3,
+                ..cpu_config(4, 16)
+            },
+            http_workers: 1,
+            ..ServeConfig::default()
+        };
+        Server::start("127.0.0.1:0", registry, config)
+    };
+
+    // An empty plan arms the fault points without failing any: it only
+    // counts their hits.
+    fault::install(FaultPlan::new(chaos_seed()));
+    let server = start().expect("server starts");
+    assert_eq!(
+        fault::hits("serve.registry.load"),
+        1,
+        "three replicas must share one read of the checkpoint"
+    );
+    let served = server
+        .client("affine")
+        .expect("client")
+        .predict(sample(3.0))
+        .expect("predict");
+    let expected = donor
+        .predict(&Var::constant(sample(3.0).reshape(&[1, 1])))
+        .value();
+    assert_eq!(
+        served.as_slice(),
+        expected.as_slice(),
+        "replicas serve the checkpoint"
+    );
+    server.shutdown();
+
+    fault::install(FaultPlan::new(chaos_seed()).always(
+        "serve.registry.load",
+        FaultAction::Error("disk gone".into()),
+    ));
+    let err = start().err().expect("a failed load aborts startup");
+    assert!(matches!(err, ServeError::ModelLoad(_)), "{err}");
+    fault::clear();
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -67,7 +67,6 @@ fn start_node(dir: &Path, replicas: usize) -> Server {
             ..BatchConfig::default()
         },
         http_workers: 2,
-        enable_telemetry: true,
         ..ServeConfig::default()
     };
     Server::start("127.0.0.1:0", registry, config).expect("node starts")
@@ -95,6 +94,17 @@ fn fine_tuned(factor: f32) -> Vec<Tensor> {
     let last = state.len() - 1;
     state[last] = state[last].add_scalar(factor);
     state
+}
+
+/// `state` as a saved checkpoint file: the body `POST
+/// /models/<m>/publish` takes.
+fn checkpoint_body(state: &[Tensor], path: &Path) -> String {
+    let model = satcnn();
+    model.load_state_dict(state).expect("same architecture");
+    geotorch_core::checkpoint::save_named(&model, "satcnn", path).expect("save");
+    let body = std::fs::read_to_string(path).expect("read back");
+    std::fs::remove_file(path).ok();
+    body
 }
 
 /// Both stores must hold bit-identical head manifests and, for every
@@ -319,7 +329,12 @@ fn republish_under_load_versions_every_reply() {
     let (_, seed_id) = predict(&node);
     let payload = serde_json::to_string(&sample()).expect("serialize sample");
     let bodies: Vec<String> = (1..=3)
-        .map(|k| serde_json::to_string(&fine_tuned(k as f32 * 0.4)).expect("checkpoint body"))
+        .map(|k| {
+            checkpoint_body(
+                &fine_tuned(k as f32 * 0.4),
+                &dir.with_extension("ckpt.json"),
+            )
+        })
         .collect();
 
     let stop = AtomicBool::new(false);

@@ -288,7 +288,9 @@ impl serde::Deserialize for Tensor {
         };
         let shape = Vec::<usize>::from_value(field("shape")?)?;
         let data = Vec::<f32>::from_value(field("data")?)?;
-        if data.len() != numel(&shape) {
+        // Checked: a hostile shape must be an error, not an overflow.
+        let len = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        if len != Some(data.len()) {
             return Err(serde::DeError::custom(format!(
                 "tensor data length {} does not match shape {:?}",
                 data.len(),
@@ -386,5 +388,16 @@ mod tests {
     fn serde_rejects_mismatched_shape() {
         let bad = r#"{"shape":[3],"data":[1.0,2.0]}"#;
         assert!(serde_json::from_str::<Tensor>(bad).is_err());
+    }
+
+    #[test]
+    fn serde_rejects_overflowing_and_negative_shapes() {
+        for bad in [
+            r#"{"shape":[4294967296,4294967296],"data":[]}"#,
+            r#"{"shape":[-3,2],"data":[]}"#,
+            r#"{"shape":[1e20],"data":[]}"#,
+        ] {
+            assert!(serde_json::from_str::<Tensor>(bad).is_err(), "{bad}");
+        }
     }
 }

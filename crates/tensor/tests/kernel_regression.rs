@@ -2,16 +2,18 @@
 //! `geotorch-core`'s `alloc_regression.rs`: the blocked SIMD matmul must stay ≥ 3x faster
 //! than the naive oracle at 512×512 single-threaded, its packing
 //! buffers must recycle from the tensor pool at steady state, the
-//! parallel band split must actually scale when more than one core is
-//! available, and a DeepSTN+-shaped 3×3 convolution must run at a fixed
+//! parallel band split must hand each thread one band and actually scale
+//! when four or more cores are available, and a DeepSTN+-shaped 3×3
+//! convolution must run at a fixed
 //! fraction of the GEMM's own rate on the same host — its weight gradient
 //! too, and its 16→2 output head at a fixed fraction of the 16→16 layer's.
 //!
 //! Wall-clock assertions are meaningless in unoptimised builds and
 //! noisy CI matrices, so the timed tests skip themselves under
 //! `debug_assertions`, under the chaos matrix (`GEOTORCH_CHAOS_SEED`),
-//! and — for the scaling test — on single-core runners. CI runs this
-//! file with `--release`.
+//! and — for the scaling test — on runners with fewer than four cores,
+//! where two busy threads share too little hardware to show the split.
+//! CI runs this file with `--release`.
 
 use geotorch_tensor::ops::conv::{conv2d, conv2d_weight_grad};
 use geotorch_tensor::ops::matmul::matmul_naive;
@@ -30,7 +32,7 @@ const MIN_SPEEDUP_VS_NAIVE: f64 = 3.0;
 /// After warm-up, pack buffers and outputs must all be recycled.
 const PACK_MISS_BUDGET: u64 = 4;
 
-/// Minimum parallel-over-serial speedup at 768³ when ≥ 2 cores exist.
+/// Minimum parallel-over-serial speedup at 768³ when ≥ 4 cores exist.
 const MIN_PARALLEL_SPEEDUP: f64 = 1.3;
 
 /// Minimum conv 3×3 rate at DeepSTN+'s 16×16×21×12 shape, as a fraction
@@ -245,6 +247,27 @@ fn pack_buffers_recycle_from_the_pool() {
     );
 }
 
+/// Row bands the device pool has been handed so far.
+fn pool_tasks() -> u64 {
+    geotorch_telemetry::snapshot()
+        .into_iter()
+        .find(|s| s.name == "device.pool.tasks")
+        .map_or(0, |s| s.count)
+}
+
+#[test]
+fn parallel_matmul_dispatches_one_band_per_thread() {
+    let _serial = serial();
+    let (a, b) = (square(768, 5), square(768, 6));
+    let was_enabled = geotorch_telemetry::enabled();
+    geotorch_telemetry::set_enabled(true);
+    let before = pool_tasks();
+    with_device(Device::Parallel(2), || std::hint::black_box(a.matmul(&b)));
+    let dispatched = pool_tasks() - before;
+    geotorch_telemetry::set_enabled(was_enabled);
+    assert_eq!(dispatched, 2, "768³ on two threads is two row bands");
+}
+
 #[test]
 fn parallel_band_split_scales_with_cores() {
     if let Some(reason) = perf_skip_reason() {
@@ -253,8 +276,8 @@ fn parallel_band_split_scales_with_cores() {
     }
     let _serial = serial();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores < 2 {
-        eprintln!("skipping parallel scaling gate: single-core runner");
+    if cores < 4 {
+        eprintln!("skipping parallel scaling gate: {cores} cores (needs 4)");
         return;
     }
     let a = square(768, 5);
