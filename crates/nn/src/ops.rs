@@ -11,7 +11,7 @@ use geotorch_tensor::ops::conv::{
     upsample_nearest2d_backward,
 };
 use geotorch_tensor::ops::pool::{
-    avgpool2d, avgpool2d_backward, maxpool2d, maxpool2d_backward,
+    avgpool2d, avgpool2d_backward, maxpool2d, maxpool2d_backward, maxpool2d_values,
 };
 use geotorch_tensor::Tensor;
 
@@ -414,8 +414,13 @@ impl Var {
         )
     }
 
-    /// 2-D max pooling; gradient routes through the argmax positions.
+    /// 2-D max pooling; gradient routes through the argmax positions. When
+    /// nothing records (under [`crate::no_grad`], or over a constant) only
+    /// the values are computed: no argmax, no backward closure.
     pub fn maxpool2d(&self, kernel: usize, stride: usize) -> Var {
+        if !Var::records(std::slice::from_ref(self)) {
+            return Var::constant(maxpool2d_values(&self.value(), kernel, stride));
+        }
         let shape = self.shape();
         let (value, argmax) = maxpool2d(&self.value(), kernel, stride);
         Var::from_op(
@@ -587,6 +592,24 @@ mod tests {
         let y = x.maxpool2d(2, 2).sum_all();
         y.backward();
         assert_eq!(x.grad().unwrap().as_slice(), &[0.0, 1.0, 0.0, 0.0]);
+    }
+
+    /// When nothing records, max pooling takes values only: the result is
+    /// a constant leaf with `maxpool2d`'s values, under `no_grad` and over a
+    /// constant alike; a recorded pool stays a tape node.
+    #[test]
+    fn unrecorded_maxpool_is_a_constant_leaf() {
+        let data = vec![1.0, 5.0, f32::NAN, 3.0, -2.0, 0.5, 7.0, f32::NEG_INFINITY, 4.0];
+        let x = param(data.clone(), &[1, 1, 3, 3]);
+        let recorded = x.maxpool2d(2, 1);
+        assert!(!recorded.is_constant());
+        let silent = crate::no_grad(|| x.maxpool2d(2, 1));
+        assert!(silent.is_constant());
+        let over_constant = Var::constant(Tensor::from_vec(data, &[1, 1, 3, 3])).maxpool2d(2, 1);
+        assert!(over_constant.is_constant());
+        let bits = |v: &Var| v.value().as_slice().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&silent), bits(&recorded));
+        assert_eq!(bits(&over_constant), bits(&recorded));
     }
 
     #[test]

@@ -15,7 +15,7 @@ thread_local! {
 
 /// Run `f` with tape recording disabled on this thread.
 ///
-/// Inside the closure every op result is a *leaf*: [`Var::from_op`] drops
+/// Inside the closure every op result is a *leaf*: `Var::from_op` drops
 /// the parent list and the backward closure, so no autograd graph is
 /// built and intermediate values are freed as soon as the ops that
 /// consume them finish. This is the inference fast path — the serving
@@ -96,10 +96,17 @@ impl Var {
     /// so a constant subgraph (`concat`/`narrow`/`reshape` of input
     /// batches) never becomes tape nodes or gradient work.
     pub(crate) fn from_op(value: Tensor, parents: Vec<Var>, backward: BackwardFn) -> Var {
-        if is_no_grad() || parents.iter().all(Var::is_constant) {
+        if !Var::records(&parents) {
             return Var::constant(value);
         }
         Var::make(value, false, parents, Some(backward))
+    }
+
+    /// Whether an op over `parents` is recorded on the tape: not under
+    /// [`no_grad`], and some parent is not a constant. An op that will not
+    /// record may skip whatever only its backward would read.
+    pub(crate) fn records(parents: &[Var]) -> bool {
+        !is_no_grad() && !parents.iter().all(Var::is_constant)
     }
 
     /// Stable identity of this node.

@@ -179,21 +179,30 @@ impl BlendMode {
     /// The (unnormalized) weight of pixel `(r, c)` of a tile. `r`/`c`
     /// are scene coordinates; the tile supplies the extent the taper is
     /// shaped over. Strictly positive, so accumulated coverage is
-    /// detectable by a zero test.
+    /// detectable by a zero test. [`MosaicAccumulator::add_tile`] forms
+    /// the same expression from tapers it evaluates once per row and
+    /// column; the tests hold it to this per-pixel form.
+    #[cfg(test)]
     fn weight(&self, tile: &Window, r: usize, c: usize) -> f32 {
+        combine(self.taper(r - tile.row, tile.height), self.taper(c - tile.col, tile.width))
+    }
+
+    /// The taper of position `i` along an axis of `n` pixels.
+    fn taper(&self, i: usize, n: usize) -> f32 {
         match self {
             BlendMode::Uniform => 1.0,
             BlendMode::Cosine => {
-                let taper = |i: usize, n: usize| -> f32 {
-                    let phase =
-                        std::f32::consts::TAU * (i as f32 + 0.5) / n as f32;
-                    0.5 - 0.5 * phase.cos()
-                };
-                let w = taper(r - tile.row, tile.height) * taper(c - tile.col, tile.width);
-                w.max(1e-3)
+                let phase = std::f32::consts::TAU * (i as f32 + 0.5) / n as f32;
+                0.5 - 0.5 * phase.cos()
             }
         }
     }
+}
+
+/// A pixel's weight from its row and column tapers (`1 · 1 = 1` under
+/// [`BlendMode::Uniform`]).
+fn combine(row_taper: f32, col_taper: f32) -> f32 {
+    (row_taper * col_taper).max(1e-3)
 }
 
 /// Streaming mosaic builder: tiles arrive in any order, each contributes
@@ -303,19 +312,29 @@ impl MosaicAccumulator {
                 want
             )));
         }
+        // `BlendMode::weight` per pixel, each axis's tapers evaluated once:
+        // the columns' per tile, the row's per row.
+        let col_tapers: Vec<f32> = (core.col..core.end_col())
+            .map(|c| self.blend.taper(c - tile.col, tile.width))
+            .collect();
+        let mut w_row = vec![0.0; core.width];
+        let (plane, tile_plane) = (self.height * self.width, tile.height * tile.width);
         let data = pred.as_slice();
-        let tile_plane = tile.height * tile.width;
         for r in core.row..core.end_row() {
-            let tr = r - tile.row;
-            let out_row = r * self.width;
-            let in_row = tr * tile.width;
-            for c in core.col..core.end_col() {
-                let w = self.blend.weight(tile, r, c);
-                let tc = c - tile.col;
-                self.weight[out_row + c] += w;
-                for k in 0..self.classes {
-                    self.acc[k * self.height * self.width + out_row + c] +=
-                        w * data[k * tile_plane + in_row + tc];
+            let row_taper = self.blend.taper(r - tile.row, tile.height);
+            for (w, &col_taper) in w_row.iter_mut().zip(&col_tapers) {
+                *w = combine(row_taper, col_taper);
+            }
+            let out_row = r * self.width + core.col;
+            let in_row = (r - tile.row) * tile.width + core.col - tile.col;
+            for (sum, &w) in self.weight[out_row..][..core.width].iter_mut().zip(&w_row) {
+                *sum += w;
+            }
+            for k in 0..self.classes {
+                let acc = &mut self.acc[k * plane + out_row..][..core.width];
+                let pred = &data[k * tile_plane + in_row..][..core.width];
+                for ((a, &w), &p) in acc.iter_mut().zip(&w_row).zip(pred) {
+                    *a += w * p;
                 }
             }
         }
@@ -461,6 +480,49 @@ mod tests {
         assert_eq!(mosaic.get(0, 0, 0).unwrap(), 1.0);
         assert_eq!(mosaic.get(0, 0, 3).unwrap(), 2.0); // overlap: (1+3)/2
         assert_eq!(mosaic.get(0, 0, 5).unwrap(), 3.0);
+    }
+
+    /// `add_tile` forms each pixel's weight from per-row and per-column
+    /// tapers; the accumulator's bits equal accumulating the per-pixel
+    /// [`BlendMode::weight`] formula, pixel by pixel and class by class.
+    #[test]
+    fn add_tile_accumulates_the_per_pixel_weight_bitwise() {
+        let (classes, height, width) = (3, 37, 41);
+        let bounds = Window::new(0, 0, height, width);
+        for blend in [BlendMode::Cosine, BlendMode::Uniform] {
+            let mut acc = MosaicAccumulator::new(classes, height, width, blend);
+            let mut want_acc = vec![0.0f32; classes * height * width];
+            let mut want_weight = vec![0.0f32; height * width];
+            let tiles = [
+                (0, 0, 20, 24),
+                (9, 13, 20, 24),
+                (17, 17, 20, 24),
+                (0, 20, 13, 21),
+                (24, 0, 13, 9),
+            ];
+            for (i, &(r, c, h, w)) in tiles.iter().enumerate() {
+                let tile = Window::new(r, c, h, w);
+                let core = core_of(&tile, &bounds, 3);
+                let data: Vec<f32> = (0..classes * h * w)
+                    .map(|j| ((j * 7919 + i * 104_729) % 1000) as f32 / 97.0 - 5.0)
+                    .collect();
+                let pred = Tensor::from_vec(data.clone(), &[classes, h, w]);
+                acc.add_tile(&tile, &core, &pred).unwrap();
+                for pr in core.row..core.end_row() {
+                    for pc in core.col..core.end_col() {
+                        let wt = blend.weight(&tile, pr, pc);
+                        want_weight[pr * width + pc] += wt;
+                        for k in 0..classes {
+                            want_acc[(k * height + pr) * width + pc] +=
+                                wt * data[(k * h + pr - r) * w + pc - c];
+                        }
+                    }
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&acc.weight), bits(&want_weight), "{blend:?} weights");
+            assert_eq!(bits(&acc.acc), bits(&want_acc), "{blend:?} accumulator");
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 
 use super::matmul::{gemm_block, Dense, PackedA, PanelSource, Simd, KC, MR, NR};
 use super::shape_ops::transpose_into;
-use crate::device::{parallel_for, Device, SendPtr};
+use crate::device::{parallel_for, Device, SendPtr, PARALLEL_THRESHOLD};
 use crate::Tensor;
 
 /// FLOP count (`2·B·O·C·kh·kw·oh·ow`) below which a convolution runs on
@@ -160,7 +160,7 @@ pub fn conv2d(
 /// covers at most: eight 8-lane accumulators.
 const STRIP: usize = 64;
 
-/// Direct stride-1 convolution, register-blocked. The input is copied
+/// Direct stride-1 convolution, register-blocked. Each image is copied
 /// once into a zero-padded buffer; output pixels are then addressed in
 /// *padded-width* flat coordinates `q = oi·pw + oj`, in which tap
 /// `(ic, ki, kj)` of every pixel is the padded channel shifted by
@@ -174,7 +174,11 @@ const STRIP: usize = 64;
 /// order, fused exactly when the GEMM microkernel fuses: the GEMM
 /// lowering's arithmetic, and `conv2d_naive`'s on a host without FMA.
 /// Tasks are images, or bands of output rows when a large conv has fewer
-/// images than threads; neither changes any element's arithmetic.
+/// images than threads; neither changes any element's arithmetic. An
+/// image task pads its own image before convolving it. Row bands share
+/// an image, so its planes are padded before they fan out: one task per
+/// plane when the copy reaches [`PARALLEL_THRESHOLD`] elements (the
+/// elementwise kernels' rule), else on the calling thread.
 pub fn conv2d_direct(
     input: &Tensor,
     weight: &Tensor,
@@ -183,26 +187,50 @@ pub fn conv2d_direct(
 ) -> Tensor {
     let _t = geotorch_telemetry::scope!("tensor.conv2d_direct");
     let (b, o, g) = Geom::of_conv(input, weight, bias, 1, pad);
-    let ((ph, pw), w) = (g.padded(), g.w);
-    // Slack past the last image, so a strip may run past the last row.
-    let mut x = crate::pool::alloc_zeroed(b * g.c * ph * pw + STRIP);
-    let images = input.as_slice().chunks_exact((g.h * w).max(1));
-    for (src, dst) in images.zip(x.chunks_exact_mut(ph * pw)) {
-        for (row, out) in src.chunks_exact(w.max(1)).zip(dst[pad * pw + pad..].chunks_mut(pw)) {
-            out[..w].copy_from_slice(row);
-        }
-    }
+    let (ph, pw) = g.padded();
+    // Each padded image is followed by `STRIP` slack floats, so a strip
+    // may run past its last row without reading another image.
+    let (chan, image) = (ph * pw, g.c * ph * pw + STRIP);
+    let mut x = crate::pool::alloc_uninit(b * image);
     let mut out = crate::pool::alloc_uninit(b * o * g.plane());
-    let d = Direct { x: &x, wt: weight.as_slice(), bias: bias.map(|t| t.as_slice()), o, g };
-    let out_ptr = SendPtr(out.as_mut_ptr());
+    let src = input.as_slice();
+    let (x_ptr, out_ptr) = (SendPtr(x.as_mut_ptr()), SendPtr(out.as_mut_ptr()));
+    // Pad plane `p` (channel `p % C` of image `p / C`), and after an
+    // image's last channel zero its slack.
+    let pad_plane = |p: usize| {
+        let len = if (p + 1).is_multiple_of(g.c) { chan + STRIP } else { chan };
+        let at = p / g.c * image + p % g.c * chan;
+        // SAFETY: plane `p` and its image's slack lie in `x` and are
+        // written by this call alone.
+        let dst = unsafe { std::slice::from_raw_parts_mut({ &x_ptr }.0.add(at), len) };
+        g.pad_plane(&src[p * g.h * g.w..][..g.h * g.w], dst);
+    };
+    let d = Direct { wt: weight.as_slice(), bias: bias.map(|t| t.as_slice()), o, g };
     let threads = Device::current().threads();
     let parallel = threads > 1 && 2 * b * o * g.taps() * g.plane() >= CONV_PARALLEL_FLOPS;
     let bands = if parallel { (threads / b.max(1)).clamp(1, g.oh) } else { 1 };
     let rows = g.oh.div_ceil(bands);
+    // Row bands share an image, so it is padded before they fan out. One
+    // task per plane pays on a large copy (a batch-1 12→4 conv at 128²:
+    // 257–281 → 200–266 µs on 2 vCPUs) and costs a small one its wake-up
+    // (SatCNN's batch-1 16→32 conv at 32²: 45–50 → 60–73 µs).
+    if bands > 1 {
+        if b * image >= PARALLEL_THRESHOLD {
+            parallel_for(b * g.c, pad_plane);
+        } else {
+            (0..b * g.c).for_each(pad_plane);
+        }
+    }
     let task = |t: usize| {
         let (bi, r0) = (t / bands, t % bands * rows);
+        if bands == 1 {
+            (bi * g.c..(bi + 1) * g.c).for_each(pad_plane);
+        }
+        // SAFETY: image `bi` is padded (by this task, or before the fan-out)
+        // and from here on only read.
+        let x = unsafe { std::slice::from_raw_parts({ &x_ptr }.0.add(bi * image), image) };
         for oc0 in (0..o).step_by(4) {
-            d.block(bi, oc0, (r0, (r0 + rows).min(g.oh)), out_ptr);
+            d.block(x, bi, oc0, (r0, (r0 + rows).min(g.oh)), out_ptr);
         }
     };
     if parallel {
@@ -214,9 +242,8 @@ pub fn conv2d_direct(
     Tensor::from_vec(out, &[b, o, g.oh, g.ow])
 }
 
-/// A direct conv's operands: padded input plus slack, filters, bias, shape.
+/// A direct conv's operands besides the padded image: filters, bias, shape.
 struct Direct<'a> {
-    x: &'a [f32],
     wt: &'a [f32],
     bias: Option<&'a [f32]>,
     o: usize,
@@ -227,14 +254,15 @@ struct Direct<'a> {
 type Strip<const OB: usize, const V: usize> = [[[f32; 8]; V]; OB];
 
 impl Direct<'_> {
-    /// Output channels `oc0..` (up to four) of image `bi`, output rows
-    /// `r0..r1`, into the `[B, O, oh, ow]` buffer at `out`.
-    fn block(&self, bi: usize, oc0: usize, rows: (usize, usize), out: SendPtr<f32>) {
+    /// Output channels `oc0..` (up to four) of image `bi`, padded as `x`
+    /// (its channels, then `STRIP` slack), output rows `r0..r1`, into the
+    /// `[B, O, oh, ow]` buffer at `out`.
+    fn block(&self, x: &[f32], bi: usize, oc0: usize, rows: (usize, usize), out: SendPtr<f32>) {
         match self.o - oc0 {
-            1 => self.strips::<1, { STRIP / 8 }>(bi, oc0, rows, out),
-            2 => self.strips::<2, { STRIP / 16 }>(bi, oc0, rows, out),
-            3 => self.strips::<3, { STRIP / 32 }>(bi, oc0, rows, out),
-            _ => self.strips::<4, { STRIP / 32 }>(bi, oc0, rows, out),
+            1 => self.strips::<1, { STRIP / 8 }>(x, bi, oc0, rows, out),
+            2 => self.strips::<2, { STRIP / 16 }>(x, bi, oc0, rows, out),
+            3 => self.strips::<3, { STRIP / 32 }>(x, bi, oc0, rows, out),
+            _ => self.strips::<4, { STRIP / 32 }>(x, bi, oc0, rows, out),
         }
     }
 
@@ -243,6 +271,7 @@ impl Direct<'_> {
     /// written out row by row: its pixels `q` with `q % pw < ow`.
     fn strips<const OB: usize, const V: usize>(
         &self,
+        x: &[f32],
         bi: usize,
         oc0: usize,
         (r0, r1): (usize, usize),
@@ -251,7 +280,7 @@ impl Direct<'_> {
         let ((_, pw), ow) = (self.g.padded(), self.g.ow);
         let end = (r1 - 1) * pw + ow;
         for q0 in (r0 * pw..end).step_by(8 * V) {
-            let acc = self.strip::<OB, V>(bi, oc0, q0);
+            let acc = self.strip::<OB, V>(x, oc0, q0);
             let (mut q, stop) = (q0, (q0 + 8 * V).min(end));
             while q < stop {
                 let (oi, oj) = (q / pw, q % pw);
@@ -278,7 +307,7 @@ impl Direct<'_> {
     /// (here, without AVX: multiply then add).
     fn strip<const OB: usize, const V: usize>(
         &self,
-        bi: usize,
+        x: &[f32],
         oc0: usize,
         q0: usize,
     ) -> Strip<OB, V> {
@@ -287,16 +316,16 @@ impl Direct<'_> {
         #[cfg(target_arch = "x86_64")]
         match super::matmul::simd() {
             // SAFETY: AVX and FMA were detected at runtime.
-            Simd::Fma if taps > 0 => return unsafe { self.strip_fma::<OB, V>(bi, oc0, q0) },
+            Simd::Fma if taps > 0 => return unsafe { self.strip_fma::<OB, V>(x, oc0, q0) },
             // SAFETY: AVX was detected at runtime.
-            Simd::Avx if taps > 0 => return unsafe { self.strip_avx::<OB, V>(bi, oc0, q0) },
+            Simd::Avx if taps > 0 => return unsafe { self.strip_avx::<OB, V>(x, oc0, q0) },
             _ => {}
         }
         let mut acc: Strip<OB, V> =
             std::array::from_fn(|ob| [[self.bias.map_or(0.0, |b| b[oc0 + ob]); 8]; V]);
         for t in 0..taps {
             let (ic, ki, kj) = (t / (g.kh * g.kw), t / g.kw % g.kh, t % g.kw);
-            let xs = &self.x[(bi * g.c + ic) * chan + q0 + ki * pw + kj..][..8 * V];
+            let xs = &x[ic * chan + q0 + ki * pw + kj..][..8 * V];
             for (ob, a) in acc.iter_mut().enumerate() {
                 let wv = self.wt[(oc0 + ob) * taps + t];
                 for (v, &s) in a.as_flattened_mut().iter_mut().zip(xs) {
@@ -315,11 +344,11 @@ impl Direct<'_> {
     #[target_feature(enable = "avx,fma")]
     unsafe fn strip_fma<const OB: usize, const V: usize>(
         &self,
-        bi: usize,
+        x: &[f32],
         oc0: usize,
         q0: usize,
     ) -> Strip<OB, V> {
-        self.strip_simd::<OB, V, true>(bi, oc0, q0)
+        self.strip_simd::<OB, V, true>(x, oc0, q0)
     }
 
     /// [`Direct::strip_simd`] unfused, on the GEMM's `avx` tier.
@@ -330,11 +359,11 @@ impl Direct<'_> {
     #[target_feature(enable = "avx")]
     unsafe fn strip_avx<const OB: usize, const V: usize>(
         &self,
-        bi: usize,
+        x: &[f32],
         oc0: usize,
         q0: usize,
     ) -> Strip<OB, V> {
-        self.strip_simd::<OB, V, false>(bi, oc0, q0)
+        self.strip_simd::<OB, V, false>(x, oc0, q0)
     }
 
     /// [`Direct::strip`] in AVX registers: the strip's `OB·V` accumulators
@@ -351,7 +380,7 @@ impl Direct<'_> {
     #[inline(always)]
     unsafe fn strip_simd<const OB: usize, const V: usize, const FUSED: bool>(
         &self,
-        bi: usize,
+        x: &[f32],
         oc0: usize,
         q0: usize,
     ) -> Strip<OB, V> {
@@ -359,9 +388,9 @@ impl Direct<'_> {
         let (g, (ph, pw)) = (self.g, self.g.padded());
         let (chan, taps) = (ph * pw, g.taps());
         // Every tap's `8·V` lanes: the slice bounds-checks the last one (the
-        // padded input holds `STRIP` slack floats past its last row).
+        // padded image holds `STRIP` slack floats past its last row).
         let span = (g.c - 1) * chan + (g.kh - 1) * pw + g.kw - 1 + 8 * V;
-        let x = &self.x[bi * g.c * chan + q0..][..span];
+        let x = &x[q0..][..span];
         let wt = &self.wt[oc0 * taps..][..OB * taps];
         let mut acc: [[__m256; V]; OB] =
             std::array::from_fn(|ob| [_mm256_set1_ps(self.bias.map_or(0.0, |b| b[oc0 + ob])); V]);
@@ -445,6 +474,30 @@ impl Geom {
 
     fn plane(&self) -> usize {
         self.oh * self.ow
+    }
+
+    /// Copy one `h × w` plane into the front of `dst` zero-padded to
+    /// `ph × pw`, and zero the rest of `dst`: each pixel is written once,
+    /// and between one row's pixels and the next's lies one run of zeros
+    /// (a right border and the next left border, or the top and bottom
+    /// halo rows).
+    fn pad_plane(&self, src: &[f32], dst: &mut [f32]) {
+        let ((_, pw), pad, w) = (self.padded(), self.pad, self.w);
+        let mut zeros_from = 0;
+        for i in 0..self.h {
+            let at = (pad + i) * pw + pad;
+            match dst.get_mut(zeros_from..zeros_from + 8) {
+                // A short run (the halo between two rows) is one fixed
+                // 8-float store rather than a `memset` call per row, which
+                // narrow planes feel; what it writes past the run lies
+                // ahead and is written again, by this row or a later one.
+                Some(run) if at - zeros_from <= 8 => run.copy_from_slice(&[0.0; 8]),
+                _ => dst[zeros_from..at].fill(0.0),
+            }
+            dst[at..at + w].copy_from_slice(&src[i * w..][..w]);
+            zeros_from = at + w;
+        }
+        dst[zeros_from..].fill(0.0);
     }
 
     /// Whether input coordinate `(y, x)` is inside the image rather than
@@ -631,7 +684,7 @@ impl PanelSource for TapPanels<'_> {
 /// `input [B,C,H,W]` and output gradient `grad [B,O,oh,ow]`: per image
 /// the product of `g_b [O, plane]` and `im2col(x_b)ᵀ`, whose depth is the
 /// plane. `g_b` is read in place as a dense matrix, the taps are packed
-/// from one zero-padded copy of the input ([`PaddedTaps`]), and the wider
+/// from one zero-padded copy of the input (`PaddedTaps`), and the wider
 /// of `O` and the taps goes on the microkernel's lanes, as in the GEMM's
 /// skinny rule: with `O ≥ NR` filters the product is computed as its
 /// transpose `im2col(x_b) · g_bᵀ`, the taps down the rows. Either way an
@@ -847,28 +900,28 @@ pub fn conv_transpose2d(
 }
 
 /// Nearest-neighbour spatial upsampling by an integer `factor` (NCHW).
+///
+/// Each source row becomes one output row, every element written
+/// `factor` times, and that row is then copied `factor − 1` times below
+/// it: pure data movement, no per-element index arithmetic.
 pub fn upsample_nearest2d(input: &Tensor, factor: usize) -> Tensor {
     assert!(factor > 0, "upsample factor must be positive");
     assert_eq!(input.ndim(), 4, "upsample_nearest2d input must be [B,C,H,W]");
     if factor == 1 {
         return input.clone();
     }
-    let (b, c, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
+    let &[b, c, h, w] = input.shape() else { unreachable!() };
     let (oh, ow) = (h * factor, w * factor);
-    let src = input.as_slice();
     let mut out = crate::pool::alloc_uninit(b * c * oh * ow);
-    for bc in 0..b * c {
-        for i in 0..oh {
-            let si = i / factor;
-            let src_row = &src[(bc * h + si) * w..(bc * h + si + 1) * w];
-            let dst_row = &mut out[(bc * oh + i) * ow..(bc * oh + i + 1) * ow];
-            for (j, d) in dst_row.iter_mut().enumerate() {
-                *d = src_row[j / factor];
+    if !out.is_empty() {
+        let rows = input.as_slice().chunks_exact(w);
+        for (src, block) in rows.zip(out.chunks_exact_mut(factor * ow)) {
+            let (first, copies) = block.split_at_mut(ow);
+            for (run, &v) in first.chunks_exact_mut(factor).zip(src) {
+                run.fill(v);
+            }
+            for row in copies.chunks_exact_mut(ow) {
+                row.copy_from_slice(first);
             }
         }
     }
@@ -876,24 +929,30 @@ pub fn upsample_nearest2d(input: &Tensor, factor: usize) -> Tensor {
 }
 
 /// Adjoint of [`upsample_nearest2d`]: sum each `factor × factor` block.
+/// Every sum starts at `+0` and adds its block's rows in ascending order,
+/// each row's elements left to right.
 pub fn upsample_nearest2d_backward(grad: &Tensor, factor: usize) -> Tensor {
     if factor == 1 {
         return grad.clone();
     }
-    let (b, c, oh, ow) = (
-        grad.shape()[0],
-        grad.shape()[1],
-        grad.shape()[2],
-        grad.shape()[3],
+    let &[b, c, oh, ow] = grad.shape() else {
+        panic!("upsample_nearest2d_backward grad must be [B,C,H,W]")
+    };
+    assert!(
+        oh.is_multiple_of(factor) && ow.is_multiple_of(factor),
+        "upsample grad {oh}x{ow} is not a multiple of {factor}"
     );
     let (h, w) = (oh / factor, ow / factor);
-    let src = grad.as_slice();
     let mut out = crate::pool::alloc_zeroed(b * c * h * w);
-    for bc in 0..b * c {
-        for i in 0..oh {
-            let si = i / factor;
-            for j in 0..ow {
-                out[(bc * h + si) * w + j / factor] += src[(bc * oh + i) * ow + j];
+    if !out.is_empty() {
+        let blocks = grad.as_slice().chunks_exact(factor * ow);
+        for (dst, block) in out.chunks_exact_mut(w).zip(blocks) {
+            for src in block.chunks_exact(ow) {
+                for (d, run) in dst.iter_mut().zip(src.chunks_exact(factor)) {
+                    for &g in run {
+                        *d += g;
+                    }
+                }
             }
         }
     }

@@ -6,9 +6,9 @@
 //! plain loop nest:
 //!
 //! * **Packing.** The left operand is packed whole, once, into
-//!   microkernel-ordered tiles ([`PackedA`]); for each `KC`-deep panel the
-//!   right operand is packed by its [`PanelSource`] — a dense matrix here
-//!   ([`Dense`]), an im2col view of an image in `ops::conv`, which is how
+//!   microkernel-ordered tiles (`PackedA`); for each `KC`-deep panel the
+//!   right operand is packed by its `PanelSource` — a dense matrix here
+//!   (`Dense`), an im2col view of an image in `ops::conv`, which is how
 //!   convolution runs on this kernel without a column matrix. A `Dense`
 //!   operand is read in either layout, so [`Tensor::matmul_nt`] (`A·Bᵀ`)
 //!   and [`Tensor::matmul_tn`] (`Aᵀ·B`) run on the same microkernels with
@@ -73,8 +73,9 @@ pub const NC: usize = 1024;
 pub const GEMM_PARALLEL_FLOPS: usize = 2 * 1024 * 1024;
 
 /// `m·n·k` below which the packed path is skipped entirely: for tiny
-/// products the pack/tile bookkeeping dominates, so a simple `ipj`
-/// accumulation loop (same per-element order) wins.
+/// products the pack/tile bookkeeping dominates, so a plain loop over
+/// 16-column blocks of each output row, depth outermost (same
+/// per-element order and rounding), wins.
 const GEMM_TINY_MACS: usize = 16 * 1024;
 
 impl Tensor {
@@ -243,23 +244,65 @@ fn gemm_packed(a: Dense, b: Dense, out: &mut [f32], m: usize, n: usize, k: usize
     }
 }
 
-/// Tiny-product path: plain multiply-then-add accumulation, no packing.
-/// Same per-element accumulation order as the blocked path and the
-/// oracle.
+/// `o ← fma(x, y, o)` when `FUSED`, else `o ← o + x·y`.
+#[inline(always)]
+fn madd<const FUSED: bool>(o: &mut f32, x: f32, y: f32) {
+    *o = if FUSED { x.mul_add(y, *o) } else { *o + x * y };
+}
+
+/// Tiny-product path: a plain accumulation loop, no packing. Same
+/// per-element accumulation order as the blocked path and the oracle, and
+/// the same multiply-add as the detected microkernel tier — fused on
+/// AVX+FMA — so an element's bits do not depend on which side of
+/// [`GEMM_TINY_MACS`] its product falls (a dense layer's row is the same
+/// at batch 1 and batch 16).
 fn gemm_tiny(a: Dense, b: Dense, out: &mut [f32], m: usize, n: usize, k: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if simd() == Simd::Fma {
+        // SAFETY: FMA was detected at runtime.
+        return unsafe { gemm_tiny_fma(a, b, out, m, n, k) };
+    }
+    gemm_tiny_loop::<false>(a, b, out, m, n, k)
+}
+
+/// [`gemm_tiny_loop`] fused, its `mul_add` compiled to `vfmadd` (never a
+/// libm call).
+///
+/// # Safety
+/// The CPU must support AVX and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx,fma")]
+unsafe fn gemm_tiny_fma(a: Dense, b: Dense, out: &mut [f32], m: usize, n: usize, k: usize) {
+    gemm_tiny_loop::<true>(a, b, out, m, n, k)
+}
+
+/// `out += a × b` element by element in ascending `p`, each step
+/// `fma(a, b, o)` when `FUSED`, else `o + a·b`. Always inlined, so the
+/// fused instance takes its caller's target features.
+#[inline(always)]
+fn gemm_tiny_loop<const FUSED: bool>(
+    a: Dense,
+    b: Dense,
+    out: &mut [f32],
+    m: usize,
+    n: usize,
+    k: usize,
+) {
     for (i, out_row) in out.chunks_exact_mut(n).take(m).enumerate() {
-        if b.trans {
-            // `B`'s columns are stored rows: one dot product per element.
-            for (j, o) in out_row.iter_mut().enumerate() {
-                for (p, &b_pj) in b.data[j * b.ld..][..k].iter().enumerate() {
-                    *o += a.at(i, p) * b_pj;
-                }
-            }
-        } else {
+        // Sixteen columns at a time, `p` outermost: each element's chain
+        // runs through its own products in ascending `p`.
+        for (jb, block) in out_row.chunks_mut(16).enumerate() {
+            let j0 = jb * 16;
             for p in 0..k {
                 let a_ip = a.at(i, p);
-                for (o, &b_pj) in out_row.iter_mut().zip(&b.data[p * b.ld..][..n]) {
-                    *o += a_ip * b_pj;
+                if b.trans {
+                    for (l, o) in block.iter_mut().enumerate() {
+                        madd::<FUSED>(o, a_ip, b.data[(j0 + l) * b.ld + p]);
+                    }
+                } else {
+                    for (o, &b_pj) in block.iter_mut().zip(&b.data[p * b.ld + j0..]) {
+                        madd::<FUSED>(o, a_ip, b_pj);
+                    }
                 }
             }
         }

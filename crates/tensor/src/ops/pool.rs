@@ -11,46 +11,86 @@ use crate::Tensor;
 /// 2-D max pooling. Returns the pooled tensor and the flat index (into the
 /// input buffer) of each selected maximum, which the backward pass scatters
 /// gradients through.
+///
+/// A window's maximum is its first element strictly greater than every
+/// earlier one, starting from `-inf`: NaN is never selected, and an
+/// all-NaN window pools to `-inf`.
 pub fn maxpool2d(input: &Tensor, kernel: usize, stride: usize) -> (Tensor, Vec<usize>) {
+    let mut argmax = Vec::new();
+    let out = max_pool::<true>(input, kernel, stride, &mut argmax);
+    (out, argmax)
+}
+
+/// [`maxpool2d`]'s values alone, bit for bit, for a forward nothing will
+/// differentiate: no argmax is recorded.
+pub fn maxpool2d_values(input: &Tensor, kernel: usize, stride: usize) -> Tensor {
+    max_pool::<false>(input, kernel, stride, &mut Vec::new())
+}
+
+/// The max-pool kernel behind both entry points: one window loop, with a
+/// 2×2 / stride-2 case that unrolls it. With `ARGMAX` it also fills
+/// `argmax` with each selected element's flat input index; without, no
+/// index is stored.
+fn max_pool<const ARGMAX: bool>(
+    input: &Tensor,
+    kernel: usize,
+    stride: usize,
+    argmax: &mut Vec<usize>,
+) -> Tensor {
     let _t = geotorch_telemetry::scope!("tensor.maxpool2d");
     assert_eq!(input.ndim(), 4, "maxpool2d input must be [B,C,H,W]");
-    let (b, c, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
+    let &[b, c, h, w] = input.shape() else { unreachable!() };
     let oh = conv_out_len(h, kernel, stride, 0);
     let ow = conv_out_len(w, kernel, stride, 0);
     let src = input.as_slice();
     let mut out = crate::pool::alloc_uninit(b * c * oh * ow);
-    let mut argmax = vec![0usize; b * c * oh * ow];
+    if ARGMAX {
+        *argmax = vec![0; out.len()];
+    }
     let out_ptr = SendPtr(out.as_mut_ptr());
     let arg_ptr = SendPtr(argmax.as_mut_ptr());
     let plane = move |bc: usize| {
         // Capture the whole SendPtr (not just its raw-pointer field) so the
         // closure stays Sync under edition-2021 disjoint capture.
         let (out_ptr, arg_ptr) = (out_ptr, arg_ptr);
-        let img_base = bc * h * w;
-        for oi in 0..oh {
-            for oj in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = 0usize;
-                for ki in 0..kernel {
-                    let row = img_base + (oi * stride + ki) * w + oj * stride;
-                    for kj in 0..kernel {
-                        let v = src[row + kj];
-                        if v > best {
-                            best = v;
-                            best_idx = row + kj;
-                        }
-                    }
+        let (base, img) = (bc * h * w, &src[bc * h * w..][..h * w]);
+        // SAFETY: plane `bc` owns output range [bc*oh*ow, (bc+1)*oh*ow).
+        let out = unsafe { std::slice::from_raw_parts_mut(out_ptr.0.add(bc * oh * ow), oh * ow) };
+        let arg = if ARGMAX {
+            // SAFETY: with `ARGMAX`, `argmax` holds one slot per output, and
+            // plane `bc` owns the same range of it.
+            unsafe { std::slice::from_raw_parts_mut(arg_ptr.0.add(bc * oh * ow), oh * ow) }
+        } else {
+            &mut []
+        };
+        for (oi, out_row) in out.chunks_exact_mut(ow).enumerate() {
+            let top = oi * stride * w;
+            let arg_row = if ARGMAX { &mut arg[oi * ow..][..ow] } else { &mut [] };
+            let mut put = |oj: usize, o: &mut f32, (best, at): (f32, usize)| {
+                *o = best;
+                if ARGMAX {
+                    arg_row[oj] = at;
                 }
-                let o_idx = (bc * oh + oi) * ow + oj;
-                // SAFETY: plane `bc` owns output range [bc*oh*ow, (bc+1)*oh*ow).
-                unsafe {
-                    *out_ptr.0.add(o_idx) = best;
-                    *arg_ptr.0.add(o_idx) = best_idx;
+            };
+            if kernel == 2 && stride == 2 {
+                // The general window below, unrolled: the same candidates
+                // in the same order.
+                let (r0, r1) = img[top..].split_at(w);
+                let windows = out_row.iter_mut().zip(r0.chunks_exact(2).zip(r1.chunks_exact(2)));
+                for (oj, (o, (a, b))) in windows.enumerate() {
+                    let at = base + top + 2 * oj;
+                    let window = [(a[0], at), (a[1], at + 1), (b[0], at + w), (b[1], at + w + 1)];
+                    put(oj, o, select(window));
+                }
+            } else {
+                for (oj, o) in out_row.iter_mut().enumerate() {
+                    let at = top + oj * stride;
+                    let window = (0..kernel).flat_map(|ki| {
+                        let row = at + ki * w;
+                        let taps = img[row..][..kernel].iter().enumerate();
+                        taps.map(move |(kj, &v)| (v, base + row + kj))
+                    });
+                    put(oj, o, select(window));
                 }
             }
         }
@@ -60,7 +100,16 @@ pub fn maxpool2d(input: &Tensor, kernel: usize, stride: usize) -> (Tensor, Vec<u
     } else {
         (0..b * c).for_each(plane);
     }
-    (Tensor::from_vec(out, &[b, c, oh, ow]), argmax)
+    Tensor::from_vec(out, &[b, c, oh, ow])
+}
+
+/// The max-pool selection over a window's `(value, flat index)` candidates
+/// in order: the first strictly greater than every earlier one, from
+/// `(-inf, 0)` — so NaN never wins and an all-NaN window is `(-inf, 0)`.
+#[inline(always)]
+fn select(window: impl IntoIterator<Item = (f32, usize)>) -> (f32, usize) {
+    let first_max = |(best, at), (v, i)| if v > best { (v, i) } else { (best, at) };
+    window.into_iter().fold((f32::NEG_INFINITY, 0), first_max)
 }
 
 /// Scatter `grad` back through the argmax indices from [`maxpool2d`].

@@ -24,7 +24,7 @@
 //! The pool is global and lock-striped per size class (one short-lived
 //! `Mutex` around a shelf `Vec`), so worker threads recycle without
 //! contending on a single lock. Idle bytes are capped
-//! ([`MAX_POOLED_BYTES`]): past the cap, released vectors are simply
+//! (`MAX_POOLED_BYTES`, 1 GiB): past the cap, released vectors are simply
 //! freed.
 //!
 //! Counters ([`stats`]) are always-on relaxed atomics; they are also

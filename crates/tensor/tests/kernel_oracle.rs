@@ -45,9 +45,11 @@
 
 use geotorch_tensor::ops::conv::{
     col2im, conv2d, conv2d_direct, conv2d_input_grad, conv2d_naive, conv2d_weight_grad, im2col,
+    upsample_nearest2d, upsample_nearest2d_backward,
 };
 use geotorch_tensor::ops::matmul::{matmul_naive, simd_kernel_name, KC, MC, MR, NC, NR};
-use geotorch_tensor::{with_device, Device, Tensor};
+use geotorch_tensor::ops::pool::{maxpool2d, maxpool2d_values};
+use geotorch_tensor::{pool, with_device, Device, Tensor};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -499,9 +501,9 @@ fn conv_reference(x: &Tensor, weight: &Tensor, bias: &Tensor, stride: usize, pad
 /// image, `gw_b[o][t]` is one [`chain`] over the plane's pixels in order
 /// from `+0`, and the per-image slabs are summed in batch order (`gw_0`,
 /// then `+= gw_1`, …). That is what summing `g_b.matmul_nt(&im2col(x_b))`
-/// over the batch computes wherever the product takes the packed path;
-/// it is spelled out because below `matmul`'s tiny-product cutoff the
-/// unpacked path does not fuse.
+/// over the batch computes, on the packed path and below `matmul`'s
+/// tiny-product cutoff alike; it is spelled out so the reference shares
+/// no code with the GEMM it checks.
 fn weight_grad_reference(x: &Tensor, g: &Tensor, k: usize, stride: usize, pad: usize) -> Tensor {
     let (c, o) = (x.shape()[1], g.shape()[1]);
     let mut gw: Option<Vec<f32>> = None;
@@ -616,6 +618,160 @@ fn direct_kernel_equals_the_tap_chain_for_every_filter_bank() {
         for device in [Device::Cpu, Device::Parallel(4)] {
             let got = with_device(device, || conv2d(&x, &weight, Some(&bias), 1, 1));
             assert_eq!(bits(&got), want, "{b}x{c}->{o} at 128² on {device:?}");
+        }
+    }
+}
+
+/// A dense (`Linear`) layer's output row does not depend on its batch:
+/// row `i` of `x · Wᵀ` is its [`chain`] from `+0` over `k` in order, bit
+/// for bit on continuous inputs, whether the product falls below
+/// `matmul`'s tiny-product cutoff (batch 1: `10 · 128` MACs) or runs on
+/// the packed kernel (batch 16, the skinny `Cᵀ = Bᵀ·Aᵀ` orientation).
+#[test]
+fn dense_layer_rows_are_batch_invariant_across_the_tiny_cutoff() {
+    // (outputs n, inputs k): SatCNN's head, narrow and wide layers.
+    for (si, (n, k)) in [(10, 128), (4, 64), (16, 48), (1, 300), (24, 40)].into_iter().enumerate() {
+        let w = continuous(&[n, k], 8000 + si as u64);
+        let x = continuous(&[16, k], 8100 + si as u64);
+        let want: Vec<u32> = (0..16 * n)
+            .map(|e| {
+                let (xr, wr) = (&x.as_slice()[e / n * k..][..k], &w.as_slice()[e % n * k..][..k]);
+                chain(0.0, xr.iter().copied().zip(wr.iter().copied())).to_bits()
+            })
+            .collect();
+        for b in [1, 2, 4, 8, 16] {
+            let rows = x.narrow(0, 0, b);
+            assert_eq!(bits(&rows.matmul_nt(&w)), want[..b * n], "{n}x{k} nt at batch {b}");
+            let wt = w.transpose();
+            assert_eq!(bits(&rows.matmul(&wt)), want[..b * n], "{n}x{k} at batch {b}");
+        }
+    }
+}
+
+/// Upsampling is data movement and its adjoint a fixed-order block sum:
+/// forward and backward equal an element-by-element reference bit for
+/// bit (the backward on continuous data, where order shows), for factors
+/// 2 and 3 on non-square planes.
+#[test]
+fn upsample_equals_the_elementwise_reference() {
+    let shapes = [(2, 3, 5, 7, 2), (1, 2, 4, 3, 3), (3, 1, 1, 6, 2), (1, 4, 7, 2, 3)];
+    for (si, (b, c, h, w, f)) in shapes.into_iter().enumerate() {
+        let x = continuous(&[b, c, h, w], 8200 + si as u64);
+        let (oh, ow) = (h * f, w * f);
+        let up: Vec<u32> = (0..b * c * oh * ow)
+            .map(|e| {
+                let (bc, i, j) = (e / (oh * ow), e / ow % oh, e % ow);
+                x.as_slice()[(bc * h + i / f) * w + j / f].to_bits()
+            })
+            .collect();
+        assert_eq!(bits(&upsample_nearest2d(&x, f)), up, "forward {b}x{c}x{h}x{w} by {f}");
+        let g = continuous(&[b, c, oh, ow], 8300 + si as u64);
+        let down: Vec<u32> = (0..b * c * h * w)
+            .map(|e| {
+                let (bc, i, j) = (e / (h * w), e / w % h, e % w);
+                let block = (0..f * f)
+                    .map(|t| g.as_slice()[(bc * oh + i * f + t / f) * ow + j * f + t % f]);
+                block.fold(0.0f32, |acc, v| acc + v).to_bits()
+            })
+            .collect();
+        let back = upsample_nearest2d_backward(&g, f);
+        assert_eq!(bits(&back), down, "backward {b}x{c}x{oh}x{ow} by {f}");
+    }
+}
+
+/// Max pooling with and without the argmax selects the same values as an
+/// element-by-element reference — the first element strictly above every
+/// earlier one, from `-inf`: NaN never wins, an all-NaN window is `-inf`,
+/// `±inf` are ordinary values — at kernel 2 / stride 2, kernel 3 / stride
+/// 2 and kernel 2 / stride 1 on odd extents, on `Cpu` and `Parallel(4)`.
+#[test]
+fn maxpool_values_equal_the_elementwise_reference() {
+    let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+    // (b, c, h, w, kernel, stride)
+    let shapes = [
+        (2, 3, 7, 9, 2, 2),
+        (1, 2, 9, 7, 3, 2),
+        (2, 2, 5, 6, 2, 1),
+        (4, 8, 33, 31, 3, 2),
+        (1, 1, 4, 4, 2, 2),
+    ];
+    for (si, (b, c, h, w, k, s)) in shapes.into_iter().enumerate() {
+        let mut x = continuous(&[b, c, h, w], 8400 + si as u64).as_slice().to_vec();
+        for (i, v) in x.iter_mut().enumerate() {
+            if i % 5 == 0 {
+                *v = special[i / 5 % special.len()];
+            }
+        }
+        // The first window all NaN.
+        (0..k).for_each(|r| x[r * w..][..k].fill(f32::NAN));
+        let x = Tensor::from_vec(x, &[b, c, h, w]);
+        let (oh, ow) = ((h - k) / s + 1, (w - k) / s + 1);
+        let want: Vec<u32> = (0..b * c * oh * ow)
+            .map(|e| {
+                let (bc, oi, oj) = (e / (oh * ow), e / ow % oh, e % ow);
+                let mut best = f32::NEG_INFINITY;
+                for t in 0..k * k {
+                    let v = x.as_slice()[(bc * h + oi * s + t / k) * w + oj * s + t % k];
+                    if v > best {
+                        best = v;
+                    }
+                }
+                best.to_bits()
+            })
+            .collect();
+        assert_eq!(want[0], f32::NEG_INFINITY.to_bits(), "an all-NaN window pools to -inf");
+        for device in [Device::Cpu, Device::Parallel(4)] {
+            let (values, (recorded, argmax)) =
+                with_device(device, || (maxpool2d_values(&x, k, s), maxpool2d(&x, k, s)));
+            assert_eq!(bits(&values), want, "values-only, shape {si} on {device:?}");
+            assert_eq!(bits(&recorded), want, "with argmax, shape {si} on {device:?}");
+            for (e, &i) in argmax.iter().enumerate().skip(1) {
+                assert_eq!(x.as_slice()[i].to_bits(), want[e], "argmax {e}, shape {si}");
+            }
+        }
+    }
+}
+
+/// The direct conv zeroes its padded copy's halo and slack itself: run
+/// straight after the buffer pool was stocked with NaN-filled vectors of
+/// its two allocations' size classes — the padded input (each image
+/// followed by 64 slack floats) and the output — it still equals
+/// [`conv_reference`] bit for bit: a halo pixel left unwritten would read
+/// NaN. Image tasks, and row bands of one image, on `Cpu` and
+/// `Parallel(4)`. The pool is global and other tests run alongside, so a
+/// run counts only once both of the conv's buffers are seen to be
+/// poisoned ones: its output by pointer, its padded input as the vector
+/// it hands back to the top of its shelf.
+#[test]
+fn direct_conv_zeroes_its_halo_in_a_poisoned_pool() {
+    // (b, c, o, h, w, k, pad)
+    let shapes = [
+        (4, 4, 4, 40, 36, 3, 1),
+        (1, 8, 4, 128, 128, 3, 1),
+        (2, 3, 5, 9, 13, 5, 2),
+        (3, 2, 3, 6, 1, 3, 1),
+    ];
+    for (si, (b, c, o, h, w, k, pad)) in shapes.into_iter().enumerate() {
+        let x = continuous(&[b, c, h, w], 8500 + si as u64);
+        let weight = continuous(&[o, c, k, k], 8600 + si as u64);
+        let bias = continuous(&[o], 8700 + si as u64);
+        let want = bits(&conv_reference(&x, &weight, &bias, 1, pad));
+        let padded = b * (c * (h + 2 * pad) * (w + 2 * pad) + 64);
+        for device in [Device::Cpu, Device::Parallel(4)] {
+            let poisoned_run = (0..100).any(|_| {
+                let poison: Vec<Vec<f32>> = [padded, padded, b * o * h * w, b * o * h * w]
+                    .map(|len| pool::alloc_filled(len, f32::NAN))
+                    .into();
+                let ptrs: Vec<*const f32> = poison.iter().map(|v| v.as_ptr()).collect();
+                poison.into_iter().for_each(pool::release);
+                let got = with_device(device, || conv2d_direct(&x, &weight, Some(&bias), pad));
+                let probe = pool::alloc_uninit(padded);
+                let seen = ptrs.contains(&got.as_slice().as_ptr()) && ptrs.contains(&probe.as_ptr());
+                pool::release(probe);
+                assert_eq!(bits(&got), want, "{b}x{c}->{o} at {h}x{w} k={k} pad={pad} on {device:?}");
+                seen
+            });
+            assert!(poisoned_run, "shape {si} on {device:?} never ran on poisoned buffers");
         }
     }
 }
