@@ -111,6 +111,14 @@ pub fn tensor_hash(t: &Tensor) -> String {
     h.hex()
 }
 
+/// Whether `s` has the form of a content hash or manifest id: 16
+/// lowercase hex digits, what [`tensor_hash`] writes. These strings
+/// become file names, so a manifest or request carrying anything else
+/// is rejected before it reaches a path.
+pub fn is_content_hash(s: &str) -> bool {
+    s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+}
+
 /// One tensor's version coordinates within a manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TensorVersion {
@@ -295,14 +303,28 @@ impl Manifest {
         for item in raw_entries {
             let ver = item
                 .get("ver")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| bad("entry missing `ver`"))? as u64;
+                .map(u64::from_value)
+                .transpose()
+                .map_err(|e| bad(&format!("entry `ver`: {e}")))?
+                .ok_or_else(|| bad("entry missing `ver`"))?;
+            // JSON numbers hold integers exactly only below 2^53.
+            if ver >= 1 << 53 {
+                return Err(bad(&format!("entry `ver`: {ver} is not below 2^53")));
+            }
             let hash = item
                 .get("hash")
                 .and_then(Value::as_str)
                 .ok_or_else(|| bad("entry missing `hash`"))?
                 .to_string();
             entries.push(TensorVersion { ver, hash });
+        }
+        let hashes = entries.iter().map(|e| &e.hash);
+        if let Some(s) = std::iter::once(&id)
+            .chain(&parents)
+            .chain(hashes)
+            .find(|s| !is_content_hash(s))
+        {
+            return Err(bad(&format!("`{s}` is not a 16-hex-digit id or hash")));
         }
         let expected = Manifest::compute_id(model.as_deref(), &parents, &shapes, &entries);
         if expected != id {
@@ -522,7 +544,11 @@ impl DeltaStore {
             match prev {
                 Some(p) if p.hash == hash => entries.push(p.clone()),
                 _ => {
-                    let ver = prev.map_or(1, |p| p.ver + 1);
+                    let ver = prev
+                        .map_or(Some(1), |p| p.ver.checked_add(1))
+                        .ok_or_else(|| {
+                            CheckpointError::Format(format!("tensor {i}: version counter overflow"))
+                        })?;
                     entries.push(TensorVersion { ver, hash });
                     changed.push(i);
                 }
@@ -843,4 +869,79 @@ fn parse_payload_name(name: &str) -> Option<(usize, TensorVersion)> {
             hash: hash.to_string(),
         },
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A manifest JSON whose single entry carries `ver` verbatim, with
+    /// the id the content hashes to — so only the `ver` check can refuse
+    /// it.
+    fn manifest_json(ver: &str, as_u64: u64) -> String {
+        let hash = tensor_hash(&Tensor::zeros(&[2]));
+        let entry = TensorVersion {
+            ver: as_u64,
+            hash: hash.clone(),
+        };
+        let id = Manifest::compute_id(None, &[], &[vec![2]], &[entry]);
+        format!(
+            r#"{{"format":"{FORMAT_MARKER}","version":{MANIFEST_VERSION},"model":null,"id":"{id}","parents":[],"shapes":[[2]],"entries":[{{"ver":{ver},"hash":"{hash}"}}]}}"#
+        )
+    }
+
+    #[test]
+    fn manifest_versions_must_be_exact_integers_below_2_pow_53() {
+        let ok = Manifest::from_json(&manifest_json("7", 7)).expect("a plain version parses");
+        assert_eq!(ok.entries[0].ver, 7);
+        for (ver, as_u64) in [
+            ("-1", 0),
+            ("1.5", 1),
+            ("1e300", u64::MAX),
+            ("9007199254740992", 1 << 53),
+        ] {
+            let err = Manifest::from_json(&manifest_json(ver, as_u64));
+            assert!(
+                matches!(&err, Err(CheckpointError::Format(m)) if m.contains("entry `ver`")),
+                "ver {ver}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn manifest_ids_parents_and_hashes_must_be_content_hashes() {
+        let good = Manifest::build(
+            None,
+            vec!["0123456789abcdef".into()],
+            vec![vec![2]],
+            vec![TensorVersion {
+                ver: 1,
+                hash: tensor_hash(&Tensor::zeros(&[2])),
+            }],
+        );
+        Manifest::from_json(&good.to_json()).expect("a well-formed manifest parses");
+        for parent in ["../../head", "0123456789ABCDEF", "0123456789abcdef0", ""] {
+            let evil = Manifest::build(
+                None,
+                vec![parent.into()],
+                good.shapes.clone(),
+                good.entries.clone(),
+            );
+            let err = Manifest::from_json(&evil.to_json());
+            assert!(
+                matches!(&err, Err(CheckpointError::Format(m)) if m.contains("16-hex-digit")),
+                "parent {parent:?}: {err:?}"
+            );
+        }
+        let evil = Manifest::build(
+            None,
+            vec![],
+            good.shapes.clone(),
+            vec![TensorVersion {
+                ver: 1,
+                hash: "../t0".into(),
+            }],
+        );
+        assert!(Manifest::from_json(&evil.to_json()).is_err());
+    }
 }

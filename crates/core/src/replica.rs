@@ -1,38 +1,35 @@
-//! The one epoch driver and its two step executors — the trainer layer
-//! of the `DataSource → Loader → Trainer` seam (DESIGN.md §14).
+//! The one epoch driver and its step executor — the trainer layer of the
+//! `DataSource → Loader → Trainer` seam (DESIGN.md §14).
 //!
 //! # Architecture
 //!
 //! `fit` owns everything the paper's protocol fixes (§III-A2 update
 //! cadence, §V-C early stopping on validation): the optimizer, update
 //! cadence, cumulative `1/batches` scaling, report bookkeeping, early
-//! stopping, best-state restore. The only thing that varies is *who runs
-//! one step's forward and backward*:
+//! stopping, best-state restore. One step deals up to K shards (K =
+//! `config.replicas` for `fit_stream`, 1 for the in-memory fits, which
+//! have no replica factory) and runs them like this:
 //!
-//! - **in-thread** (`config.replicas <= 1`, or an in-memory fit, which
-//!   has no replica factory): `loss_fn(model, &payload).backward()` on
-//!   the canonical model. No factory call, no thread, no state
-//!   broadcast, no gradient shipping.
-//! - **workers** (`fit_stream` with `config.replicas = K > 1`): K replica
-//!   threads each own a private model instance (the autograd tape is
-//!   `Rc`-based and cannot cross threads, so models are built *on* their
-//!   threads by a `Sync` factory — the same pattern as the serving
-//!   batcher's model-owner threads). One step is:
+//! 1. with K > 1, the caller snapshots the canonical state dict (O(1)
+//!    `Arc` clones per tensor) and hands replica `r ≥ 1` one stream batch
+//!    of `n_r` samples with weight `w_r = n_r / N`. Each replica is a
+//!    worker thread owning a private model instance (the autograd tape
+//!    is `Rc`-based and cannot cross threads, so models are built *on*
+//!    their threads by a `Sync` factory — the same pattern as the serving
+//!    batcher's model-owner threads);
+//! 2. meanwhile the caller runs shard 0 on the canonical model itself:
+//!    forward, then `backward` seeded with `w_0`, so its gradients land
+//!    on the canonical parameters pre-scaled;
+//! 3. each worker loads the snapshot, forwards its shard, runs `backward`
+//!    seeded with `w_r`, and ships the gradients back; the caller seeds
+//!    them onto the canonical parameters **in slot order**.
 //!
-//!   1. master broadcasts its state dict (O(1) `Arc` clones per tensor)
-//!      and deals each replica `r` one stream batch of `n_r` samples
-//!      with weight `w_r = n_r / N`;
-//!   2. replica `r` forwards its shard, runs `backward` seeded with
-//!      `w_r` (so its gradients arrive pre-scaled), and ships the
-//!      gradients back;
-//!   3. master sums the shard gradients **in replica order** and seeds
-//!      them onto the canonical parameters.
-//!
-//! Either way the driver then takes one pooled in-place Adam step. With
-//! one worker `w = n/n = 1.0` exactly and the merge is a single-term
-//! sum, so the two executors walk the same trajectory bit for bit (unit
-//! test below, down to checkpoint bytes); `tests/replica_grad_prop.rs`
-//! extends that to K ∈ {2, 3, 4} on lattice inputs.
+//! The driver then takes one pooled in-place Adam step. With K = 1 the
+//! step is shard 0 alone with `w = n/n = 1.0`, the seed `backward()`
+//! uses; `tests/replica_grad_prop.rs` proves K ∈ {2, 3, 4} bit-equal to
+//! K = 1 on lattice inputs. A K-replica fit spawns K − 1 threads; a
+//! panic in shard 0 unwinds to the caller, a worker's surfaces as
+//! [`TrainError::Replica`].
 //!
 //! # Shard-assignment determinism
 //!
@@ -41,8 +38,8 @@
 //! stream order and K, so reruns are reproducible.
 //!
 //! Non-trainable parameters (batch-norm running statistics) produce no
-//! gradients; the master adopts their post-forward values from the
-//! lowest-numbered replica that ran. In-thread they update in place.
+//! gradients: shard 0's forward updates them in place on the canonical
+//! model, which is why the workers' snapshot is taken before it.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
@@ -146,8 +143,8 @@ impl<P, F: FnMut(&[usize]) -> P> StepSource<P> for IndexStepSource<'_, F> {
         Ok(())
     }
 
-    /// One shard per step whatever the width: in-memory fits train
-    /// in-thread (and the one-worker executor takes one shard).
+    /// One shard per step: in-memory fits have no replica factory, so
+    /// the width is always 1.
     fn next_step(&mut self, _width: usize) -> Result<Option<Vec<(P, usize)>>, TrainError> {
         let Some(batch) = self.iter.as_mut().and_then(Iterator::next) else {
             self.iter = None;
@@ -213,16 +210,16 @@ impl StepSource<(Tensor, Tensor)> for StreamStepSource<'_> {
     }
 }
 
-/// A step executor: runs forward and backward over one step's shards
+/// The step executor: runs forward and backward over one step's shards
 /// (`n_total` samples in all), leaves the step's gradient on the
 /// canonical parameters, and adds the sample-weighted shard losses to
 /// the epoch's running loss in slot order.
 type StepFn<'a, P> = dyn FnMut(Vec<(P, usize)>, usize, &mut f32) -> Result<(), TrainError> + 'a;
 
 /// Train `model` under `config.device`: the single entry every `fit_*`
-/// goes through. Steps run in-thread on `model` itself unless there is
-/// both a `factory` to build replicas from and `config.replicas > 1`;
-/// see the module docs.
+/// goes through. Shard 0 of every step runs on `model` on the calling
+/// thread; with a `factory` and `config.replicas = K > 1`, K − 1 worker
+/// threads run shards 1 and up. See the module docs.
 pub(crate) fn fit<M, P>(
     config: &TrainConfig,
     model: &M,
@@ -236,35 +233,74 @@ where
     M: Module + ?Sized,
     P: Send,
 {
-    with_device(config.device, || match factory {
-        Some(factory) if config.replicas > 1 => fit_on_workers(
-            config,
-            model,
-            factory,
-            loss_fn,
-            source,
-            validate,
-            on_improve,
-        ),
-        _ => run_epochs(
-            config,
-            model,
-            1,
-            source,
-            validate,
-            on_improve,
-            &mut |mut shards, _n_total, epoch_loss| {
-                let (payload, _) = shards.pop().expect("a width-1 source deals one shard");
-                let loss = loss_fn(model, &payload);
-                *epoch_loss += loss.value().item();
-                loss.backward();
-                // `loss` drops here, before the driver steps: graph nodes
-                // hold clones of the parameter values, and while those are
-                // alive the optimizer's in-place update has to
-                // copy-on-write every parameter buffer.
+    let params = model.parameters();
+    with_device(config.device, || {
+        std::thread::scope(|scope| {
+            // Replica `r`'s job sender and result receiver sit at `r - 1`.
+            let mut workers = Vec::new();
+            if let Some(factory) = factory {
+                for r in 1..config.replicas {
+                    let (job_tx, job_rx) = mpsc::channel::<Job<P>>();
+                    let (out_tx, out_rx) = mpsc::channel();
+                    let device = config.device;
+                    scope.spawn(move || {
+                        replica_worker(r, device, factory, loss_fn, &job_rx, &out_tx)
+                    });
+                    workers.push((job_tx, out_rx));
+                }
+            }
+            let mut step = |shards: Vec<(P, usize)>, n_total: usize, epoch_loss: &mut f32| {
+                let mut shards = shards
+                    .into_iter()
+                    .map(|(payload, n)| (payload, n as f32 / n_total as f32));
+                let (payload, weight) = shards.next().expect("a step deals at least one shard");
+                // Snapshot before shard 0's forward moves the running
+                // statistics: every worker starts from the pre-step state.
+                let state = if shards.len() > 0 { model.state_dict() } else { Vec::new() };
+                let mut dealt = Vec::with_capacity(shards.len());
+                for ((job_tx, out_rx), (payload, weight)) in workers.iter().zip(shards) {
+                    let job = Job {
+                        state: state.clone(),
+                        payload,
+                        weight,
+                    };
+                    job_tx.send(job).map_err(|_| TrainError::Replica {
+                        replica: dealt.len() + 1,
+                        message: "replica worker exited before dispatch".into(),
+                    })?;
+                    dealt.push((out_rx, weight));
+                }
+                *epoch_loss += weight * run_shard(model, loss_fn, &payload, weight);
+                // Weighted step loss: Σ (n_r/N)·loss_r is the N-sample mean
+                // for mean-style losses. Gradients arrive pre-scaled by
+                // `n_r/N`, so the merge is a plain sum in slot order.
+                for (slot, (out_rx, weight)) in dealt.into_iter().enumerate() {
+                    let result = out_rx.recv().unwrap_or_else(|_| Err("exited mid-step".into()));
+                    let out = match result {
+                        Ok(out) => out,
+                        Err(message) => {
+                            // The fit fails: leave no half-merged gradient behind.
+                            params.iter().for_each(Var::zero_grad);
+                            return Err(TrainError::Replica {
+                                replica: slot + 1,
+                                message,
+                            });
+                        }
+                    };
+                    *epoch_loss += weight * out.loss;
+                    for (p, g) in params.iter().zip(out.grads) {
+                        if let Some(g) = g {
+                            p.seed_grad(g);
+                        }
+                    }
+                }
                 Ok(())
-            },
-        ),
+            };
+            // Returning drops every job sender; the workers drain and the
+            // scope joins them — on the error and panic paths too, so a
+            // failed epoch never leaks threads or deadlocks.
+            run_epochs(config, model, workers.len() + 1, source, validate, on_improve, &mut step)
+        })
     })
 }
 
@@ -383,7 +419,23 @@ fn clip_and_step(config: &TrainConfig, optimizer: &mut Adam) {
     optimizer.zero_grad();
 }
 
-// ------------------------------------------------------ worker executor
+/// Forward `payload` through `model` and run `backward` seeded with
+/// `weight`, so the shard's gradients accumulate on `model`'s parameters
+/// pre-scaled by `n_r/N`. Returns the unweighted loss.
+fn run_shard<M, P>(model: &M, loss_fn: &LossFn<M, P>, payload: &P, weight: f32) -> f32
+where
+    M: Module + ?Sized,
+{
+    let loss = loss_fn(model, payload);
+    let value = loss.value();
+    loss.backward_with(Tensor::full(value.shape(), weight));
+    // `loss` drops here, before the driver steps: graph nodes hold clones
+    // of the parameter values, and while those are alive the optimizer's
+    // in-place update has to copy-on-write every parameter buffer.
+    value.item()
+}
+
+// ------------------------------------------------------ replica workers
 
 /// One dispatched shard of work.
 struct Job<P> {
@@ -396,116 +448,10 @@ struct Job<P> {
 struct StepOut {
     loss: f32,
     grads: Vec<Option<Tensor>>,
-    state: Vec<Tensor>,
-}
-
-struct RepResult {
-    replica: usize,
-    outcome: Result<StepOut, String>,
-}
-
-/// Drive the epochs with `config.replicas` (at least one) replica worker
-/// threads executing the steps.
-fn fit_on_workers<M, P>(
-    config: &TrainConfig,
-    model: &M,
-    factory: &Factory<M>,
-    loss_fn: &LossFn<M, P>,
-    source: &mut dyn StepSource<P>,
-    validate: &mut dyn FnMut() -> f32,
-    on_improve: Option<&mut dyn FnMut(usize, f32)>,
-) -> Result<TrainReport, TrainError>
-where
-    M: Module + ?Sized,
-    P: Send,
-{
-    let k = config.replicas.max(1);
-    let params = model.parameters();
-    std::thread::scope(|scope| {
-        let (res_tx, res_rx) = mpsc::channel::<RepResult>();
-        let mut job_txs = Vec::with_capacity(k);
-        for r in 0..k {
-            let (tx, rx) = mpsc::channel::<Job<P>>();
-            job_txs.push(tx);
-            let res_tx = res_tx.clone();
-            let device = config.device;
-            scope.spawn(move || replica_worker(r, device, factory, loss_fn, &rx, &res_tx));
-        }
-        drop(res_tx);
-        let mut step = |shards: Vec<(P, usize)>, n_total: usize, epoch_loss: &mut f32| {
-            let state = model.state_dict();
-            let mut dealt: Vec<(usize, f32)> = Vec::with_capacity(shards.len());
-            for (slot, (payload, n)) in shards.into_iter().enumerate() {
-                let weight = n as f32 / n_total as f32;
-                job_txs[slot]
-                    .send(Job {
-                        state: state.clone(),
-                        payload,
-                        weight,
-                    })
-                    .map_err(|_| TrainError::Replica {
-                        replica: slot,
-                        message: "replica worker exited before dispatch".into(),
-                    })?;
-                dealt.push((slot, weight));
-            }
-            let mut outs: Vec<Option<StepOut>> = (0..k).map(|_| None).collect();
-            for _ in 0..dealt.len() {
-                let res = res_rx.recv().map_err(|_| TrainError::Replica {
-                    replica: 0,
-                    message: "all replica workers exited mid-step".into(),
-                })?;
-                match res.outcome {
-                    Ok(out) => outs[res.replica] = Some(out),
-                    Err(message) => {
-                        return Err(TrainError::Replica {
-                            replica: res.replica,
-                            message,
-                        })
-                    }
-                }
-            }
-            // Weighted step loss: Σ (n_r/N)·loss_r is the N-sample mean
-            // for mean-style losses.
-            for (slot, weight) in &dealt {
-                *epoch_loss += weight * outs[*slot].as_ref().expect("recorded").loss;
-            }
-            merge_step(&params, &outs, &dealt);
-            Ok(())
-        };
-        // Returning drops every job sender; replica workers drain and
-        // the scope joins them — on the error path too, so a failed
-        // epoch never leaks threads or deadlocks.
-        run_epochs(config, model, k, source, validate, on_improve, &mut step)
-    })
-}
-
-/// Merge one step's replica results into the canonical parameters:
-/// gradients summed in replica order (they arrive pre-scaled by
-/// `n_r/N`), gradient-less parameters (running statistics) adopted from
-/// the lowest dispatched replica.
-fn merge_step(params: &[Var], outs: &[Option<StepOut>], dealt: &[(usize, f32)]) {
-    let first = dealt[0].0;
-    for (i, p) in params.iter().enumerate() {
-        let mut total: Option<Tensor> = None;
-        for (slot, _) in dealt {
-            let out = outs[*slot].as_ref().expect("recorded");
-            if let Some(g) = &out.grads[i] {
-                match &mut total {
-                    None => total = Some(g.clone()),
-                    Some(t) => t.add_(g),
-                }
-            }
-        }
-        match total {
-            Some(t) => p.seed_grad(t),
-            None => p.assign(outs[first].as_ref().expect("recorded").state[i].clone()),
-        }
-    }
 }
 
 /// A replica worker: build the private model once, then serve jobs until
-/// the master hangs up. Exactly one result is sent per job — panics in
+/// the caller hangs up. Exactly one result is sent per job — panics in
 /// the factory or the loss surface as `Err` results, never a hang.
 fn replica_worker<M, P>(
     replica: usize,
@@ -513,36 +459,24 @@ fn replica_worker<M, P>(
     factory: &Factory<M>,
     loss_fn: &LossFn<M, P>,
     jobs: &mpsc::Receiver<Job<P>>,
-    results: &mpsc::Sender<RepResult>,
+    results: &mpsc::Sender<Result<StepOut, String>>,
 ) where
     M: Module + ?Sized,
     P: Send,
 {
-    let built = std::panic::catch_unwind(AssertUnwindSafe(|| factory(replica)));
-    let model: Option<Box<M>> = match built {
-        Ok(m) => Some(m),
-        Err(panic) => {
-            let _ = results.send(RepResult {
-                replica,
-                outcome: Err(format!(
-                    "replica factory panicked: {}",
-                    panic_message(&panic)
-                )),
-            });
-            None
-        }
-    };
+    let model = std::panic::catch_unwind(AssertUnwindSafe(|| factory(replica)))
+        .map_err(|panic| format!("replica factory panicked: {}", panic_message(&panic)));
     for job in jobs.iter() {
         let outcome = match &model {
-            None => Err("replica model was never built".to_string()),
-            Some(model) => {
-                std::panic::catch_unwind(AssertUnwindSafe(|| run_job(&**model, loss_fn, device, &job)))
-                    .unwrap_or_else(|panic| {
-                        Err(format!("replica step panicked: {}", panic_message(&panic)))
-                    })
-            }
+            Err(message) => Err(message.clone()),
+            Ok(model) => std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_job(&**model, loss_fn, device, &job)
+            }))
+            .unwrap_or_else(|panic| {
+                Err(format!("replica step panicked: {}", panic_message(&panic)))
+            }),
         };
-        if results.send(RepResult { replica, outcome }).is_err() {
+        if results.send(outcome).is_err() {
             break;
         }
     }
@@ -564,24 +498,12 @@ where
             .map_err(|e| format!("broadcast state rejected: {e}"))?;
         model.set_training(true);
         let params = model.parameters();
-        let loss = loss_fn(model, &job.payload);
-        let value = loss.value();
-        let item = value.item();
-        // Seeding backward with w_r scales every gradient by n_r/N at
-        // the source, so the master's merge is a plain sum. With one
-        // worker w = 1.0, the seed `loss.backward()` uses.
-        let seed = Tensor::from_vec(vec![job.weight; value.len()], value.shape());
-        loss.backward_with(seed);
-        drop(loss);
+        let loss = run_shard(model, loss_fn, &job.payload, job.weight);
         let grads: Vec<Option<Tensor>> = params.iter().map(Var::grad).collect();
         for p in &params {
             p.zero_grad();
         }
-        Ok(StepOut {
-            loss: item,
-            grads,
-            state: model.state_dict(),
-        })
+        Ok(StepOut { loss, grads })
     })
 }
 
@@ -592,122 +514,5 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "unknown panic".to_string()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::trainer::{grid_loss, Trainer};
-    use crate::{checkpoint, UpdateMode};
-    use geotorch_datasets::{chronological_split, StGridDataset};
-    use geotorch_models::grid::PeriodicalCnn;
-    use geotorch_models::GridModel;
-    use rand::SeedableRng;
-
-    fn cnn() -> PeriodicalCnn {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        PeriodicalCnn::new(2, (2, 1, 1), 8, &mut rng)
-    }
-
-    /// One grid fit on the chosen executor: the report and the final
-    /// weights as `checkpoint::save` writes them.
-    fn run(name: &str, config: &TrainConfig, one_worker: bool) -> (TrainReport, Vec<u8>) {
-        let mut ds = StGridDataset::bike_nyc_deepstn(10, 3);
-        ds.set_periodical_representation(2, 1, 1);
-        let (train, val, _) = chronological_split(ds.len());
-        let concrete = cnn();
-        let model: &dyn GridModel = &concrete;
-        let factory = |_replica: usize| -> Box<dyn GridModel> { Box::new(cnn()) };
-        let trainer = Trainer::new(config.clone());
-        let mut source = IndexStepSource::new(&train, config, |idx: &[usize]| ds.batch(idx));
-        let mut validate = || trainer.evaluate_grid(model, &ds, &val).0;
-        let report = if one_worker {
-            with_device(config.device, || {
-                fit_on_workers(
-                    config,
-                    model,
-                    &factory,
-                    &grid_loss,
-                    &mut source,
-                    &mut validate,
-                    None,
-                )
-            })
-        } else {
-            fit(
-                config,
-                model,
-                None,
-                &grid_loss,
-                &mut source,
-                &mut validate,
-                None,
-            )
-        }
-        .expect("fit succeeds");
-        let path = std::env::temp_dir().join(format!(
-            "geotorch_executor_parity_{}_{name}_{one_worker}.json",
-            std::process::id()
-        ));
-        checkpoint::save(&concrete, &path).expect("save");
-        let bytes = std::fs::read(&path).expect("read back");
-        std::fs::remove_file(&path).ok();
-        (report, bytes)
-    }
-
-    /// The worker executor with one worker and the in-thread executor
-    /// must walk the same trajectory: exact f32 equality of every epoch
-    /// figure and byte-identical checkpoints. Any reordering of float
-    /// ops on either side shows up here.
-    #[test]
-    fn one_worker_bit_identical_to_in_thread() {
-        let base = TrainConfig {
-            epochs: 3,
-            batch_size: 8,
-            learning_rate: 3e-3,
-            early_stopping_patience: None,
-            ..TrainConfig::default()
-        };
-        let cases = [
-            ("incremental", base.clone()),
-            (
-                "cumulative",
-                TrainConfig {
-                    epochs: 2,
-                    update_mode: UpdateMode::Cumulative,
-                    ..base.clone()
-                },
-            ),
-            (
-                // A learning rate too small to move the metric: stops
-                // after `patience` stale epochs, restoring epoch 1.
-                "early_stopped",
-                TrainConfig {
-                    epochs: 6,
-                    learning_rate: 1e-12,
-                    early_stopping_patience: Some(2),
-                    ..base
-                },
-            ),
-        ];
-        for (name, config) in &cases {
-            let (in_thread, in_thread_bytes) = run(name, config, false);
-            let (worker, worker_bytes) = run(name, config, true);
-            assert_eq!(in_thread.train_losses, worker.train_losses, "{name}");
-            assert_eq!(in_thread.val_metrics, worker.val_metrics, "{name}");
-            assert_eq!(in_thread.epochs_run, worker.epochs_run, "{name}");
-            assert_eq!(in_thread.stop_reason, worker.stop_reason, "{name}");
-            assert_eq!(in_thread_bytes, worker_bytes, "{name}: checkpoints differ");
-            if *name == "early_stopped" {
-                assert_eq!(
-                    in_thread.stop_reason,
-                    StopReason::EarlyStopped {
-                        epoch: 3,
-                        patience: 2
-                    }
-                );
-            }
-        }
     }
 }

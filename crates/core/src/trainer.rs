@@ -55,13 +55,14 @@ pub struct TrainConfig {
     /// worker pool; the default `Device::Cpu` stays serial.
     pub device: Device,
     /// Data-parallel model replicas (see [`crate::replica`]). With `K > 1`
-    /// [`Trainer::fit_stream`] deals each step across K worker threads
-    /// and averages their gradients before one optimizer step. With
-    /// `K <= 1` every step runs on the caller's model on the caller's
-    /// thread: the factory is never called and no thread is spawned.
-    /// `fit_grid` / `fit_classifier` / `fit_segmenter` have no factory to
-    /// build replicas from, so they train in-thread whatever this field
-    /// holds — bit-for-bit what `replicas: 1` gives.
+    /// [`Trainer::fit_stream`] deals each step across K shards — shard 0
+    /// on the caller's model and thread, shards 1 and up on K − 1 worker
+    /// threads (the factory is called K − 1 times) — and averages their
+    /// gradients before one optimizer step. With `K <= 1` every step runs
+    /// on the caller's thread alone. `fit_grid` / `fit_classifier` /
+    /// `fit_segmenter` have no factory to build replicas from, so they
+    /// train on the caller's thread whatever this field holds —
+    /// bit-for-bit what `replicas: 1` gives.
     pub replicas: usize,
 }
 
@@ -147,8 +148,8 @@ impl TrainReport {
     }
 }
 
-/// The in-thread executor over an in-memory index source has no error
-/// to return: loader and replica failures need a stream or a worker.
+/// A fit over an in-memory index source has no error to return: loader
+/// and replica failures need a stream or a worker.
 const NO_FACTORY: &str = "a fit without a stream or replica workers cannot fail";
 
 pub(crate) fn grid_loss<'m>(m: &(dyn GridModel + 'm), batch: &StBatch) -> Var {
@@ -185,7 +186,7 @@ impl Trainer {
         &self.config
     }
 
-    /// Fit in-thread over shuffled batches of `train_idx`, each
+    /// Fit on the calling thread over shuffled batches of `train_idx`, each
     /// materialized by `batch_of`.
     fn fit_indexed<M, P>(
         &self,
@@ -361,16 +362,16 @@ impl Trainer {
     /// `PrefetchLoader` to overlap formatting with training); `forward`
     /// maps a feature batch through the model; `on_improve` fires while
     /// the canonical model holds the post-step weights of the best epoch
-    /// so far — the place to take atomic checkpoints. With
-    /// `replicas <= 1` every step runs on `model` on the calling thread:
-    /// `factory` is never called and no thread is spawned.
+    /// so far — the place to take atomic checkpoints. Each step's first
+    /// batch runs on `model` on the calling thread; `factory` is called
+    /// K − 1 times, once per worker thread, for replicas `1..K`.
     ///
     /// # Errors
     /// If the stream fails mid-epoch (spill read, injected prefetch
     /// fault) or a replica worker fails. The epoch is abandoned cleanly:
-    /// workers are joined and no partial optimizer step is taken. With
-    /// `replicas <= 1` there is no worker to catch it, so a panic inside
-    /// `forward` unwinds to the caller, as it does from
+    /// workers are joined and no partial optimizer step is taken. A panic
+    /// inside `forward` on a worker is [`TrainError::Replica`]; on the
+    /// calling thread (shard 0) it unwinds to the caller, as it does from
     /// [`Trainer::fit_grid`].
     pub fn fit_stream<M: Module + ?Sized>(
         &self,
@@ -611,7 +612,7 @@ mod tests {
     #[test]
     fn fit_grid_ignores_replicas_without_a_factory() {
         // `fit_grid` has no factory to build replicas from, so any
-        // `replicas` value trains in-thread: bit-identical runs.
+        // `replicas` value trains on the caller alone: bit-identical runs.
         let run = |replicas: usize| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(12);
             let mut ds = StGridDataset::taxi_nyc_stdn(3, 9);
@@ -634,40 +635,171 @@ mod tests {
         assert_eq!(run(1), run(4));
     }
 
+    /// A canned stream over pre-built batches.
+    struct Batches(std::vec::IntoIter<(Tensor, Tensor)>);
+
+    impl BatchStream for Batches {
+        fn next_batch(&mut self) -> Result<Option<(Tensor, Tensor)>, LoaderError> {
+            Ok(self.0.next())
+        }
+    }
+
     #[test]
-    fn fit_stream_with_one_replica_never_calls_the_factory() {
+    fn fit_stream_builds_replicas_one_to_k_and_runs_shard_zero_on_the_caller() {
         use geotorch_nn::layers::Linear;
         use geotorch_nn::Layer;
-        struct OneBatch(Option<(Tensor, Tensor)>);
-        impl BatchStream for OneBatch {
-            fn next_batch(&mut self) -> Result<Option<(Tensor, Tensor)>, LoaderError> {
-                Ok(self.0.take())
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
+        for k in 1..=3 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+            let model = Linear::new(2, 1, &mut rng);
+            // `Linear` is not `Sync`; the forward closure recognises the
+            // canonical model by address.
+            let canonical = &model as *const Linear as usize;
+            let caller = std::thread::current().id();
+            let built = Mutex::new(Vec::new());
+            let caller_forwards = AtomicUsize::new(0);
+            let config = TrainConfig {
+                replicas: k,
+                ..quick_config(2)
+            };
+            let report = Trainer::new(config).fit_stream(
+                &model,
+                &|r| {
+                    built.lock().unwrap().push(r);
+                    Box::new(Linear::new(
+                        2,
+                        1,
+                        &mut rand::rngs::StdRng::seed_from_u64(r as u64),
+                    ))
+                },
+                &|m: &Linear, x: &Var| {
+                    let on_caller = std::thread::current().id() == caller;
+                    assert_eq!(
+                        m as *const Linear as usize == canonical,
+                        on_caller,
+                        "the canonical model runs exactly on the caller's thread"
+                    );
+                    if on_caller {
+                        caller_forwards.fetch_add(1, Ordering::SeqCst);
+                    }
+                    m.forward(x)
+                },
+                &mut |_epoch| {
+                    let batch = (Tensor::ones(&[4, 2]), Tensor::zeros(&[4, 1]));
+                    Ok(Box::new(Batches(vec![batch; k].into_iter())))
+                },
+                &mut || 0.0,
+                None,
+            );
+            assert_eq!(report.expect("stream fit").epochs_run, 2, "K = {k}");
+            let mut built = built.into_inner().unwrap();
+            built.sort_unstable();
+            assert_eq!(built, (1..k).collect::<Vec<_>>(), "K = {k}: factory calls");
+            assert_eq!(
+                caller_forwards.load(Ordering::SeqCst),
+                2,
+                "K = {k}: one shard-0 forward per step, on the caller"
+            );
+        }
+    }
+
+    #[test]
+    fn a_failing_replica_fails_the_step_and_leaves_no_gradient() {
+        use geotorch_nn::layers::Linear;
+        use geotorch_nn::Layer;
+        for k in [2, 3] {
+            let model = Linear::new(2, 1, &mut rand::rngs::StdRng::seed_from_u64(13));
+            let before = model.state_dict();
+            let config = TrainConfig {
+                replicas: k,
+                ..quick_config(1)
+            };
+            let err = Trainer::new(config)
+                .fit_stream(
+                    &model,
+                    &|r| {
+                        assert!(r + 1 < k, "replica {r} cannot be built");
+                        Box::new(Linear::new(2, 1, &mut rand::rngs::StdRng::seed_from_u64(1)))
+                    },
+                    &|m: &Linear, x: &Var| m.forward(x),
+                    &mut |_epoch| {
+                        let batch = (Tensor::ones(&[4, 2]), Tensor::zeros(&[4, 1]));
+                        Ok(Box::new(Batches(vec![batch; k].into_iter())))
+                    },
+                    &mut || 0.0,
+                    None,
+                )
+                .expect_err("the last replica's factory panics");
+            match err {
+                TrainError::Replica { replica, message } => {
+                    assert_eq!(replica, k - 1, "K = {k}");
+                    assert!(message.contains("cannot be built"), "{message}");
+                }
+                other => panic!("K = {k}: {other}"),
+            }
+            assert!(model.parameters().iter().all(|p| p.grad().is_none()), "K = {k}");
+            for (b, a) in before.iter().zip(model.state_dict()) {
+                assert_eq!(b.as_slice(), a.as_slice(), "K = {k}: no step was taken");
             }
         }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let model = Linear::new(2, 1, &mut rng);
-        let caller = std::thread::current().id();
-        let report = Trainer::new(quick_config(2)).fit_stream(
-            &model,
-            &|_| panic!("replicas = 1 must not build a replica"),
-            &|m: &Linear, x: &Var| {
-                assert_eq!(
-                    std::thread::current().id(),
-                    caller,
-                    "step left the caller's thread"
-                );
-                m.forward(x)
-            },
-            &mut |_epoch| {
-                Ok(Box::new(OneBatch(Some((
-                    Tensor::ones(&[4, 2]),
-                    Tensor::zeros(&[4, 1]),
-                )))))
-            },
-            &mut || 0.0,
-            None,
+    }
+
+    #[test]
+    fn two_replica_step_keeps_shard_zeros_running_statistics() {
+        use geotorch_nn::layers::{BatchNorm2d, Conv2d, Sequential};
+        use geotorch_nn::Layer;
+        let net = |seed: u64| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            Sequential::new()
+                .add(Conv2d::new(1, 2, 3, 1, 1, &mut rng))
+                .add(BatchNorm2d::new(2))
+        };
+        let input = |offset: f32| {
+            let x = (0..2 * 16)
+                .map(|i| (i as f32 * 0.37 + offset).sin())
+                .collect();
+            Tensor::from_vec(x, &[2, 1, 4, 4])
+        };
+        let shards = vec![
+            (input(0.0), Tensor::zeros(&[2, 2, 4, 4])),
+            (input(1.5), Tensor::ones(&[2, 2, 4, 4])),
+        ];
+        let model = net(5);
+        let config = TrainConfig {
+            replicas: 2,
+            ..quick_config(1)
+        };
+        Trainer::new(config)
+            .fit_stream(
+                &model,
+                // Replicas start from their own init: the step must load
+                // the canonical state before shard 1's forward.
+                &|r| Box::new(net(100 + r as u64)),
+                &|m: &Sequential, x: &Var| m.forward(x),
+                &mut |_epoch| Ok(Box::new(Batches(shards.clone().into_iter()))),
+                &mut || 0.0,
+                None,
+            )
+            .expect("two-replica fit");
+
+        // Conv weight, conv bias, gamma, beta, running mean, running var.
+        let reference = net(5);
+        reference.set_training(true);
+        reference.forward(&Var::constant(shards[0].0.clone()));
+        let (got, want) = (model.state_dict(), reference.state_dict());
+        for i in [4, 5] {
+            assert_eq!(
+                got[i].as_slice(),
+                want[i].as_slice(),
+                "running statistic {i}"
+            );
+        }
+        assert_ne!(
+            got[0].as_slice(),
+            want[0].as_slice(),
+            "the step moved the weights"
         );
-        assert_eq!(report.expect("in-thread stream fit").epochs_run, 2);
     }
 
     #[test]

@@ -662,6 +662,19 @@ impl ModelClient {
         sample: Tensor,
         budget: Option<Duration>,
     ) -> Result<(Tensor, Arc<str>), ServeError> {
+        self.submit(sample, budget)?.wait()
+    }
+
+    /// Admit `sample`, route it to the least-loaded live replica and
+    /// return without waiting: the non-blocking half of
+    /// [`ModelClient::predict_versioned`], which lets one thread keep
+    /// several requests in flight. Sheds, deadline and routing errors
+    /// surface here; the answer comes from [`Pending::wait`].
+    pub(crate) fn submit(
+        &self,
+        sample: Tensor,
+        budget: Option<Duration>,
+    ) -> Result<Pending<'_>, ServeError> {
         if !self.state.is_alive() {
             return Err(self.gone_error());
         }
@@ -678,7 +691,7 @@ impl ModelClient {
             return Err(self.gone_error());
         };
         let replica = slot.idx;
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (reply_tx, reply) = mpsc::channel();
         self.txs[replica]
             .send(Msg::Predict(Request {
                 input: sample,
@@ -689,27 +702,11 @@ impl ModelClient {
                 _slot: slot,
             }))
             .map_err(|_| self.gone_error())?;
-        match deadline {
-            None => reply_rx.recv().map_err(|_| self.gone_error())?,
-            Some(deadline) => loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    // The replica may still answer later (e.g. a wedged
-                    // forward); the reply then lands in a dropped
-                    // channel. Give up here so no caller outlives its
-                    // own deadline.
-                    geotorch_telemetry::count!("serve.expired", 1);
-                    break Err(ServeError::DeadlineExceeded(
-                        "deadline expired while waiting for the model".to_string(),
-                    ));
-                }
-                match reply_rx.recv_timeout(deadline - now) {
-                    Ok(result) => break result,
-                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break Err(self.gone_error()),
-                }
-            },
-        }
+        Ok(Pending {
+            client: self,
+            reply,
+            deadline,
+        })
     }
 
     /// Stage a new weight set and ask every replica to hot-swap to it
@@ -753,6 +750,42 @@ impl ModelClient {
             ServeError::Unavailable(format!("model worker `{}` has shut down", self.name))
         } else {
             ServeError::Internal("model worker dropped the request".to_string())
+        }
+    }
+}
+
+/// A submitted request whose answer has not been taken yet. The
+/// admission slot and the replica's in-flight count travel with the
+/// request itself and are released when the replica answers, whether or
+/// not anyone waits.
+pub(crate) struct Pending<'a> {
+    client: &'a ModelClient,
+    reply: mpsc::Receiver<Reply>,
+    deadline: Option<Instant>,
+}
+
+impl Pending<'_> {
+    /// Block for the answer. With a deadline, give up once it passes —
+    /// the replica may still answer later (e.g. a wedged forward), into a
+    /// dropped channel, but no caller outlives its own deadline. An
+    /// answer already delivered when this is called is returned whatever
+    /// the clock says.
+    pub(crate) fn wait(self) -> Reply {
+        let received = match self.deadline {
+            None => self.reply.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+            Some(deadline) => self
+                .reply
+                .recv_timeout(deadline.saturating_duration_since(Instant::now())),
+        };
+        match received {
+            Ok(reply) => reply,
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                geotorch_telemetry::count!("serve.expired", 1);
+                Err(ServeError::DeadlineExceeded(
+                    "deadline expired while waiting for the model".to_string(),
+                ))
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(self.client.gone_error()),
         }
     }
 }

@@ -33,6 +33,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use geotorch_core::checkpoint::CheckpointError;
+use geotorch_core::delta::is_content_hash;
 use geotorch_core::{DeltaStore, IntegrateReport, PublishReport, TensorVersion};
 use geotorch_tensor::Tensor;
 use serde::{Serialize, Value};
@@ -526,9 +527,14 @@ fn registry_post(rest: &str, request: &HttpRequest, front: &FrontState) -> Respo
     }
 }
 
+/// `<idx>@<ver>-<hash>`; the hash becomes part of a file name, so it
+/// must be a content hash and nothing else.
 fn parse_tensor_spec(spec: &str) -> Option<(usize, TensorVersion)> {
     let (idx, rest) = spec.split_once('@')?;
     let (ver, hash) = rest.split_once('-')?;
+    if !is_content_hash(hash) {
+        return None;
+    }
     Some((
         idx.parse().ok()?,
         TensorVersion {

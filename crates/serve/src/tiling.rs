@@ -2,11 +2,14 @@
 //!
 //! [`run_mosaic`] turns "segment this huge scene" into a stream of
 //! overlapping tile predictions: a `GridSampler` walks the
-//! region-of-interest, a bounded crew of submitter threads pushes tiles
-//! through a [`ModelClient`] (so admission control, deadlines, and
-//! replica routing govern exactly as they do for external requests), and
-//! a [`MosaicAccumulator`] stitches the per-tile outputs back into one
-//! prediction raster with overlap blending.
+//! region-of-interest, the calling thread keeps a bounded window of tiles
+//! in flight through a [`ModelClient`] (so admission control, deadlines,
+//! and replica routing govern exactly as they do for external requests),
+//! and a [`MosaicAccumulator`] stitches the per-tile outputs back into
+//! one prediction raster with overlap blending. The caller waits on the
+//! oldest tile, stitches it and submits the next, so tiles are blended in
+//! index order — the mosaic's floating-point accumulation order does not
+//! depend on which replica answers first.
 //!
 //! # Geometry and seam exactness
 //!
@@ -36,25 +39,24 @@
 //! mosaic into `Overloaded` rejections mid-scene. Any tile failure
 //! (shed, deadline, dead replica, injected fault) cancels the remaining
 //! tiles and fails the whole mosaic — a partial mosaic is never
-//! returned, and the RAII admission guards inside the batcher free every
-//! slot on the error path.
+//! returned. The tiles already in flight are waited out first, so every
+//! admission slot is free again when `run_mosaic` returns.
 //!
 //! Fault points: `tile.fetch` (before a tile is cut from the scene) and
 //! `tile.stitch` (before a prediction is blended in).
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use geotorch_datasets::samplers::GridSampler;
 use geotorch_raster::{core_of, BlendMode, MosaicAccumulator, Raster, Window};
 use geotorch_tensor::Tensor;
 
-use crate::batcher::ModelClient;
+use crate::batcher::{ModelClient, Pending};
 use crate::ServeError;
 
-/// Tiles currently being fetched/predicted/stitched, across every
+/// Tiles submitted and not yet taken back for stitching, across every
 /// running mosaic — exported as the `serve.tile.in_flight` gauge.
 static TILES_IN_FLIGHT: AtomicU64 = AtomicU64::new(0);
 
@@ -85,7 +87,7 @@ pub struct TileConfig {
     pub alignment: usize,
     /// Output planes per pixel the model produces.
     pub classes: usize,
-    /// Most tiles in flight at once (submitter threads). Keep at or
+    /// Most tiles submitted and not yet stitched at once. Keep at or
     /// below the model's `queue_bound`.
     pub max_in_flight: usize,
     /// Per-tile deadline handed to the batcher; `None` waits forever.
@@ -171,7 +173,7 @@ pub struct MosaicStats {
     pub tiles: usize,
     /// Wall-clock for the whole run.
     pub elapsed: Duration,
-    /// Per-tile predict latency (submit → reply), in completion order.
+    /// Per-tile predict latency (submit → reply taken), in tile order.
     pub tile_latencies: Vec<Duration>,
 }
 
@@ -179,47 +181,6 @@ impl MosaicStats {
     /// Tiles per second over the whole run.
     pub fn tiles_per_sec(&self) -> f64 {
         self.tiles as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-}
-
-/// In-order stitching state shared by the submitter threads: results
-/// arrive in completion order, are parked in `pending`, and are blended
-/// strictly in tile-index order — so the mosaic's floating-point
-/// accumulation order is deterministic regardless of scheduling.
-/// `pending` never holds more than `max_in_flight` entries.
-struct StitchState {
-    acc: MosaicAccumulator,
-    pending: BTreeMap<usize, Tensor>,
-    next: usize,
-}
-
-/// Everything the submitter crew shares during one run.
-struct RunState<'a> {
-    scene: &'a Raster,
-    windows: &'a [Window],
-    roi: Window,
-    cfg: TileConfig,
-    next_tile: AtomicUsize,
-    cancelled: AtomicBool,
-    first_error: Mutex<Option<ServeError>>,
-    stitch: Mutex<StitchState>,
-    latencies: Mutex<Vec<Duration>>,
-}
-
-impl RunState<'_> {
-    /// Record the first failure and cancel the remaining tiles. The
-    /// in-flight ones finish their predict call (their admission slots
-    /// release via the batcher's RAII guards) and then exit.
-    fn fail(&self, err: ServeError) {
-        let mut slot = self.first_error.lock().unwrap_or_else(|e| e.into_inner());
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-        self.cancelled.store(true, Ordering::SeqCst);
-    }
-
-    fn cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::SeqCst)
     }
 }
 
@@ -253,55 +214,42 @@ pub fn run_mosaic(
     let windows: Vec<Window> = sampler.windows().collect();
     let started = Instant::now();
 
-    let state = RunState {
-        scene,
-        windows: &windows,
-        roi,
-        cfg,
-        next_tile: AtomicUsize::new(0),
-        cancelled: AtomicBool::new(false),
-        first_error: Mutex::new(None),
-        stitch: Mutex::new(StitchState {
-            acc: MosaicAccumulator::new(cfg.classes, roi.height, roi.width, cfg.blend),
-            pending: BTreeMap::new(),
-            next: 0,
-        }),
-        latencies: Mutex::new(Vec::with_capacity(windows.len())),
-    };
-
-    let crew = state.cfg.max_in_flight.min(windows.len()).max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..crew {
-            let client = client.clone();
-            let state = &state;
-            scope.spawn(move || submit_tiles(&client, state));
+    let mut acc = MosaicAccumulator::new(cfg.classes, roi.height, roi.width, cfg.blend);
+    let mut tile_latencies = Vec::with_capacity(windows.len());
+    // Submitted tiles not yet stitched, oldest first: tile `i` is at the
+    // front when it is stitched.
+    let mut in_flight: VecDeque<(Instant, Pending<'_>)> = VecDeque::new();
+    let mut submitted = 0;
+    let outcome = (0..windows.len()).try_for_each(|i| {
+        while submitted < windows.len() && submitted < i + cfg.max_in_flight {
+            in_flight.push_back(submit_tile(client, scene, &windows[submitted], &cfg)?);
+            TILES_IN_FLIGHT.fetch_add(1, Ordering::Relaxed);
+            submitted += 1;
         }
+        let (sent, pending) = in_flight.pop_front().expect("tile i is in flight");
+        TILES_IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
+        let (pred, _version) = pending.wait()?;
+        tile_latencies.push(sent.elapsed());
+        stitch_tile(&mut acc, &windows[i], &roi, &cfg, &pred)
     });
-
-    let first_error = state
-        .first_error
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner());
-    if let Some(err) = first_error {
+    if let Err(err) = outcome {
+        // Their answers are discarded, but waiting for them returns every
+        // admission slot before the caller sees the error.
+        for (_, pending) in in_flight {
+            TILES_IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
+            pending.wait().ok();
+        }
         geotorch_telemetry::count!("serve.tile.mosaic_failed", 1);
         return Err(err);
     }
 
-    let stitch = state.stitch.into_inner().unwrap_or_else(|e| e.into_inner());
-    debug_assert_eq!(stitch.next, windows.len(), "stitcher fell behind");
-    let mut mosaic = stitch
-        .acc
+    let mut mosaic = acc
         .finalize()
         .map_err(|e| ServeError::Internal(format!("mosaic finalize: {e}")))?;
     mosaic.transform = scene.transform.for_window(roi.row, roi.col);
     mosaic.epsg = scene.epsg;
     geotorch_telemetry::count!("serve.tile.mosaics", 1);
 
-    let mut tile_latencies = state
-        .latencies
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner());
-    tile_latencies.shrink_to_fit();
     let stats = MosaicStats {
         tiles: windows.len(),
         elapsed: started.elapsed(),
@@ -310,47 +258,36 @@ pub fn run_mosaic(
     Ok((mosaic, stats))
 }
 
-/// One submitter: pull the next tile index, cut the window, predict
-/// through the batcher, park the result for in-order stitching.
-fn submit_tiles(client: &ModelClient, state: &RunState<'_>) {
-    loop {
-        if state.cancelled() {
-            return;
-        }
-        let i = state.next_tile.fetch_add(1, Ordering::SeqCst);
-        if i >= state.windows.len() {
-            return;
-        }
-        TILES_IN_FLIGHT.fetch_add(1, Ordering::Relaxed);
-        let outcome = process_tile(client, state, i);
-        TILES_IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
-        if let Err(err) = outcome {
-            state.fail(err);
-            return;
-        }
-    }
-}
-
-fn process_tile(client: &ModelClient, state: &RunState<'_>, i: usize) -> Result<(), ServeError> {
-    let window = state.windows[i];
+/// Cut `window` from the scene and submit it to the batcher without
+/// waiting; the returned instant is when the submission started.
+fn submit_tile<'c>(
+    client: &'c ModelClient,
+    scene: &Raster,
+    window: &Window,
+    cfg: &TileConfig,
+) -> Result<(Instant, Pending<'c>), ServeError> {
     if let Err(msg) = geotorch_telemetry::fault_point!("tile.fetch") {
         return Err(ServeError::Internal(format!(
             "injected tile fetch fault: {msg}"
         )));
     }
-    let input = state
-        .scene
-        .read_window_tensor(&window)
+    let input = scene
+        .read_window_tensor(window)
         .map_err(|e| ServeError::Internal(format!("tile extraction: {e}")))?;
     geotorch_telemetry::count!("serve.tile.requests", 1);
     let submitted = Instant::now();
-    let pred = client.predict_with_deadline(input, state.cfg.tile_deadline)?;
-    let latency = submitted.elapsed();
-    {
-        let mut lat = state.latencies.lock().unwrap_or_else(|e| e.into_inner());
-        lat.push(latency);
-    }
-    let want = [state.cfg.classes, window.height, window.width];
+    Ok((submitted, client.submit(input, cfg.tile_deadline)?))
+}
+
+/// Blend `window`'s prediction into the mosaic, keeping only its core.
+fn stitch_tile(
+    acc: &mut MosaicAccumulator,
+    window: &Window,
+    roi: &Window,
+    cfg: &TileConfig,
+    pred: &Tensor,
+) -> Result<(), ServeError> {
+    let want = [cfg.classes, window.height, window.width];
     if pred.shape() != want {
         return Err(ServeError::Internal(format!(
             "model returned {:?} for a tile expecting {:?}",
@@ -358,35 +295,14 @@ fn process_tile(client: &ModelClient, state: &RunState<'_>, i: usize) -> Result<
             want
         )));
     }
-    stitch_ready(state, i, pred)
-}
-
-/// Park tile `i`'s prediction and blend every consecutive ready tile.
-/// Stitching strictly in tile-index order keeps the accumulation order
-/// (and thus the mosaic's floating-point result) independent of thread
-/// scheduling.
-fn stitch_ready(state: &RunState<'_>, i: usize, pred: Tensor) -> Result<(), ServeError> {
-    let mut stitch = state.stitch.lock().unwrap_or_else(|e| e.into_inner());
-    stitch.pending.insert(i, pred);
-    while let Some(pred) = {
-        let next = stitch.next;
-        stitch.pending.remove(&next)
-    } {
-        if let Err(msg) = geotorch_telemetry::fault_point!("tile.stitch") {
-            return Err(ServeError::Internal(format!(
-                "injected tile stitch fault: {msg}"
-            )));
-        }
-        let window = state.windows[stitch.next];
-        let core = core_of(&window, &state.roi, state.cfg.halo);
-        let tile_local = window.relative_to(&state.roi);
-        let core_local = core.relative_to(&state.roi);
-        stitch
-            .acc
-            .add_tile(&tile_local, &core_local, &pred)
-            .map_err(|e| ServeError::Internal(format!("tile stitch: {e}")))?;
-        geotorch_telemetry::count!("serve.tile.stitched", 1);
-        stitch.next += 1;
+    if let Err(msg) = geotorch_telemetry::fault_point!("tile.stitch") {
+        return Err(ServeError::Internal(format!(
+            "injected tile stitch fault: {msg}"
+        )));
     }
+    let core = core_of(window, roi, cfg.halo);
+    acc.add_tile(&window.relative_to(roi), &core.relative_to(roi), pred)
+        .map_err(|e| ServeError::Internal(format!("tile stitch: {e}")))?;
+    geotorch_telemetry::count!("serve.tile.stitched", 1);
     Ok(())
 }

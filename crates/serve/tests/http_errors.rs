@@ -294,6 +294,34 @@ fn hostile_shapes_are_400_and_a_lone_responder_survives_them() {
 }
 
 #[test]
+fn tensor_spec_whose_hash_is_not_a_content_hash_is_400() {
+    let dir = std::env::temp_dir().join(format!("geotorch_http_spec_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut registry = Registry::new();
+    registry.register("echo", None, || Box::new(Echo) as Box<dyn ServeModel>);
+    assert!(registry.enable_sync("echo", &dir));
+    let config = ServeConfig {
+        batch: BatchConfig {
+            device: Device::Cpu,
+            ..BatchConfig::default()
+        },
+        http_workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", registry, config).expect("server starts");
+    let addr = server.addr();
+    for spec in ["0@1-../../head", "0@1-0123456789ABCDEF", "0@1-0123456789abcdef0"] {
+        let (status, _, reply) = http(addr, "GET", &format!("/models/echo/tensors/{spec}"), "");
+        assert_eq!(status, 400, "{spec}: {reply}");
+        assert!(error_body(&reply).contains("bad tensor spec"), "{reply}");
+    }
+    let (status, _, reply) = http(addr, "GET", "/models/echo/manifest", "");
+    assert_eq!(status, 200, "the responder must survive: {reply}");
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn shedding_over_http_is_429_with_retry_after() {
     let server = start_server(1, 5_000, 1 << 20);
     let addr = server.addr();

@@ -136,16 +136,26 @@ fn mosaic_matches_whole_scene_forward_on_both_devices() {
 fn mosaic_is_deterministic_across_runs() {
     let _g = serial();
     let scene = seam_scene();
-    let worker = unet_worker("unet-det", Device::Cpu, 2);
-    let client = worker.client();
-    let (a, _) = run_mosaic(&client, &scene, scene.extent(), exact_cfg()).unwrap();
-    let (b, _) = run_mosaic(&client, &scene, scene.extent(), exact_cfg()).unwrap();
-    assert_eq!(
-        a.as_slice(),
-        b.as_slice(),
-        "in-order stitching must make the mosaic bit-stable run to run"
-    );
-    worker.shutdown();
+    let mut first: Option<Vec<u32>> = None;
+    for replicas in [1, 2] {
+        let worker = unet_worker("unet-det", Device::Cpu, replicas);
+        let client = worker.client();
+        for max_in_flight in [1, 3, 4] {
+            let cfg = TileConfig {
+                max_in_flight,
+                ..exact_cfg()
+            };
+            let (mosaic, stats) = run_mosaic(&client, &scene, scene.extent(), cfg).unwrap();
+            assert_eq!(stats.tile_latencies.len(), stats.tiles);
+            let bits: Vec<u32> = mosaic.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert!(
+                first.get_or_insert_with(|| bits.clone()) == &bits,
+                "{replicas} replica(s), {max_in_flight} in flight: in-order stitching \
+                 must make the mosaic bit-stable run to run"
+            );
+        }
+        worker.shutdown();
+    }
 }
 
 /// Identity "segmenter": returns its single input band as the class

@@ -181,9 +181,9 @@ pub fn hits(point: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Evaluate an armed fault point. Called by [`fault_point!`] only when
-/// [`armed`] is true; panics or sleeps according to the matched rule,
-/// and returns `Err` for [`FaultAction::Error`] rules.
+/// Evaluate an armed fault point. Called by [`crate::fault_point!`]
+/// only when [`armed`] is true; panics or sleeps according to the
+/// matched rule, and returns `Err` for [`FaultAction::Error`] rules.
 ///
 /// # Panics
 /// When the matched rule is [`FaultAction::Panic`] — that is the point.

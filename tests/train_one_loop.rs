@@ -1,8 +1,8 @@
-//! Tier-1 smoke for the trainer, through the `geotorchai` facade: both
-//! step executors of the one epoch driver run, and agree. A K = 2 stream
-//! fit (replica workers) bit-equals the K = 1 fit (in-thread) on one
-//! lattice case, and an in-thread classifier fit repeats exactly from
-//! one seed. The full property lives in
+//! Tier-1 smoke for the trainer, through the `geotorchai` facade: the one
+//! epoch driver and its step executor. A K = 2 stream fit (shard 0 on
+//! the caller, shard 1 on one replica worker) bit-equals the K = 1 fit
+//! (the caller alone) on one lattice case, and a classifier fit repeats
+//! exactly from one seed. The full property lives in
 //! `crates/core/tests/replica_grad_prop.rs`.
 
 use geotorchai::converter::{BatchStream, LoaderError};
