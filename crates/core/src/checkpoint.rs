@@ -19,8 +19,9 @@
 use std::path::Path;
 
 use geotorch_nn::Module;
-use geotorch_tensor::Tensor;
+use geotorch_tensor::{json, Tensor};
 use serde::{Deserialize, Serialize, Value};
+use serde_json::Reader;
 
 /// The `format` marker written into every checkpoint and manifest.
 pub const FORMAT_MARKER: &str = "geotorch.checkpoint";
@@ -66,6 +67,10 @@ impl std::error::Error for CheckpointError {}
 /// a `.tmp` sibling first and are `rename`d into place, so a crash (or
 /// full disk) mid-write never leaves a truncated checkpoint where a
 /// previously valid one existed.
+///
+/// A parameter holding NaN or an infinity is a [`CheckpointError::Format`]
+/// error before any byte is written: JSON cannot store it, and the file
+/// would replace a good checkpoint with one that never loads.
 pub fn save(model: &dyn Module, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
     save_impl(model, None, path.as_ref())
 }
@@ -87,6 +92,7 @@ fn save_impl(
     path: &Path,
 ) -> Result<(), CheckpointError> {
     let state = model.state_dict();
+    check_finite(&state)?;
     let shapes: Vec<Vec<usize>> = state.iter().map(|t| t.shape().to_vec()).collect();
     let header = Value::Object(vec![
         ("format".to_string(), FORMAT_MARKER.to_value()),
@@ -96,14 +102,24 @@ fn save_impl(
             name.map_or(Value::Null, |n| n.to_value()),
         ),
         ("shapes".to_string(), shapes.to_value()),
-        ("tensors".to_string(), state.to_value()),
     ]);
-    let json = serde_json::to_string(&header)
-        .map_err(|e| CheckpointError::Format(e.to_string()))?;
+    // The small header goes through `Value`; the tensors are written
+    // after it by the tensor codec, into the same string.
+    let mut text =
+        serde_json::to_string(&header).map_err(|e| CheckpointError::Format(e.to_string()))?;
+    text.pop(); // the header's closing `}`
+    text.push_str(",\"tensors\":[");
+    for (i, t) in state.iter().enumerate() {
+        if i > 0 {
+            text.push(',');
+        }
+        json::write(t, &mut text);
+    }
+    text.push_str("]}");
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    if let Err(e) = std::fs::write(&tmp, json) {
+    if let Err(e) = std::fs::write(&tmp, text) {
         std::fs::remove_file(&tmp).ok();
         return Err(CheckpointError::Io(e));
     }
@@ -120,6 +136,21 @@ fn save_impl(
         std::fs::remove_file(&tmp).ok();
         CheckpointError::Io(e)
     })
+}
+
+/// JSON has no NaN or infinity: such a weight would be written as `null`
+/// and the file would never load again. Refuse it before anything is
+/// written, naming the parameter.
+pub(crate) fn check_finite(state: &[Tensor]) -> Result<(), CheckpointError> {
+    match state
+        .iter()
+        .position(|t| t.as_slice().iter().any(|x| !x.is_finite()))
+    {
+        Some(i) => Err(CheckpointError::Format(format!(
+            "parameter {i} holds a NaN or infinite value, which JSON cannot store"
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// What a checkpoint file declares about itself, readable without
@@ -154,8 +185,28 @@ pub fn parse_bytes(
     json: &str,
     expected: Option<&str>,
 ) -> Result<(CheckpointMeta, Vec<Tensor>), CheckpointError> {
-    let value: Value =
-        serde_json::from_str(json).map_err(|e| CheckpointError::Format(e.to_string()))?;
+    let syntax = |e: serde_json::Error| CheckpointError::Format(e.to_string());
+    // One pass: the header members become a small `Value`, the first
+    // `tensors` array goes through the tensor codec with no tree.
+    let mut reader = Reader::new(json);
+    let mut tensors = None;
+    let value = if reader.peek() == Some(b'{') {
+        let mut header = Vec::new();
+        let mut more = reader.begin_object().map_err(syntax)?;
+        while more {
+            let key = reader.key().map_err(syntax)?;
+            if key == "tensors" && tensors.is_none() {
+                tensors = Some(read_tensors(&mut reader).map_err(syntax)?);
+            } else {
+                header.push((key.into_owned(), reader.value().map_err(syntax)?));
+            }
+            more = reader.object_next().map_err(syntax)?;
+        }
+        Value::Object(header)
+    } else {
+        reader.value().map_err(syntax)?
+    };
+    reader.end().map_err(syntax)?;
     let marker = value.get("format").and_then(Value::as_str).ok_or_else(|| {
         CheckpointError::Format(
             "missing `format` marker (a checkpoint is a header object, not a bare tensor array)"
@@ -169,9 +220,10 @@ pub fn parse_bytes(
     }
     let version = value
         .get("version")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| CheckpointError::Format("missing `version`".to_string()))?
-        as u64;
+        .map(u64::from_value)
+        .transpose()
+        .map_err(|e| CheckpointError::Format(format!("`version`: {e}")))?
+        .ok_or_else(|| CheckpointError::Format("missing `version`".to_string()))?;
     if version != FORMAT_VERSION {
         return Err(CheckpointError::Format(format!(
             "unsupported checkpoint version {version} (this build reads {FORMAT_VERSION})"
@@ -199,12 +251,8 @@ pub fn parse_bytes(
         .transpose()
         .map_err(|e| CheckpointError::Format(e.to_string()))?
         .ok_or_else(|| CheckpointError::Format("missing `shapes`".to_string()))?;
-    let tensors = value
-        .get("tensors")
-        .map(Vec::<Tensor>::from_value)
-        .transpose()
-        .map_err(|e| CheckpointError::Format(e.to_string()))?
-        .ok_or_else(|| CheckpointError::Format("missing `tensors`".to_string()))?;
+    let tensors =
+        tensors.ok_or_else(|| CheckpointError::Format("missing `tensors`".to_string()))?;
     if shapes.len() != tensors.len() {
         return Err(CheckpointError::Format(format!(
             "header lists {} shapes but file holds {} tensors",
@@ -229,6 +277,16 @@ pub fn parse_bytes(
         },
         tensors,
     ))
+}
+
+fn read_tensors(reader: &mut Reader<'_>) -> Result<Vec<Tensor>, serde_json::Error> {
+    let mut tensors = Vec::new();
+    let mut more = reader.begin_array()?;
+    while more {
+        tensors.push(json::read(reader)?);
+        more = reader.array_next()?;
+    }
+    Ok(tensors)
 }
 
 /// Read only a checkpoint's metadata (version, model name, shapes).
@@ -393,6 +451,35 @@ mod tests {
         load(&model, &path).unwrap();
 
         std::fs::remove_dir(&tmp_sibling).ok();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_non_finite_weight_never_replaces_a_good_checkpoint() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let model = SatCnn::new(1, 8, 8, 2, &mut rng);
+        let path = tmp("non_finite");
+        save(&model, &path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut state = model.state_dict();
+            let last = state.len() - 1;
+            state[last].as_mut_slice()[0] = bad;
+            let broken = SatCnn::new(1, 8, 8, 2, &mut rng);
+            broken.load_state_dict(&state).unwrap();
+            let err = save(&broken, &path).expect_err("a non-finite weight must not be saved");
+            assert!(
+                matches!(&err, CheckpointError::Format(m) if m.contains(&format!("parameter {last}"))),
+                "{bad}: {err:?}"
+            );
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                good,
+                "{bad}: the previous file changed"
+            );
+        }
+        load(&model, &path).expect("the previous checkpoint still loads");
         std::fs::remove_file(&path).ok();
     }
 

@@ -53,10 +53,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use geotorch_nn::Module;
-use geotorch_tensor::Tensor;
+use geotorch_tensor::{json, Tensor};
 use serde::{Deserialize, Serialize, Value};
 
-use crate::checkpoint::{CheckpointError, FORMAT_MARKER};
+use crate::checkpoint::{check_finite, CheckpointError, FORMAT_MARKER};
 
 /// The checkpoint format version used by manifest files (version 1 is
 /// the classic inline single-file format).
@@ -257,7 +257,12 @@ impl Manifest {
         if marker != Some(FORMAT_MARKER) {
             return Err(bad("missing or wrong `format` marker"));
         }
-        let version = value.get("version").and_then(Value::as_f64).unwrap_or(0.0) as u64;
+        let version = value
+            .get("version")
+            .map(u64::from_value)
+            .transpose()
+            .map_err(|e| bad(&format!("`version`: {e}")))?
+            .unwrap_or(0);
         if version != MANIFEST_VERSION {
             return Err(bad(&format!(
                 "version {version} is not a manifest (expected {MANIFEST_VERSION})"
@@ -517,8 +522,11 @@ impl DeltaStore {
     /// Publish a full state dict: hash every tensor, bump the version of
     /// (and write payloads for) only the tensors whose content changed,
     /// and adopt the new manifest as head. The first publish writes
-    /// everything.
+    /// everything. A state holding NaN or an infinity is a
+    /// [`CheckpointError::Format`] error before any file is written: its
+    /// payload would never load on a peer.
     pub fn publish(&mut self, state: &[Tensor]) -> Result<PublishReport, CheckpointError> {
+        check_finite(state)?;
         if let Some(head) = &self.head {
             if head.entries.len() != state.len() {
                 return Err(CheckpointError::Format(format!(
@@ -556,8 +564,7 @@ impl DeltaStore {
         }
         let mut delta_bytes = 0u64;
         for &i in &changed {
-            let bytes = serde_json::to_string(&state[i])
-                .map_err(|e| CheckpointError::Format(e.to_string()))?;
+            let bytes = json::to_string(&state[i]);
             delta_bytes += bytes.len() as u64;
             self.write_payload(i, &entries[i], bytes.as_bytes())?;
         }
@@ -650,7 +657,7 @@ impl DeltaStore {
             let text = std::str::from_utf8(&bytes).map_err(|e| {
                 CheckpointError::Format(format!("fetched tensor {i} is not utf-8: {e}"))
             })?;
-            let tensor: Tensor = serde_json::from_str(text)
+            let tensor = json::from_str(text)
                 .map_err(|e| CheckpointError::Format(format!("fetched tensor {i}: {e}")))?;
             let hash = tensor_hash(&tensor);
             if hash != entry.hash {
@@ -728,9 +735,9 @@ impl DeltaStore {
         })?;
         let mut tensors = Vec::with_capacity(head.entries.len());
         for (i, entry) in head.entries.iter().enumerate() {
-            let json = std::fs::read_to_string(self.payload_path(i, entry))
+            let text = std::fs::read_to_string(self.payload_path(i, entry))
                 .map_err(CheckpointError::Io)?;
-            let tensor: Tensor = serde_json::from_str(&json)
+            let tensor = json::from_str(&text)
                 .map_err(|e| CheckpointError::Format(format!("payload {i}: {e}")))?;
             if tensor.shape() != head.shapes[i].as_slice() {
                 return Err(CheckpointError::Format(format!(
@@ -906,6 +913,58 @@ mod tests {
                 "ver {ver}: {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn manifest_format_version_must_be_an_exact_integer() {
+        let good = manifest_json("7", 7);
+        let field = format!("\"version\":{MANIFEST_VERSION},");
+        assert!(good.contains(&field));
+        Manifest::from_json(&good).expect("the written version parses");
+        for version in ["2.9", "1.5", "-1", "1e300", "\"2\"", "null"] {
+            let json = good.replace(&field, &format!("\"version\":{version},"));
+            let err = Manifest::from_json(&json);
+            assert!(
+                matches!(&err, Err(CheckpointError::Format(m)) if m.contains("version")),
+                "version {version}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn publish_refuses_a_non_finite_weight_and_keeps_its_head() {
+        let dir = std::env::temp_dir().join(format!("geotorch_delta_nan_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut store = DeltaStore::open(&dir, None).unwrap();
+        let state = vec![Tensor::ones(&[2, 3]), Tensor::zeros(&[4])];
+        store.publish(&state).unwrap();
+        let head = store.head().cloned();
+        let files = |dir: &Path| {
+            let mut names: Vec<_> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let before = files(&dir);
+
+        let mut bad = state.clone();
+        bad[1].as_mut_slice()[2] = f32::NAN;
+        let err = store
+            .publish(&bad)
+            .expect_err("a NaN weight must not be published");
+        assert!(
+            matches!(&err, CheckpointError::Format(m) if m.contains("parameter 1")),
+            "{err:?}"
+        );
+        assert_eq!(store.head().cloned(), head, "the head moved");
+        assert_eq!(files(&dir), before, "a payload was written");
+        drop(store);
+        let store = DeltaStore::open(&dir, None).unwrap();
+        assert_eq!(store.materialize().unwrap(), state);
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

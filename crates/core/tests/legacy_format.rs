@@ -85,6 +85,25 @@ fn v1_named_checkpoints_still_load() {
 }
 
 #[test]
+fn checkpoint_version_must_be_an_exact_integer() {
+    let path = tmp("version.json");
+    checkpoint::save(&model(3), &path).expect("save");
+    let json = std::fs::read_to_string(&path).expect("read");
+    let field = format!("\"version\":{},", checkpoint::FORMAT_VERSION);
+    assert!(json.contains(&field));
+    for version in ["1.5", "-1", "1e300", "1.0000001"] {
+        let bad = json.replacen(&field, &format!("\"version\":{version},"), 1);
+        let err = checkpoint::parse_bytes(&bad, None).expect_err(version);
+        assert!(
+            matches!(&err, CheckpointError::Format(m) if m.contains("version")),
+            "version {version}: {err:?}"
+        );
+    }
+    checkpoint::parse_bytes(&json, None).expect("the written version parses");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn manifest_is_read_by_its_store_alone() {
     let dir = tmp("store");
     std::fs::remove_dir_all(&dir).ok();

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use geotorch_core::checkpoint::CheckpointError;
 use geotorch_core::delta::is_content_hash;
 use geotorch_core::{DeltaStore, IntegrateReport, PublishReport, TensorVersion};
-use geotorch_tensor::Tensor;
+use geotorch_tensor::{json, Tensor};
 use serde::{Serialize, Value};
 
 use crate::batcher::{BatchConfig, ModelClient, ModelWorker};
@@ -280,9 +280,8 @@ pub(crate) fn count_error_status(status: u16) {
     }
 }
 
-/// One parsed request. Owns its raw receive buffer; the body is the
-/// tail slice starting at `body_start` — handed to the JSON decoder
-/// without a copy.
+/// One parsed request. Owns its receive buffer, cut down to the body —
+/// handed to the JSON decoder without a copy.
 pub(crate) struct HttpRequest {
     pub(crate) method: String,
     pub(crate) path: String,
@@ -292,14 +291,13 @@ pub(crate) struct HttpRequest {
     /// (HTTP/1.1 default yes, HTTP/1.0 default no, `Connection`
     /// header wins either way).
     pub(crate) keep_alive: bool,
-    raw: Vec<u8>,
-    body_start: usize,
+    body: String,
 }
 
 impl HttpRequest {
-    /// The request body (utf-8, validated at parse time).
+    /// The request body (utf-8, validated once at parse time).
     pub(crate) fn body(&self) -> &str {
-        std::str::from_utf8(&self.raw[self.body_start..]).unwrap_or_default()
+        &self.body
     }
 }
 
@@ -389,18 +387,18 @@ pub(crate) fn try_parse(buf: &mut Vec<u8>, max_body: usize) -> Parsed {
         connection.as_deref() != Some("close")
     };
     let leftover = buf.split_off(total);
-    let raw = std::mem::take(buf);
-    if std::str::from_utf8(&raw[body_start..]).is_err() {
+    let mut raw = std::mem::take(buf);
+    raw.drain(..body_start);
+    let Ok(body) = String::from_utf8(raw) else {
         return Parsed::Invalid(400, "body is not utf-8".to_string());
-    }
+    };
     Parsed::Complete(
         Box::new(HttpRequest {
             method,
             path,
             deadline_ms,
             keep_alive,
-            raw,
-            body_start,
+            body,
         }),
         leftover,
     )
@@ -696,15 +694,17 @@ fn predict(
             Some(Duration::from_millis(ms))
         }
     };
-    let sample: Tensor = serde_json::from_str(request.body())
+    let sample = json::from_str(request.body())
         .map_err(|e| ServeError::BadRequest(format!("tensor payload: {e}")))?;
     let (output, version) = client.predict_versioned(sample, deadline)?;
-    let mut fields = vec![("model".to_string(), name.to_value())];
-    match output.to_value() {
-        Value::Object(tensor_fields) => fields.extend(tensor_fields),
-        other => fields.push(("output".to_string(), other)),
-    }
-    Ok((render(&Value::Object(fields)), version.to_string()))
+    // `{"model":..,"shape":..,"data":..}`: the tensor's members written
+    // straight into the reply, no `Value` tree.
+    let mut body = String::from("{\"model\":");
+    serde_json::write_string(name, &mut body);
+    body.push(',');
+    json::write_members(&output, &mut body);
+    body.push('}');
+    Ok((body, version.to_string()))
 }
 
 fn render(value: &Value) -> String {

@@ -272,15 +272,20 @@ fn hostile_shapes_are_400_and_a_lone_responder_survives_them() {
     };
     let server = Server::start("127.0.0.1:0", registry, config).expect("server starts");
     let addr = server.addr();
+    let deep = "[".repeat(20_000) + &"]".repeat(20_000);
     for body in [
         // The element count overflows `usize`.
-        r#"{"shape":[4294967296,4294967296],"data":[]}"#,
+        r#"{"shape":[4294967296,4294967296],"data":[]}"#.to_string(),
         // Dimensions outside `usize`: negative, and past its range.
-        r#"{"shape":[-3,2],"data":[]}"#,
-        r#"{"shape":[1e20],"data":[]}"#,
+        r#"{"shape":[-3,2],"data":[]}"#.to_string(),
+        r#"{"shape":[1e20],"data":[]}"#.to_string(),
+        // More elements than the body has bytes to hold.
+        r#"{"shape":[100000000],"data":[1]}"#.to_string(),
+        // Nesting that would overflow a recursive reader's stack.
+        format!(r#"{{"note":{deep},"shape":[1],"data":[1]}}"#),
     ] {
-        let (status, _, reply) = http(addr, "POST", "/predict/echo", body);
-        assert_eq!(status, 400, "{body}: {reply}");
+        let (status, _, reply) = http(addr, "POST", "/predict/echo", &body);
+        assert_eq!(status, 400, "{:.80}: {reply}", body);
         assert!(error_body(&reply).contains("tensor payload"), "{reply}");
     }
     let (status, _, reply) = http(

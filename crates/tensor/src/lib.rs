@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod device;
+pub mod json;
 pub mod ops;
 pub mod pool;
 mod tensor;

@@ -20,7 +20,18 @@
 //!   lanes of every `B` micro-panel zero, so it is computed as
 //!   `Cᵀ = Bᵀ·Aᵀ` with the wide side along the lanes. Each element's
 //!   chain is the same products in the same order (`fma(a,b,c) =
-//!   fma(b,a,c)`), so the bits do not change.
+//!   fma(b,a,c)`), so the bits do not change. A small batch against a
+//!   layer's weights — `A·Bᵀ` ([`Tensor::matmul_nt`], what `Linear`
+//!   runs) with fewer than [`MR`] rows and at least 8 columns, on the
+//!   AVX+FMA tier — packs nothing: packing `B` would touch every weight
+//!   twice to use it at most five times. Eight weight rows are read in
+//!   place and transposed in registers eight depth steps at a time, each
+//!   output again one fused chain in ascending `p`. SatCNN's
+//!   `[1, 2048]·[128, 2048]ᵀ` fell from 207 to 34–45 µs (2-vCPU Xeon).
+//! * **Dispatch.** `gemm` picks one path per product, in order:
+//!   the tiny loop (`m·n·k ≤ GEMM_TINY_MACS`), the pack-free small-batch
+//!   `A·Bᵀ`, the skinny orientation, else the blocked kernel below. All
+//!   four give every element the same bits.
 //! * **Blocking.** The loop nest walks `NC`-wide column blocks, `KC`-deep
 //!   depth panels, and `MC`-tall row blocks, sized so an `A` block stays
 //!   L2-resident and the `B` micro-panel streams through L1 while a
@@ -202,6 +213,14 @@ pub(crate) fn gemm(a: Dense, b: Dense, out: &mut [f32], m: usize, n: usize, k: u
     }
     if m * n * k <= GEMM_TINY_MACS {
         gemm_tiny(a, b, out, m, n, k);
+    } else if m < MR && n >= 8 && !a.trans && b.trans && simd() == Simd::Fma {
+        // A small batch against a layer's weight rows: packing `B` would
+        // cost more than the arithmetic (module docs, "Orientation").
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: FMA was detected at runtime.
+        unsafe {
+            gemm_nt_small_fma(a, b, out, m, n, k)
+        };
     } else if n < NR && NR <= m {
         // Skinny: `Cᵀ = Bᵀ·Aᵀ` puts the wide side on the lanes, with the
         // same bits per element (module docs, "Orientation").
@@ -307,6 +326,153 @@ fn gemm_tiny_loop<const FUSED: bool>(
             }
         }
     }
+}
+
+/// `out = a × bᵀ` for fewer than [`MR`] rows of `a`, reading `b`'s rows
+/// in place: the pack-free path of a dense layer at a small batch. Eight
+/// rows of `b` (eight output columns) are loaded per step and
+/// transposed in registers eight depth steps at a time, so each output
+/// element is one fused chain from `+0` in ascending `p` — the
+/// [`gemm_packed`] chain, bit for bit. The last `k % 8` depth steps
+/// gather their column one element at a time, and the last `n % 8`
+/// columns are scalar `mul_add` chains in the same order.
+///
+/// # Safety
+/// The CPU must support AVX and FMA; `a` is `m` rows of stride `a.ld`
+/// and `b` holds `n` rows of stride `b.ld`, each at least `k` long, and
+/// `out` is `m·n` long.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx,fma")]
+unsafe fn gemm_nt_small_fma(a: Dense, b: Dense, out: &mut [f32], m: usize, n: usize, k: usize) {
+    assert!(m < MR && n >= 8 && out.len() >= m * n);
+    assert!(a.data.len() >= (m - 1) * a.ld + k && b.data.len() >= (n - 1) * b.ld + k);
+    // Rows and column blocks as const parameters keep the accumulators
+    // in registers; `J` blocks side by side give the FMA unit `M·J`
+    // independent chains to hide its latency behind.
+    match m {
+        1 => nt_rows::<1, 4>(a, b, out, n, k),
+        2 => nt_rows::<2, 2>(a, b, out, n, k),
+        3 => nt_rows::<3, 1>(a, b, out, n, k),
+        4 => nt_rows::<4, 1>(a, b, out, n, k),
+        5 => nt_rows::<5, 1>(a, b, out, n, k),
+        _ => unreachable!("the pack-free kernel takes 1..MR rows, got {m}"),
+    }
+}
+
+/// [`gemm_nt_small_fma`] for `M` rows, `J` blocks of 8 columns at a time
+/// (then single blocks, then the scalar columns).
+///
+/// # Safety
+/// As [`gemm_nt_small_fma`], with `m = M`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx,fma")]
+unsafe fn nt_rows<const M: usize, const J: usize>(
+    a: Dense,
+    b: Dense,
+    out: &mut [f32],
+    n: usize,
+    k: usize,
+) {
+    let n8 = n / 8 * 8;
+    let mut j0 = 0;
+    while j0 + 8 * J <= n8 {
+        nt_block::<M, J>(a, b, out, n, k, j0);
+        j0 += 8 * J;
+    }
+    while j0 < n8 {
+        nt_block::<M, 1>(a, b, out, n, k, j0);
+        j0 += 8;
+    }
+    for j in n8..n {
+        let w = &b.data[j * b.ld..][..k];
+        for i in 0..M {
+            let x = &a.data[i * a.ld..][..k];
+            let mut c = 0.0f32;
+            for (&x, &w) in x.iter().zip(w) {
+                c = x.mul_add(w, c);
+            }
+            out[i * n + j] = c;
+        }
+    }
+}
+
+/// Columns `j0..j0 + 8·J` of [`nt_rows`]' product.
+///
+/// # Safety
+/// As [`gemm_nt_small_fma`], with `m = M` and `j0 + 8·J ≤ n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx,fma")]
+#[inline]
+unsafe fn nt_block<const M: usize, const J: usize>(
+    a: Dense,
+    b: Dense,
+    out: &mut [f32],
+    n: usize,
+    k: usize,
+    j0: usize,
+) {
+    use std::arch::x86_64::*;
+    let (pa, pb) = (a.data.as_ptr(), b.data.as_ptr());
+    let a_at = |i: usize, p: usize| pa.add(i * a.ld + p);
+    let mut acc = [[_mm256_setzero_ps(); M]; J];
+    let k8 = k / 8 * 8;
+    for p in (0..k8).step_by(8) {
+        for (jb, acc) in acc.iter_mut().enumerate() {
+            let cols = columns8(|l| pb.add((j0 + 8 * jb + l) * b.ld), p);
+            for (q, col) in cols.iter().enumerate() {
+                for (i, acc) in acc.iter_mut().enumerate() {
+                    *acc = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a_at(i, p + q)), *col, *acc);
+                }
+            }
+        }
+    }
+    for p in k8..k {
+        for (jb, acc) in acc.iter_mut().enumerate() {
+            let w = |l: usize| *pb.add((j0 + 8 * jb + l) * b.ld + p);
+            let col = _mm256_setr_ps(w(0), w(1), w(2), w(3), w(4), w(5), w(6), w(7));
+            for (i, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a_at(i, p)), col, *acc);
+            }
+        }
+    }
+    for (jb, acc) in acc.iter().enumerate() {
+        for (i, acc) in acc.iter().enumerate() {
+            _mm256_storeu_ps(out.as_mut_ptr().add(i * n + j0 + 8 * jb), *acc);
+        }
+    }
+}
+
+/// Eight depth steps `p..p+8` of eight weight rows, as columns: lane `l`
+/// of result `q` is `row(l)[p + q]`. Each register is loaded as two
+/// halves, rows `l` and `l + 4`, so a 4×4 transpose within each 128-bit
+/// half finishes the job: 16 shuffles for 64 elements instead of a full
+/// 8×8 transpose's 24.
+///
+/// # Safety
+/// The CPU must support AVX; `row(l).add(p)` must be readable for 8
+/// elements, for every `l < 8`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+unsafe fn columns8(row: impl Fn(usize) -> *const f32, p: usize) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::*;
+    let pair = |l: usize, p: usize| {
+        let lo = _mm256_castps128_ps256(_mm_loadu_ps(row(l).add(p)));
+        _mm256_insertf128_ps::<1>(lo, _mm_loadu_ps(row(l + 4).add(p)))
+    };
+    let quad = |p: usize| {
+        let (r0, r1, r2, r3) = (pair(0, p), pair(1, p), pair(2, p), pair(3, p));
+        let (t0, t1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
+        let (t2, t3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
+        [
+            _mm256_shuffle_ps::<0x44>(t0, t2),
+            _mm256_shuffle_ps::<0xEE>(t0, t2),
+            _mm256_shuffle_ps::<0x44>(t1, t3),
+            _mm256_shuffle_ps::<0xEE>(t1, t3),
+        ]
+    };
+    let ([c0, c1, c2, c3], [c4, c5, c6, c7]) = (quad(p), quad(p + 4));
+    [c0, c1, c2, c3, c4, c5, c6, c7]
 }
 
 /// The right-hand operand of the blocked GEMM, seen only through how a

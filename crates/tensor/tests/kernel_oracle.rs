@@ -648,6 +648,33 @@ fn dense_layer_rows_are_batch_invariant_across_the_tiny_cutoff() {
     }
 }
 
+/// A dense layer at a small batch (`A·Bᵀ` with fewer than `MR` rows past
+/// the tiny cutoff, which on the AVX+FMA tier reads the weight rows in
+/// place instead of packing them) is the packed kernel's arithmetic: rows
+/// of the `m ∈ 1..MR` product equal the same rows of the `m = MR` product
+/// bit for bit on continuous inputs, ragged `n` and `k` tails included.
+#[test]
+fn small_batch_rows_equal_the_packed_rows() {
+    let mut case = 0u64;
+    for n in [8, 9, 13, 128] {
+        for k in [1, 7, 8, 37, 2048, 2049] {
+            case += 1;
+            let w = continuous(&[n, k], 8200 + case);
+            let x = continuous(&[MR, k], 8300 + case);
+            let packed = bits(&x.matmul_nt(&w));
+            for m in 1..MR {
+                let rows = x.narrow(0, 0, m).matmul_nt(&w);
+                assert_eq!(
+                    bits(&rows),
+                    packed[..m * n],
+                    "m={m} n={n} k={k} ({})",
+                    simd_kernel_name()
+                );
+            }
+        }
+    }
+}
+
 /// Upsampling is data movement and its adjoint a fixed-order block sum:
 /// forward and backward equal an element-by-element reference bit for
 /// bit (the backward on continuous data, where order shows), for factors

@@ -7,6 +7,8 @@
 //! convolution must run at a fixed
 //! fraction of the GEMM's own rate on the same host — its weight gradient
 //! too, and its 16→2 output head at a fixed fraction of the 16→16 layer's.
+//! A dense layer at batch 1 must take at most half of batch 6's time: it
+//! reads its weights in place instead of packing them.
 //!
 //! Wall-clock assertions are meaningless in unoptimised builds and
 //! noisy CI matrices, so the timed tests skip themselves under
@@ -16,7 +18,7 @@
 //! CI runs this file with `--release`.
 
 use geotorch_tensor::ops::conv::{conv2d, conv2d_weight_grad};
-use geotorch_tensor::ops::matmul::matmul_naive;
+use geotorch_tensor::ops::matmul::{matmul_naive, simd_kernel_name};
 use geotorch_tensor::{pool, with_device, Device, Tensor};
 use rand::SeedableRng;
 use std::sync::{Mutex, MutexGuard};
@@ -51,6 +53,14 @@ const MIN_CONV_SHARE_OF_MATMUL: f64 = 0.5;
 /// margin. The matmul, not the forward, is the denominator: the forward's
 /// rate moves with its lowering, the weight gradient's does not.
 const MIN_WEIGHT_GRAD_SHARE_OF_MATMUL: f64 = 0.42;
+
+/// Maximum time of SatCNN's `fc1` product (`[m, 2048]·[128, 2048]ᵀ`) at
+/// batch 1 as a fraction of batch 6, the packed kernel's full tile. When
+/// every batch packed the 1 MB weight matrix, batch 1 took 0.98 of batch
+/// 6's time (207 against 211 µs on a 2-vCPU Xeon); reading the weight
+/// rows in place measures 0.22–0.28 there, so 0.5 fails on any return of
+/// the pack.
+const MAX_FC1_B1_SHARE_OF_B6: f64 = 0.5;
 
 /// Minimum rate of DeepSTN+'s 16→2 output head as a fraction of the 16→16
 /// forward rate, both on the register-blocked direct kernel. It measures
@@ -216,6 +226,44 @@ fn conv_backward_and_small_heads_keep_pace_with_the_forward() {
         "the 16->2 head fell to {:.2} of the 16->16 rate (gate {MIN_HEAD_SHARE_OF_WIDE_CONV}) \
          — the direct kernel stopped holding its outputs in registers",
         head / fwd
+    );
+}
+
+#[test]
+fn small_batch_dense_layer_reads_its_weights_in_place() {
+    if let Some(reason) = perf_skip_reason() {
+        eprintln!("skipping timed dense-layer gate: {reason}");
+        return;
+    }
+    if simd_kernel_name() != "avx+fma" {
+        eprintln!("skipping timed dense-layer gate: the pack-free kernel is AVX+FMA only");
+        return;
+    }
+    let _serial = serial();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+    let w = Tensor::rand_uniform(&[128, 2048], -0.05, 0.05, &mut rng);
+    let x = Tensor::rand_uniform(&[6, 2048], 0.0, 1.0, &mut rng);
+    let x1 = x.narrow(0, 0, 1);
+    // Interleaved, so a slow stretch of a shared runner hits both.
+    let (mut b1, mut b6) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..200 {
+        b1 = b1.min(best_of(1, || {
+            std::hint::black_box(x1.matmul_nt(&w));
+        }));
+        b6 = b6.min(best_of(1, || {
+            std::hint::black_box(x.matmul_nt(&w));
+        }));
+    }
+    let share = b1 / b6;
+    eprintln!(
+        "fc1 128x2048: batch 1 {:.1} µs, batch 6 {:.1} µs → {share:.2} (gate ≤ {MAX_FC1_B1_SHARE_OF_B6})",
+        b1 * 1e6,
+        b6 * 1e6
+    );
+    assert!(
+        share <= MAX_FC1_B1_SHARE_OF_B6,
+        "a batch-1 dense layer took {share:.2} of batch 6's time (gate {MAX_FC1_B1_SHARE_OF_B6}) \
+         — it is packing its weights again"
     );
 }
 
