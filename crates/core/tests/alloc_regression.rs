@@ -24,12 +24,11 @@ const TRAIN_MISS_BUDGET: u64 = 8;
 
 /// Pooled acquisitions the same window may make. The step takes 1,964
 /// (1,960 hits): outputs, gradients, and per 3×3 conv one padded input
-/// for the direct kernel. With SatCNN's convs on the column-free GEMM
-/// (a pack buffer per image) it took 2,586, and with the per-image
-/// `pad2d`/`im2col`/transpose/`matmul` scratch tensors before that
-/// 8,495 — every one a pool *hit*, which a miss budget cannot see — so
-/// this count, not a stopwatch, is what fails if a per-image scratch
-/// tensor comes back.
+/// for the direct kernel. A pack buffer per image took 2,586, and
+/// per-image `pad2d`/`im2col`/transpose/`matmul` scratch tensors 8,495 —
+/// every one a pool *hit*, which a miss budget cannot see — so this
+/// count, not a stopwatch, is what fails if a per-image scratch tensor
+/// comes back.
 const TRAIN_ACQUIRE_BUDGET: u64 = 3000;
 
 /// Steady-state miss budget for 32 serve-style forwards. Warm-up runs

@@ -1,6 +1,6 @@
 //! Finite-difference gradient checks for MaxPool, BatchNorm2d (train and
-//! eval), ConvLSTM and the conv2d lowerings (im2col, direct
-//! large-plane 3×3/stride-1, and implicit-GEMM 1×1), run under both `Device::Cpu` and
+//! eval), ConvLSTM and conv2d (3×3 at strides 1 and 2, a large-plane
+//! 3×3 and the unpadded 1×1), run under both `Device::Cpu` and
 //! `Device::Parallel(4)` so the parallel kernel paths are verified against
 //! the same numeric gradients as the serial ones.
 
@@ -80,11 +80,10 @@ fn batchnorm_eval_gradients_both_devices() {
 
 #[test]
 fn conv_3x3_stride1_gradients_both_devices() {
-    // A 4→8 filter bank: the dispatcher routes 3×3/stride-1 through the
-    // column-free GEMM, forward and backward (input gradient as a conv
-    // with flipped filters — itself an 8→4 conv, so the direct kernel —
-    // weight gradient through the transposed im2col view). Input and
-    // weights both checked.
+    // A 4→8 filter bank on the direct kernel, forward and backward (input
+    // gradient as a conv with flipped filters — itself an 8→4 conv — and
+    // the weight gradient's register block over a channels-last copy).
+    // Input and weights both checked.
     for device in DEVICES {
         with_device(device, || {
             let mut rng = StdRng::seed_from_u64(14);
@@ -126,10 +125,9 @@ fn conv_3x3_stride2_gradients_both_devices() {
 
 #[test]
 fn conv_direct_3x3_large_plane_gradients_both_devices() {
-    // Two output channels keep the forward on the direct shift-and-axpy
-    // kernel while the weight gradient goes through the GEMM's transposed
-    // im2col view — this checks the two lowerings agree as a
-    // forward/adjoint pair on both devices.
+    // Two output channels on a 48² plane: the direct kernel's two-channel
+    // block and the weight gradient's register block down the whole
+    // plane, checked as a forward/adjoint pair on both devices.
     // Weights and bias only: sweeping 48²-element inputs through
     // central differences would dwarf the suite's runtime.
     for device in DEVICES {
@@ -149,8 +147,8 @@ fn conv_direct_3x3_large_plane_gradients_both_devices() {
 
 #[test]
 fn conv_1x1_implicit_gemm_gradients_both_devices() {
-    // 1×1/stride-1/no-pad: the image itself is the GEMM's dense right
-    // operand, in the forward pass and in the input gradient.
+    // 1×1/stride-1/no-pad: a one-tap chain on the direct kernel, in the
+    // forward pass and in the input gradient (a 1×1 conv itself).
     for device in DEVICES {
         with_device(device, || {
             let mut rng = StdRng::seed_from_u64(15);

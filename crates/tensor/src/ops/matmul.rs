@@ -7,10 +7,8 @@
 //!
 //! * **Packing.** The left operand is packed whole, once, into
 //!   microkernel-ordered tiles (`PackedA`); for each `KC`-deep panel the
-//!   right operand is packed by its `PanelSource` — a dense matrix here
-//!   (`Dense`), an im2col view of an image in `ops::conv`, which is how
-//!   convolution runs on this kernel without a column matrix. A `Dense`
-//!   operand is read in either layout, so [`Tensor::matmul_nt`] (`A·Bᵀ`)
+//!   right operand is packed into `NR`-lane micro-panels. Either operand
+//!   (`Dense`) is read in either layout, so [`Tensor::matmul_nt`] (`A·Bᵀ`)
 //!   and [`Tensor::matmul_tn`] (`Aᵀ·B`) run on the same microkernels with
 //!   no transposed copy; both packs read every stored row front to back.
 //!   Pack buffers come from the tensor buffer pool — steady-state
@@ -38,9 +36,9 @@
 //!   [`MR`]`×`[`NR`] tile of `C` lives entirely in registers.
 //! * **SIMD.** The innermost microkernel is selected once per process by
 //!   runtime CPU detection: AVX+FMA (`std::arch` intrinsics, 2×8-lane
-//!   fused multiply-adds per row), AVX without FMA, or a portable
-//!   half-tile kernel the autovectorizer lowers to SSE. All variants
-//!   share the packed layout.
+//!   fused multiply-adds per row), or a portable half-tile kernel the
+//!   autovectorizer lowers to SSE, which multiplies, then adds. Both share
+//!   the packed layout.
 //! * **Parallelism.** Products past [`GEMM_PARALLEL_FLOPS`] split the
 //!   longer output axis into microkernel-aligned bands, one
 //!   [`parallel_for`] task per band, so `Device::Parallel` distributes
@@ -142,9 +140,9 @@ fn product(a: &Tensor, ta: bool, b: &Tensor, tb: bool) -> Tensor {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Naive triple-loop reference used as the test oracle and by the kernel
-/// ablation bench. Accumulates each element's products in ascending `p`
-/// order — the order every fast kernel reproduces.
+/// Naive triple-loop reference, the test oracle. Accumulates each
+/// element's products in ascending `p` order — the order every fast
+/// kernel reproduces.
 pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.shape()[0], a.shape()[1]);
     let n = b.shape()[1];
@@ -168,9 +166,8 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
 pub(crate) enum Simd {
     /// AVX 8-lane vectors with fused multiply-add (`vfmadd231ps`).
     Fma,
-    /// AVX 8-lane vectors, separate multiply and add.
-    Avx,
-    /// Autovectorized half-tile fallback (SSE on x86, NEON elsewhere).
+    /// Autovectorized fallback (SSE on x86, NEON elsewhere): separate
+    /// multiply and add, in the same order.
     Portable,
 }
 
@@ -183,8 +180,6 @@ pub(crate) fn simd() -> Simd {
         *TIER.get_or_init(|| {
             if std::is_x86_feature_detected!("avx") && std::is_x86_feature_detected!("fma") {
                 Simd::Fma
-            } else if std::is_x86_feature_detected!("avx") {
-                Simd::Avx
             } else {
                 Simd::Portable
             }
@@ -200,14 +195,13 @@ pub(crate) fn simd() -> Simd {
 pub fn simd_kernel_name() -> &'static str {
     match simd() {
         Simd::Fma => "avx+fma",
-        Simd::Avx => "avx",
         Simd::Portable => "portable",
     }
 }
 
 /// `out[m,n] = a × b` for dense operands in either layout. `out` must
 /// hold `m·n` zeros: the kernels accumulate into it.
-pub(crate) fn gemm(a: Dense, b: Dense, out: &mut [f32], m: usize, n: usize, k: usize) {
+fn gemm(a: Dense, b: Dense, out: &mut [f32], m: usize, n: usize, k: usize) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -475,42 +469,25 @@ unsafe fn columns8(row: impl Fn(usize) -> *const f32, p: usize) -> [std::arch::x
     [c0, c1, c2, c3, c4, c5, c6, c7]
 }
 
-/// The right-hand operand of the blocked GEMM, seen only through how a
-/// block of it packs into micro-panels. A dense matrix in either layout
-/// is one source ([`Dense`]); `ops::conv` supplies im2col views of an
-/// image, so a convolution's column matrix is never materialised.
-pub(crate) trait PanelSource: Sync {
-    /// Pack logical rows `pc..pc+kc` × columns `jc..jc+nc` into `bp` as
-    /// `NR`-column micro-panels `[col_block][p][lane]`, zero-filling
-    /// ragged lanes so the full microkernel never reads out of bounds.
-    fn pack(&self, bp: &mut [f32], pc: usize, jc: usize, kc: usize, nc: usize);
-}
-
 /// A dense operand in either layout: logical element `(i, j)` is
 /// `data[i·ld + j]`, or `data[j·ld + i]` when `trans` (the matrix is
-/// stored as its row-major transpose). Both the packed left operand and
-/// the right-hand panel source read it in place, so `A·Bᵀ` and `Aᵀ·B`
-/// never build a transposed copy.
+/// stored as its row-major transpose). Both packs read it in place, so
+/// `A·Bᵀ` and `Aᵀ·B` never build a transposed copy.
 #[derive(Clone, Copy)]
-pub(crate) struct Dense<'a> {
+struct Dense<'a> {
     data: &'a [f32],
     ld: usize,
     trans: bool,
 }
 
 impl<'a> Dense<'a> {
-    /// A row-major matrix of row stride `ld`.
-    pub(crate) fn rows(data: &'a [f32], ld: usize) -> Dense<'a> {
-        Dense { data, ld, trans: false }
-    }
-
     /// The same storage read as the transposed matrix.
-    pub(crate) fn t(self) -> Dense<'a> {
+    fn t(self) -> Dense<'a> {
         Dense { trans: !self.trans, ..self }
     }
 
     /// The matrix from logical row `r0` down.
-    pub(crate) fn skip_rows(self, r0: usize) -> Dense<'a> {
+    fn skip_rows(self, r0: usize) -> Dense<'a> {
         let skip = if self.trans { r0 } else { r0 * self.ld };
         Dense { data: &self.data[skip..], ..self }
     }
@@ -542,10 +519,12 @@ impl<'a> Dense<'a> {
             self.data[i * self.ld + j]
         }
     }
-}
 
-impl PanelSource for Dense<'_> {
-    fn pack(&self, bp: &mut [f32], pc: usize, jc: usize, kc: usize, nc: usize) {
+    /// Pack logical rows `pc..pc+kc` × columns `jc..jc+nc`, as the right
+    /// operand, into `bp` as `NR`-column micro-panels `[col_block][p][lane]`,
+    /// zero-filling ragged lanes so the full microkernel never reads out of
+    /// bounds.
+    fn pack_panel(&self, bp: &mut [f32], pc: usize, jc: usize, kc: usize, nc: usize) {
         for (jb, dst) in bp[..nc.div_ceil(NR) * kc * NR].chunks_exact_mut(kc * NR).enumerate() {
             // A `B` micro-panel's lanes are columns of `B`: rows of `Bᵀ`.
             self.t().pack_lanes::<NR>(jc + jb * NR, NR.min(nc - jb * NR), pc, dst);
@@ -555,9 +534,8 @@ impl PanelSource for Dense<'_> {
 
 /// The left operand packed whole, once: per `KC`-deep panel, `MR`-row
 /// micro-panels laid out `[row_block][p][r]` with the ragged final block
-/// zero-padded. Callers that reuse one `A` across many products (a
-/// conv's filter bank across its batch) pack it a single time.
-pub(crate) struct PackedA {
+/// zero-padded.
+struct PackedA {
     buf: Buffer,
     m: usize,
     k: usize,
@@ -565,17 +543,7 @@ pub(crate) struct PackedA {
 
 impl PackedA {
     /// Pack the `m×k` matrix `a` (either layout) from the pool.
-    pub(crate) fn pack(a: Dense, m: usize, k: usize) -> PackedA {
-        PackedA::pack_with(m, k, |i0, rows, p0, dst| a.pack_lanes::<MR>(i0, rows, p0, dst))
-    }
-
-    /// Pack an `m×k` left operand from any source: `lanes(i0, rows, p0,
-    /// dst)` does what [`Dense::pack_lanes`]`::<MR>` does for a matrix.
-    pub(crate) fn pack_with(
-        m: usize,
-        k: usize,
-        lanes: impl Fn(usize, usize, usize, &mut [f32]),
-    ) -> PackedA {
+    fn pack(a: Dense, m: usize, k: usize) -> PackedA {
         let m_pad = m.div_ceil(MR) * MR;
         let mut buf = Buffer::uninit(m_pad * k);
         for pc in (0..k).step_by(KC) {
@@ -584,7 +552,7 @@ impl PackedA {
                 .chunks_exact_mut(kc * MR)
                 .enumerate()
             {
-                lanes(ib * MR, MR.min(m - ib * MR), pc, dst);
+                a.pack_lanes::<MR>(ib * MR, MR.min(m - ib * MR), pc, dst);
             }
         }
         PackedA { buf, m, k }
@@ -597,12 +565,12 @@ impl PackedA {
 }
 
 /// Serial blocked GEMM `C[:, cols] += A × B[:, cols]`, where `c` points
-/// at row 0, column 0 of `C` (row stride `ldc`) and `B` is whatever
-/// `b` packs. The `B` pack buffer comes from the tensor pool, so
-/// repeated products recycle it instead of touching the heap.
-pub(crate) fn gemm_block(
+/// at row 0, column 0 of `C` (row stride `ldc`). The `B` pack buffer
+/// comes from the tensor pool, so repeated products recycle it instead
+/// of touching the heap.
+fn gemm_block(
     a: &PackedA,
-    b: &impl PanelSource,
+    b: &Dense,
     c: SendPtr<f32>,
     ldc: usize,
     cols: (usize, usize),
@@ -616,7 +584,7 @@ pub(crate) fn gemm_block(
         let nc = NC.min(c1 - jc);
         for pc in (0..a.k).step_by(KC) {
             let kc = KC.min(a.k - pc);
-            b.pack(bp, pc, jc, kc, nc);
+            b.pack_panel(bp, pc, jc, kc, nc);
             // `MC`-row blocks keep the live slice of packed `A` in L2
             // while the `B` micro-panels stream past it.
             for ic in (0..a.m).step_by(MC) {
@@ -668,8 +636,6 @@ unsafe fn microkernel(kern: Simd, pa: &[f32], pb: &[f32], kc: usize, c: *mut f32
     match kern {
         #[cfg(target_arch = "x86_64")]
         Simd::Fma => mk_fma(pa.as_ptr(), pb.as_ptr(), kc, c, ldc),
-        #[cfg(target_arch = "x86_64")]
-        Simd::Avx => mk_avx(pa.as_ptr(), pb.as_ptr(), kc, c, ldc),
         _ => mk_portable(pa, pb, kc, c, ldc),
     }
 }
@@ -697,35 +663,6 @@ unsafe fn mk_fma(pa: *const f32, pb: *const f32, kc: usize, c: *mut f32, ldc: us
             let a = _mm256_broadcast_ss(&*pa.add(p * MR + r));
             row[0] = _mm256_fmadd_ps(a, b0, row[0]);
             row[1] = _mm256_fmadd_ps(a, b1, row[1]);
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        _mm256_storeu_ps(c.add(r * ldc), row[0]);
-        _mm256_storeu_ps(c.add(r * ldc + 8), row[1]);
-    }
-}
-
-/// AVX full-tile microkernel without FMA: separate multiply and add, so
-/// its rounding matches the scalar oracle bit-for-bit.
-///
-/// # Safety
-/// Requires AVX; same contracts as [`mk_fma`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn mk_avx(pa: *const f32, pb: *const f32, kc: usize, c: *mut f32, ldc: usize) {
-    use std::arch::x86_64::*;
-    let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row[0] = _mm256_loadu_ps(c.add(r * ldc));
-        row[1] = _mm256_loadu_ps(c.add(r * ldc + 8));
-    }
-    for p in 0..kc {
-        let b0 = _mm256_loadu_ps(pb.add(p * NR));
-        let b1 = _mm256_loadu_ps(pb.add(p * NR + 8));
-        for (r, row) in acc.iter_mut().enumerate() {
-            let a = _mm256_broadcast_ss(&*pa.add(p * MR + r));
-            row[0] = _mm256_add_ps(row[0], _mm256_mul_ps(a, b0));
-            row[1] = _mm256_add_ps(row[1], _mm256_mul_ps(a, b1));
         }
     }
     for (r, row) in acc.iter().enumerate() {

@@ -1,11 +1,11 @@
 //! Reference-oracle property tests for the fast kernels.
 //!
 //! The blocked SIMD matmul (in both operand layouts: `matmul_nt`,
-//! `matmul_tn`) and both conv lowerings (the column-free GEMM and the
-//! direct kernel) are checked against the retained naive kernels
-//! (`matmul_naive`, `conv2d_naive`) and against each other, on both
-//! `Device::Cpu` and `Device::Parallel`. The conv gradients are checked
-//! against the materialising `im2col`/`col2im` route they replaced.
+//! `matmul_tn`) and the direct conv kernel, at every stride, are checked
+//! against the retained naive kernels (`matmul_naive`, `conv2d_naive`), on
+//! both `Device::Cpu` and `Device::Parallel`. The conv gradients and the
+//! transposed conv are checked against the materialising
+//! `im2col`/`col2im` route.
 //!
 //! # Why the oracle can demand bit-for-bit equality
 //!
@@ -36,16 +36,15 @@
 //! each conv kernel promises about its arithmetic, rebuilt element by
 //! element with one chain builder that fuses exactly when the GEMM
 //! microkernel does: the weight gradient is its per-image chain summed in
-//! batch order, and every forward lowering is each output's chain from its
-//! bias over its taps in `(c, ki, kj)` order — so the direct kernel and
-//! the GEMM are one arithmetic, bit for bit.
+//! batch order, and the forward, at any stride, is each output's chain
+//! from its bias over its taps in `(c, ki, kj)` order.
 //!
 //! Set `GEOTORCH_KERNEL_SEED` to shift every generated input corpus —
 //! CI runs the suite under seeds 1–3.
 
 use geotorch_tensor::ops::conv::{
-    col2im, conv2d, conv2d_direct, conv2d_input_grad, conv2d_naive, conv2d_weight_grad, im2col,
-    upsample_nearest2d, upsample_nearest2d_backward,
+    col2im, conv2d, conv2d_direct, conv2d_input_grad, conv2d_naive, conv2d_weight_grad,
+    conv_transpose2d, im2col, upsample_nearest2d, upsample_nearest2d_backward,
 };
 use geotorch_tensor::ops::matmul::{matmul_naive, simd_kernel_name, KC, MC, MR, NC, NR};
 use geotorch_tensor::ops::pool::{maxpool2d, maxpool2d_values};
@@ -151,11 +150,10 @@ proptest! {
         prop_assert!(ulps <= 4, "{} ulps at m={} k={} n={}", ulps, m, k, n);
     }
 
-    /// The direct kernel, the dispatcher (stride 1 takes the direct
-    /// kernel, strided and unpadded 1×1 filters the column-free GEMM), and
-    /// the sliding-window naive reference all agree bit-for-bit on lattice
-    /// inputs, with bias, across kernel sizes, strides, and paddings, on
-    /// both devices.
+    /// The direct kernel, `conv2d` (the direct kernel, every `stride`-th
+    /// row and column of it when strided), and the sliding-window naive
+    /// reference all agree bit-for-bit on lattice inputs, with bias, across
+    /// kernel sizes, strides, and paddings, on both devices.
     #[test]
     fn conv_lattice_bit_identical(
         c in 1usize..8, o in 1usize..10, h in 6usize..12, w in 6usize..12,
@@ -171,7 +169,7 @@ proptest! {
         }
         for device in [Device::Cpu, Device::parallel()] {
             let got = with_device(device, || conv2d(&input, &weight, Some(&bias), stride, pad));
-            prop_assert_eq!(bits(&got), bits(&oracle), "dispatch {:?} k={} s={} p={}", device, k, stride, pad);
+            prop_assert_eq!(bits(&got), bits(&oracle), "conv2d {:?} k={} s={} p={}", device, k, stride, pad);
         }
     }
 
@@ -226,21 +224,95 @@ proptest! {
     }
 }
 
-/// Conv gradients by the route the column-free path replaced: per image,
-/// `col2im(Wᵀ·g)` for the input and `g · im2col(x)ᵀ` for the weight,
-/// the latter summed over the batch in index order.
-fn grads_materialised(x: &Tensor, weight: &Tensor, g: &Tensor, stride: usize, pad: usize) -> (Tensor, Tensor) {
-    let (c, h, w) = (x.shape()[1], x.shape()[2], x.shape()[3]);
+/// Conv gradients by the materialising route: per image, `col2im(Wᵀ·g)`
+/// for the input ([`input_grad_materialised`]) and `g · im2col(x)ᵀ` for
+/// the weight, the latter summed over the batch in index order.
+fn grads_materialised(
+    x: &Tensor,
+    weight: &Tensor,
+    g: &Tensor,
+    stride: usize,
+    pad: usize,
+) -> (Tensor, Tensor) {
+    let (h, w) = (x.shape()[2], x.shape()[3]);
     let (o, kh, kw) = (weight.shape()[0], weight.shape()[2], weight.shape()[3]);
-    let w_mat_t = weight.reshape(&[o, c * kh * kw]).transpose();
-    let mut gw = Tensor::zeros(&[o, c * kh * kw]);
-    let mut gx = Vec::new();
+    let mut gw = Tensor::zeros(&[o, weight.shape()[1] * kh * kw]);
     for bi in 0..x.shape()[0] {
         let g_mat = g.index_axis(0, bi).reshape(&[o, g.shape()[2] * g.shape()[3]]);
-        gx.push(col2im(&w_mat_t.matmul(&g_mat), c, h, w, kh, kw, stride, pad));
         gw.add_assign(&g_mat.matmul(&im2col(&x.index_axis(0, bi), kh, kw, stride, pad).transpose()));
     }
-    (Tensor::stack(&gx.iter().collect::<Vec<_>>()), gw.reshape(weight.shape()))
+    (
+        input_grad_materialised(weight, g, (h, w), stride, pad),
+        gw.reshape(weight.shape()),
+    )
+}
+
+/// The input gradient of a conv by `weight [O,C,kh,kw]` over an `h × w`
+/// input, materialised: per image, `col2im(Wᵀ·g)`.
+fn input_grad_materialised(
+    weight: &Tensor,
+    g: &Tensor,
+    (h, w): (usize, usize),
+    stride: usize,
+    pad: usize,
+) -> Tensor {
+    let &[o, c, kh, kw] = weight.shape() else {
+        panic!("conv weight must be [O,C,kh,kw]")
+    };
+    let w_mat_t = weight.reshape(&[o, c * kh * kw]).transpose();
+    let gx: Vec<Tensor> = (0..g.shape()[0])
+        .map(|bi| {
+            let g_mat = g
+                .index_axis(0, bi)
+                .reshape(&[o, g.shape()[2] * g.shape()[3]]);
+            col2im(&w_mat_t.matmul(&g_mat), c, h, w, kh, kw, stride, pad)
+        })
+        .collect();
+    Tensor::stack(&gx.iter().collect::<Vec<_>>())
+}
+
+/// The strided transposed conv is the materialised input gradient plus its
+/// bias, bit for bit on continuous inputs: per image `col2im(Wᵀ·x)`, then
+/// `+ bias` per output channel. FCN's 2×2 stride-2 upsampler and a 3×3
+/// stride-2 pad-1 one, and a 3×3 stride 3, on odd extents, on `Cpu` and
+/// `Parallel(4)`.
+#[test]
+fn strided_conv_transpose_equals_col2im_plus_bias_on_continuous_inputs() {
+    // (b, c, o, h, w, k, stride, pad)
+    let shapes = [
+        (2, 3, 3, 5, 7, 2, 2, 0),
+        (1, 21, 21, 9, 11, 2, 2, 0),
+        (2, 4, 5, 7, 9, 3, 2, 1),
+        (3, 2, 6, 5, 3, 3, 2, 1),
+        (2, 3, 2, 4, 5, 3, 3, 0),
+    ];
+    for (si, (b, c, o, h, w, k, stride, pad)) in shapes.into_iter().enumerate() {
+        let x = continuous(&[b, c, h, w], 9000 + si as u64);
+        let weight = continuous(&[c, o, k, k], 9100 + si as u64);
+        let bias = continuous(&[o], 9200 + si as u64);
+        let out_hw = (
+            (h - 1) * stride + k - 2 * pad,
+            (w - 1) * stride + k - 2 * pad,
+        );
+        let mut want = input_grad_materialised(&weight, &x, out_hw, stride, pad)
+            .as_slice()
+            .to_vec();
+        for (p, plane) in want.chunks_exact_mut(out_hw.0 * out_hw.1).enumerate() {
+            plane.iter_mut().for_each(|v| *v += bias.as_slice()[p % o]);
+        }
+        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+        for device in [Device::Cpu, Device::Parallel(4)] {
+            let got = with_device(device, || {
+                conv_transpose2d(&x, &weight, Some(&bias), stride, pad)
+            });
+            assert_eq!(got.shape(), &[b, o, out_hw.0, out_hw.1]);
+            assert_eq!(
+                bits(&got),
+                want,
+                "{b}x{c}->{o} at {h}x{w} k={k} s={stride} p={pad} on {device:?}"
+            );
+        }
+    }
 }
 
 /// Continuous tensor in [-1, 1]: cancellation and every rounding mode of
@@ -256,18 +328,18 @@ fn continuous(shape: &[usize], seed: u64) -> Tensor {
 /// is bit-identical to the conv of sample `i` alone, for every batch
 /// size, on both devices, and sample 0 is its tap chain. The shapes cover
 /// the direct kernel below and above `CONV_PARALLEL_FLOPS` (images, or
-/// row bands of one image at B = 1), the GEMM's 1×1 dense-source case,
-/// and strided GEMMs below and above it (column bands at B = 1).
+/// row bands of one image at B = 1), the unpadded 1×1, and strided convs
+/// below and above it.
 #[test]
 fn conv_batch_invariant_on_continuous_inputs() {
     // (c, o, h, w, k, stride, pad)
     let shapes = [
         (16, 16, 21, 12, 3, 1, 1), // DeepSTN+
         (3, 5, 9, 7, 3, 1, 1),     // small: stays serial
-        (8, 6, 20, 20, 1, 1, 0),   // 1×1: the image is the column matrix
-        (4, 6, 17, 19, 5, 2, 2),   // strided gather
+        (8, 6, 20, 20, 1, 1, 0),   // the unpadded 1×1
+        (4, 6, 17, 19, 5, 2, 2),   // strided
         (4, 4, 48, 48, 3, 1, 1),   // the tile UNet's first level
-        (16, 16, 42, 24, 3, 2, 1), // strided, split into column bands
+        (16, 16, 42, 24, 3, 2, 1), // strided, split into row bands
     ];
     for (si, &(c, o, h, w, k, stride, pad)) in shapes.iter().enumerate() {
         let weight = continuous(&[o, c, k, k], 40 + si as u64);
@@ -297,17 +369,15 @@ fn conv_batch_invariant_on_continuous_inputs() {
     }
 }
 
-/// Crop invariance on continuous inputs, for a filter shape on each
-/// side of the dispatcher's rule: away from the crop's own zero halo,
-/// convolving a window of the image gives exactly the window of the
-/// convolved image — whether or not the cropped plane's width is a
-/// multiple of `NR` (where the GEMM's ragged column tile falls) or of a
-/// direct strip. Because the lowering is chosen by filter shape alone,
-/// this is what makes a tiled forward equal the unsplit one.
+/// Crop invariance on continuous inputs, at 3×3, 5×5 and the unpadded
+/// 1×1: away from the crop's own zero halo, convolving a window of the
+/// image gives exactly the window of the convolved image — whether or not
+/// the cropped plane's width is a multiple of a direct strip. This is what
+/// makes a tiled forward equal the unsplit one.
 #[test]
 fn conv_crop_invariant_on_continuous_inputs() {
     let (h, w) = (30, 44);
-    // (c, o, k, pad): direct 3×3 and 5×5, the GEMM's 1×1, direct 3→4.
+    // (c, o, k, pad): 3×3 and 5×5, the unpadded 1×1, 3→4.
     for (si, (c, o, k, pad)) in [(5, 7, 3, 1), (5, 7, 5, 2), (5, 7, 1, 0), (3, 4, 3, 1)].into_iter().enumerate() {
         let x = continuous(&[1, c, h, w], 70 + si as u64);
         let weight = continuous(&[o, c, k, k], 80 + si as u64);
@@ -441,13 +511,13 @@ fn conv_parallel_planes_bit_identical() {
     let serial = conv2d_direct(&input, &weight, Some(&bias), 1);
     let cpu = with_device(Device::Cpu, || conv2d(&input, &weight, Some(&bias), 1, 1));
     let par = with_device(Device::parallel(), || conv2d(&input, &weight, Some(&bias), 1, 1));
-    assert_eq!(bits(&cpu), bits(&serial), "dispatcher should pick the direct path");
+    assert_eq!(bits(&cpu), bits(&serial), "conv2d is the direct kernel");
     assert_eq!(bits(&cpu), bits(&par));
 }
 
-/// The 1×1/stride-1/no-pad conv hands the image to the GEMM as its
-/// dense right operand; it must match the naive reference exactly on
-/// lattice inputs.
+/// The 1×1/stride-1/no-pad conv (every pointwise head: UNet's, FCN's,
+/// ConvLSTM's) runs the direct kernel with a one-tap chain; it must
+/// match the naive reference exactly on lattice inputs.
 #[test]
 fn conv_one_by_one_implicit_gemm_bit_identical() {
     let input = lattice(&[3, 5, 9, 9], 31);
@@ -476,7 +546,7 @@ fn chain(init: f32, terms: impl IntoIterator<Item = (f32, f32)>) -> f32 {
 
 /// A convolution rebuilt element by element: output `(b, o, oi, oj)` is
 /// the [`chain`] from its bias over `w · x` for taps `(c, ki, kj)` in
-/// order, the halo reading as `+0`. Both lowerings compute exactly this.
+/// order, the halo reading as `+0`. `conv2d` computes exactly this.
 fn conv_reference(x: &Tensor, weight: &Tensor, bias: &Tensor, stride: usize, pad: usize) -> Tensor {
     let (b, c) = (x.shape()[0], x.shape()[1]);
     let (o, kh, kw) = (weight.shape()[0], weight.shape()[2], weight.shape()[3]);
@@ -579,10 +649,11 @@ fn weight_grad_equals_the_per_image_chain_on_continuous_inputs() {
 /// channels into register blocks of six and its remainder, DeepSTN+'s and
 /// SatCNN's banks among them — on every one of 1-wide, odd-width and
 /// DeepSTN+ planes and batch-1 planes of the pipeline's 16×12 grid and
-/// SatCNN's 8×8 layer, with bias; at other kernel sizes and paddings, the
-/// dispatcher too (an
-/// unpadded 1×1 runs the GEMM, the same chain); and at 128² on
-/// `Parallel(4)`, where it splits rows.
+/// SatCNN's 8×8 layer, with bias. Then on `Cpu` and `Parallel(4)` (images,
+/// or row bands of one image): the tile UNet's, DeepSTN+'s and SatCNN's
+/// banks at their own planes and batch sizes, up to 128²; 1-wide, 1-tall
+/// and odd planes; 3×3 at pad 0 and 2, 5×5, the unpadded and the padded
+/// 1×1; and strided convs, 1×1 and 1-wide planes among them.
 #[test]
 fn direct_kernel_equals_the_tap_chain_for_every_filter_bank() {
     let planes = [(2, 5, 1), (1, 7, 5), (2, 9, 13), (3, 21, 12), (1, 16, 12), (1, 8, 8)];
@@ -601,39 +672,52 @@ fn direct_kernel_equals_the_tap_chain_for_every_filter_bank() {
             "{c}->{o} at {b}x{h}x{w}"
         );
     }
-    // (c, o, k, pad)
-    let banks = [
-        (3, 2, 1, 0),
-        (2, 5, 5, 2),
-        (4, 3, 3, 0),
-        (1, 7, 5, 1),
-        (3, 4, 1, 1),
+    // (b, c, o, h, w, k, stride, pad)
+    let shapes = [
+        (1, 4, 8, 64, 64, 3, 1, 1),
+        (1, 8, 8, 64, 64, 3, 1, 1),
+        (1, 24, 8, 64, 64, 3, 1, 1),
+        (1, 16, 16, 32, 32, 3, 1, 1),
+        (16, 16, 16, 21, 12, 3, 1, 1),
+        (16, 6, 16, 21, 12, 3, 1, 1),
+        (1, 32, 32, 16, 16, 3, 1, 1),
+        (4, 3, 16, 32, 32, 3, 1, 1),
+        (1, 4, 4, 128, 128, 3, 1, 1),
+        (2, 3, 2, 128, 128, 3, 1, 1),
+        (1, 12, 4, 128, 128, 3, 1, 1),
+        (1, 4, 8, 128, 128, 3, 1, 1),
+        (2, 3, 7, 9, 13, 3, 1, 1),
+        (2, 5, 3, 7, 1, 3, 1, 1),
+        (1, 2, 9, 1, 5, 3, 1, 2),
+        (3, 3, 6, 11, 9, 3, 1, 0),
+        (2, 4, 3, 11, 6, 3, 1, 0),
+        (2, 4, 5, 8, 7, 3, 1, 2),
+        (2, 3, 4, 9, 7, 5, 1, 2),
+        (2, 2, 5, 11, 6, 5, 1, 2),
+        (2, 1, 7, 11, 6, 5, 1, 1),
+        (2, 3, 2, 11, 6, 1, 1, 0),
+        (2, 3, 2, 6, 6, 1, 1, 1),
+        (2, 3, 4, 11, 6, 1, 1, 1),
+        (2, 4, 6, 17, 19, 3, 2, 1),
+        (1, 3, 5, 9, 1, 3, 2, 1),
+        (3, 5, 7, 8, 9, 1, 2, 0),
+        (2, 3, 4, 11, 12, 5, 3, 2),
+        (1, 8, 8, 128, 128, 3, 2, 1),
     ];
-    for (i, &(c, o, k, pad)) in banks.iter().enumerate() {
-        let x = continuous(&[2, c, 11, 6], 6000 + i as u64);
+    for (i, (b, c, o, h, w, k, stride, pad)) in shapes.into_iter().enumerate() {
+        let x = continuous(&[b, c, h, w], 6000 + i as u64);
         let (weight, bias) = (
             continuous(&[o, c, k, k], 6100 + i as u64),
             continuous(&[o], 6200 + i as u64),
         );
-        let want = bits(&conv_reference(&x, &weight, &bias, 1, pad));
-        let direct = conv2d_direct(&x, &weight, Some(&bias), pad);
-        assert_eq!(bits(&direct), want, "direct {c}->{o} k={k} pad={pad}");
-        let dispatched = conv2d(&x, &weight, Some(&bias), 1, pad);
-        assert_eq!(bits(&dispatched), want, "conv2d {c}->{o} k={k} pad={pad}");
-    }
-    for (i, &(b, c, o)) in [(1, 4, 4), (2, 3, 2), (1, 12, 4), (1, 4, 8)]
-        .iter()
-        .enumerate()
-    {
-        let x = continuous(&[b, c, 128, 128], 7000 + i as u64);
-        let (weight, bias) = (
-            continuous(&[o, c, 3, 3], 7100 + i as u64),
-            continuous(&[o], 7200 + i as u64),
-        );
-        let want = bits(&conv_reference(&x, &weight, &bias, 1, 1));
+        let want = bits(&conv_reference(&x, &weight, &bias, stride, pad));
         for device in [Device::Cpu, Device::Parallel(4)] {
-            let got = with_device(device, || conv2d(&x, &weight, Some(&bias), 1, 1));
-            assert_eq!(bits(&got), want, "{b}x{c}->{o} at 128² on {device:?}");
+            let got = with_device(device, || conv2d(&x, &weight, Some(&bias), stride, pad));
+            assert_eq!(
+                bits(&got),
+                want,
+                "{b}x{c}->{o} at {h}x{w} k={k} s={stride} pad={pad} on {device:?}"
+            );
         }
     }
 }

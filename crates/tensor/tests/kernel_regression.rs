@@ -9,8 +9,8 @@
 //! too, and its 16→2 output head at a fixed fraction of the 16→16 layer's.
 //! A dense layer at batch 1 must take at most half of batch 6's time: it
 //! reads its weights in place instead of packing them. A DeepSTN+ step's
-//! convolutions and their gradients must take all their scratch from the
-//! pool at steady state.
+//! convolutions and their gradients, and a strided conv, must take all
+//! their scratch from the pool at steady state.
 //!
 //! Wall-clock assertions are meaningless in unoptimised builds and
 //! noisy CI matrices, so the timed tests skip themselves under
@@ -82,6 +82,13 @@ const CONV_SCRATCH_MISS_BUDGET: u64 = 4;
 /// Scratch taken from the heap instead of the pool adds to it (the im2col
 /// weight gradient's padded copy made 55).
 const CONV_STEP_HEAP_ALLOCS: u64 = 40;
+
+/// Heap allocations one steady-state stride-2 conv makes on the calling
+/// thread: two per tensor it builds — the stride-1 output it keeps every
+/// second row and column of, and its own output. Scratch taken from the
+/// heap per image or per panel pack adds to it (a mask table per pack
+/// made 18 at batch 16 and 6 at batch 1).
+const STRIDED_CONV_HEAP_ALLOCS: u64 = 4;
 
 /// Minimum parallel-over-serial speedup at 768³ when ≥ 4 cores exist.
 const MIN_PARALLEL_SPEEDUP: f64 = 1.3;
@@ -397,6 +404,34 @@ fn conv_scratch_recycles_from_the_pool() {
     );
     // Every call takes at least its output from the pool.
     assert!(hits >= 8 * 15, "expected conv scratch to hit the pool, saw {hits} hits");
+}
+
+#[test]
+fn strided_conv_scratch_stays_off_the_heap() {
+    let _serial = serial();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+    // Stride-2 3×3 banks (b, c → o, plane): many images, and one large one.
+    for (b, c, o, hw) in [(16, 16, 16, 64), (1, 8, 8, 128)] {
+        let x = Tensor::rand_uniform(&[b, c, hw, hw], -1.0, 1.0, &mut rng);
+        let w = Tensor::rand_uniform(&[o, c, 3, 3], -1.0, 1.0, &mut rng);
+        let bias = Tensor::rand_uniform(&[o], -1.0, 1.0, &mut rng);
+        let conv = || std::hint::black_box(conv2d(&x, &w, Some(&bias), 2, 1));
+        for _ in 0..2 {
+            conv();
+        }
+        let heap = heap_allocs();
+        for _ in 0..8 {
+            conv();
+        }
+        let heap = heap_allocs() - heap;
+        eprintln!("stride-2 {b}x{c}->{o} at {hw}²: {heap} heap allocations over 8 calls");
+        assert!(
+            heap <= 8 * STRIDED_CONV_HEAP_ALLOCS,
+            "8 steady-state stride-2 {b}x{c}->{o} convs at {hw}² made {heap} heap \
+             allocations (budget {}) — scratch bypassed the pool",
+            8 * STRIDED_CONV_HEAP_ALLOCS
+        );
+    }
 }
 
 /// Row bands the device pool has been handed so far.

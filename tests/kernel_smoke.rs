@@ -29,7 +29,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
 #[test]
 fn conv2d_equals_the_naive_reference_on_lattice_inputs() {
     // DeepSTN+'s 16→16 conv over a 21×12 grid at batch 16, and a UNet
-    // deep level (16→16 over a 40² plane): both run the column-free GEMM.
+    // deep level (16→16 over a 40² plane): both run the direct kernel.
     for (si, shape) in [[16, 16, 21, 12], [2, 16, 40, 40]].iter().enumerate() {
         let x = lattice(shape, 1 + si as u64);
         let w = lattice(&[16, 16, 3, 3], 11 + si as u64);
