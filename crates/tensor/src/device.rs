@@ -38,7 +38,7 @@
 //! Elementwise kernels guard the parallel path with
 //! [`PARALLEL_THRESHOLD`]: tensors with fewer elements than the
 //! threshold stay serial because even a wakeup costs more than the work
-//! itself. The blocked GEMM and the conv lowerings carry their own
+//! itself. The blocked GEMM and the conv kernels carry their own
 //! flop-based cutoffs instead (`ops::matmul::GEMM_PARALLEL_FLOPS`,
 //! `ops::conv::CONV_PARALLEL_FLOPS`) — for those kernels the work per
 //! element scales with the inner/kernel dimensions, so an element count
