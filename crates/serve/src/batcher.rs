@@ -17,12 +17,20 @@
 //! count would include work routed to siblings). A lone caller pays one
 //! forward, not a window; under load the previous forward is the window.
 //! Same-shaped samples are stacked into one `[K, ...]` tensor and run
-//! through a single no-grad forward on the configured device (conv and
-//! matmul kernels split over the batch axis on `Device::Parallel`, which
-//! is where micro-batching beats one-forward-per-request); the output rows
-//! are scattered back to the callers. Ragged shapes are legal — a batch is
-//! partitioned into per-shape groups, one forward each, so every caller
-//! gets exactly what a sequential forward would have produced.
+//! through a single no-grad forward on the configured device; the output
+//! rows are scattered back to the callers. Ragged shapes are legal — a
+//! batch is partitioned into per-shape groups, one forward each, so every
+//! caller gets exactly what a sequential forward would have produced.
+//!
+//! The default shard is one replica per available core, each running its
+//! forward on `Device::Cpu`: a request runs depth-first on one core with
+//! its activations in that core's cache, and least-loaded routing spreads
+//! concurrent requests over the cores. Splitting one stacked batch over
+//! the cores instead (`Device::Parallel` on a single replica) buys no
+//! throughput for the served models: a UNet tile costs the same per image
+//! on two threads at batch 4 as on one thread at batch 1. Replicas are
+//! built one at a time, so only one constructor's scratch is alive at
+//! once.
 //!
 //! # Robustness
 //!
@@ -84,7 +92,13 @@ pub struct BatchConfig {
     /// (every request runs alone — the baseline the load generator
     /// compares against).
     pub max_batch: usize,
-    /// Device the batched forward runs on.
+    /// Device each replica's batched forward runs on. The default,
+    /// `Device::Cpu`, keeps a forward on its replica's thread, so the
+    /// replicas, not the kernels, spread the load over the cores. To
+    /// split each stacked batch over the cores instead, pair
+    /// `Device::parallel()` with `replicas: 1`: left at its default,
+    /// `replicas` gives one parallel replica per core, each splitting
+    /// its batches over every core.
     pub device: Device,
     /// Most admitted-but-unanswered requests per model, summed across
     /// its replicas. The next request past the bound is shed with
@@ -93,9 +107,12 @@ pub struct BatchConfig {
     /// Replica worker threads per model. Each replica owns its own copy
     /// of the model (built by the registered constructor on the replica
     /// thread, sharing the weights the registry read) and its own batch
-    /// queue; requests are routed to the least-loaded live replica. `1`
-    /// (the default) reproduces the single-owner-thread behaviour
-    /// exactly.
+    /// queue; requests are routed to the least-loaded live replica. The
+    /// default is one per available core, paired with the default
+    /// `Device::Cpu`; `1` reproduces the single-owner-thread behaviour
+    /// exactly. Every replica holds its own model copy and scratch, and
+    /// replicas are built one after another, so start-up time and memory
+    /// grow with the count.
     pub replicas: usize,
 }
 
@@ -103,9 +120,9 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_batch: 8,
-            device: Device::parallel(),
+            device: Device::Cpu,
             queue_bound: 64,
-            replicas: 1,
+            replicas: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
@@ -369,11 +386,12 @@ impl ModelWorker {
     /// Spawn the replica threads for one model.
     ///
     /// `init` runs once *on each replica thread* (models are not `Send`,
-    /// so every replica constructs its own copy); the first error — e.g.
-    /// a state dict of the wrong architecture — is propagated back out of
-    /// `spawn` and the already-started replicas are torn down, so a
-    /// server never starts half-broken. Every replica is switched to eval
-    /// mode before its first request.
+    /// so every replica constructs its own copy), one replica at a time:
+    /// replica `r + 1` is spawned only after replica `r` has built its
+    /// model. The first error — e.g. a state dict of the wrong
+    /// architecture — is propagated back out of `spawn` and the replicas
+    /// already built are torn down, so a server never starts half-broken.
+    /// Every replica is switched to eval mode before its first request.
     pub fn spawn<F>(name: &str, config: BatchConfig, init: F) -> Result<ModelWorker, ServeError>
     where
         F: Fn() -> Result<Box<dyn ServeModel>, ServeError> + Send + Sync + 'static,
@@ -399,13 +417,16 @@ impl ModelWorker {
         let initial_version: Arc<str> = Arc::from(initial_version);
         let state = Arc::new(WorkerState::new(config.queue_bound, n));
         let init: Arc<F> = Arc::new(init);
-        let mut replicas = Vec::with_capacity(n);
-        let mut readies = Vec::with_capacity(n);
+        let mut worker = ModelWorker {
+            name: name.to_string(),
+            replicas: Vec::with_capacity(n),
+            state,
+        };
         for i in 0..n {
             let (tx, rx) = mpsc::channel::<Msg>();
             let (ready_tx, ready_rx) = mpsc::channel::<Result<(), ServeError>>();
             let (done_tx, done_rx) = mpsc::channel::<()>();
-            let thread_state = Arc::clone(&state);
+            let thread_state = Arc::clone(&worker.state);
             let init = Arc::clone(&init);
             let stat_name = name.to_string();
             let version = Arc::clone(&initial_version);
@@ -441,29 +462,24 @@ impl ModelWorker {
                     }
                     done_tx.send(()).ok();
                 })
-                .map_err(|e| ServeError::Internal(format!("spawn failed: {e}")))?;
-            replicas.push(ReplicaHandle {
-                tx: Some(tx),
-                join: Some(join),
-                done_rx,
-            });
-            readies.push(ready_rx);
-        }
-        let mut worker = ModelWorker {
-            name: name.to_string(),
-            replicas,
-            state,
-        };
-        for ready_rx in &readies {
-            let ready = ready_rx.recv().unwrap_or_else(|_| {
-                Err(ServeError::Internal(
-                    "model worker died during initialisation".to_string(),
-                ))
+                .map_err(|e| ServeError::Internal(format!("spawn failed: {e}")));
+            let ready = join.and_then(|join| {
+                worker.replicas.push(ReplicaHandle {
+                    tx: Some(tx),
+                    join: Some(join),
+                    done_rx,
+                });
+                // Build the next replica only once this one is ready, so
+                // at most one constructor's scratch is alive at a time.
+                ready_rx.recv().unwrap_or_else(|_| {
+                    Err(ServeError::Internal(
+                        "model worker died during initialisation".to_string(),
+                    ))
+                })
             });
             if let Err(e) = ready {
-                // Tear the healthy replicas down before reporting: drop
-                // every queue (the replica loops exit on disconnect) and
-                // join the threads.
+                // Tear the replicas already built down before reporting:
+                // each gets its sentinel and its thread is joined.
                 worker.stop(Duration::from_secs(30));
                 return Err(e);
             }

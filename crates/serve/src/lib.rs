@@ -26,10 +26,10 @@
 //!   while a responder pool runs the blocking model calls — so a slow
 //!   client costs a buffer, not a thread.
 //!
-//! Models can additionally be sharded across N replica threads
-//! ([`BatchConfig::replicas`]) with least-loaded routing; the replicas
-//! share the one copy of the weights the registry read, which is
-//! immutable between hot-swaps.
+//! Each model is sharded across N replica threads
+//! ([`BatchConfig::replicas`], one per core by default) with
+//! least-loaded routing; the replicas share the one copy of the weights
+//! the registry read, which is immutable between hot-swaps.
 //!
 //! The crate builds on Linux x86_64 and aarch64 only: the front calls
 //! epoll through raw syscalls.

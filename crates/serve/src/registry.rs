@@ -189,15 +189,21 @@ fn resolve(
         return Ok(("v0".to_string(), Some(read_checkpoint(name, path)?)));
     };
     let mut store = DeltaStore::open(dir, Some(name)).map_err(load_error)?;
-    if store.head().is_none() {
-        let state = match &entry.checkpoint {
-            Some(path) => read_checkpoint(name, path)?,
-            None => (entry.builder)().state_dict(),
-        };
-        store.publish(&state).map_err(load_error)?;
-    }
+    // A fresh store serves the state it was just seeded with: the payload
+    // codec round-trips every finite value exactly and `publish` refuses
+    // the rest, so reading the payloads back would give the same bits.
+    let state = match store.head() {
+        Some(_) => store.materialize().map_err(load_error)?,
+        None => {
+            let state = match &entry.checkpoint {
+                Some(path) => read_checkpoint(name, path)?,
+                None => (entry.builder)().state_dict(),
+            };
+            store.publish(&state).map_err(load_error)?;
+            state
+        }
+    };
     let label = store.head().expect("the store was seeded").id.clone();
-    let state = store.materialize().map_err(load_error)?;
     stores.insert(name.to_string(), Arc::new(Mutex::new(store)));
     Ok((label, Some(state)))
 }

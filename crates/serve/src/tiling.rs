@@ -88,7 +88,8 @@ pub struct TileConfig {
     /// Output planes per pixel the model produces.
     pub classes: usize,
     /// Most tiles submitted and not yet stitched at once. Keep at or
-    /// below the model's `queue_bound`.
+    /// below the model's `queue_bound`, and at or above its replica
+    /// count, or some replicas (one per core by default) sit idle.
     pub max_in_flight: usize,
     /// Per-tile deadline handed to the batcher; `None` waits forever.
     pub tile_deadline: Option<Duration>,

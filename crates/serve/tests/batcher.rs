@@ -16,10 +16,13 @@ use rand::SeedableRng;
 
 use common::{latched_worker, wait_for_routed};
 
+/// One replica on the serial device: the scheduler under test is one
+/// replica's gather, and one latch gates one replica.
 fn cpu_config(max_batch: usize) -> BatchConfig {
     BatchConfig {
         max_batch,
         device: Device::Cpu,
+        replicas: 1,
         ..BatchConfig::default()
     }
 }
@@ -112,9 +115,12 @@ fn parallel_device_batches_match_cpu_sequential() {
         })
         .collect();
 
+    // One replica, so the concurrent samples stack into one batch that
+    // the parallel device splits.
     let config = BatchConfig {
         max_batch: 8,
         device: Device::Parallel(4),
+        replicas: 1,
         ..BatchConfig::default()
     };
     let worker = ModelWorker::spawn("fcn-par", config, || {

@@ -1,11 +1,13 @@
-//! Registry behaviour: eval-mode guarantees and checkpoint validation.
+//! Registry behaviour: eval-mode guarantees, checkpoint validation, and
+//! the weights a sync store serves on its first start and after a restart.
 
 use std::path::PathBuf;
 
-use geotorch_nn::layers::BatchNorm2d;
+use geotorch_nn::layers::{BatchNorm2d, Linear};
 use geotorch_nn::{Layer, Module, Var};
 use geotorch_serve::{BatchConfig, Registry, ServeError, ServeModel};
 use geotorch_tensor::{Device, Tensor};
+use rand::SeedableRng;
 
 fn cpu_config() -> BatchConfig {
     BatchConfig {
@@ -147,4 +149,81 @@ fn matching_checkpoint_restores_weights_through_registry() {
         .index_axis(0, 0);
     assert_eq!(served.as_slice(), expected.as_slice());
     std::fs::remove_file(&path).ok();
+}
+
+/// A 3 → 2 dense layer whose weights hold values a text codec could
+/// mangle: a negative zero, a subnormal, the largest finite value, and
+/// thirds that need every digit.
+struct Awkward(Linear);
+
+impl Awkward {
+    fn new() -> Awkward {
+        let layer = Linear::new(3, 2, &mut rand::rngs::StdRng::seed_from_u64(5));
+        let params = layer.parameters();
+        let w = params[0].value();
+        let mut values = w.as_slice().to_vec();
+        values[..4].copy_from_slice(&[-0.0, f32::MIN_POSITIVE / 3.0, f32::MAX, 1.0 / 3.0]);
+        params[0].assign(Tensor::from_vec(values, w.shape()));
+        Awkward(layer)
+    }
+}
+
+impl Module for Awkward {
+    fn parameters(&self) -> Vec<Var> {
+        self.0.parameters()
+    }
+}
+
+impl ServeModel for Awkward {
+    fn predict(&self, batch: &Var) -> Var {
+        self.0.forward(batch)
+    }
+}
+
+#[test]
+fn a_fresh_store_and_its_restart_serve_identical_bits() {
+    let dir =
+        std::env::temp_dir().join(format!("geotorch_serve_{}_fresh_store", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let sample = Tensor::from_vec(vec![1.0, -2.0, 0.5], &[3]);
+    let serve = || {
+        let mut registry = Registry::new();
+        registry.register("awkward", None, || {
+            Box::new(Awkward::new()) as Box<dyn ServeModel>
+        });
+        assert!(registry.enable_sync("awkward", &dir));
+        let (workers, stores) = registry.spawn_all(cpu_config()).expect("spawn");
+        let head = stores["awkward"]
+            .lock()
+            .unwrap()
+            .head()
+            .expect("seeded")
+            .id
+            .clone();
+        let (out, version) = workers["awkward"]
+            .client()
+            .predict_versioned(sample.clone(), None)
+            .expect("predict");
+        assert_eq!(&*version, head, "replies carry the store head's id");
+        let bits: Vec<u32> = out.as_slice().iter().map(|v| v.to_bits()).collect();
+        (bits, head)
+    };
+    // The first start seeds the empty store from the built model and
+    // serves that state; the restart reads the payloads it wrote.
+    let fresh = serve();
+    let restarted = serve();
+    assert_eq!(
+        fresh, restarted,
+        "a restart on the seeded store must serve the same bits"
+    );
+    let local = Awkward::new();
+    let expected = local
+        .predict(&Var::constant(sample.reshape(&[1, 3])))
+        .value();
+    let expected: Vec<u32> = expected.as_slice().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(
+        fresh.0, expected,
+        "the fresh store serves the built weights"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,6 +9,7 @@
 
 mod common;
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -464,6 +465,142 @@ fn a_checkpointed_model_is_read_once_for_all_its_replicas() {
     assert!(matches!(err, ServeError::ModelLoad(_)), "{err}");
     fault::clear();
     std::fs::remove_file(&path).ok();
+}
+
+/// An [`Echo`] that counts itself among the live models until dropped;
+/// a replica's model lives exactly as long as its thread.
+struct Counted(Arc<AtomicUsize>);
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl Module for Counted {
+    fn parameters(&self) -> Vec<Var> {
+        Vec::new()
+    }
+}
+
+impl ServeModel for Counted {
+    fn predict(&self, batch: &Var) -> Var {
+        Echo.predict(batch)
+    }
+}
+
+/// The `serve.queue_depth` gauge: admitted-but-unanswered requests
+/// across every live model worker in the process.
+fn global_queue_depth() -> u64 {
+    geotorch_telemetry::snapshot()
+        .into_iter()
+        .find(|s| s.name == "serve.queue_depth")
+        .map_or(0, |s| s.count)
+}
+
+#[test]
+fn replicas_are_built_one_at_a_time() {
+    let _g = serial();
+    let building = Arc::new(AtomicUsize::new(0));
+    let most = Arc::new(AtomicUsize::new(0));
+    let builds = Arc::new(AtomicUsize::new(0));
+    let worker = ModelWorker::spawn(
+        "one-at-a-time",
+        BatchConfig {
+            replicas: 3,
+            ..cpu_config(1, 16)
+        },
+        {
+            let (building, most, builds) = (
+                Arc::clone(&building),
+                Arc::clone(&most),
+                Arc::clone(&builds),
+            );
+            move || {
+                let now = building.fetch_add(1, Ordering::SeqCst) + 1;
+                most.fetch_max(now, Ordering::SeqCst);
+                builds.fetch_add(1, Ordering::SeqCst);
+                // Long enough that overlapping builds would be seen.
+                std::thread::sleep(Duration::from_millis(20));
+                building.fetch_sub(1, Ordering::SeqCst);
+                Ok(Box::new(Echo) as Box<dyn ServeModel>)
+            }
+        },
+    )
+    .expect("worker starts");
+    assert_eq!(builds.load(Ordering::SeqCst), 3, "one build per replica");
+    assert_eq!(
+        most.load(Ordering::SeqCst),
+        1,
+        "replica r + 1 must start building only after replica r is ready"
+    );
+    assert_eq!(
+        worker
+            .client()
+            .predict(sample(1.0))
+            .expect("served")
+            .as_slice(),
+        &[2.0]
+    );
+    worker.shutdown();
+}
+
+#[test]
+fn a_failed_second_build_tears_the_first_replica_down() {
+    let _g = serial();
+    let depth_before = global_queue_depth();
+    let calls = Arc::new(AtomicUsize::new(0));
+    let live = Arc::new(AtomicUsize::new(0));
+    let result = ModelWorker::spawn(
+        "second-fails",
+        BatchConfig {
+            replicas: 3,
+            ..cpu_config(1, 16)
+        },
+        {
+            let (calls, live) = (Arc::clone(&calls), Arc::clone(&live));
+            move || {
+                if calls.fetch_add(1, Ordering::SeqCst) == 1 {
+                    return Err(ServeError::ModelLoad("the second build fails".into()));
+                }
+                live.fetch_add(1, Ordering::SeqCst);
+                Ok(Box::new(Counted(Arc::clone(&live))) as Box<dyn ServeModel>)
+            }
+        },
+    );
+    match result {
+        Err(ServeError::ModelLoad(msg)) => assert_eq!(msg, "the second build fails"),
+        Err(other) => panic!("expected the constructor's error, got {other}"),
+        Ok(_) => panic!("a failed build must fail the spawn"),
+    }
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        2,
+        "the third replica is never built"
+    );
+    assert_eq!(
+        live.load(Ordering::SeqCst),
+        0,
+        "the first replica's thread must be joined, its model dropped, before spawn returns"
+    );
+    assert_eq!(
+        global_queue_depth(),
+        depth_before,
+        "no admission slot may stay held"
+    );
+}
+
+#[test]
+fn default_config_runs_one_replica_per_core() {
+    let _g = serial();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(BatchConfig::default().replicas, cores);
+    let worker = ModelWorker::spawn("per-core", BatchConfig::default(), || {
+        Ok(Box::new(Echo) as Box<dyn ServeModel>)
+    })
+    .expect("worker starts");
+    assert_eq!(worker.replicas(), cores);
+    worker.shutdown();
 }
 
 #[test]
