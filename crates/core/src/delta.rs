@@ -1,12 +1,10 @@
-//! Delta-versioned checkpoint store: per-tensor content versions, a
-//! checkpoint-history DAG, and coordination-free GC.
+//! Delta-versioned checkpoint store: per-tensor content versions, one
+//! head manifest, and GC on every head change.
 //!
-//! A [`DeltaStore`] is a directory holding three kinds of files:
+//! A [`DeltaStore`] is a directory holding two kinds of files:
 //!
 //! * `head.json` — the current head [`Manifest`], replaced atomically
-//!   (tmp + rename) on every publish/integrate.
-//! * `m-<id>.json` — one immutable file per manifest ever adopted, the
-//!   checkpoint-history DAG ([`Manifest::parents`] are manifest ids).
+//!   (tmp + rename) whenever a publish or integrate changes it.
 //! * `t<idx>@<ver>-<hash>.json` — one tensor payload per *version* of a
 //!   parameter, in the same JSON encoding the classic single-file
 //!   checkpoint uses for each tensor.
@@ -20,47 +18,44 @@
 //!
 //! # Convergence
 //!
-//! Two nodes that publish concurrently resolve deterministically and
-//! symmetrically, with no coordinator:
+//! A manifest's id is a pure function of its content — model name,
+//! shapes and entries — so two nodes holding the same entries hold the
+//! same manifest, byte for byte. [`DeltaStore::integrate`] takes the
+//! entrywise winner of the local head and a peer's manifest:
 //!
-//! * per tensor, the higher version wins; equal versions with different
-//!   content tie-break to the **lexicographically smaller hash**;
-//! * if the merged entries equal one side's, that manifest is adopted
-//!   verbatim (fast-forward) — both nodes end on the same manifest id;
-//! * a true conflict creates a merge manifest whose parents are the two
-//!   head ids, sorted; since the id is a pure function of
-//!   `(model, parents, shapes, entries)`, both nodes derive the *same*
-//!   merge manifest independently;
-//! * equal entries under different ids (same content reached by
-//!   different histories) tie-break to the lexicographically smaller
-//!   manifest id.
+//! * per tensor, the higher version wins;
+//! * equal versions with different content tie-break to the
+//!   **lexicographically smaller hash**.
 //!
-//! Any interleaving of publishes and pairwise syncs therefore converges
-//! to one head id and one set of payload bytes on every node.
+//! The winner rule is commutative, associative and idempotent, so after
+//! one pull each way both nodes hold the winners of both heads: the same
+//! entries, hence the same head id and the same payload bytes, with no
+//! coordinator.
 //!
-//! # GC safety
+//! # GC on every head change
 //!
-//! [`DeltaStore::gc`] deletes payload files *strictly dominated* by the
-//! head: older versions of a tensor, or same-version conflict losers.
-//! It never touches the head's own payloads, and versions `>=` the head
-//! (e.g. fetched mid-sync before the head flips) survive, so a node can
-//! GC on its own schedule without coordinating with peers — the worst
-//! case is a peer re-fetching a payload this node no longer serves,
-//! which the sync protocol treats as a retryable failure.
+//! Every head change deletes, best effort, the payload files the new
+//! head dominates: older versions of a tensor, same-version conflict
+//! losers, and indices the model does not have. The head's own payloads
+//! are never candidates, and versions above the head (staged by a sync
+//! whose head flip failed) survive. A removal that fails leaves the file
+//! until the next head change; it never fails the publish or integrate
+//! that moved the head. A peer that asks for a payload this node has
+//! dropped gets a 404, which the sync protocol treats as a retryable
+//! failure.
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use geotorch_nn::Module;
 use geotorch_tensor::{json, Tensor};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::checkpoint::{check_finite, CheckpointError, FORMAT_MARKER};
 
 /// The checkpoint format version used by manifest files (version 1 is
-/// the classic inline single-file format).
-pub const MANIFEST_VERSION: u64 = 2;
+/// the classic inline single-file format; version 2 manifests carried
+/// a history DAG and are refused).
+pub const MANIFEST_VERSION: u64 = 3;
 
 /// Payload files currently retained by open stores, exported as the
 /// `registry.tensor_versions` gauge.
@@ -130,12 +125,6 @@ pub struct TensorVersion {
 }
 
 impl TensorVersion {
-    /// Whether `self` supersedes `other` under the symmetric order:
-    /// higher version, or equal version with equal hash (identical).
-    fn dominates(&self, other: &TensorVersion) -> bool {
-        self.ver > other.ver || (self.ver == other.ver && self.hash == other.hash)
-    }
-
     /// The deterministic winner of two entries for the same tensor:
     /// higher version; equal versions tie-break to the lexicographic
     /// minimum hash. Symmetric: `winner(a, b) == winner(b, a)`.
@@ -152,22 +141,25 @@ impl TensorVersion {
             }
         }
     }
+
+    /// Whether the head entry `head` dominates `self` for the same
+    /// tensor: `self` is an older version or a same-version loser.
+    fn dominated_by(&self, head: &TensorVersion) -> bool {
+        self.ver < head.ver || (self.ver == head.ver && self.hash != head.hash)
+    }
 }
 
 /// A versioned checkpoint manifest: what the model *is* (shapes, model
-/// name) plus per-tensor `(version, hash)` coordinates and the DAG
-/// edges to the manifests it was derived from. Carries no tensor data.
+/// name) plus per-tensor `(version, hash)` coordinates. Carries no
+/// tensor data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// Content-derived id (16 hex chars): a pure function of model,
-    /// parents, shapes, and entries — equal manifests built on
-    /// different nodes get equal ids.
+    /// shapes, and entries — equal manifests built on different nodes
+    /// get equal ids.
     pub id: String,
-    /// Model name the tensors belong to, if known.
-    pub model: Option<String>,
-    /// Manifest ids this one was derived from: one parent for a plain
-    /// publish, two (sorted) for a merge, none for the first publish.
-    pub parents: Vec<String>,
+    /// Model name the tensors belong to.
+    pub model: String,
     /// Shape of every tensor, in parameter order.
     pub shapes: Vec<Vec<usize>>,
     /// Per-tensor version coordinates, in parameter order.
@@ -175,19 +167,10 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    fn compute_id(
-        model: Option<&str>,
-        parents: &[String],
-        shapes: &[Vec<usize>],
-        entries: &[TensorVersion],
-    ) -> String {
+    fn compute_id(model: &str, shapes: &[Vec<usize>], entries: &[TensorVersion]) -> String {
         let mut h = Fnv::new();
-        h.write(model.unwrap_or("").as_bytes());
+        h.write(model.as_bytes());
         h.write(b"\0");
-        for p in parents {
-            h.write(p.as_bytes());
-            h.write(b"\0");
-        }
         for (shape, e) in shapes.iter().zip(entries) {
             for &d in shape {
                 h.write(&(d as u64).to_le_bytes());
@@ -199,17 +182,11 @@ impl Manifest {
         h.hex()
     }
 
-    fn build(
-        model: Option<String>,
-        parents: Vec<String>,
-        shapes: Vec<Vec<usize>>,
-        entries: Vec<TensorVersion>,
-    ) -> Manifest {
-        let id = Manifest::compute_id(model.as_deref(), &parents, &shapes, &entries);
+    fn build(model: String, shapes: Vec<Vec<usize>>, entries: Vec<TensorVersion>) -> Manifest {
+        let id = Manifest::compute_id(&model, &shapes, &entries);
         Manifest {
             id,
             model,
-            parents,
             shapes,
             entries,
         }
@@ -217,7 +194,7 @@ impl Manifest {
 
     /// Serialise to the on-disk / on-wire JSON form: the checkpoint
     /// header fields (`format`, `version` [`MANIFEST_VERSION`], `model`,
-    /// `shapes`) plus the id, parents and entries.
+    /// `shapes`) plus the id and entries.
     pub fn to_json(&self) -> String {
         let entries = Value::Array(
             self.entries
@@ -233,14 +210,8 @@ impl Manifest {
         let value = Value::Object(vec![
             ("format".to_string(), FORMAT_MARKER.to_value()),
             ("version".to_string(), MANIFEST_VERSION.to_value()),
-            (
-                "model".to_string(),
-                self.model
-                    .as_deref()
-                    .map_or(Value::Null, |m| m.to_value()),
-            ),
+            ("model".to_string(), self.model.to_value()),
             ("id".to_string(), self.id.to_value()),
-            ("parents".to_string(), self.parents.to_value()),
             ("shapes".to_string(), self.shapes.to_value()),
             ("entries".to_string(), entries),
         ]);
@@ -268,25 +239,16 @@ impl Manifest {
                 "version {version} is not a manifest (expected {MANIFEST_VERSION})"
             )));
         }
-        let model = match value.get("model") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| bad("`model` must be a string"))?
-                    .to_string(),
-            ),
-        };
+        let model = value
+            .get("model")
+            .and_then(Value::as_str)
+            .ok_or_else(|| bad("`model` must be a string"))?
+            .to_string();
         let id = value
             .get("id")
             .and_then(Value::as_str)
             .ok_or_else(|| bad("missing `id`"))?
             .to_string();
-        let parents = value
-            .get("parents")
-            .map(Vec::<String>::from_value)
-            .transpose()
-            .map_err(|e| bad(&e.to_string()))?
-            .ok_or_else(|| bad("missing `parents`"))?;
         let shapes = value
             .get("shapes")
             .map(Vec::<Vec<usize>>::from_value)
@@ -324,14 +286,10 @@ impl Manifest {
             entries.push(TensorVersion { ver, hash });
         }
         let hashes = entries.iter().map(|e| &e.hash);
-        if let Some(s) = std::iter::once(&id)
-            .chain(&parents)
-            .chain(hashes)
-            .find(|s| !is_content_hash(s))
-        {
+        if let Some(s) = std::iter::once(&id).chain(hashes).find(|s| !is_content_hash(s)) {
             return Err(bad(&format!("`{s}` is not a 16-hex-digit id or hash")));
         }
-        let expected = Manifest::compute_id(model.as_deref(), &parents, &shapes, &entries);
+        let expected = Manifest::compute_id(&model, &shapes, &entries);
         if expected != id {
             return Err(bad(&format!(
                 "content id mismatch: manifest claims {id}, content hashes to {expected}"
@@ -340,22 +298,9 @@ impl Manifest {
         Ok(Manifest {
             id,
             model,
-            parents,
             shapes,
             entries,
         })
-    }
-
-    /// Whether every entry of `self` supersedes-or-equals the matching
-    /// entry of `other` (the entrywise partial order behind
-    /// fast-forward detection).
-    pub fn dominates(&self, other: &Manifest) -> bool {
-        self.entries.len() == other.entries.len()
-            && self
-                .entries
-                .iter()
-                .zip(&other.entries)
-                .all(|(a, b)| a.dominates(b))
     }
 }
 
@@ -385,10 +330,10 @@ pub struct IntegrateReport {
     pub advanced: bool,
 }
 
-/// A directory of versioned tensor payloads plus a manifest DAG.
+/// A directory of versioned tensor payloads plus one head manifest.
 pub struct DeltaStore {
     root: PathBuf,
-    model: Option<String>,
+    model: String,
     head: Option<Manifest>,
     /// Payload files currently on disk (mirrors the gauge contribution).
     retained: u64,
@@ -396,9 +341,9 @@ pub struct DeltaStore {
 
 impl DeltaStore {
     /// Open (creating if needed) a store rooted at `root`. `model` is
-    /// recorded in every manifest published here and validated against
-    /// manifests integrated from peers.
-    pub fn open(root: impl AsRef<Path>, model: Option<&str>) -> Result<DeltaStore, CheckpointError> {
+    /// recorded in every manifest published here and must match the
+    /// saved head and every manifest integrated from peers.
+    pub fn open(root: impl AsRef<Path>, model: &str) -> Result<DeltaStore, CheckpointError> {
         register_gauge();
         let root = root.as_ref().to_path_buf();
         std::fs::create_dir_all(&root).map_err(CheckpointError::Io)?;
@@ -409,19 +354,15 @@ impl DeltaStore {
         } else {
             None
         };
-        if let (Some(expected), Some(saved)) =
-            (model, head.as_ref().and_then(|h| h.model.as_deref()))
-        {
-            if expected != saved {
-                return Err(CheckpointError::WrongModel {
-                    saved: saved.to_string(),
-                    expected: expected.to_string(),
-                });
-            }
+        if let Some(saved) = head.as_ref().filter(|h| h.model != model) {
+            return Err(CheckpointError::WrongModel {
+                saved: saved.model.clone(),
+                expected: model.to_string(),
+            });
         }
         let mut store = DeltaStore {
             root,
-            model: model.map(str::to_string),
+            model: model.to_string(),
             head,
             retained: 0,
         };
@@ -440,17 +381,12 @@ impl DeltaStore {
         self.head.as_ref()
     }
 
-    fn head_path(&self) -> PathBuf {
-        self.root.join("head.json")
-    }
-
     fn payload_path(&self, idx: usize, entry: &TensorVersion) -> PathBuf {
         self.root
             .join(format!("t{idx}@{}-{}.json", entry.ver, entry.hash))
     }
 
-    /// Whether the payload for `(idx, entry)` is on disk locally.
-    pub fn has_payload(&self, idx: usize, entry: &TensorVersion) -> bool {
+    fn has_payload(&self, idx: usize, entry: &TensorVersion) -> bool {
         self.payload_path(idx, entry).exists()
     }
 
@@ -489,19 +425,14 @@ impl DeltaStore {
         Ok(())
     }
 
-    /// Adopt `manifest` as the new head: record it in the DAG, then flip
-    /// `head.json` atomically (same tmp + rename dance — and the same
-    /// `core.checkpoint.rename` fault point — as the classic save, so a
-    /// crash never leaves a store without a loadable head).
+    /// Adopt `manifest` as the new head: flip `head.json` atomically
+    /// (same tmp + rename dance — and the same `core.checkpoint.rename`
+    /// fault point — as the classic save, so a crash never leaves a
+    /// store without a loadable head), then remove the payloads the new
+    /// head dominates.
     fn adopt(&mut self, manifest: Manifest) -> Result<(), CheckpointError> {
-        let json = manifest.to_json();
-        let dag_path = self.root.join(format!("m-{}.json", manifest.id));
-        if !dag_path.exists() {
-            std::fs::write(&dag_path, &json).map_err(CheckpointError::Io)?;
-        }
-        let head_path = self.head_path();
         let tmp = self.root.join("head.json.tmp");
-        if let Err(e) = std::fs::write(&tmp, &json) {
+        if let Err(e) = std::fs::write(&tmp, manifest.to_json()) {
             std::fs::remove_file(&tmp).ok();
             return Err(CheckpointError::Io(e));
         }
@@ -511,20 +442,38 @@ impl DeltaStore {
                 "injected fault between staging write and head flip: {msg}"
             )));
         }
-        std::fs::rename(&tmp, &head_path).map_err(|e| {
+        std::fs::rename(&tmp, self.root.join("head.json")).map_err(|e| {
             std::fs::remove_file(&tmp).ok();
             CheckpointError::Io(e)
         })?;
+        self.remove_dominated(&manifest);
         self.head = Some(manifest);
         Ok(())
+    }
+
+    /// Best effort: delete every payload file `head` dominates — older
+    /// versions, same-version losers, and indices the model does not
+    /// have. A file that fails to go stays until the next head change.
+    fn remove_dominated(&mut self, head: &Manifest) {
+        let Ok(files) = self.payload_files() else {
+            return;
+        };
+        for (path, idx, entry) in files {
+            let dominated = head.entries.get(idx).is_none_or(|h| entry.dominated_by(h));
+            if dominated && std::fs::remove_file(&path).is_ok() {
+                self.retained -= 1;
+                RETAINED.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Publish a full state dict: hash every tensor, bump the version of
     /// (and write payloads for) only the tensors whose content changed,
     /// and adopt the new manifest as head. The first publish writes
-    /// everything. A state holding NaN or an infinity is a
-    /// [`CheckpointError::Format`] error before any file is written: its
-    /// payload would never load on a peer.
+    /// everything; republishing the head's content writes nothing. A
+    /// state holding NaN or an infinity is a [`CheckpointError::Format`]
+    /// error before any file is written: its payload would never load
+    /// on a peer.
     pub fn publish(&mut self, state: &[Tensor]) -> Result<PublishReport, CheckpointError> {
         check_finite(state)?;
         if let Some(head) = &self.head {
@@ -562,6 +511,14 @@ impl DeltaStore {
                 }
             }
         }
+        if let Some(head) = self.head.as_ref().filter(|_| changed.is_empty()) {
+            // The head already describes these exact bytes.
+            return Ok(PublishReport {
+                id: head.id.clone(),
+                changed,
+                delta_bytes: 0,
+            });
+        }
         let mut delta_bytes = 0u64;
         for &i in &changed {
             let bytes = json::to_string(&state[i]);
@@ -569,20 +526,7 @@ impl DeltaStore {
             self.write_payload(i, &entries[i], bytes.as_bytes())?;
         }
         let shapes: Vec<Vec<usize>> = state.iter().map(|t| t.shape().to_vec()).collect();
-        let parents = self.head.as_ref().map(|h| vec![h.id.clone()]).unwrap_or_default();
-        let manifest = Manifest::build(self.model.clone(), parents, shapes, entries);
-        let unchanged_head = self.head.as_ref().is_some_and(|h| {
-            h.entries == manifest.entries && changed.is_empty()
-        });
-        if unchanged_head {
-            // Republishing identical content is a no-op: the head
-            // already describes these exact bytes.
-            return Ok(PublishReport {
-                id: self.head.as_ref().unwrap().id.clone(),
-                changed,
-                delta_bytes: 0,
-            });
-        }
+        let manifest = Manifest::build(self.model.clone(), shapes, entries);
         let id = manifest.id.clone();
         self.adopt(manifest)?;
         geotorch_telemetry::count!("registry.publish", 1);
@@ -593,15 +537,11 @@ impl DeltaStore {
         })
     }
 
-    /// [`DeltaStore::publish`] of a module's current state dict.
-    pub fn publish_module(&mut self, model: &dyn Module) -> Result<PublishReport, CheckpointError> {
-        self.publish(&model.state_dict())
-    }
-
-    /// Integrate a peer's manifest. `fetch` is called for every winning
-    /// entry whose payload is not already local and must return the
-    /// payload bytes as stored on the peer; fetched payloads are
-    /// verified against the entry's content hash before anything is
+    /// Integrate a peer's manifest: the head becomes the entrywise
+    /// winners of the local head and `remote`. `fetch` is called for
+    /// every winning entry whose payload is not already local and must
+    /// return the payload bytes as stored on the peer; fetched payloads
+    /// are verified against the entry's content hash before anything is
     /// adopted. On any error the head is untouched.
     pub fn integrate<F>(
         &mut self,
@@ -611,24 +551,20 @@ impl DeltaStore {
     where
         F: FnMut(usize, &TensorVersion) -> Result<Vec<u8>, CheckpointError>,
     {
-        if let (Some(expected), Some(saved)) = (self.model.as_deref(), remote.model.as_deref()) {
-            if expected != saved {
-                return Err(CheckpointError::WrongModel {
-                    saved: saved.to_string(),
-                    expected: expected.to_string(),
-                });
-            }
-        }
-        if let Some(head) = &self.head {
-            if head.shapes != remote.shapes {
-                return Err(CheckpointError::Format(
-                    "remote manifest has different tensor shapes".to_string(),
-                ));
-            }
+        if remote.model != self.model {
+            return Err(CheckpointError::WrongModel {
+                saved: remote.model.clone(),
+                expected: self.model.clone(),
+            });
         }
         // Entrywise winners under the symmetric order.
         let merged: Vec<TensorVersion> = match &self.head {
             None => remote.entries.clone(),
+            Some(head) if head.shapes != remote.shapes => {
+                return Err(CheckpointError::Format(
+                    "remote manifest has different tensor shapes".to_string(),
+                ));
+            }
             Some(head) => head
                 .entries
                 .iter()
@@ -636,15 +572,9 @@ impl DeltaStore {
                 .map(|(a, b)| TensorVersion::winner(a, b).clone())
                 .collect(),
         };
-        let changed: Vec<usize> = match &self.head {
-            None => (0..merged.len()).collect(),
-            Some(head) => merged
-                .iter()
-                .enumerate()
-                .filter(|(i, e)| head.entries[*i] != **e)
-                .map(|(i, _)| i)
-                .collect(),
-        };
+        let changed: Vec<usize> = (0..merged.len())
+            .filter(|&i| self.head.as_ref().is_none_or(|h| h.entries[i] != merged[i]))
+            .collect();
         // Fetch (and verify) every winning payload we do not hold.
         let mut fetched = Vec::new();
         let mut fetched_bytes = 0u64;
@@ -677,53 +607,24 @@ impl DeltaStore {
             fetched.push(i);
             pending.push((i, bytes));
         }
-        let entries_for = |i: usize| &merged[i];
         for (i, bytes) in &pending {
-            self.write_payload(*i, entries_for(*i), bytes)?;
+            self.write_payload(*i, &merged[*i], bytes)?;
         }
-        // Decide the new head.
-        let report = |store: &DeltaStore, advanced: bool, changed: Vec<usize>| IntegrateReport {
-            id: store.head.as_ref().expect("head exists after integrate").id.clone(),
+        let advanced = self.head.as_ref().is_none_or(|h| h.entries != merged);
+        if advanced {
+            self.adopt(Manifest::build(
+                self.model.clone(),
+                remote.shapes.clone(),
+                merged,
+            ))?;
+        }
+        Ok(IntegrateReport {
+            id: self.head.as_ref().expect("head exists after integrate").id.clone(),
             changed,
-            fetched: fetched.clone(),
+            fetched,
             fetched_bytes,
             advanced,
-        };
-        match &self.head {
-            None => {
-                self.adopt(remote.clone())?;
-                return Ok(report(self, true, changed));
-            }
-            Some(head) if merged == head.entries => {
-                if merged == remote.entries && remote.id < head.id {
-                    // Same content reached through a different history:
-                    // tie-break to the lexicographically smaller id so
-                    // both sides settle on one manifest.
-                    self.adopt(remote.clone())?;
-                    return Ok(report(self, true, changed));
-                }
-                return Ok(report(self, false, changed));
-            }
-            Some(_) if merged == remote.entries => {
-                // Fast-forward: adopt the remote manifest verbatim.
-                self.adopt(remote.clone())?;
-                return Ok(report(self, true, changed));
-            }
-            Some(head) => {
-                // True conflict: build the deterministic merge node.
-                let mut parents = vec![head.id.clone(), remote.id.clone()];
-                parents.sort();
-                parents.dedup();
-                let manifest = Manifest::build(
-                    self.model.clone().or_else(|| remote.model.clone()),
-                    parents,
-                    remote.shapes.clone(),
-                    merged,
-                );
-                self.adopt(manifest)?;
-            }
-        }
-        Ok(report(self, true, changed))
+        })
     }
 
     /// Read the head's full state dict from payload files, verifying
@@ -764,98 +665,6 @@ impl DeltaStore {
         }
         Ok(files)
     }
-
-    /// Delete payload files strictly dominated by the head (older
-    /// versions, or same-version conflict losers) and manifest DAG
-    /// nodes no longer reachable from the head. Safe to run any time on
-    /// any node: the head's own payloads are never candidates, and
-    /// not-yet-adopted fetches carry versions `>=` the head's, which
-    /// also survive.
-    pub fn gc(&mut self) -> Result<u64, CheckpointError> {
-        let Some(head) = self.head.clone() else {
-            return Ok(0);
-        };
-        let mut removed = 0u64;
-        for (path, idx, entry) in self.payload_files()? {
-            let dominated = match head.entries.get(idx) {
-                // A payload for an index the model does not have (e.g.
-                // left over from a differently sized past architecture).
-                None => true,
-                Some(h) => entry.ver < h.ver || (entry.ver == h.ver && entry.hash != h.hash),
-            };
-            if dominated && std::fs::remove_file(&path).is_ok() {
-                removed += 1;
-                self.retained = self.retained.saturating_sub(1);
-                RETAINED.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-        // Prune DAG nodes unreachable from the head so history stays
-        // proportional to the head's ancestry, not to everything ever
-        // seen.
-        let reachable = self.reachable_ids(&head);
-        for entry in std::fs::read_dir(&self.root).map_err(CheckpointError::Io)? {
-            let entry = entry.map_err(CheckpointError::Io)?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(id) = name.strip_prefix("m-").and_then(|n| n.strip_suffix(".json")) else {
-                continue;
-            };
-            if !reachable.contains(id) {
-                std::fs::remove_file(entry.path()).ok();
-            }
-        }
-        Ok(removed)
-    }
-
-    fn reachable_ids(&self, head: &Manifest) -> BTreeSet<String> {
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![head.clone()];
-        seen.insert(head.id.clone());
-        while let Some(m) = stack.pop() {
-            for parent in &m.parents {
-                if seen.insert(parent.clone()) {
-                    if let Ok(pm) = self.manifest_by_id(parent) {
-                        stack.push(pm);
-                    }
-                }
-            }
-        }
-        seen
-    }
-
-    /// Read one manifest out of the DAG by id.
-    pub fn manifest_by_id(&self, id: &str) -> Result<Manifest, CheckpointError> {
-        let json = std::fs::read_to_string(self.root.join(format!("m-{id}.json")))
-            .map_err(CheckpointError::Io)?;
-        Manifest::from_json(&json)
-    }
-
-    /// The head's ancestry (head first, then parents breadth-first, as
-    /// far as the local DAG reaches).
-    pub fn history(&self) -> Vec<Manifest> {
-        let Some(head) = self.head.clone() else {
-            return Vec::new();
-        };
-        let mut out = vec![head.clone()];
-        let mut seen: BTreeSet<String> = [head.id.clone()].into();
-        let mut queue = std::collections::VecDeque::from([head]);
-        while let Some(m) = queue.pop_front() {
-            for parent in &m.parents {
-                if seen.insert(parent.clone()) {
-                    if let Ok(pm) = self.manifest_by_id(parent) {
-                        out.push(pm.clone());
-                        queue.push_back(pm);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Number of payload files this store currently retains.
-    pub fn retained_payloads(&self) -> u64 {
-        self.retained
-    }
 }
 
 impl Drop for DeltaStore {
@@ -882,6 +691,60 @@ fn parse_payload_name(name: &str) -> Option<(usize, TensorVersion)> {
 mod tests {
     use super::*;
 
+    /// Serialises the tests that open stores, so the process-wide
+    /// `registry.tensor_versions` gauge counts one test's stores only.
+    fn stores_lock() -> std::sync::MutexGuard<'static, ()> {
+        static STORES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        STORES.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn fresh_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("geotorch_delta_{tag}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    /// The sorted file names in `dir`.
+    fn files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// The file name of the head's payload for tensor `i`.
+    fn head_payload(store: &DeltaStore, i: usize) -> String {
+        let e = &store.head().unwrap().entries[i];
+        format!("t{i}@{}-{}.json", e.ver, e.hash)
+    }
+
+    /// What a store holds when nothing is left to collect: `head.json`
+    /// plus exactly one payload per head entry.
+    fn head_files(store: &DeltaStore) -> Vec<String> {
+        let n = store.head().unwrap().entries.len();
+        let mut names: Vec<String> = (0..n).map(|i| head_payload(store, i)).collect();
+        names.push("head.json".to_string());
+        names.sort();
+        names
+    }
+
+    fn tensor_versions_gauge() -> u64 {
+        geotorch_telemetry::snapshot()
+            .into_iter()
+            .find(|s| s.name == "registry.tensor_versions")
+            .expect("the gauge is registered once a store opens")
+            .count
+    }
+
+    fn payload_count(dirs: &[&Path]) -> u64 {
+        dirs.iter()
+            .flat_map(|d| files(d))
+            .filter(|n| parse_payload_name(n).is_some())
+            .count() as u64
+    }
+
     /// A manifest JSON whose single entry carries `ver` verbatim, with
     /// the id the content hashes to — so only the `ver` check can refuse
     /// it.
@@ -891,9 +754,9 @@ mod tests {
             ver: as_u64,
             hash: hash.clone(),
         };
-        let id = Manifest::compute_id(None, &[], &[vec![2]], &[entry]);
+        let id = Manifest::compute_id("m", &[vec![2]], &[entry]);
         format!(
-            r#"{{"format":"{FORMAT_MARKER}","version":{MANIFEST_VERSION},"model":null,"id":"{id}","parents":[],"shapes":[[2]],"entries":[{{"ver":{ver},"hash":"{hash}"}}]}}"#
+            r#"{{"format":"{FORMAT_MARKER}","version":{MANIFEST_VERSION},"model":"m","id":"{id}","shapes":[[2]],"entries":[{{"ver":{ver},"hash":"{hash}"}}]}}"#
         )
     }
 
@@ -933,20 +796,12 @@ mod tests {
 
     #[test]
     fn publish_refuses_a_non_finite_weight_and_keeps_its_head() {
-        let dir = std::env::temp_dir().join(format!("geotorch_delta_nan_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let mut store = DeltaStore::open(&dir, None).unwrap();
+        let _g = stores_lock();
+        let dir = fresh_dir("nan");
+        let mut store = DeltaStore::open(&dir, "m").unwrap();
         let state = vec![Tensor::ones(&[2, 3]), Tensor::zeros(&[4])];
         store.publish(&state).unwrap();
         let head = store.head().cloned();
-        let files = |dir: &Path| {
-            let mut names: Vec<_> = std::fs::read_dir(dir)
-                .unwrap()
-                .map(|e| e.unwrap().file_name())
-                .collect();
-            names.sort();
-            names
-        };
         let before = files(&dir);
 
         let mut bad = state.clone();
@@ -961,17 +816,16 @@ mod tests {
         assert_eq!(store.head().cloned(), head, "the head moved");
         assert_eq!(files(&dir), before, "a payload was written");
         drop(store);
-        let store = DeltaStore::open(&dir, None).unwrap();
+        let store = DeltaStore::open(&dir, "m").unwrap();
         assert_eq!(store.materialize().unwrap(), state);
         drop(store);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn manifest_ids_parents_and_hashes_must_be_content_hashes() {
+    fn manifest_ids_and_hashes_must_be_content_hashes() {
         let good = Manifest::build(
-            None,
-            vec!["0123456789abcdef".into()],
+            "m".into(),
             vec![vec![2]],
             vec![TensorVersion {
                 ver: 1,
@@ -979,22 +833,19 @@ mod tests {
             }],
         );
         Manifest::from_json(&good.to_json()).expect("a well-formed manifest parses");
-        for parent in ["../../head", "0123456789ABCDEF", "0123456789abcdef0", ""] {
-            let evil = Manifest::build(
-                None,
-                vec![parent.into()],
-                good.shapes.clone(),
-                good.entries.clone(),
-            );
+        for id in ["../../head", "0123456789ABCDEF", "0123456789abcdef0", ""] {
+            let evil = Manifest {
+                id: id.into(),
+                ..good.clone()
+            };
             let err = Manifest::from_json(&evil.to_json());
             assert!(
                 matches!(&err, Err(CheckpointError::Format(m)) if m.contains("16-hex-digit")),
-                "parent {parent:?}: {err:?}"
+                "id {id:?}: {err:?}"
             );
         }
         let evil = Manifest::build(
-            None,
-            vec![],
+            "m".into(),
             good.shapes.clone(),
             vec![TensorVersion {
                 ver: 1,
@@ -1002,5 +853,56 @@ mod tests {
             }],
         );
         assert!(Manifest::from_json(&evil.to_json()).is_err());
+    }
+
+    #[test]
+    fn every_head_change_removes_the_payloads_it_dominates() {
+        let _g = stores_lock();
+        let (dir_a, dir_b) = (fresh_dir("gc_a"), fresh_dir("gc_b"));
+        let mut a = DeltaStore::open(&dir_a, "m").unwrap();
+        let base = vec![Tensor::ones(&[2, 3]), Tensor::zeros(&[4])];
+        a.publish(&base).unwrap();
+        let superseded = head_payload(&a, 1);
+        assert!(superseded.starts_with("t1@1-"), "{superseded}");
+        assert_eq!(tensor_versions_gauge(), payload_count(&[&dir_a]));
+
+        // A publish that changes one tensor drops that tensor's old payload.
+        let mut tuned = base.clone();
+        tuned[1] = tuned[1].add_scalar(1.0);
+        a.publish(&tuned).unwrap();
+        assert_eq!(files(&dir_a), head_files(&a));
+        assert!(!files(&dir_a).contains(&superseded));
+        assert_eq!(tensor_versions_gauge(), payload_count(&[&dir_a]));
+
+        // B bootstraps from A, then both publish a same-version conflict
+        // on tensor 1; one pull each way leaves each store with its head's
+        // payloads only, so the local loser is gone wherever it was.
+        let mut b = DeltaStore::open(&dir_b, "m").unwrap();
+        b.integrate(&a.head().unwrap().clone(), |i, e| a.payload_bytes(i, e))
+            .unwrap();
+        let mut on_a = tuned.clone();
+        on_a[1] = on_a[1].add_scalar(1.0);
+        let mut on_b = tuned.clone();
+        on_b[1] = on_b[1].add_scalar(2.0);
+        a.publish(&on_a).unwrap();
+        b.publish(&on_b).unwrap();
+        let losers = [&a, &b].map(|s| head_payload(s, 1));
+        assert_eq!(tensor_versions_gauge(), payload_count(&[&dir_a, &dir_b]));
+        b.integrate(&a.head().unwrap().clone(), |i, e| a.payload_bytes(i, e))
+            .unwrap();
+        a.integrate(&b.head().unwrap().clone(), |i, e| b.payload_bytes(i, e))
+            .unwrap();
+        assert_eq!(a.head(), b.head());
+        let winner = head_payload(&a, 1);
+        assert!(losers.contains(&winner));
+        for (store, dir) in [(&a, &dir_a), (&b, &dir_b)] {
+            assert_eq!(files(dir), head_files(store));
+        }
+        assert_eq!(tensor_versions_gauge(), payload_count(&[&dir_a, &dir_b]));
+
+        drop((a, b));
+        assert_eq!(tensor_versions_gauge(), 0);
+        std::fs::remove_dir_all(&dir_a).ok();
+        std::fs::remove_dir_all(&dir_b).ok();
     }
 }

@@ -2,7 +2,8 @@
 //! `checkpoint` reads only the named header file `save` writes — a bare
 //! tensor array (the pre-header format) is a `Format` error, never a
 //! silent load — and a manifest is read by its `DeltaStore` alone, whose
-//! head answers from the manifest without reading a single payload.
+//! head answers from the manifest without reading a single payload. A
+//! store written by an older manifest version is refused, untouched.
 
 use std::path::PathBuf;
 
@@ -108,8 +109,8 @@ fn manifest_is_read_by_its_store_alone() {
     let dir = tmp("store");
     std::fs::remove_dir_all(&dir).ok();
     let donor = model(2);
-    let mut store = DeltaStore::open(&dir, Some("satcnn")).expect("open");
-    store.publish_module(&donor).expect("publish");
+    let mut store = DeltaStore::open(&dir, "satcnn").expect("open");
+    store.publish(&donor.state_dict()).expect("publish");
 
     // The store materialises its head into the donor's weights…
     let restored = model(9);
@@ -135,9 +136,9 @@ fn manifest_is_read_by_its_store_alone() {
             std::fs::remove_file(entry.path()).expect("remove payload");
         }
     }
-    let store = DeltaStore::open(&dir, Some("satcnn")).expect("reopen needs no payloads");
+    let store = DeltaStore::open(&dir, "satcnn").expect("reopen needs no payloads");
     assert_eq!(store.head(), Some(&head));
-    assert_eq!(head.model.as_deref(), Some("satcnn"));
+    assert_eq!(head.model, "satcnn");
     assert!(
         store.materialize().is_err(),
         "materializing without payloads must fail, proving open never read them"
@@ -155,5 +156,72 @@ fn manifest_is_read_by_its_store_alone() {
     );
 
     drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every file in `dir` with its bytes, sorted by name.
+fn snapshot(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).expect("read file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn version_2_stores_are_refused_and_left_in_place() {
+    let dir = tmp("v2_store");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    // A store as the history-DAG format wrote it: a head naming its
+    // parent, the DAG node file, and one payload.
+    let hash = geotorch_core::delta::tensor_hash(&Tensor::zeros(&[2]));
+    let head = format!(
+        r#"{{"format":"geotorch.checkpoint","version":2,"model":"satcnn","id":"0123456789abcdef","parents":["fedcba9876543210"],"shapes":[[2]],"entries":[{{"ver":1,"hash":"{hash}"}}]}}"#
+    );
+    std::fs::write(dir.join("head.json"), &head).expect("write head");
+    std::fs::write(dir.join("m-0123456789abcdef.json"), &head).expect("write node");
+    std::fs::write(
+        dir.join(format!("t0@1-{hash}.json")),
+        serde_json::to_string(&Tensor::zeros(&[2])).expect("serialise"),
+    )
+    .expect("write payload");
+    let before = snapshot(&dir);
+
+    let err = DeltaStore::open(&dir, "satcnn").err().expect("a v2 head is refused");
+    assert!(
+        matches!(&err, CheckpointError::Format(m) if m.contains("version 2")),
+        "{err:?}"
+    );
+    assert_eq!(snapshot(&dir), before, "a refused store must be left as it was");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn manifests_without_a_model_name_are_refused() {
+    let dir = tmp("null_model");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut store = DeltaStore::open(&dir, "satcnn").expect("open");
+    store.publish(&model(4).state_dict()).expect("publish");
+    drop(store);
+    let head_path = dir.join("head.json");
+    let json = std::fs::read_to_string(&head_path).expect("read head");
+    assert!(json.contains(r#""model":"satcnn""#));
+    let nameless = json.replace(r#""model":"satcnn""#, r#""model":null"#);
+    let err = Manifest::from_json(&nameless).expect_err("a null model is refused");
+    assert!(
+        matches!(&err, CheckpointError::Format(m) if m.contains("`model`")),
+        "{err:?}"
+    );
+    std::fs::write(&head_path, &nameless).expect("write head");
+    assert!(matches!(
+        DeltaStore::open(&dir, "satcnn"),
+        Err(CheckpointError::Format(_))
+    ));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -43,6 +43,10 @@ use crate::front::Front;
 use crate::sync::{sync_store, SyncClient};
 use crate::{Registry, ServeError};
 
+/// The default request-body limit, and the most a sync reads from a
+/// peer in one response.
+pub(crate) const MAX_BODY: usize = 64 << 20;
+
 /// Server configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
@@ -76,7 +80,7 @@ impl Default for ServeConfig {
             http_workers: 4,
             default_deadline_ms: 30_000,
             socket_timeout_ms: 10_000,
-            max_body: 64 << 20,
+            max_body: MAX_BODY,
             drain_timeout_ms: 30_000,
         }
     }
@@ -202,21 +206,6 @@ impl Server {
         let store = self.front.stores.get(model)?;
         let store = store.lock().unwrap_or_else(|e| e.into_inner());
         store.head().map(|h| h.id.clone())
-    }
-
-    /// Run coordination-free GC on a sync-enabled model's store,
-    /// deleting payloads strictly dominated by the head. Returns the
-    /// number of payload files removed.
-    pub fn gc(&self, model: &str) -> Result<u64, ServeError> {
-        let store = self
-            .front
-            .stores
-            .get(model)
-            .ok_or_else(|| ServeError::ModelNotFound(model.to_string()))?;
-        let mut store = store.lock().unwrap_or_else(|e| e.into_inner());
-        store
-            .gc()
-            .map_err(|e| ServeError::Internal(format!("gc: {e}")))
     }
 
     /// Enter the draining state without stopping: `/healthz` reports

@@ -188,7 +188,7 @@ fn resolve(
         let path = entry.checkpoint.as_deref().expect("an entry with weights");
         return Ok(("v0".to_string(), Some(read_checkpoint(name, path)?)));
     };
-    let mut store = DeltaStore::open(dir, Some(name)).map_err(load_error)?;
+    let mut store = DeltaStore::open(dir, name).map_err(load_error)?;
     // A fresh store serves the state it was just seeded with: the payload
     // codec round-trips every finite value exactly and `publish` refuses
     // the rest, so reading the payloads back would give the same bits.

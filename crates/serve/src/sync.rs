@@ -17,6 +17,13 @@
 //! the serving model) is untouched, and a retry after the fault clears
 //! converges.
 //!
+//! A fetch that fails — the peer is down, answers a non-200, or sends a
+//! response over the 64 MiB cap — is [`ServeError::Unavailable`]
+//! (HTTP 503), a retryable failure. That includes the 404 a peer
+//! answers for a payload its own head change has just removed: the
+//! retry reads the peer's new manifest. A payload that fails
+//! verification is [`ServeError::Internal`].
+//!
 //! Fault points for chaos tests: `registry.sync.manifest` (manifest
 //! fetch), `registry.sync.tensor` (each payload fetch), and
 //! `registry.sync.apply` (the integrate window). The swap window has
@@ -32,6 +39,7 @@ use std::time::Duration;
 use geotorch_core::checkpoint::CheckpointError;
 use geotorch_core::{DeltaStore, IntegrateReport, Manifest, TensorVersion};
 
+use crate::http::MAX_BODY;
 use crate::ServeError;
 
 /// Per-request read and write timeout of a [`SyncClient`].
@@ -66,9 +74,19 @@ impl SyncClient {
             format!("GET {path} HTTP/1.1\r\nHost: {}\r\nConnection: close\r\n\r\n", self.addr);
         stream.write_all(request.as_bytes()).map_err(unavailable)?;
         // `Connection: close` means the body ends at EOF — no chunked
-        // parsing needed for a same-crate peer.
+        // parsing needed for a same-crate peer. Reading one byte past the
+        // cap tells an oversized response from one that fits exactly.
         let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).map_err(unavailable)?;
+        stream
+            .take(MAX_BODY as u64 + 1)
+            .read_to_end(&mut raw)
+            .map_err(unavailable)?;
+        if raw.len() > MAX_BODY {
+            return Err(ServeError::Unavailable(format!(
+                "peer {}: response exceeds the {MAX_BODY} byte cap",
+                self.addr
+            )));
+        }
         let header_end = raw
             .windows(4)
             .position(|w| w == b"\r\n\r\n")
@@ -140,8 +158,9 @@ impl SyncClient {
 /// Pull the peer's head into `store`: fetch the manifest, integrate it
 /// (fetching only the payloads missing locally), and return what moved.
 /// On any failure the local head is untouched — the caller keeps
-/// serving the old weights and may simply retry. Chaos hook on the
-/// integrate window: `registry.sync.apply`.
+/// serving the old weights and may simply retry. A failed fetch returns
+/// the fetch's own error. Chaos hook on the integrate window:
+/// `registry.sync.apply`.
 pub fn sync_store(
     store: &mut DeltaStore,
     peer: &SyncClient,
@@ -153,10 +172,63 @@ pub fn sync_store(
             "injected sync-apply fault: {msg}"
         )));
     }
+    let mut fetch_error = None;
     store
         .integrate(&remote, |idx, entry| {
-            peer.fetch_tensor(model, idx, entry)
-                .map_err(|e| CheckpointError::Format(e.to_string()))
+            peer.fetch_tensor(model, idx, entry).map_err(|e| {
+                let msg = e.to_string();
+                fetch_error = Some(e);
+                CheckpointError::Format(msg)
+            })
         })
-        .map_err(|e| ServeError::Internal(format!("integrate from {}: {e}", peer.addr())))
+        .map_err(|e| {
+            fetch_error.unwrap_or_else(|| {
+                ServeError::Internal(format!("integrate from {}: {e}", peer.addr()))
+            })
+        })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+
+    use super::*;
+
+    #[test]
+    fn a_response_over_the_cap_fails_the_fetch_as_unavailable() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        // A peer that answers 200 with one body byte more than the cap.
+        let peer = std::thread::spawn(move || -> std::io::Result<()> {
+            let (mut conn, _) = listener.accept()?;
+            let mut request = Vec::new();
+            let mut byte = [0u8; 1];
+            while !request.ends_with(b"\r\n\r\n") && conn.read(&mut byte)? == 1 {
+                request.push(byte[0]);
+            }
+            let mut left = MAX_BODY + 1;
+            let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {left}\r\n\r\n");
+            conn.write_all(head.as_bytes())?;
+            let chunk = vec![b'0'; 1 << 16];
+            while left > 0 {
+                let n = left.min(chunk.len());
+                conn.write_all(&chunk[..n])?;
+                left -= n;
+            }
+            Ok(())
+        });
+        let entry = TensorVersion {
+            ver: 1,
+            hash: "0123456789abcdef".to_string(),
+        };
+        let err = SyncClient::new(&addr)
+            .fetch_tensor("m", 0, &entry)
+            .expect_err("an oversized response must fail the fetch");
+        assert!(
+            matches!(&err, ServeError::Unavailable(m) if m.contains(&MAX_BODY.to_string())),
+            "{err}"
+        );
+        // The client hangs up mid-body, so the peer's last writes may fail.
+        peer.join().expect("peer thread").ok();
+    }
 }

@@ -20,7 +20,7 @@ use std::time::Duration;
 use geotorch_core::Manifest;
 use geotorch_models::raster::SatCnn;
 use geotorch_nn::Module;
-use geotorch_serve::{BatchConfig, Registry, ServeConfig, Server};
+use geotorch_serve::{BatchConfig, Registry, ServeConfig, ServeError, Server};
 use geotorch_tensor::{Device, Tensor};
 use geotorch_telemetry::fault::{self, FaultAction, FaultPlan};
 use rand::SeedableRng;
@@ -158,8 +158,8 @@ fn failed_fetch_or_apply_leaves_old_model_serving_and_retry_converges() {
             .sync_from("satcnn", &peer)
             .expect_err("injected fault must fail the sync");
         assert!(
-            err.to_string().contains("injected"),
-            "{point}: unexpected error {err}"
+            matches!(&err, ServeError::Unavailable(m) if m.contains("injected")),
+            "{point}: a failed pull must be a retryable 503, got {err:?}"
         );
         fault::clear();
         assert_eq!(
@@ -194,6 +194,46 @@ fn failed_fetch_or_apply_leaves_old_model_serving_and_retry_converges() {
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();
     }
+}
+
+/// A peer's head change removes the payloads it supersedes, so a pull
+/// that read the old manifest can meet a 404 for a payload. That is a
+/// retryable 503, and the retry converges on the peer's new head.
+#[test]
+fn a_payload_the_peer_no_longer_holds_fails_retryably() {
+    let _g = serial();
+    let dir_a = store_dir("a_gone");
+    let dir_b = store_dir("b_gone");
+    let node_a = start_node(&dir_a, 1);
+    let node_b = start_node(&dir_b, 1);
+    let peer = node_a.addr().to_string();
+    let (golden_out, golden_version) = predict(&node_b);
+
+    node_a.publish("satcnn", &fine_tuned(1.0)).expect("publish on A");
+    let head = Manifest::from_json(&std::fs::read_to_string(dir_a.join("head.json")).unwrap())
+        .expect("head parses");
+    let last = head.entries.len() - 1;
+    let entry = &head.entries[last];
+    std::fs::remove_file(dir_a.join(format!("t{last}@{}-{}.json", entry.ver, entry.hash)))
+        .expect("remove the new payload");
+    let err = node_b
+        .sync_from("satcnn", &peer)
+        .expect_err("a missing payload must fail the pull");
+    assert!(
+        matches!(&err, ServeError::Unavailable(m) if m.contains("404")),
+        "{err:?}"
+    );
+    assert_eq!(predict(&node_b), (golden_out, golden_version));
+
+    let report = node_a.publish("satcnn", &fine_tuned(2.0)).expect("publish again");
+    let synced = node_b.sync_from("satcnn", &peer).expect("retry succeeds");
+    assert_eq!(synced.id, report.id);
+    assert_stores_bit_identical(&dir_a, &dir_b);
+
+    node_a.shutdown();
+    node_b.shutdown();
+    std::fs::remove_dir_all(&dir_a).ok();
+    std::fs::remove_dir_all(&dir_b).ok();
 }
 
 #[test]
@@ -270,8 +310,9 @@ fn concurrent_publishes_converge_to_one_head_on_both_nodes() {
     node_b.publish("satcnn", &fine_tuned(3.0)).expect("publish B");
     assert_ne!(node_a.head_id("satcnn"), node_b.head_id("satcnn"));
 
-    // One pull in each direction settles both nodes on the same merge
-    // head — the deterministic symmetric tiebreak needs no coordinator.
+    // One pull in each direction settles both nodes on the same head —
+    // the entrywise winners of both, whose content-derived id needs no
+    // coordinator.
     node_b
         .sync_from("satcnn", &node_a.addr().to_string())
         .expect("B pulls A");
