@@ -1,71 +1,8 @@
-//! Learning-rate schedules and gradient utilities.
+//! Gradient utilities.
 
 use geotorch_tensor::Tensor;
 
-use crate::optim::Optimizer;
 use crate::Var;
-
-/// A learning-rate schedule: maps an epoch index to a multiplier on the
-/// base learning rate.
-pub trait LrSchedule {
-    /// Multiplier for `epoch` (0-based).
-    fn factor(&self, epoch: usize) -> f32;
-
-    /// Apply the schedule for `epoch` to an optimizer, given its base
-    /// learning rate.
-    fn apply(&self, optimizer: &mut dyn Optimizer, base_lr: f32, epoch: usize) {
-        optimizer.set_learning_rate(base_lr * self.factor(epoch));
-    }
-}
-
-/// Multiply the learning rate by `gamma` every `step_size` epochs.
-pub struct StepLr {
-    step_size: usize,
-    gamma: f32,
-}
-
-impl StepLr {
-    /// New step schedule.
-    ///
-    /// # Panics
-    /// If `step_size == 0` or `gamma` is not positive.
-    pub fn new(step_size: usize, gamma: f32) -> StepLr {
-        assert!(step_size > 0, "step_size must be positive");
-        assert!(gamma > 0.0, "gamma must be positive");
-        StepLr { step_size, gamma }
-    }
-}
-
-impl LrSchedule for StepLr {
-    fn factor(&self, epoch: usize) -> f32 {
-        self.gamma.powi((epoch / self.step_size) as i32)
-    }
-}
-
-/// Cosine annealing from 1 down to `min_factor` over `total_epochs`.
-pub struct CosineLr {
-    total_epochs: usize,
-    min_factor: f32,
-}
-
-impl CosineLr {
-    /// New cosine schedule.
-    pub fn new(total_epochs: usize, min_factor: f32) -> CosineLr {
-        assert!(total_epochs > 0, "total_epochs must be positive");
-        CosineLr {
-            total_epochs,
-            min_factor,
-        }
-    }
-}
-
-impl LrSchedule for CosineLr {
-    fn factor(&self, epoch: usize) -> f32 {
-        let t = (epoch.min(self.total_epochs) as f32) / self.total_epochs as f32;
-        let cos = 0.5 * (1.0 + (std::f32::consts::PI * t).cos());
-        self.min_factor + (1.0 - self.min_factor) * cos
-    }
-}
 
 /// Clip the global L2 norm of the gradients on `params` to `max_norm`.
 /// Returns the pre-clip norm. Parameters without gradients are skipped.
@@ -106,34 +43,6 @@ fn set_grad(param: &Var, grad: Tensor) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::Sgd;
-
-    #[test]
-    fn step_lr_decays_in_steps() {
-        let s = StepLr::new(10, 0.5);
-        assert_eq!(s.factor(0), 1.0);
-        assert_eq!(s.factor(9), 1.0);
-        assert_eq!(s.factor(10), 0.5);
-        assert_eq!(s.factor(25), 0.25);
-    }
-
-    #[test]
-    fn cosine_lr_anneals_smoothly() {
-        let s = CosineLr::new(100, 0.1);
-        assert!((s.factor(0) - 1.0).abs() < 1e-6);
-        assert!((s.factor(100) - 0.1).abs() < 1e-6);
-        let mid = s.factor(50);
-        assert!(mid > 0.1 && mid < 1.0);
-        // Monotone decreasing.
-        assert!(s.factor(20) > s.factor(40));
-    }
-
-    #[test]
-    fn schedule_applies_to_optimizer() {
-        let mut opt = Sgd::new(vec![], 0.1, 0.0);
-        StepLr::new(5, 0.1).apply(&mut opt, 0.1, 7);
-        assert!((opt.learning_rate() - 0.01).abs() < 1e-8);
-    }
 
     #[test]
     fn clip_grad_norm_scales_large_gradients() {

@@ -113,6 +113,8 @@ pub struct Poller {
 
 impl Poller {
     pub fn new() -> io::Result<Poller> {
+        // SAFETY: epoll_create1 takes only a flags word and touches no
+        // memory of ours; a failure comes back as a negative errno.
         let ret = unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) };
         Ok(Poller {
             epfd: check(ret)? as RawFd,
@@ -136,6 +138,9 @@ impl Poller {
         let ptr = event
             .as_ref()
             .map_or(std::ptr::null(), |e| e as *const EpollEvent);
+        // SAFETY: `ptr` is null or points at `event`, laid out as the
+        // kernel's `epoll_event` and alive to the end of this function; the
+        // kernel only reads it during the call.
         let ret = unsafe {
             syscall6(
                 nr::EPOLL_CTL,
@@ -154,6 +159,9 @@ impl Poller {
     /// how many entries of `events` were filled. `EINTR` is retried.
     pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         loop {
+            // SAFETY: the kernel writes at most `events.len()` entries, laid
+            // out as its `epoll_event`, into `events`, which is borrowed
+            // mutably for the whole call; the signal mask pointer is null.
             let ret = unsafe {
                 syscall6(
                     nr::EPOLL_PWAIT,
@@ -175,6 +183,8 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: `epfd` is the descriptor `new` opened; this `Poller` owns
+        // it alone and closes it exactly once, here.
         unsafe { syscall6(nr::CLOSE, self.epfd as usize, 0, 0, 0, 0, 0) };
     }
 }

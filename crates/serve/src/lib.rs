@@ -11,12 +11,14 @@
 //!   constructors for the existing raster/grid models plus an optional
 //!   checkpoint path; loading validates the checkpoint header (model
 //!   name, tensor shapes) and flips the model to eval mode.
-//! * [`batcher`] — a dynamic micro-batching scheduler. Each model gets a
-//!   dedicated owner thread (the autograd [`Var`] graph is deliberately
-//!   single-threaded, so the model never crosses threads); whatever is
-//!   queued when a forward ends (up to `max_batch`; no timer) is stacked
-//!   into the next batched no-grad forward on the configured device, and
-//!   the rows of the output are scattered back to the callers.
+//! * [`batcher`] — a dynamic micro-batching scheduler. Each model is a
+//!   shard of replica threads, one replica per core by default, each
+//!   building and running its own model (the autograd [`Var`] graph is
+//!   deliberately single-threaded, so a model never crosses threads);
+//!   whatever is queued at a replica when its forward ends (up to
+//!   `max_batch`; no timer) is stacked into its next batched no-grad
+//!   forward on the configured device, and the rows of the output are
+//!   scattered back to the callers.
 //! * [`http`] — a hand-rolled HTTP/1.1 layer with JSON bodies: `POST
 //!   /predict/<model>`, `GET /healthz`, and `GET /metrics` (a
 //!   `geotorch-telemetry` snapshot including the `serve.*` stats). The
@@ -26,10 +28,10 @@
 //!   while a responder pool runs the blocking model calls — so a slow
 //!   client costs a buffer, not a thread.
 //!
-//! Each model is sharded across N replica threads
-//! ([`BatchConfig::replicas`], one per core by default) with
-//! least-loaded routing; the replicas share the one copy of the weights
-//! the registry read, which is immutable between hot-swaps.
+//! A request goes to its model's least-loaded replica
+//! ([`BatchConfig::replicas`] sets the shard's size); the replicas share
+//! the one copy of the weights the registry read, which is immutable
+//! between hot-swaps.
 //!
 //! The crate builds on Linux x86_64 and aarch64 only: the front calls
 //! epoll through raw syscalls.
@@ -49,6 +51,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 #[cfg(not(all(
     target_os = "linux",
@@ -72,7 +75,7 @@ pub use registry::Registry;
 pub use sync::{sync_store, SyncClient};
 pub use tiling::{run_mosaic, MosaicStats, TileConfig};
 
-use geotorch_models::{GridInput, GridModel, RasterClassifier, Segmenter};
+use geotorch_models::{RasterClassifier, Segmenter};
 use geotorch_nn::{Module, Var};
 
 /// A model as the serving layer sees it: one batched tensor in, one
@@ -164,25 +167,5 @@ impl<M: Segmenter> Module for SegmenterServe<M> {
 impl<M: Segmenter> ServeModel for SegmenterServe<M> {
     fn predict(&self, batch: &Var) -> Var {
         self.0.forward(batch)
-    }
-}
-
-/// [`ServeModel`] adapter for a [`GridModel`] served in the basic
-/// (single-frame `[B, C, H, W]`) representation.
-pub struct GridServe<M: GridModel>(pub M);
-
-impl<M: GridModel> Module for GridServe<M> {
-    fn parameters(&self) -> Vec<Var> {
-        self.0.parameters()
-    }
-
-    fn set_training(&self, training: bool) {
-        self.0.set_training(training);
-    }
-}
-
-impl<M: GridModel> ServeModel for GridServe<M> {
-    fn predict(&self, batch: &Var) -> Var {
-        self.0.forward(&GridInput::Basic(batch.clone()))
     }
 }

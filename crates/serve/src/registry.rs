@@ -17,11 +17,11 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use geotorch_core::DeltaStore;
-use geotorch_models::{GridModel, RasterClassifier, Segmenter};
+use geotorch_models::{RasterClassifier, Segmenter};
 use geotorch_tensor::Tensor;
 
 use crate::batcher::{BatchConfig, ModelWorker};
-use crate::{ClassifierServe, GridServe, SegmenterServe, ServeError, ServeModel};
+use crate::{ClassifierServe, SegmenterServe, ServeError, ServeModel};
 
 type Builder = Arc<dyn Fn() -> Box<dyn ServeModel> + Send + Sync>;
 
@@ -99,16 +99,6 @@ impl Registry {
         F: Fn() -> M + Send + Sync + 'static,
     {
         self.register(name, checkpoint, move || Box::new(SegmenterServe(build())));
-    }
-
-    /// Register a [`GridModel`] served in the basic `[B, C, H, W]`
-    /// representation.
-    pub fn register_grid<M, F>(&mut self, name: &str, checkpoint: Option<PathBuf>, build: F)
-    where
-        M: GridModel + 'static,
-        F: Fn() -> M + Send + Sync + 'static,
-    {
-        self.register(name, checkpoint, move || Box::new(GridServe(build())));
     }
 
     /// The registered model names, sorted.

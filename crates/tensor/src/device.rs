@@ -43,6 +43,38 @@
 //! `ops::conv::CONV_PARALLEL_FLOPS`) — for those kernels the work per
 //! element scales with the inner/kernel dimensions, so an element count
 //! is the wrong predictor of when fan-out pays off.
+//!
+//! # Reaching the output
+//!
+//! One rule: a kernel reaches a disjoint output through the split,
+//! `for_each_part`. It cuts the output into fixed-length parts (or a
+//! value buffer and its argmax in step) and hands each task its own
+//! `&mut` part — in order on the calling thread when the kernel stays
+//! serial, in [`parallel_for`]'s contiguous ranges when it fans out — so
+//! one body serves both devices and needs no `unsafe`. Pooling,
+//! reductions, softmax, [`parallel_map`] and [`parallel_chunks_mut`] (the
+//! elementwise maps) use it; `device.rs`'s unit tests pin the split.
+//!
+//! The kernels whose tasks write regions the split cannot cut — shared
+//! between tasks' parts or not contiguous — write through `SendPtr`, each
+//! with its invariant:
+//!
+//! - `ops::conv::conv2d_direct`: the padded copy of plane `p` (and, after
+//!   an image's last channel, its slack) is written by one task before any
+//!   task reads that image; a row band's stores cover output rows `r0..r1`
+//!   of one image in every channel plane, which no other band touches.
+//! - `ops::conv::conv2d_weight_grad`: image `bi`'s channels-last copy is
+//!   written by one task before it is read; a register block's stores
+//!   cover its filters' taps in image `bi`'s own slab of the partials.
+//! - `ops::matmul::gemm_packed`: a row band owns rows `r0..` of `C`, a
+//!   column band owns its columns of every row, and each microkernel tile
+//!   stays inside its band.
+//!
+//! `kernel_oracle` holds those kernels to their bit-exact references on
+//! both devices (`conv_parallel_planes_bit_identical`,
+//! `matmul_parallel_band_split_bit_identical`), `device_parity` holds every
+//! op to its serial bits under `Parallel(4)`, and `device_gradcheck` checks
+//! the conv gradients on both devices.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -104,10 +136,16 @@ pub fn with_device<T>(device: Device, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// A raw `*mut T` that may cross thread boundaries. Only for writes to
-/// provably disjoint regions inside this crate's kernels.
+/// A raw `*mut T` that may cross thread boundaries, for the kernels whose
+/// tasks write shared or non-contiguous regions [`for_each_part`] cannot
+/// cut (see the module docs for each site and its invariant).
 pub(crate) struct SendPtr<T = f32>(pub *mut T);
+// SAFETY: a `SendPtr` is only an address; every dereference is an `unsafe`
+// block in a kernel that proves its tasks' writes disjoint and in bounds
+// of a buffer that outlives the blocking dispatch.
 unsafe impl<T> Send for SendPtr<T> {}
+// SAFETY: as for `Send`: sharing the address between tasks races on
+// nothing unless two tasks write one element, which each kernel rules out.
 unsafe impl<T> Sync for SendPtr<T> {}
 impl<T> Clone for SendPtr<T> {
     fn clone(&self) -> Self {
@@ -351,20 +389,10 @@ pub fn parallel_for(tasks: usize, f: impl Fn(usize) + Sync) {
 /// order. The safe sibling of [`parallel_for`] for fan-out that produces a
 /// value per task (e.g. per-batch-sample gradients).
 pub fn parallel_map<T: Send>(tasks: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let mut out: Vec<std::mem::MaybeUninit<T>> = Vec::with_capacity(tasks);
-    out.resize_with(tasks, std::mem::MaybeUninit::uninit);
-    let base = SendPtr(out.as_mut_ptr());
-    let base = &base;
-    parallel_for(tasks, move |i| {
-        // SAFETY: each task writes exactly its own slot. If a task panics the
-        // dispatch drains and rethrows; initialised slots leak (MaybeUninit
-        // never drops), which is safe.
-        unsafe { base.0.add(i).write(std::mem::MaybeUninit::new(f(i))) };
-    });
-    // SAFETY: parallel_for returned normally, so every slot is initialised;
-    // MaybeUninit<T> has the same layout as T.
-    let mut out = std::mem::ManuallyDrop::new(out);
-    unsafe { Vec::from_raw_parts(out.as_mut_ptr() as *mut T, out.len(), out.capacity()) }
+    let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
+    for_each_part(&mut slots[..], 1, true, |i, slot| slot[0] = Some(f(i)));
+    // Collects in place, into the slots' own allocation.
+    slots.into_iter().map(|slot| slot.expect("every slot is filled")).collect()
 }
 
 /// Apply `f` to contiguous chunks of `out`, in parallel on the current
@@ -372,24 +400,99 @@ pub fn parallel_map<T: Send>(tasks: usize, f: impl Fn(usize) -> T + Sync) -> Vec
 /// itself. Chunks are at least `min_chunk` elements, so slices smaller
 /// than `2 * min_chunk` stay on the calling thread.
 pub fn parallel_chunks_mut(out: &mut [f32], min_chunk: usize, f: impl Fn(usize, &mut [f32]) + Sync) {
-    let ways = Device::current().threads();
-    let len = out.len();
-    if ways <= 1 || len < min_chunk.max(1) * 2 {
-        f(0, out);
-        return;
+    let (ways, len) = (Device::current().threads(), out.len());
+    let serial = ways <= 1 || len < min_chunk.max(1) * 2;
+    let chunk = if serial { len } else { len.div_ceil(ways).max(min_chunk) };
+    for_each_part(out, chunk, true, |i, part| f(i * chunk, part));
+}
+
+// ------------------------------------------------------------ the split
+
+/// An output buffer [`for_each_part`] cuts into per-task parts: one slice,
+/// or a value slice and its argmax cut in step. An empty second slice
+/// stays empty in every part, so one kernel body serves with and without
+/// an argmax.
+pub(crate) trait Parts: Default + Send {
+    /// Elements in the (first) buffer.
+    fn len(&self) -> usize;
+    /// The first `mid` elements, and the rest.
+    fn split_at(self, mid: usize) -> (Self, Self);
+}
+
+impl<T: Send> Parts for &mut [T] {
+    fn len(&self) -> usize {
+        <[T]>::len(self)
     }
-    let chunk = len.div_ceil(ways).max(min_chunk);
-    let chunks = len.div_ceil(chunk);
-    let base = SendPtr(out.as_mut_ptr());
-    let base = &base;
-    parallel_for(chunks, move |i| {
-        let start = i * chunk;
-        let end = ((i + 1) * chunk).min(len);
-        // SAFETY: chunk ranges are disjoint and in-bounds for `out`, which
-        // outlives the dispatch (parallel_for blocks until completion).
-        let part = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), end - start) };
-        f(start, part);
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        self.split_at_mut(mid)
+    }
+}
+
+impl<A: Send, B: Send> Parts for (&mut [A], &mut [B]) {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (a, b) = self;
+        assert!(b.is_empty() || b.len() == a.len(), "buffers split in step differ in length");
+        let (a0, a1) = a.split_at_mut(mid);
+        let (b0, b1) = b.split_at_mut(mid.min(b.len()));
+        ((a0, b0), (a1, b1))
+    }
+}
+
+/// Cut `buf` into `part_len`-element parts (the last may be shorter) and
+/// run `f(part_index, part)` on each, every part exactly once; an empty
+/// buffer visits nothing. With `parallel` false, on a one-way device, or
+/// with one part, the parts run in order on the calling thread. Otherwise
+/// they are dealt in exactly the contiguous ranges [`parallel_for`] deals
+/// `0..parts` in: each range runs on one thread, its parts in order.
+///
+/// This is how a kernel reaches a disjoint output from the pool: each task
+/// owns a `&mut` part, so no kernel needs a raw pointer for it.
+pub(crate) fn for_each_part<P: Parts>(
+    buf: P,
+    part_len: usize,
+    parallel: bool,
+    f: impl Fn(usize, P) + Sync,
+) {
+    assert!(part_len > 0 || buf.len() == 0, "a non-empty buffer needs a positive part length");
+    let parts = buf.len().div_ceil(part_len.max(1));
+    let ways = if parallel { Device::current().threads().min(parts) } else { 1 };
+    if ways <= 1 {
+        return run_parts(buf, part_len, 0, &f);
+    }
+    // `parallel_for(parts)`'s ranges, one dispatched task each: each task
+    // claims the next range from the front of the unclaimed tail.
+    let per_range = parts.div_ceil(ways);
+    let tail = Mutex::new((0, buf));
+    parallel_for(parts.div_ceil(per_range), |_| {
+        let (first, range) = {
+            let mut tail = lock(&tail);
+            let (first, rest) = std::mem::take(&mut *tail);
+            let len = rest.len();
+            let (range, after) = rest.split_at((per_range * part_len).min(len));
+            *tail = (first + per_range, after);
+            (first, range)
+        };
+        run_parts(range, part_len, first, &f);
     });
+}
+
+/// Run `f` on each `part_len` part of `buf` in order, numbering them from
+/// `first`.
+fn run_parts<P: Parts>(mut buf: P, part_len: usize, first: usize, f: &impl Fn(usize, P)) {
+    for index in first.. {
+        let len = buf.len();
+        if len == 0 {
+            return;
+        }
+        let (part, rest) = buf.split_at(part_len.min(len));
+        f(index, part);
+        buf = rest;
+    }
 }
 
 #[cfg(test)]
@@ -467,6 +570,129 @@ mod tests {
             });
             for (i, v) in data.iter().enumerate() {
                 assert_eq!(*v, i as f32);
+            }
+        });
+    }
+
+    /// The `(part index, part contents)` pairs `for_each_part` visits, in
+    /// index order, over a buffer holding `0..len`.
+    fn visits(len: usize, part_len: usize) -> Vec<(usize, Vec<usize>)> {
+        let mut buf: Vec<usize> = (0..len).collect();
+        let seen = Mutex::new(Vec::new());
+        for_each_part(&mut buf[..], part_len, true, |i, part| {
+            lock(&seen).push((i, part.to_vec()));
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort();
+        seen
+    }
+
+    #[test]
+    fn split_visits_every_part_once_with_its_slice() {
+        for device in [Device::Cpu, Device::Parallel(4)] {
+            with_device(device, || {
+                let seen = visits(10, 4);
+                let want = vec![(0, vec![0, 1, 2, 3]), (1, vec![4, 5, 6, 7]), (2, vec![8, 9])];
+                assert_eq!(seen, want, "{device:?}: the last part is shorter");
+                for (len, part_len) in [(1000, 1), (1000, 7), (64, 64), (65, 64)] {
+                    let seen = visits(len, part_len);
+                    assert_eq!(seen.len(), len.div_ceil(part_len));
+                    for (k, (i, part)) in seen.iter().enumerate() {
+                        let want: Vec<usize> = (k * part_len..((k + 1) * part_len).min(len)).collect();
+                        assert_eq!((*i, part), (k, &want), "{device:?} {len}/{part_len}");
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn split_of_an_empty_buffer_visits_nothing() {
+        with_device(Device::Parallel(4), || {
+            for part_len in [0, 1, 5] {
+                let hits = AtomicUsize::new(0);
+                for_each_part(&mut [0u8; 0][..], part_len, true, |_, _| {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                });
+                assert_eq!(hits.load(Ordering::Relaxed), 0);
+            }
+        });
+    }
+
+    #[test]
+    fn serial_split_runs_in_order_on_the_caller() {
+        with_device(Device::Parallel(4), || {
+            let caller = std::thread::current().id();
+            let order = Mutex::new(Vec::new());
+            for_each_part(&mut [0f32; 100][..], 3, false, |i, _| {
+                assert_eq!(std::thread::current().id(), caller);
+                lock(&order).push(i);
+            });
+            assert_eq!(order.into_inner().unwrap(), (0..34).collect::<Vec<_>>());
+        });
+    }
+
+    #[test]
+    fn two_buffers_split_in_step() {
+        for device in [Device::Cpu, Device::Parallel(4)] {
+            with_device(device, || {
+                let mut vals: Vec<f32> = (0..22).map(|v| v as f32).collect();
+                let mut args: Vec<usize> = (100..122).collect();
+                for_each_part((&mut vals[..], &mut args[..]), 5, true, |i, (v, a)| {
+                    assert_eq!(v.len(), a.len());
+                    assert_eq!(v.len(), if i == 4 { 2 } else { 5 });
+                    for (v, a) in v.iter_mut().zip(a.iter_mut()) {
+                        assert_eq!(*a, *v as usize + 100, "part {i} out of step");
+                        (*v, *a) = (-*v, i);
+                    }
+                });
+                assert!(vals.iter().enumerate().all(|(k, &v)| v == -(k as f32)));
+                assert!(args.iter().enumerate().all(|(k, &a)| a == k / 5));
+
+                // The no-argmax case: an empty second buffer stays empty.
+                let hits = AtomicUsize::new(0);
+                for_each_part((&mut vals[..], &mut [0usize; 0][..]), 5, true, |i, (v, a)| {
+                    assert!(a.is_empty());
+                    assert_eq!(v[0], -(5.0 * i as f32));
+                    hits.fetch_add(1, Ordering::Relaxed);
+                });
+                assert_eq!(hits.load(Ordering::Relaxed), 5);
+            });
+        }
+    }
+
+    /// Which thread ran each of `tasks` tasks under `parallel_for`, and
+    /// under `for_each_part` with one-element parts.
+    fn thread_per_task(tasks: usize) -> (Vec<std::thread::ThreadId>, Vec<std::thread::ThreadId>) {
+        let by_for = Mutex::new(vec![None; tasks]);
+        parallel_for(tasks, |i| lock(&by_for)[i] = Some(std::thread::current().id()));
+        let mut by_part = vec![None; tasks];
+        for_each_part(&mut by_part[..], 1, true, |_, slot| {
+            slot[0] = Some(std::thread::current().id());
+        });
+        let unwrap = |ids: Vec<Option<_>>| ids.into_iter().map(Option::unwrap).collect();
+        (unwrap(by_for.into_inner().unwrap()), unwrap(by_part))
+    }
+
+    #[test]
+    fn parallel_split_deals_parallel_for_ranges() {
+        with_device(Device::Parallel(4), || {
+            for tasks in [4usize, 9, 26, 103] {
+                let chunk = tasks.div_ceil(4);
+                let (by_for, by_part) = thread_per_task(tasks);
+                for ids in [&by_for, &by_part] {
+                    // Every range runs whole on one thread...
+                    for range in ids.chunks(chunk) {
+                        assert!(range.iter().all(|id| *id == range[0]), "{tasks}: {ids:?}");
+                    }
+                }
+                // ...and the split spreads them as widely as `parallel_for`
+                // did: a range only shares a thread when no worker was idle.
+                let distinct = |ids: &[std::thread::ThreadId]| {
+                    ids.iter().collect::<std::collections::HashSet<_>>().len()
+                };
+                assert!(distinct(&by_part) <= tasks.div_ceil(chunk));
+                assert!(distinct(&by_for) <= tasks.div_ceil(chunk));
             }
         });
     }

@@ -1,10 +1,11 @@
 //! Pooling kernels (NCHW).
 //!
-//! Every kernel here decomposes over the `B*C` image planes, which write
-//! disjoint regions of the output — so planes fan out over the device
-//! worker pool when the tensor clears [`PARALLEL_THRESHOLD`].
+//! Every kernel here decomposes over the `B*C` image planes, each owning
+//! one part of the output — so planes fan out over the device worker pool
+//! through `for_each_part` when the tensor clears [`PARALLEL_THRESHOLD`],
+//! and run the same body in order on the calling thread below it.
 
-use crate::device::{parallel_for, SendPtr, PARALLEL_THRESHOLD};
+use crate::device::{for_each_part, PARALLEL_THRESHOLD};
 use crate::ops::conv::conv_out_len;
 use crate::Tensor;
 
@@ -29,8 +30,8 @@ pub fn maxpool2d_values(input: &Tensor, kernel: usize, stride: usize) -> Tensor 
 
 /// The max-pool kernel behind both entry points: one window loop, with a
 /// 2×2 / stride-2 case that unrolls it. With `ARGMAX` it also fills
-/// `argmax` with each selected element's flat input index; without, no
-/// index is stored.
+/// `argmax` with each selected element's flat input index; without, the
+/// argmax stays empty and no index is stored.
 fn max_pool<const ARGMAX: bool>(
     input: &Tensor,
     kernel: usize,
@@ -47,22 +48,9 @@ fn max_pool<const ARGMAX: bool>(
     if ARGMAX {
         *argmax = vec![0; out.len()];
     }
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let arg_ptr = SendPtr(argmax.as_mut_ptr());
-    let plane = move |bc: usize| {
-        // Capture the whole SendPtr (not just its raw-pointer field) so the
-        // closure stays Sync under edition-2021 disjoint capture.
-        let (out_ptr, arg_ptr) = (out_ptr, arg_ptr);
+    let parallel = input.len() >= PARALLEL_THRESHOLD;
+    for_each_part((&mut out[..], &mut argmax[..]), oh * ow, parallel, |bc, (out, arg)| {
         let (base, img) = (bc * h * w, &src[bc * h * w..][..h * w]);
-        // SAFETY: plane `bc` owns output range [bc*oh*ow, (bc+1)*oh*ow).
-        let out = unsafe { std::slice::from_raw_parts_mut(out_ptr.0.add(bc * oh * ow), oh * ow) };
-        let arg = if ARGMAX {
-            // SAFETY: with `ARGMAX`, `argmax` holds one slot per output, and
-            // plane `bc` owns the same range of it.
-            unsafe { std::slice::from_raw_parts_mut(arg_ptr.0.add(bc * oh * ow), oh * ow) }
-        } else {
-            &mut []
-        };
         for (oi, out_row) in out.chunks_exact_mut(ow).enumerate() {
             let top = oi * stride * w;
             let arg_row = if ARGMAX { &mut arg[oi * ow..][..ow] } else { &mut [] };
@@ -94,12 +82,7 @@ fn max_pool<const ARGMAX: bool>(
                 }
             }
         }
-    };
-    if input.len() >= PARALLEL_THRESHOLD {
-        parallel_for(b * c, plane);
-    } else {
-        (0..b * c).for_each(plane);
-    }
+    });
     Tensor::from_vec(out, &[b, c, oh, ow])
 }
 
@@ -113,6 +96,10 @@ fn select(window: impl IntoIterator<Item = (f32, usize)>) -> (f32, usize) {
 }
 
 /// Scatter `grad` back through the argmax indices from [`maxpool2d`].
+///
+/// # Panics
+/// If an argmax index leaves the `(b, c)` image plane its gradient belongs
+/// to — [`maxpool2d`] never produces one.
 pub fn maxpool2d_backward(grad: &Tensor, argmax: &[usize], input_shape: &[usize]) -> Tensor {
     let _t = geotorch_telemetry::scope!("tensor.maxpool2d_bwd");
     assert_eq!(grad.len(), argmax.len(), "maxpool backward length mismatch");
@@ -121,29 +108,18 @@ pub fn maxpool2d_backward(grad: &Tensor, argmax: &[usize], input_shape: &[usize]
     let g = grad.as_slice();
     let planes = input_shape[0] * input_shape[1];
     let plane_out = grad.len() / planes.max(1);
-    if numel >= PARALLEL_THRESHOLD && planes > 1 && grad.len().is_multiple_of(planes) {
-        // Argmax indices always point inside their own `bc` image plane, so
-        // scattering plane-by-plane writes disjoint regions of `out`.
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        let plane_in = numel / planes;
-        parallel_for(planes, move |bc| {
-            let out_ptr = out_ptr;
-            let lo = bc * plane_in;
-            let hi = lo + plane_in;
-            for o in bc * plane_out..(bc + 1) * plane_out {
-                let idx = argmax[o];
-                // Real assert, not debug: argmax is caller-supplied, and an
-                // out-of-plane index would race with another worker.
-                assert!((lo..hi).contains(&idx), "argmax escaped its plane");
-                // SAFETY: `idx` lies in plane `bc`'s disjoint range.
-                unsafe { *out_ptr.0.add(idx) += g[o] };
-            }
-        });
-    } else {
-        for (gv, &idx) in g.iter().zip(argmax) {
-            out[idx] += gv;
+    assert_eq!(plane_out * planes, grad.len(), "maxpool backward grad must split into planes");
+    let plane_in = numel / planes.max(1);
+    for_each_part(&mut out[..], plane_in, numel >= PARALLEL_THRESHOLD, |bc, plane| {
+        let lo = bc * plane_in;
+        for o in bc * plane_out..(bc + 1) * plane_out {
+            let idx = argmax[o];
+            // Checked on both devices: an out-of-plane index is a caller
+            // bug that would otherwise add into another plane's gradient.
+            assert!((lo..lo + plane_in).contains(&idx), "argmax escaped its plane");
+            plane[idx - lo] += g[o];
         }
-    }
+    });
     Tensor::from_vec(out, input_shape)
 }
 
@@ -151,23 +127,16 @@ pub fn maxpool2d_backward(grad: &Tensor, argmax: &[usize], input_shape: &[usize]
 pub fn avgpool2d(input: &Tensor, kernel: usize, stride: usize) -> Tensor {
     let _t = geotorch_telemetry::scope!("tensor.avgpool2d");
     assert_eq!(input.ndim(), 4, "avgpool2d input must be [B,C,H,W]");
-    let (b, c, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
+    let &[b, c, h, w] = input.shape() else { unreachable!() };
     let oh = conv_out_len(h, kernel, stride, 0);
     let ow = conv_out_len(w, kernel, stride, 0);
     let inv = 1.0 / (kernel * kernel) as f32;
     let src = input.as_slice();
     let mut out = crate::pool::alloc_uninit(b * c * oh * ow);
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let plane = move |bc: usize| {
-        let out_ptr = out_ptr;
+    for_each_part(&mut out[..], oh * ow, input.len() >= PARALLEL_THRESHOLD, |bc, plane| {
         let img_base = bc * h * w;
-        for oi in 0..oh {
-            for oj in 0..ow {
+        for (oi, out_row) in plane.chunks_exact_mut(ow).enumerate() {
+            for (oj, o) in out_row.iter_mut().enumerate() {
                 let mut acc = 0.0;
                 for ki in 0..kernel {
                     let row = img_base + (oi * stride + ki) * w + oj * stride;
@@ -175,16 +144,10 @@ pub fn avgpool2d(input: &Tensor, kernel: usize, stride: usize) -> Tensor {
                         acc += src[row + kj];
                     }
                 }
-                // SAFETY: plane `bc` owns output range [bc*oh*ow, (bc+1)*oh*ow).
-                unsafe { *out_ptr.0.add((bc * oh + oi) * ow + oj) = acc * inv };
+                *o = acc * inv;
             }
         }
-    };
-    if input.len() >= PARALLEL_THRESHOLD {
-        parallel_for(b * c, plane);
-    } else {
-        (0..b * c).for_each(plane);
-    }
+    });
     Tensor::from_vec(out, &[b, c, oh, ow])
 }
 
@@ -196,39 +159,25 @@ pub fn avgpool2d_backward(
     input_shape: &[usize],
 ) -> Tensor {
     let _t = geotorch_telemetry::scope!("tensor.avgpool2d_bwd");
-    let (b, c, h, w) = (
-        input_shape[0],
-        input_shape[1],
-        input_shape[2],
-        input_shape[3],
-    );
+    let &[b, c, h, w] = input_shape else { panic!("avgpool2d_backward input must be [B,C,H,W]") };
     let (oh, ow) = (grad.shape()[2], grad.shape()[3]);
     let inv = 1.0 / (kernel * kernel) as f32;
     let g = grad.as_slice();
     let mut out = crate::pool::alloc_zeroed(b * c * h * w);
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let plane = move |bc: usize| {
-        let out_ptr = out_ptr;
-        let img_base = bc * h * w;
+    let parallel = out.len() >= PARALLEL_THRESHOLD;
+    for_each_part(&mut out[..], h * w, parallel, |bc, img| {
         for oi in 0..oh {
             for oj in 0..ow {
                 let gv = g[(bc * oh + oi) * ow + oj] * inv;
                 for ki in 0..kernel {
-                    let row = img_base + (oi * stride + ki) * w + oj * stride;
-                    for kj in 0..kernel {
-                        // SAFETY: all windows of plane `bc` lie inside its
-                        // disjoint image range [bc*h*w, (bc+1)*h*w).
-                        unsafe { *out_ptr.0.add(row + kj) += gv };
+                    let row = (oi * stride + ki) * w + oj * stride;
+                    for v in &mut img[row..row + kernel] {
+                        *v += gv;
                     }
                 }
             }
         }
-    };
-    if out.len() >= PARALLEL_THRESHOLD {
-        parallel_for(b * c, plane);
-    } else {
-        (0..b * c).for_each(plane);
-    }
+    });
     Tensor::from_vec(out, input_shape)
 }
 
@@ -236,28 +185,13 @@ pub fn avgpool2d_backward(
 pub fn global_avgpool2d(input: &Tensor) -> Tensor {
     let _t = geotorch_telemetry::scope!("tensor.global_avgpool2d");
     assert_eq!(input.ndim(), 4, "global_avgpool2d input must be [B,C,H,W]");
-    let (b, c, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
+    let &[b, c, h, w] = input.shape() else { unreachable!() };
     let inv = 1.0 / (h * w) as f32;
     let src = input.as_slice();
     let mut out = crate::pool::alloc_uninit(b * c);
-    if input.len() >= PARALLEL_THRESHOLD {
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        parallel_for(b * c, move |bc| {
-            let out_ptr = out_ptr;
-            let mean = src[bc * h * w..(bc + 1) * h * w].iter().sum::<f32>() * inv;
-            // SAFETY: each plane writes exactly its own `out[bc]` slot.
-            unsafe { *out_ptr.0.add(bc) = mean };
-        });
-    } else {
-        for (bc, o) in out.iter_mut().enumerate() {
-            *o = src[bc * h * w..(bc + 1) * h * w].iter().sum::<f32>() * inv;
-        }
-    }
+    for_each_part(&mut out[..], 1, input.len() >= PARALLEL_THRESHOLD, |bc, o| {
+        o[0] = src[bc * h * w..(bc + 1) * h * w].iter().sum::<f32>() * inv;
+    });
     Tensor::from_vec(out, &[b, c])
 }
 
@@ -294,6 +228,17 @@ mod tests {
         assert_eq!(back.at(&[0, 0, 3, 1]), 3.0);
         assert_eq!(back.at(&[0, 0, 3, 3]), 4.0);
         assert_eq!(back.sum(), 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "argmax escaped its plane")]
+    fn maxpool_backward_rejects_an_index_from_another_plane() {
+        // Small enough to stay serial: the plane check still runs.
+        let img = Tensor::arange(32).reshape(&[1, 2, 4, 4]);
+        let (_, mut argmax) = maxpool2d(&img, 2, 2);
+        argmax[0] = 16 + 5; // in bounds, but inside plane 1
+        let grad = Tensor::ones(&[1, 2, 2, 2]);
+        maxpool2d_backward(&grad, &argmax, &[1, 2, 4, 4]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! each chunk on the device worker pool, and combine the per-chunk partials
 //! in chunk order — so the parallel result is deterministic for a given
 //! length. Axis reductions fan out over the `outer` dimension instead, each
-//! task writing a disjoint row of the output.
+//! task owning a disjoint part of the output through `for_each_part`.
 //!
 //! Every axis-reduced element folds its values in ascending order from the
 //! initial value. When the trailing extent is narrow (a conv's bias
@@ -12,7 +12,7 @@
 //! by side, each in its own register: that changes which chains overlap,
 //! never a chain's order, so the bits are the sequential loop's.
 
-use crate::device::{parallel_for, SendPtr, PARALLEL_THRESHOLD};
+use crate::device::{for_each_part, PARALLEL_THRESHOLD};
 use crate::Tensor;
 
 /// Chunk length for parallel full-tensor reductions.
@@ -24,15 +24,10 @@ const ROWS: usize = 8;
 /// Reduce each `REDUCE_CHUNK`-sized chunk of `data` with `f` on the worker
 /// pool, returning the per-chunk partials in chunk order.
 fn chunk_partials(data: &[f32], f: impl Fn(&[f32]) -> f64 + Sync) -> Vec<f64> {
-    let chunks = data.len().div_ceil(REDUCE_CHUNK).max(1);
-    let mut out = vec![0.0f64; chunks];
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    parallel_for(chunks, move |i| {
-        let out_ptr = out_ptr;
+    let mut out = vec![0.0f64; data.len().div_ceil(REDUCE_CHUNK).max(1)];
+    for_each_part(&mut out[..], 1, true, |i, partial| {
         let lo = i * REDUCE_CHUNK;
-        let hi = (lo + REDUCE_CHUNK).min(data.len());
-        // SAFETY: each chunk writes exactly its own `out[i]` slot.
-        unsafe { *out_ptr.0.add(i) = f(&data[lo..hi]) };
+        partial[0] = f(&data[lo..(lo + REDUCE_CHUNK).min(data.len())]);
     });
     out
 }
@@ -175,18 +170,7 @@ impl Tensor {
             best
         };
         let mut out = vec![0usize; rows];
-        if data.len() >= PARALLEL_THRESHOLD && rows > 1 {
-            let out_ptr = SendPtr(out.as_mut_ptr());
-            parallel_for(rows, move |r| {
-                let out_ptr = out_ptr;
-                // SAFETY: each row writes exactly its own `out[r]` slot.
-                unsafe { *out_ptr.0.add(r) = row_best(r) };
-            });
-        } else {
-            for (r, o) in out.iter_mut().enumerate() {
-                *o = row_best(r);
-            }
-        }
+        for_each_part(&mut out[..], 1, data.len() >= PARALLEL_THRESHOLD, |r, o| o[0] = row_best(r));
         out
     }
 
@@ -208,13 +192,11 @@ impl Tensor {
         let inner: usize = shape[axis + 1..].iter().product();
         let data = self.as_slice();
         let mut out = crate::pool::alloc_filled(outer * inner, init);
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        let f = &f;
         // Narrow rows fold `ROWS` outer rows side by side, in registers: the
         // row-add loop would chain every add through one stored slot.
         let rows = if inner < ROWS { ROWS } else { 1 };
-        let task = move |t: usize| {
-            let (out_ptr, o0) = (out_ptr, t * rows);
+        for_each_part(&mut out[..], rows * inner, data.len() >= PARALLEL_THRESHOLD, |t, dst| {
+            let o0 = t * rows;
             if rows == ROWS && o0 + ROWS <= outer {
                 // One register accumulator per row, each folding its own
                 // row in ascending `k`: the one-row loop's order.
@@ -227,32 +209,21 @@ impl Tensor {
                             *a = f(*a, row[k * inner + j]);
                         }
                     }
-                    for (r, &a) in acc.iter().enumerate() {
-                        // SAFETY: task `t` owns output rows o0..o0+ROWS.
-                        unsafe { *out_ptr.0.add((o0 + r) * inner + j) = a };
+                    for (r, a) in acc.into_iter().enumerate() {
+                        dst[r * inner + j] = a;
                     }
                 }
                 return;
             }
-            for o in o0..(o0 + rows).min(outer) {
-                let (src_base, dst_base) = (o * n * inner, o * inner);
-                for k in 0..n {
-                    let row = &data[src_base + k * inner..src_base + (k + 1) * inner];
-                    for (j, &v) in row.iter().enumerate() {
-                        // SAFETY: task `t` owns output rows o0..o0+rows.
-                        unsafe {
-                            let d = out_ptr.0.add(dst_base + j);
-                            *d = f(*d, v);
-                        }
+            for (o, dst) in (o0..).zip(dst.chunks_exact_mut(inner)) {
+                let src = &data[o * n * inner..][..n * inner];
+                for row in src.chunks_exact(inner) {
+                    for (d, &v) in dst.iter_mut().zip(row) {
+                        *d = f(*d, v);
                     }
                 }
             }
-        };
-        if data.len() >= PARALLEL_THRESHOLD && outer > 1 {
-            parallel_for(outer.div_ceil(rows), task);
-        } else {
-            (0..outer.div_ceil(rows)).for_each(task);
-        }
+        });
         let mut out_shape = shape.to_vec();
         out_shape[axis] = 1;
         Tensor::from_vec(out, &out_shape)

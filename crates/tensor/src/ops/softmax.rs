@@ -1,10 +1,10 @@
 //! Row-wise softmax and log-softmax over the last axis.
 //!
-//! Each row writes a disjoint `cols`-wide slice of the output, so rows fan
-//! out over the device worker pool once the tensor clears
-//! [`PARALLEL_THRESHOLD`].
+//! Each row owns a disjoint `cols`-wide part of the output, so rows fan
+//! out over the device worker pool through `for_each_part` once the
+//! tensor clears [`PARALLEL_THRESHOLD`].
 
-use crate::device::{parallel_for, SendPtr, PARALLEL_THRESHOLD};
+use crate::device::{for_each_part, PARALLEL_THRESHOLD};
 use crate::Tensor;
 
 impl Tensor {
@@ -14,33 +14,22 @@ impl Tensor {
         assert!(self.ndim() >= 1, "softmax requires at least 1 axis");
         let cols = *self.shape().last().expect("non-empty shape");
         assert!(cols > 0, "softmax over empty axis");
-        let rows = self.len() / cols;
         let src = self.as_slice();
         let mut out = crate::pool::alloc_uninit(self.len());
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        let do_row = move |r: usize| {
-            let out_ptr = out_ptr;
+        for_each_part(&mut out[..], cols, self.len() >= PARALLEL_THRESHOLD, |r, dst| {
             let row = &src[r * cols..(r + 1) * cols];
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let mut sum = 0.0;
-            // SAFETY: row `r` owns output range [r*cols, (r+1)*cols).
-            unsafe {
-                for (j, &v) in row.iter().enumerate() {
-                    let e = (v - m).exp();
-                    *out_ptr.0.add(r * cols + j) = e;
-                    sum += e;
-                }
-                let inv = 1.0 / sum;
-                for j in 0..cols {
-                    *out_ptr.0.add(r * cols + j) *= inv;
-                }
+            for (d, &v) in dst.iter_mut().zip(row) {
+                let e = (v - m).exp();
+                *d = e;
+                sum += e;
             }
-        };
-        if self.len() >= PARALLEL_THRESHOLD && rows > 1 {
-            parallel_for(rows, do_row);
-        } else {
-            (0..rows).for_each(do_row);
-        }
+            let inv = 1.0 / sum;
+            for d in dst.iter_mut() {
+                *d *= inv;
+            }
+        });
         Tensor::from_vec(out, self.shape())
     }
 
@@ -48,25 +37,16 @@ impl Tensor {
     pub fn log_softmax_lastdim(&self) -> Tensor {
         let _t = geotorch_telemetry::scope!("tensor.log_softmax");
         let cols = *self.shape().last().expect("non-empty shape");
-        let rows = self.len() / cols;
         let src = self.as_slice();
         let mut out = crate::pool::alloc_uninit(self.len());
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        let do_row = move |r: usize| {
-            let out_ptr = out_ptr;
+        for_each_part(&mut out[..], cols, self.len() >= PARALLEL_THRESHOLD, |r, dst| {
             let row = &src[r * cols..(r + 1) * cols];
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let lse = m + row.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();
-            for (j, &v) in row.iter().enumerate() {
-                // SAFETY: row `r` owns output range [r*cols, (r+1)*cols).
-                unsafe { *out_ptr.0.add(r * cols + j) = v - lse };
+            for (d, &v) in dst.iter_mut().zip(row) {
+                *d = v - lse;
             }
-        };
-        if self.len() >= PARALLEL_THRESHOLD && rows > 1 {
-            parallel_for(rows, do_row);
-        } else {
-            (0..rows).for_each(do_row);
-        }
+        });
         Tensor::from_vec(out, self.shape())
     }
 }

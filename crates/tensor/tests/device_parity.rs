@@ -15,6 +15,7 @@ use geotorch_tensor::ops::conv::{
 use geotorch_tensor::ops::matmul::matmul_naive;
 use geotorch_tensor::ops::pool::{
     avgpool2d, avgpool2d_backward, global_avgpool2d, maxpool2d, maxpool2d_backward,
+    maxpool2d_values,
 };
 use geotorch_tensor::{with_device, Device, Tensor, PARALLEL_THRESHOLD};
 use proptest::prelude::*;
@@ -264,6 +265,30 @@ fn big_pool_parity() {
         avgpool2d_backward(&g, 2, 2, x.shape())
     });
     bit_equal("global_avgpool2d", || global_avgpool2d(&x));
+
+    // The general window path: kernel 3, stride 2, windows overlapping.
+    let (pooled, argmax) = maxpool2d(&x, 3, 2);
+    bit_equal("maxpool2d k3s2", || maxpool2d(&x, 3, 2).0);
+    let (_, argmax_par) = with_device(PAR, || maxpool2d(&x, 3, 2));
+    assert_eq!(argmax, argmax_par, "maxpool2d k3s2 argmax");
+    let g = rnd(pooled.shape(), 18);
+    bit_equal("maxpool2d_backward k3s2", || {
+        maxpool2d_backward(&g, &argmax, x.shape())
+    });
+    bit_equal("avgpool2d k3s2", || avgpool2d(&x, 3, 2));
+    bit_equal("avgpool2d_backward k3s2", || {
+        avgpool2d_backward(&g, 3, 2, x.shape())
+    });
+
+    // The argmax-free forward is the same kernel without the index store.
+    for (kernel, stride) in [(2, 2), (3, 2)] {
+        let (c, p) = on_both(|| {
+            (maxpool2d_values(&x, kernel, stride), maxpool2d(&x, kernel, stride).0)
+        });
+        for (values, full) in [c, p] {
+            assert_eq!(values.as_slice(), full.as_slice(), "maxpool2d_values k{kernel}s{stride}");
+        }
+    }
 }
 
 // -------------------------------------------------------------- shape ops

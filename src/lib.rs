@@ -149,7 +149,7 @@ pub mod raster {
 /// (`Trainer::fit_*_replicated`, `Trainer::fit_stream`).
 pub mod train {
     pub use geotorch_core::checkpoint;
-    pub use geotorch_nn::schedule::{clip_grad_norm, CosineLr, LrSchedule, StepLr};
+    pub use geotorch_nn::schedule::clip_grad_norm;
     pub use geotorch_core::metrics;
     pub use geotorch_core::trainer::grid_io;
     pub use geotorch_core::{
@@ -161,7 +161,7 @@ pub mod train {
 /// the HTTP front-end (`/predict/<model>`, `/healthz`, `/metrics`).
 pub mod serve {
     pub use geotorch_serve::{
-        run_mosaic, BatchConfig, ClassifierServe, GridServe, ModelClient, ModelWorker,
+        run_mosaic, BatchConfig, ClassifierServe, ModelClient, ModelWorker,
         MosaicStats, Registry, SegmenterServe, ServeConfig, ServeError, ServeModel, Server,
         TileConfig,
     };
