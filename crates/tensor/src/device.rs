@@ -23,7 +23,11 @@
 //!   ranges, *claims* idle workers with a lock-free flag, hands each one a
 //!   range, and runs the first range (plus any range it could not claim a
 //!   worker for) inline on the calling thread. Claimed workers are woken by
-//!   a condvar; dispatch cost is a wakeup, not a thread spawn.
+//!   a condvar; dispatch cost is a wakeup, not a thread spawn, and no heap
+//!   allocation: the ranges are computed, each worker gets its job as it
+//!   is claimed, and the completion count lives on the caller's stack,
+//!   which parks until the last job unparks it (`kernel_regression`'s
+//!   `parallel_dispatch_allocates_no_more_than_serial`).
 //! - **Nesting / deadlock freedom.** Claiming never blocks: if every worker
 //!   is busy (for example inside a nested `parallel_for`, or when several
 //!   trainer threads dispatch concurrently) the caller simply runs all
@@ -78,7 +82,7 @@
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Where tensor kernels execute.
@@ -170,40 +174,45 @@ struct Job {
     f: &'static (dyn Fn(usize) + Sync),
     start: usize,
     end: usize,
-    dispatch: Arc<Dispatch>,
+    /// Lifetime-erased too: it lives on the dispatching caller's stack,
+    /// which the caller does not leave before every job has finished.
+    dispatch: &'static Dispatch,
 }
 
-/// Per-dispatch completion accounting shared by caller and workers.
+/// Per-dispatch completion accounting shared by caller and workers, on
+/// the caller's stack: a dispatch allocates nothing.
 struct Dispatch {
-    remaining: Mutex<usize>,
-    done: Condvar,
+    /// Jobs handed to workers and not yet finished.
+    remaining: AtomicUsize,
+    /// The dispatching thread, unparked by the last job to finish.
+    caller: std::thread::Thread,
     panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
 }
 
 impl Dispatch {
-    fn new(jobs: usize) -> Self {
+    fn new() -> Self {
         Dispatch {
-            remaining: Mutex::new(jobs),
-            done: Condvar::new(),
+            remaining: AtomicUsize::new(0),
+            caller: std::thread::current(),
             panic: Mutex::new(None),
         }
     }
 
     fn finish_one(&self) {
-        let mut remaining = lock(&self.remaining);
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.done.notify_all();
+        // Once `remaining` reads 0 the caller may return and free the
+        // dispatch, so the handle is cloned first and nothing of `self` is
+        // touched after the decrement.
+        let caller = self.caller.clone();
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            caller.unpark();
         }
     }
 
+    /// Block until every job has finished (a park may wake spuriously, or
+    /// on a token an earlier dispatch's last job left: both re-check).
     fn wait(&self) {
-        let mut remaining = lock(&self.remaining);
-        while *remaining > 0 {
-            remaining = self
-                .done
-                .wait(remaining)
-                .unwrap_or_else(|e| e.into_inner());
+        while self.remaining.load(Ordering::Acquire) > 0 {
+            std::thread::park();
         }
     }
 }
@@ -272,13 +281,14 @@ fn pool() -> &'static Pool {
 
 impl Pool {
     /// Claim up to `want` idle workers, spawning new ones while under the
-    /// cap. Never blocks on busy workers — may return fewer than `want`
+    /// cap, handing each to `take` as it is claimed; returns how many.
+    /// Never blocks on busy workers — may claim fewer than `want`
     /// (including zero), in which case the caller runs those ranges inline.
-    fn claim(&self, want: usize) -> Vec<Arc<Worker>> {
-        let mut claimed = Vec::with_capacity(want);
+    fn claim(&self, want: usize, mut take: impl FnMut(&Worker)) -> usize {
+        let mut claimed = 0;
         let mut workers = lock(&self.workers);
         for worker in workers.iter() {
-            if claimed.len() == want {
+            if claimed == want {
                 break;
             }
             if worker
@@ -286,10 +296,11 @@ impl Pool {
                 .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok()
             {
-                claimed.push(Arc::clone(worker));
+                take(worker);
+                claimed += 1;
             }
         }
-        while claimed.len() < want && workers.len() < MAX_POOL_WORKERS {
+        while claimed < want && workers.len() < MAX_POOL_WORKERS {
             let worker = Arc::new(Worker {
                 claimed: AtomicBool::new(true),
                 slot: Mutex::new(None),
@@ -304,8 +315,9 @@ impl Pool {
                 .name(format!("geotorch-pool-{}", workers.len()))
                 .spawn(move || handle.run())
                 .expect("spawn pool worker");
-            workers.push(Arc::clone(&worker));
-            claimed.push(worker);
+            take(&worker);
+            workers.push(worker);
+            claimed += 1;
         }
         claimed
     }
@@ -327,39 +339,62 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// Fan `f` out over `ways` contiguous ranges of `0..tasks` using the pool.
 /// Blocks until every range has completed; panics from `f` (on any thread)
-/// are re-thrown here after the dispatch has fully drained.
+/// are re-thrown here after the dispatch has fully drained. No heap
+/// allocation: the ranges are computed, claimed workers take their jobs
+/// as they are claimed, and the completion count lives on this stack.
 fn pool_dispatch(tasks: usize, ways: usize, f: &(dyn Fn(usize) + Sync)) {
     let chunk = tasks.div_ceil(ways);
-    let ranges: Vec<(usize, usize)> = (0..ways)
-        .map(|t| (t * chunk, ((t + 1) * chunk).min(tasks)))
-        .filter(|(start, end)| start < end)
-        .collect();
+    let ranges = tasks.div_ceil(chunk);
+    let range = |t: usize| (t * chunk, ((t + 1) * chunk).min(tasks));
+    let dispatch = Dispatch::new();
+    // Waits for every handed-out job when dropped: on return, and on an
+    // unwind out of this function (a worker spawn failing midway through
+    // the claims), so no job outlives what it borrows.
+    struct Drain<'a>(&'a Dispatch);
+    impl Drop for Drain<'_> {
+        fn drop(&mut self) {
+            self.0.wait();
+        }
+    }
+    let drain = Drain(&dispatch);
+    // SAFETY: the erased references only live in `Job`s belonging to this
+    // dispatch, and `drain` keeps this function from returning or
+    // unwinding before every job has finished — `f` and `dispatch` outlive
+    // all use.
+    let (f_erased, dispatch_erased) = unsafe {
+        (
+            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f),
+            std::mem::transmute::<&Dispatch, &'static Dispatch>(&dispatch),
+        )
+    };
     // The caller always keeps the first range for itself, so a dispatch
-    // costs at most `ranges - 1` wakeups and zero thread spawns.
-    let workers = pool().claim(ranges.len() - 1);
-    let inline = ranges.len() - workers.len();
+    // costs at most `ranges - 1` wakeups and zero thread spawns. Workers
+    // take the last ranges, from the back.
+    let mut next = ranges;
+    let workers = pool().claim(ranges - 1, |worker| {
+        next -= 1;
+        let (start, end) = range(next);
+        // Relaxed: the count publishes nothing, and the job reaches its
+        // worker through the slot's mutex, after this increment. The
+        // worker's `AcqRel` decrement pairs with `wait`'s `Acquire` load,
+        // which is what makes the job's writes visible to the caller.
+        dispatch.remaining.fetch_add(1, Ordering::Relaxed);
+        let dispatch = dispatch_erased;
+        worker.submit(Job { f: f_erased, start, end, dispatch });
+    });
+    let inline = ranges - workers;
     geotorch_telemetry::count!("device.pool.dispatches", 1);
     geotorch_telemetry::count!("device.pool.tasks", tasks);
     // Ranges beyond the caller's own first range that found no idle worker
     // and fell back to inline execution.
     geotorch_telemetry::count!("device.pool.inline_fallbacks", inline.saturating_sub(1));
-    let dispatch = Arc::new(Dispatch::new(workers.len()));
-    // SAFETY: the erased closure reference only lives in `Job`s belonging
-    // to this dispatch, and this function does not return before `wait()`
-    // has observed every job finished — the borrow of `f` outlives all use.
-    let erased: &'static (dyn Fn(usize) + Sync) =
-        unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(f) };
-    for (worker, &(start, end)) in workers.iter().zip(&ranges[inline..]) {
-        worker.submit(Job { f: erased, start, end, dispatch: Arc::clone(&dispatch) });
-    }
     let inline_result = catch_unwind(AssertUnwindSafe(|| {
-        for &(start, end) in &ranges[..inline] {
-            for i in start..end {
-                f(i);
-            }
+        for t in 0..inline {
+            let (start, end) = range(t);
+            (start..end).for_each(f);
         }
     }));
-    dispatch.wait();
+    drop(drain);
     let worker_panic = lock(&dispatch.panic).take();
     if let Err(payload) = inline_result {
         resume_unwind(payload);

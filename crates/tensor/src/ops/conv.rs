@@ -1,25 +1,50 @@
 //! Convolution kernels: conv2d and its gradients, conv_transpose2d,
 //! im2col/col2im, upsampling. All image tensors are NCHW.
 //!
-//! One register-block kernel runs every convolution. [`conv2d`] is
-//! [`conv2d_direct`], the stride-1 conv; at stride `s` it keeps every
-//! `s`-th output row and column of it. [`conv2d_weight_grad`] shares the
-//! direct kernel's register block at every stride; at stride 1
-//! [`conv2d_input_grad`] is `conv2d` with flipped filters, and
-//! [`conv_transpose2d`] is `conv2d_input_grad` plus its bias.
+//! One register-block kernel runs every convolution. [`conv2d`] is the
+//! direct kernel of [`conv2d_direct`] over the kept output rows: at stride
+//! `s` it computes every `s`-th stride-1 row and keeps every `s`-th column
+//! of it. [`conv2d_weight_grad`] shares the direct kernel's register block
+//! at every stride; at stride 1 [`conv2d_input_grad`] is `conv2d` with
+//! flipped filters, and [`conv_transpose2d`] is `conv2d_input_grad` plus
+//! its bias.
+//!
+//! # Tiers
+//!
+//! The register block (`Block`) is one body, written over the detected
+//! tier's vector (`Vector`) and compiled under its target features:
+//!
+//! | tier | vector | registers | block shapes (channels × vectors) | strip |
+//! |---|---|---|---|---|
+//! | `avx512+fma` | 16 lanes | 32 | 6, 5, 4, 3 × 4; 2 × 4; 1 × 8 | 64 (1 × 8: 128) |
+//! | `avx+fma` | 8 lanes | 16 | 6, 5, 4 × 2; 3 × 3; 2 × 4; 1 × 8 | ≤ 64 |
+//! | `portable` | 8 floats | — | as `avx+fma`, multiply then add | ≤ 64 |
+//!
+//! A padded image's slack is the widest strip its bank runs.
+//!
+//! On the AVX-512 tier, against the parent's AVX+FMA kernels on the same
+//! host (2-vCPU Sapphire Rapids, µs per call, best of 30 per run, the
+//! minimum over eight alternating runs a side): UNet's 3→4 at 128² 114 →
+//! 54, 4→4 143 → 65, 12→4 332 → 173, 4→8 at 64² 67 → 33, 24→8 281 →
+//! 142, 16→16 at 32² 89 → 50; DeepSTN+'s batch-16 21×12 banks 16→16 387
+//! → 272, 6→16 181 → 131, 16→8 224 → 157, while the 16→2 head (two
+//! channels, load-bound on either width) reads 88 → 83.
+//!
+//! # What every tier computes
 //!
 //! The forward, like the reference `conv2d_naive`, starts an output
 //! element at its bias and adds its taps in `(c, ki, kj)` order,
-//! multiplying and adding as the detected microkernel tier does (fused on
-//! AVX+FMA). So it agrees with the unfused reference on exactly
+//! multiplying and adding as the detected tier does (fused on both AVX
+//! tiers). So it agrees with the unfused reference on exactly
 //! representable inputs, and an element's bits depend on its own window
-//! alone, not on its batch, the stride, the device or where its plane
-//! ends. A weight-gradient element is one chain over the plane per image,
-//! the images summed in batch order: the bits of summing
-//! `g_b.matmul_nt(&im2col(x_b))`.
+//! alone, not on its batch, the stride, the device, the tier's vector
+//! width or block shape, or where its plane ends. A weight-gradient
+//! element is one chain over the plane per image, the images summed in
+//! batch order: the bits of summing `g_b.matmul_nt(&im2col(x_b))`. The
+//! `tier_parity` tests below hold the two fused tiers to the same bits.
 
-#[cfg(target_arch = "x86_64")]
-use super::matmul::{simd, Simd};
+use super::matmul::{simd, Simd, Vector};
+use super::shape_ops::interleave;
 use crate::device::{parallel_for, Device, SendPtr, PARALLEL_THRESHOLD};
 use crate::Tensor;
 
@@ -124,9 +149,10 @@ pub fn col2im(
 /// 2-D convolution. `input [B,C,H,W]`, `weight [O,C,kh,kw]`,
 /// optional `bias [O]` → `[B,O,oh,ow]`.
 ///
-/// Runs [`conv2d_direct`]. At stride `s > 1` it keeps every `s`-th row and
-/// column of the stride-1 output: those are the strided outputs bit for
-/// bit, each its own window's chain from its bias.
+/// Runs the direct kernel of [`conv2d_direct`] over the kept output rows
+/// alone: at stride `s` it computes every `s`-th stride-1 row and keeps
+/// every `s`-th column of it. Those are the strided outputs bit for bit,
+/// each its own window's chain from its bias.
 pub fn conv2d(
     input: &Tensor,
     weight: &Tensor,
@@ -135,42 +161,40 @@ pub fn conv2d(
     pad: usize,
 ) -> Tensor {
     let _t = geotorch_telemetry::scope!("tensor.conv2d");
-    let (b, o, g) = Geom::of_conv(input, weight, bias, stride, pad);
-    let full = conv2d_direct(input, weight, bias, pad);
-    if stride == 1 {
-        return full;
-    }
-    let (src, fw) = (full.as_slice(), full.shape()[3]);
-    let mut out = crate::pool::alloc_uninit(b * o * g.plane());
-    for (dst, src) in out
-        .chunks_exact_mut(g.plane())
-        .zip(src.chunks_exact(full.shape()[2] * fw))
-    {
-        for (oi, row) in dst.chunks_exact_mut(g.ow).enumerate() {
-            let src = src[oi * stride * fw..].iter().step_by(stride);
-            row.iter_mut().zip(src).for_each(|(v, &s)| *v = s);
-        }
-    }
-    Tensor::from_vec(out, &[b, o, g.oh, g.ow])
+    on_tier!(direct(input, weight, bias, stride, pad))
 }
-
-/// Pixels in the widest strip of [`conv2d_direct`] (one output channel ×
-/// eight 8-lane vectors): the slack after each padded image.
-const STRIP: usize = 64;
 
 /// Direct stride-1 convolution, register-blocked. Each image is copied
 /// once into a zero-padded buffer; output pixels are then addressed in
 /// *padded-width* flat coordinates `q = oi·pw + oj`, in which tap `(c, ki,
 /// kj)` of every pixel is the padded image shifted by `c·ph·pw + ki·pw +
-/// kj`. A `Block` of up to six output channels × a strip of consecutive
-/// `q` stays in registers across all taps, and is written out row by row,
-/// dropping each row's `pw − ow` columns past its end. Tasks are images,
-/// or bands of output rows (`for_each_image`).
+/// kj`. A `Block` of output channels × a strip of consecutive `q` stays
+/// in registers across all taps, and is written out row by row, dropping
+/// each row's `pw − ow` columns past its end. Tasks are images, or bands
+/// of output rows (`for_each_image`).
 pub fn conv2d_direct(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, pad: usize) -> Tensor {
+    on_tier!(direct(input, weight, bias, 1, pad))
+}
+
+/// [`conv2d`] on tier `R`: the direct kernel over the kept rows at
+/// `stride`.
+fn direct<R: Tier>(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    stride: usize,
+    pad: usize,
+) -> Tensor {
     let _t = geotorch_telemetry::scope!("tensor.conv2d_direct");
-    let (b, o, g) = Geom::of_conv(input, weight, bias, 1, pad);
+    let (b, o, g) = Geom::of_conv(input, weight, bias, stride, pad);
     let ((ph, pw), taps) = (g.padded(), g.taps());
-    let (chan, image) = (ph * pw, g.c * ph * pw + STRIP);
+    // The slack after each padded image: the last strip reads up to a
+    // strip's width less one past the image's last tap. The widest strip
+    // this bank runs, not the tier's widest: a 1-channel block's strip
+    // would push DeepSTN+'s 6-channel batch past its pool size class.
+    let strip = |(_, ob): (usize, usize)| R::N * R::VECTORS[ob - 1];
+    let slack = channel_blocks::<R>(o).map(strip).max().unwrap_or(0);
+    let (chan, image) = (ph * pw, g.c * ph * pw + slack);
     let mut x = crate::pool::alloc_uninit(b * image);
     let mut out = crate::pool::alloc_uninit(b * o * g.plane());
     let src = input.as_slice();
@@ -178,7 +202,7 @@ pub fn conv2d_direct(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, pad
     // Pad plane `p` (channel `p % C` of image `p / C`), and after an
     // image's last channel zero its slack.
     let pad_plane = |p: usize| {
-        let len = chan + STRIP * usize::from((p + 1).is_multiple_of(g.c));
+        let len = chan + slack * usize::from((p + 1).is_multiple_of(g.c));
         let at = p / g.c * image + p % g.c * chan;
         debug_assert!(at + len <= b * image);
         // SAFETY: plane `p` and its image's slack lie in `x` and are
@@ -198,15 +222,17 @@ pub fn conv2d_direct(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, pad
         debug_assert!(bi < b);
         // SAFETY: image `bi` is padded and from here on only read.
         let x = unsafe { std::slice::from_raw_parts({ &x_ptr }.0.add(bi * image), image) };
-        for (oc0, ob) in channel_blocks(o) {
-            match ob {
-                1 => d.strips::<1, 8>(x, bi, oc0, rows),
-                2 => d.strips::<2, 4>(x, bi, oc0, rows),
-                3 => d.strips::<3, 3>(x, bi, oc0, rows),
-                4 => d.strips::<4, 2>(x, bi, oc0, rows),
-                5 => d.strips::<5, 2>(x, bi, oc0, rows),
-                _ => d.strips::<6, 2>(x, bi, oc0, rows),
-            }
+        for (oc0, ob) in channel_blocks::<R>(o) {
+            R::with_shape(
+                ob,
+                Strips {
+                    d: &d,
+                    x,
+                    bi,
+                    oc0,
+                    rows,
+                },
+            );
         }
     });
     crate::pool::release(x);
@@ -223,40 +249,76 @@ struct Direct<'a> {
     out: SendPtr<f32>,
 }
 
-impl Direct<'_> {
-    /// Output channels `oc0..oc0 + OB` of image `bi` (padded as `x`), output
-    /// rows `r0..r1`: strips of `8·V` padded-width positions, each written
-    /// out row by row — its pixels `q` with `q % pw < ow`.
-    fn strips<const OB: usize, const V: usize>(
-        &self,
-        x: &[f32],
-        bi: usize,
-        oc0: usize,
-        (r0, r1): (usize, usize),
-    ) {
-        let ((g, (ph, pw)), ow) = ((self.g, self.g.padded()), self.g.ow);
-        let (taps, end) = (g.taps(), (r1 - 1) * pw + ow);
-        let block = Block::<OB, V, true>::new(
+/// One register block's share of a direct conv: output channels `oc0..`
+/// of image `bi` (padded as `x`), output rows `rows`.
+struct Strips<'a> {
+    d: &'a Direct<'a>,
+    x: &'a [f32],
+    bi: usize,
+    oc0: usize,
+    rows: (usize, usize),
+}
+
+impl Shaped for Strips<'_> {
+    /// Strips of `N·V` padded-width positions over the stride-1 rows the
+    /// output keeps: a band's rows as one run at stride 1, each kept row
+    /// (every `s`-th, from its first kept column to its last) as its own
+    /// run at stride `s`. Each strip is written out row by row, the
+    /// positions `q` whose row and column are multiples of `s` and whose
+    /// column is at most `(ow − 1)·s`.
+    fn run<R: Tier, const OB: usize, const V: usize>(self) {
+        let Strips {
+            d,
+            x,
+            bi,
+            oc0,
+            rows: (r0, r1),
+        } = self;
+        let ((g, (ph, pw)), (s, width)) = ((d.g, d.g.padded()), (d.g.stride, R::N * V));
+        let (taps, span) = (g.taps(), (g.ow - 1) * s + 1);
+        let (step, end) = (if s == 1 { r1 - r0 } else { 1 }, (r1 - 1) * s * pw + span);
+        let runs = (r0..r1).step_by(step).map(|r| {
+            let at = r * s * pw;
+            (at, if s == 1 { end } else { at + span })
+        });
+        let block = Block::<R, OB, V, true>::new(
             x,
             [(g.c, ph * pw), (g.kh, pw), (g.kw, 1)],
-            std::array::from_fn(|v| 8 * v),
-            std::array::from_fn(|r| &self.wt[(oc0 + r) * taps..][..taps]),
-            std::array::from_fn(|r| self.bias.map_or(0.0, |b| b[oc0 + r])),
+            std::array::from_fn(|v| R::N * v),
+            std::array::from_fn(|r| &d.wt[(oc0 + r) * taps..][..taps]),
+            std::array::from_fn(|r| d.bias.map_or(0.0, |b| b[oc0 + r])),
         );
-        block.run((r0 * pw..end).step_by(8 * V), |q0, acc| {
-            let (mut q, stop) = (q0, (q0 + 8 * V).min(end));
+        let bases = runs.flat_map(|(at, stop)| (at..stop).step_by(width));
+        block.run(bases, |q0, acc| {
+            let (mut q, stop) = (q0, (q0 + width).min(end));
             while q < stop {
-                let (oi, oj) = (q / pw, q % pw);
-                let n = (pw - oj).min(stop - q);
-                if oj < ow {
-                    debug_assert!(oi < g.oh && oc0 + OB <= self.o);
+                let (i, j) = (q / pw, q % pw);
+                let n = (pw - j).min(stop - q);
+                // Row `i`'s positions `j..j + n` keep, as output row `oi`,
+                // its columns `oj..oj + cols`: every one at stride 1 (no
+                // division, which a strip's write-out would feel).
+                let kept = if s == 1 {
+                    (j < g.ow).then(|| (i, j, n.min(g.ow - j)))
+                } else {
+                    let (oj, last) = (j.div_ceil(s), (j + n).min(span).div_ceil(s));
+                    (i % s == 0 && j < span).then(|| (i / s, oj, last - oj))
+                };
+                if let Some((oi, oj, cols)) = kept {
+                    debug_assert!(oi < g.oh && oj + cols <= g.ow && oc0 + OB <= d.o);
                     for (ob, a) in acc.iter().enumerate() {
-                        let at = ((bi * self.o + oc0 + ob) * g.oh + oi) * ow + oj;
+                        let at = ((bi * d.o + oc0 + ob) * g.oh + oi) * g.ow + oj;
+                        let lanes = &R::flat(a)[q - q0 + oj * s - j..];
+                        debug_assert!((cols - 1) * s < lanes.len());
                         // SAFETY: row `oi` of this image's planes belongs to
-                        // this task alone, and `oj + n.min(ow − oj) ≤ ow`.
+                        // this task alone, and `oj + cols ≤ ow`.
                         unsafe {
-                            let src = a.as_flattened()[q - q0..].as_ptr();
-                            std::ptr::copy_nonoverlapping(src, self.out.0.add(at), n.min(ow - oj));
+                            let dst = d.out.0.add(at);
+                            if s == 1 {
+                                std::ptr::copy_nonoverlapping(lanes.as_ptr(), dst, cols);
+                            } else {
+                                let kept = lanes.iter().step_by(s).take(cols);
+                                kept.enumerate().for_each(|(c, &v)| *dst.add(c) = v);
+                            }
                         }
                     }
                 }
@@ -266,39 +328,177 @@ impl Direct<'_> {
     }
 }
 
-/// The output-channel blocks `(oc0, width)` of an `o`-filter bank: sixes,
-/// then the rest, a last seven or eight going 4 + 3 or 4 + 4. A block of
-/// `ob` channels holds [`block_vectors`]`(ob)` vectors.
-fn channel_blocks(o: usize) -> impl Iterator<Item = (usize, usize)> {
-    let mut oc0 = 0;
+/// A kernel generic over its register block's shape: `OB` output
+/// channels (filters) × `V` vectors of `R`. [`Tier::with_shape`] picks
+/// the shape for a block's width from the tier's table.
+trait Shaped {
+    fn run<R: Tier, const OB: usize, const V: usize>(self);
+}
+
+/// The output-channel blocks `(oc0, width)` of an `o`-filter bank on tier
+/// `R`: blocks of the table's widest (six), then the rest, a last seven
+/// or eight going 4 + 3 or 4 + 4. A block of `ob` channels holds
+/// `R::VECTORS[ob − 1]` vectors.
+fn channel_blocks<R: Tier>(o: usize) -> impl Iterator<Item = (usize, usize)> {
+    let (mut oc0, most) = (0, R::channels());
     std::iter::from_fn(move || {
-        let ob = match o - oc0 {
-            0 => return None,
-            7 | 8 => 4,
-            rest => rest.min(6),
+        let rest = o - oc0;
+        let ob = if rest == 0 {
+            return None;
+        } else if rest > most && rest <= most + 2 {
+            rest.div_ceil(2)
+        } else {
+            rest.min(most)
         };
         oc0 += ob;
         Some((oc0 - ob, ob))
     })
 }
 
-/// Vectors of 8 lanes a register block of `ob` output channels holds, in
-/// both kernels: 6, 5 or 4 × 2, 3 × 3, 2 × 4, 1 × 8, so at most 12
-/// accumulators and 15 of the 16 AVX registers (four channels × three
-/// vectors need all 16 and spill).
-fn block_vectors(ob: usize) -> usize {
-    [8, 4, 3, 2, 2, 2][ob - 1]
+/// A tier's register blocks: its [`Vector`], its table of block shapes,
+/// and [`Block::chains`] — the one kernel body — compiled under its
+/// target features by [`Tier::run`]. Every tier gives an accumulator the
+/// same chain, so the two fused tiers agree bit for bit.
+trait Tier: Vector {
+    /// A block of `ob` output channels holds `VECTORS[ob − 1]` vectors (0:
+    /// no block that wide).
+    const VECTORS: [usize; 8];
+
+    /// Run `f` on the shape the table gives a block of `ob` channels.
+    fn with_shape(ob: usize, f: impl Shaped);
+
+    /// The widest block's channels.
+    fn channels() -> usize {
+        Self::VECTORS
+            .iter()
+            .rposition(|&v| v > 0)
+            .map_or(1, |i| i + 1)
+    }
+
+    /// Whether this CPU runs the tier (std caches the detection).
+    fn supported() -> bool;
+
+    /// [`Block::chains`] compiled for this tier.
+    ///
+    /// # Safety
+    /// The CPU supports the tier.
+    unsafe fn run<const OB: usize, const V: usize, const DENSE: bool>(
+        block: &Block<'_, Self, OB, V, DENSE>,
+        bases: impl Iterator<Item = usize>,
+        emit: impl FnMut(usize, &Acc<Self, OB, V>),
+    );
+}
+
+/// A register block's accumulators: `OB` rows × `V` vectors of `R`.
+type Acc<R, const OB: usize, const V: usize> = [[<R as Vector>::Array; V]; OB];
+
+/// Run `$f::<R>(args)` with `R` the detected tier's [`Vector`].
+macro_rules! on_tier {
+    ($f:ident($($arg:expr),* $(,)?)) => {
+        match simd() {
+            #[cfg(target_arch = "x86_64")]
+            Simd::Avx512 => $f::<std::arch::x86_64::__m512>($($arg),*),
+            #[cfg(target_arch = "x86_64")]
+            Simd::Fma => $f::<std::arch::x86_64::__m256>($($arg),*),
+            _ => $f::<[f32; 8]>($($arg),*),
+        }
+    };
+}
+use on_tier;
+
+/// A tier's table of register-block shapes, `channels => vectors`: its
+/// `VECTORS`, and a `with_shape` that instantiates those shapes alone.
+macro_rules! shapes {
+    ($($ob:literal => $v:literal),* $(,)?) => {
+        const VECTORS: [usize; 8] = {
+            let mut table = [0; 8];
+            $(table[$ob - 1] = $v;)*
+            table
+        };
+
+        fn with_shape(ob: usize, f: impl Shaped) {
+            match ob {
+                $($ob => f.run::<Self, $ob, $v>(),)*
+                _ => unreachable!("no register block of {ob} channels"),
+            }
+        }
+    };
+}
+
+/// The portable tier: the FMA tier's table, multiplied, then added.
+impl Tier for [f32; 8] {
+    shapes!(1 => 8, 2 => 4, 3 => 3, 4 => 2, 5 => 2, 6 => 2);
+
+    fn supported() -> bool {
+        true
+    }
+
+    unsafe fn run<const OB: usize, const V: usize, const DENSE: bool>(
+        block: &Block<'_, Self, OB, V, DENSE>,
+        bases: impl Iterator<Item = usize>,
+        emit: impl FnMut(usize, &Acc<Self, OB, V>),
+    ) {
+        // SAFETY: the portable tier runs on any CPU.
+        unsafe { block.chains(bases, emit) }
+    }
+}
+
+/// The AVX+FMA tier, 16 registers: blocks of up to 12 accumulators — 6, 5
+/// or 4 channels × 2 vectors, 3 × 3, 2 × 4, 1 × 8 (four channels × three
+/// vectors need all 16 registers and spill).
+#[cfg(target_arch = "x86_64")]
+impl Tier for std::arch::x86_64::__m256 {
+    shapes!(1 => 8, 2 => 4, 3 => 3, 4 => 2, 5 => 2, 6 => 2);
+
+    fn supported() -> bool {
+        is_x86_feature_detected!("avx") && is_x86_feature_detected!("fma")
+    }
+
+    #[target_feature(enable = "avx,fma")]
+    unsafe fn run<const OB: usize, const V: usize, const DENSE: bool>(
+        block: &Block<'_, Self, OB, V, DENSE>,
+        bases: impl Iterator<Item = usize>,
+        emit: impl FnMut(usize, &Acc<Self, OB, V>),
+    ) {
+        // SAFETY: compiled with AVX and FMA, which the caller detected.
+        unsafe { block.chains(bases, emit) }
+    }
+}
+
+/// The AVX-512 tier, 32 registers: 6, 5, 4 or 3 channels × 4 vectors (24
+/// to 12 accumulators), 2 × 4, 1 × 8. Measured against the FMA tier's
+/// shapes in zmm (6 × 2 …): four vectors a channel won at every UNet and
+/// DeepSTN+ bank, and six (96-position strips) lost to their waste on
+/// small planes; two channels × six or eight vectors, and four × six
+/// (31 of 32 registers), ran 1.5–3× slower (DESIGN §11).
+#[cfg(target_arch = "x86_64")]
+impl Tier for std::arch::x86_64::__m512 {
+    shapes!(1 => 8, 2 => 4, 3 => 4, 4 => 4, 5 => 4, 6 => 4);
+
+    fn supported() -> bool {
+        std::arch::x86_64::__m256::supported() && is_x86_feature_detected!("avx512f")
+    }
+
+    #[target_feature(enable = "avx,fma,avx512f")]
+    unsafe fn run<const OB: usize, const V: usize, const DENSE: bool>(
+        block: &Block<'_, Self, OB, V, DENSE>,
+        bases: impl Iterator<Item = usize>,
+        emit: impl FnMut(usize, &Acc<Self, OB, V>),
+    ) {
+        // SAFETY: compiled with AVX-512F, which the caller detected.
+        unsafe { block.chains(bases, emit) }
+    }
 }
 
 /// One register block's multiply-add chains, the arithmetic of both
 /// [`conv2d_direct`] and [`conv2d_weight_grad`]: accumulator `(r, v)`, of
-/// `OB` scalar rows × `V` vectors of 8 lanes, starts at `init[r]` and adds
-/// `rows[r][i] · x[at + offs[v]..][..8]` for each step `i` in order. The
+/// `OB` scalar rows × `V` vectors of `R`, starts at `init[r]` and adds
+/// `rows[r][i] · x[at + offs[v]..][..N]` for each step `i` in order. The
 /// steps are three nested loops: with `walk = [(n0, s0), (n1, s1), (n2,
 /// s2)]`, step `(a, b, j)` has origin `at = base + a·s0 + b·s1 + j·s2`.
-/// `DENSE` blocks (the direct kernel's) have `offs[v] = 8·v` and `s2 = 1`,
+/// `DENSE` blocks (the direct kernel's) have `offs[v] = N·v` and `s2 = 1`,
 /// which the compiler then folds into each load's address.
-struct Block<'a, const OB: usize, const V: usize, const DENSE: bool> {
+struct Block<'a, R, const OB: usize, const V: usize, const DENSE: bool> {
     x: &'a [f32],
     walk: [(usize, usize); 3],
     offs: [usize; V],
@@ -306,9 +506,10 @@ struct Block<'a, const OB: usize, const V: usize, const DENSE: bool> {
     init: [f32; OB],
     /// How far past its base the block reads `x` (0 if it has no step).
     reach: usize,
+    tier: std::marker::PhantomData<R>,
 }
 
-impl<'a, const OB: usize, const V: usize, const DENSE: bool> Block<'a, OB, V, DENSE> {
+impl<'a, R: Tier, const OB: usize, const V: usize, const DENSE: bool> Block<'a, R, OB, V, DENSE> {
     /// Panics if a row holds fewer scalars than there are steps.
     fn new(
         x: &'a [f32],
@@ -317,13 +518,13 @@ impl<'a, const OB: usize, const V: usize, const DENSE: bool> Block<'a, OB, V, DE
         rows: [&'a [f32]; OB],
         init: [f32; OB],
     ) -> Self {
-        let dense = offs.iter().enumerate().all(|(v, &off)| off == 8 * v) && walk[2].1 == 1;
+        let dense = offs.iter().enumerate().all(|(v, &off)| off == R::N * v) && walk[2].1 == 1;
         assert!(dense || !DENSE, "a dense block's vectors are consecutive");
         let steps: usize = walk.iter().map(|&(n, _)| n).product();
         let rows_hold_steps = rows.iter().all(|r| r.len() >= steps);
         assert!(rows_hold_steps, "register block row too short");
         let last: usize = walk.iter().map(|&(n, s)| n.saturating_sub(1) * s).sum();
-        let far = offs.iter().max().map_or(0, |&off| off + 8);
+        let far = offs.iter().max().map_or(0, |&off| off + R::N);
         let reach = if steps == 0 { 0 } else { last + far };
         Block {
             x,
@@ -332,33 +533,17 @@ impl<'a, const OB: usize, const V: usize, const DENSE: bool> Block<'a, OB, V, DE
             rows,
             init,
             reach,
+            tier: std::marker::PhantomData,
         }
     }
 
     /// The chains from each of `bases` in turn, multiplied and added as the
-    /// GEMM microkernel's tier does, each base's accumulators handed to
-    /// `emit`: one call for all. Panics if a step would read past `x`.
-    fn run(&self, bases: impl Iterator<Item = usize>, mut emit: impl FnMut(usize, &Lanes<OB, V>)) {
-        #[cfg(target_arch = "x86_64")]
-        if simd() == Simd::Fma {
-            // SAFETY: AVX and FMA were detected at runtime.
-            return unsafe { self.run_fma(bases, emit) };
-        }
-        let off = |v: usize| if DENSE { 8 * v } else { self.offs[v] };
-        for base in bases {
-            self.check(base);
-            let mut acc = self.init.map(|w| [[w; 8]; V]);
-            self.for_each_step(base, |i, at| {
-                for (a, row) in acc.iter_mut().zip(&self.rows) {
-                    for (v, lanes) in a.iter_mut().enumerate() {
-                        for (v, &s) in lanes.iter_mut().zip(&self.x[at + off(v)..][..8]) {
-                            *v += row[i] * s;
-                        }
-                    }
-                }
-            });
-            emit(base, &acc);
-        }
+    /// tier does, each base's accumulators handed to `emit`: one call for
+    /// all. Panics if a step would read past `x`.
+    fn run(&self, bases: impl Iterator<Item = usize>, emit: impl FnMut(usize, &Acc<R, OB, V>)) {
+        assert!(R::supported(), "register block on a tier this CPU lacks");
+        // SAFETY: the CPU supports the tier (asserted above).
+        unsafe { R::run(self, bases, emit) }
     }
 
     /// Panics unless every read from `base` lies in `x`.
@@ -368,76 +553,98 @@ impl<'a, const OB: usize, const V: usize, const DENSE: bool> Block<'a, OB, V, DE
         assert!(fits, "register block reads past its input");
     }
 
-    /// Call `f(i, at)` for each step `i` in order, `at` its origin.
+    /// The chains in registers, the one body of every tier: per step, a
+    /// load per vector, a broadcast per row and, per accumulator,
+    /// `madd(s, x, acc)`. The steps are a plain loop nest around an
+    /// always-inlined step, so the accumulators never leave registers.
+    ///
+    /// # Safety
+    /// The CPU supports `R`'s tier, and the caller is compiled with its
+    /// target features (`Vector::run`).
     #[inline(always)]
-    fn for_each_step(&self, base: usize, mut f: impl FnMut(usize, usize)) {
-        let [(n0, s0), (n1, s1), (n, stride)] = self.walk;
-        let (stride, mut i) = (if DENSE { 1 } else { stride }, 0);
-        for a in 0..n0 {
-            for b in 0..n1 {
-                let at = base + a * s0 + b * s1;
-                if n == 3 {
-                    // A 3×3 kernel row, unrolled: a loop of three would
-                    // spend as much on its own bookkeeping as on one step.
-                    f(i, at);
-                    f(i + 1, at + stride);
-                    f(i + 2, at + 2 * stride);
-                } else {
-                    (0..n).for_each(|j| f(i + j, at + j * stride));
-                }
-                i += n;
-            }
-        }
-    }
-
-    /// The chains in AVX registers: per step, a load per vector, a
-    /// broadcast per row and, per accumulator, `_mm256_fmadd_ps(s, x,
-    /// acc)`. Safety: the CPU supports AVX and FMA.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx,fma")]
-    unsafe fn run_fma(
+    unsafe fn chains(
         &self,
         bases: impl Iterator<Item = usize>,
-        mut emit: impl FnMut(usize, &Lanes<OB, V>),
+        mut emit: impl FnMut(usize, &Acc<R, OB, V>),
     ) {
-        use std::arch::x86_64::*;
-        let rows = self.rows.map(|row| row.as_ptr());
-        // Vector `v`'s offset from a step's origin.
-        let off = |v: usize| if DENSE { 8 * v } else { self.offs[v] };
+        let [(n0, s0), (n1, s1), (n, stride)] = self.walk;
+        let stride = if DENSE { 1 } else { stride };
+        // Hoisted out of the steps: thin row pointers and the offsets.
+        let (rows, offs) = (self.rows.map(|row| row.as_ptr()), self.offs);
         for base in bases {
             self.check(base);
-            let mut acc = [[_mm256_setzero_ps(); V]; OB];
-            for (a, &w) in acc.iter_mut().zip(&self.init) {
-                *a = [_mm256_set1_ps(w); V];
-            }
-            self.for_each_step(base, |i, at| {
-                debug_assert!((0..V).all(|v| at + off(v) + 8 <= self.x.len()));
-                debug_assert!(self.rows.iter().all(|row| i < row.len()));
-                // SAFETY: `check` found `base` plus the farthest step origin
-                // and vector (`reach`) inside `x`, and `new` that every row
-                // holds a scalar per step.
-                let src = self.x.as_ptr().add(at);
-                let xs: [__m256; V] = std::array::from_fn(|v| _mm256_loadu_ps(src.add(off(v))));
-                for (a, row) in acc.iter_mut().zip(&rows) {
-                    let s = _mm256_broadcast_ss(&*row.add(i));
-                    for (av, &xv) in a.iter_mut().zip(&xs) {
-                        *av = _mm256_fmadd_ps(s, xv, *av);
+            // SAFETY: the tier is supported (the caller's contract).
+            let mut acc = self.init.map(|w| [unsafe { R::splat(w) }; V]);
+            let mut i = 0;
+            for a in 0..n0 {
+                for b in 0..n1 {
+                    let at = base + a * s0 + b * s1;
+                    let hoisted = (&rows, &offs);
+                    if n == 3 {
+                        // A 3×3 kernel row, unrolled: a loop of three would
+                        // spend as much on its own bookkeeping as on one step.
+                        // SAFETY: the tier is supported, `check` found `base`
+                        // plus the farthest step origin and vector (`reach`)
+                        // inside `x`, and `new` that every row holds a scalar
+                        // per step.
+                        unsafe {
+                            self.step(&mut acc, hoisted, i, at);
+                            self.step(&mut acc, hoisted, i + 1, at + stride);
+                            self.step(&mut acc, hoisted, i + 2, at + 2 * stride);
+                        }
+                    } else {
+                        for j in 0..n {
+                            // SAFETY: as for the unrolled row.
+                            unsafe { self.step(&mut acc, hoisted, i + j, at + j * stride) };
+                        }
                     }
-                }
-            });
-            let mut lanes = [[[0.0; 8]; V]; OB];
-            for (dst, a) in lanes.iter_mut().zip(&acc) {
-                for (d, &v) in dst.iter_mut().zip(a) {
-                    _mm256_storeu_ps(d.as_mut_ptr(), v);
+                    i += n;
                 }
             }
+            // By value: a borrow of `acc` here can keep it in memory,
+            // stored after every step.
+            let lanes = acc.map(|a| {
+                a.map(|v| {
+                    let mut lanes = R::Array::default();
+                    // SAFETY: the tier is supported; `lanes` holds `N` floats.
+                    unsafe { v.store(lanes.as_mut().as_mut_ptr()) };
+                    lanes
+                })
+            });
             emit(base, &lanes);
         }
     }
-}
 
-/// A register block's accumulators: `OB` rows × `V` vectors of 8 lanes.
-type Lanes<const OB: usize, const V: usize> = [[[f32; 8]; V]; OB];
+    /// Step `i` of every chain, its vectors read from origin `at`.
+    ///
+    /// # Safety
+    /// As [`Block::chains`], with every read from `at` inside `x` and `i`
+    /// inside every row.
+    #[inline(always)]
+    unsafe fn step(
+        &self,
+        acc: &mut [[R; V]; OB],
+        (rows, offs): (&[*const f32; OB], &[usize; V]),
+        i: usize,
+        at: usize,
+    ) {
+        // Vector `v`'s offset from a step's origin.
+        let off = |v: usize| if DENSE { R::N * v } else { offs[v] };
+        debug_assert!((0..V).all(|v| at + off(v) + R::N <= self.x.len()));
+        debug_assert!(self.rows.iter().all(|row| i < row.len()));
+        // SAFETY: the caller's contract.
+        unsafe {
+            let src = self.x.as_ptr().add(at);
+            let xs: [R; V] = std::array::from_fn(|v| R::load(src.add(off(v))));
+            for (a, row) in acc.iter_mut().zip(rows) {
+                let s = R::splat(*row.add(i));
+                for (av, &xv) in a.iter_mut().zip(&xs) {
+                    *av = R::madd(s, xv, *av);
+                }
+            }
+        }
+    }
+}
 
 /// The shape of one conv: image extent, kernel, stride, zero padding
 /// and the output plane it produces.
@@ -537,9 +744,14 @@ impl Geom {
 
     /// Copy one `[C, h, w]` image into `dst` zero-padded and channels-last
     /// — pixel `(y, x)` of the `ph × pw` padded plane holds its `C`
-    /// channels from `(y·pw + x)·C` — and zero the rest of `dst`.
+    /// channels from `(y·pw + x)·C` — and zero the rest of `dst`. Each
+    /// image row is a `C × w` transpose: eight channels at a time as one
+    /// `interleave` block (eight source rows streamed in step, each pixel's
+    /// eight channels one contiguous store), the last `C mod 8` one
+    /// channel at a time.
     fn pad_channels_last(&self, src: &[f32], dst: &mut [f32]) {
         let ((_, pw), (c, pad, w)) = (self.padded(), (self.c, self.pad, self.w));
+        let (plane, c8) = (self.h * w, c / 8 * 8);
         let (head, body) = dst.split_at_mut(pad * pw * c);
         head.fill(0.0);
         let (body, tail) = body.split_at_mut(self.h * pw * c);
@@ -549,7 +761,10 @@ impl Geom {
             let (inner, right) = rest.split_at_mut(w * c);
             left.fill(0.0);
             right.fill(0.0);
-            for (ch, plane) in src.chunks_exact(self.h * w).enumerate() {
+            for c0 in (0..c8).step_by(8) {
+                interleave::<8>(&src[c0 * plane + i * w..], plane, 8, w, &mut inner[c0..], c);
+            }
+            for (ch, plane) in src.chunks_exact(plane).enumerate().skip(c8) {
                 for (px, &v) in inner.chunks_exact_mut(c).zip(&plane[i * w..][..w]) {
                     px[ch] = v;
                 }
@@ -618,15 +833,26 @@ pub fn conv2d_weight_grad(
     pad: usize,
 ) -> Tensor {
     let _t = geotorch_telemetry::scope!("tensor.conv2d_weight_grad");
+    on_tier!(weight_grad(input, grad, kernel, stride, pad))
+}
+
+/// [`conv2d_weight_grad`] on tier `R`.
+fn weight_grad<R: Tier>(
+    input: &Tensor,
+    grad: &Tensor,
+    kernel: (usize, usize),
+    stride: usize,
+    pad: usize,
+) -> Tensor {
     let (b, o) = (grad.shape()[0], grad.shape()[1]);
     let g = Geom::new(input, kernel.0, kernel.1, stride, pad);
     let expected = [input.shape()[0], o, g.oh, g.ow];
     assert_eq!(grad.shape(), &expected, "conv2d grad shape mismatch");
     let ((ph, pw), taps, run) = (g.padded(), g.taps(), g.kw * g.c);
     // The channels-last image, then slack for the last window's last
-    // vector, which reads up to 7 floats past its row's taps.
-    let image = ph * pw * g.c + 8;
-    let n = g.kh * run.div_ceil(8);
+    // vector, which reads up to `N − 1` floats past its row's taps.
+    let image = ph * pw * g.c + R::N;
+    let n = g.kh * run.div_ceil(R::N);
     let mut x = crate::pool::alloc_uninit(b * image);
     let mut parts = crate::pool::alloc_uninit(b * o * taps);
     let (src, x_ptr) = (input.as_slice(), SendPtr(x.as_mut_ptr()));
@@ -645,8 +871,8 @@ pub fn conv2d_weight_grad(
     };
     // Register blocks: filters `oc0..oc0 + ob` × window vectors from `j0`.
     let blocks = || {
-        let vectors = |ob| (0..n).step_by(block_vectors(ob));
-        channel_blocks(o).flat_map(move |(oc0, ob)| vectors(ob).map(move |j0| (oc0, ob, j0)))
+        let vectors = |ob: usize| (0..n).step_by(R::VECTORS[ob - 1]);
+        channel_blocks::<R>(o).flat_map(move |(oc0, ob)| vectors(ob).map(move |j0| (oc0, ob, j0)))
     };
     let flops = 2 * b * o * taps * g.plane();
     let (units, copy) = (blocks().count(), b * image);
@@ -655,14 +881,16 @@ pub fn conv2d_weight_grad(
         // SAFETY: image `bi` is copied and from here on only read.
         let x = unsafe { std::slice::from_raw_parts({ &x_ptr }.0.add(bi * image), image) };
         for (oc0, ob, j0) in blocks().skip(u0).take(u1 - u0) {
-            match ob {
-                1 => wg.store::<1, 8>(x, bi, oc0, j0),
-                2 => wg.store::<2, 4>(x, bi, oc0, j0),
-                3 => wg.store::<3, 3>(x, bi, oc0, j0),
-                4 => wg.store::<4, 2>(x, bi, oc0, j0),
-                5 => wg.store::<5, 2>(x, bi, oc0, j0),
-                _ => wg.store::<6, 2>(x, bi, oc0, j0),
-            }
+            R::with_shape(
+                ob,
+                Window {
+                    wg: &wg,
+                    x,
+                    bi,
+                    oc0,
+                    j0,
+                },
+            );
         }
     });
     crate::pool::release(x);
@@ -695,39 +923,51 @@ struct WeightGrad<'a> {
     parts: SendPtr<f32>,
 }
 
-impl WeightGrad<'_> {
-    /// Filters `oc0..oc0 + OB` × window vectors `j0..j0 + V` of image `bi`
-    /// (channels-last `x`), each chain from `+0` a step per output pixel
-    /// (the window's origin moves `stride·C` along an output row), stored
-    /// into the image's slab. Past the window's last vector the block
-    /// repeats it and drops the copy.
-    fn store<const OB: usize, const V: usize>(&self, x: &[f32], bi: usize, oc0: usize, j0: usize) {
-        let (g, (_, pw)) = (self.g, self.g.padded());
+/// One register block of a weight gradient: filters `oc0..` × the window
+/// vectors from `j0` of image `bi` (channels-last `x`).
+struct Window<'a> {
+    wg: &'a WeightGrad<'a>,
+    x: &'a [f32],
+    bi: usize,
+    oc0: usize,
+    j0: usize,
+}
+
+impl Shaped for Window<'_> {
+    /// Filters `oc0..oc0 + OB` × window vectors `j0..j0 + V`, each chain
+    /// from `+0` a step per output pixel (the window's origin moves
+    /// `stride·C` along an output row), stored into image `bi`'s slab.
+    /// Past the window's last vector the block repeats it and drops the
+    /// copy.
+    fn run<R: Tier, const OB: usize, const V: usize>(self) {
+        let Window { wg, x, bi, oc0, j0 } = self;
+        let (g, (_, pw)) = (wg.g, wg.g.padded());
         let (plane, taps, run) = (g.plane(), g.taps(), g.kw * g.c);
-        let (nv, n) = (run.div_ceil(8), g.kh * run.div_ceil(8));
+        let (nv, n) = (run.div_ceil(R::N), g.kh * run.div_ceil(R::N));
         // Vector `j` of a window: kernel row `j / nv`, taps `r0..` of it.
-        let at = |j: usize| (j / nv, j % nv * 8);
-        let block = Block::<OB, V, false>::new(
+        let at = |j: usize| (j / nv, j % nv * R::N);
+        let block = Block::<R, OB, V, false>::new(
             x,
             [(1, 0), (g.oh, g.stride * pw * g.c), (g.ow, g.stride * g.c)],
             std::array::from_fn(|v| at((j0 + v).min(n - 1))).map(|(ki, r0)| ki * pw * g.c + r0),
-            std::array::from_fn(|r| &self.grad[(bi * self.o + oc0 + r) * plane..][..plane]),
+            std::array::from_fn(|r| &wg.grad[(bi * wg.o + oc0 + r) * plane..][..plane]),
             [0.0; OB],
         );
         block.run(std::iter::once(0), |_, acc| {
             for (r, a) in acc.iter().enumerate() {
-                for (j, vals) in (j0..n).zip(a) {
+                let lanes = R::flat(a);
+                for (j, vals) in (j0..n).zip(lanes.chunks_exact(R::N)) {
                     let (ki, r0) = at(j);
                     let (dst, live) = (
-                        (bi * self.o + oc0 + r) * taps + ki * run + r0,
-                        (run - r0).min(8),
+                        (bi * wg.o + oc0 + r) * taps + ki * run + r0,
+                        (run - r0).min(R::N),
                     );
-                    debug_assert!(oc0 + r < self.o && ki * run + r0 + live <= taps);
+                    debug_assert!(oc0 + r < wg.o && ki * run + r0 + live <= taps);
                     // SAFETY: `oc0 + r < O` and the `live` taps from `r0` lie in
                     // kernel row `ki` of that filter's row of image `bi`'s slab in
                     // `parts`, written by this block alone.
                     unsafe {
-                        std::ptr::copy_nonoverlapping(vals.as_ptr(), self.parts.0.add(dst), live)
+                        std::ptr::copy_nonoverlapping(vals.as_ptr(), wg.parts.0.add(dst), live)
                     };
                 }
             }
@@ -1068,6 +1308,41 @@ mod tests {
         assert!((lhs - rhs).abs() < 1e-2, "adjoint mismatch: {lhs} vs {rhs}");
     }
 
+    /// The blocked channels-last copy equals the scalar stride-`C`
+    /// scatter it replaced, bit for bit and in its zeroed halo and slack:
+    /// channel counts below, at and past one 8-channel block, odd widths,
+    /// pads 0–2.
+    #[test]
+    fn pad_channels_last_equals_the_scalar_scatter() {
+        let scatter = |g: &Geom, src: &[f32], dst: &mut [f32]| {
+            let (pw, c) = (g.padded().1, g.c);
+            dst.fill(0.0);
+            for (ch, plane) in src.chunks_exact(g.h * g.w).enumerate() {
+                for (i, row) in plane.chunks_exact(g.w).enumerate() {
+                    for (x, &v) in row.iter().enumerate() {
+                        dst[((g.pad + i) * pw + g.pad + x) * c + ch] = v;
+                    }
+                }
+            }
+        };
+        let mut rng = rng();
+        for c in [1, 2, 3, 6, 8, 16, 17] {
+            for (h, w) in [(1, 1), (3, 5), (7, 9), (21, 12), (4, 17)] {
+                for pad in 0..=2 {
+                    let x = Tensor::rand_uniform(&[1, c, h, w], -1.0, 1.0, &mut rng);
+                    let g = Geom::new(&x, 3.min(h + 2 * pad), 3.min(w + 2 * pad), 1, pad);
+                    let (ph, pw) = g.padded();
+                    let (mut want, mut got) =
+                        (vec![0.0; ph * pw * c + 8], vec![f32::NAN; ph * pw * c + 8]);
+                    scatter(&g, x.as_slice(), &mut want);
+                    g.pad_channels_last(x.as_slice(), &mut got);
+                    let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "C={c} {h}x{w} pad {pad}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn upsample_nearest_values() {
         let img = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
@@ -1089,5 +1364,154 @@ mod tests {
         let back = upsample_nearest2d_backward(&y, 2);
         let rhs = x.flatten().dot(&back.flatten());
         assert!((lhs - rhs).abs() < 1e-3);
+    }
+
+    /// The AVX+FMA and AVX-512 instances of the one register-block body
+    /// give every output the same bits: each accumulator is the same
+    /// chain on both tiers, whatever the vector width and the table.
+    #[cfg(target_arch = "x86_64")]
+    mod tier_parity {
+        use super::super::*;
+        use std::arch::x86_64::{__m256, __m512};
+
+        /// Why these tests cannot run here, if they cannot.
+        fn skip() -> Option<&'static str> {
+            match (__m256::supported(), __m512::supported()) {
+                (_, true) => None,
+                (false, _) => Some("the host has no AVX+FMA"),
+                (true, false) => Some("the host has no AVX-512F"),
+            }
+        }
+
+        fn data(n: usize, seed: u64) -> Vec<f32> {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+        }
+
+        fn bits(v: &[f32]) -> Vec<u32> {
+            v.iter().map(|v| v.to_bits()).collect()
+        }
+
+        /// Every chain of one block run from `bases`, lanes in position
+        /// order: `VY` 8-lane vectors on AVX+FMA, `VZ = VY / 2` 16-lane
+        /// ones on AVX-512 — the same positions.
+        fn both<const OB: usize, const VY: usize, const VZ: usize, const DENSE: bool>(
+            x: &[f32],
+            walk: [(usize, usize); 3],
+            offs: [usize; VZ],
+            rows: [&[f32]; OB],
+            init: [f32; OB],
+            bases: &[usize],
+        ) -> (Vec<u32>, Vec<u32>) {
+            assert_eq!(VY, 2 * VZ);
+            let offs_y = std::array::from_fn(|v| offs[v / 2] + v % 2 * 8);
+            let (mut y, mut z) = (Vec::new(), Vec::new());
+            let ymm = Block::<__m256, OB, VY, DENSE>::new(x, walk, offs_y, rows, init);
+            ymm.run(bases.iter().copied(), |_, acc| {
+                acc.iter().for_each(|a| y.extend(bits(__m256::flat(a))))
+            });
+            let zmm = Block::<__m512, OB, VZ, DENSE>::new(x, walk, offs, rows, init);
+            zmm.run(bases.iter().copied(), |_, acc| {
+                acc.iter().for_each(|a| z.extend(bits(__m512::flat(a))))
+            });
+            (y, z)
+        }
+
+        /// One block shape, dense (a direct conv's: taps `(c, ki, kj)` of
+        /// a `c × 7 × 11` padded image, 3×3 and 1×1) and windowed (a
+        /// weight gradient's: vectors anywhere in a window, a step per
+        /// pixel), from ragged bases — a last strip ending anywhere.
+        fn shape<const OB: usize, const VY: usize, const VZ: usize>(seed: u64) {
+            let (c, ph, pw) = (3, 7, 11);
+            let x = data(c * ph * pw + 16 * VZ + 64, seed);
+            let w = data(OB * c * 9, seed + 1);
+            let rows: [&[f32]; OB] = std::array::from_fn(|r| &w[r * c * 9..][..c * 9]);
+            let init = std::array::from_fn(|r| w[r] - 0.5);
+            let dense_offs = std::array::from_fn(|v| 16 * v);
+            for (kh, kw, bases) in [(3, 3, &[0, 1, 5, 23, 29][..]), (1, 1, &[0, 7, 60][..])] {
+                let walk = [(c, ph * pw), (kh, pw), (kw, 1)];
+                let (y, z) = both::<OB, VY, VZ, true>(&x, walk, dense_offs, rows, init, bases);
+                assert_eq!(y, z, "{OB} x {VZ} zmm dense {kh}x{kw}");
+            }
+            let offs = std::array::from_fn(|v| [0, 3, 21, 5, 40, 9, 13, 2][v % 8]);
+            let walk = [(1, 0), (4, 2 * pw), (5, 3)];
+            let (y, z) = both::<OB, VY, VZ, false>(&x, walk, offs, rows, [0.0; OB], &[0, 2]);
+            assert_eq!(y, z, "{OB} x {VZ} zmm windowed");
+        }
+
+        #[test]
+        fn every_block_shape_runs_the_same_chains_on_both_tiers() {
+            if let Some(reason) = skip() {
+                eprintln!("skipping tier parity: {reason}");
+                return;
+            }
+            // Every AVX-512 table shape, the 1 × 1 block, and the AVX+FMA
+            // table's shapes at an even width.
+            shape::<1, 2, 1>(1);
+            shape::<1, 16, 8>(2);
+            shape::<2, 8, 4>(3);
+            shape::<3, 8, 4>(4);
+            shape::<4, 8, 4>(5);
+            shape::<5, 8, 4>(6);
+            shape::<6, 8, 4>(7);
+            shape::<6, 4, 2>(8);
+            shape::<4, 4, 2>(9);
+            shape::<2, 4, 2>(10);
+        }
+
+        /// Whole convolutions on each tier's table: every channel split
+        /// of both tables (1–17, 24, 32 filters) on the oracle's planes,
+        /// ragged and 1-wide, 3×3 at pads 0–2, 5×5, the 1×1 and strides
+        /// 2 and 3; and their weight gradients, whose windows are `kw·C`
+        /// taps long in 8- or 16-lane vectors.
+        #[test]
+        fn direct_conv_and_weight_grad_equal_on_both_tiers() {
+            if let Some(reason) = skip() {
+                eprintln!("skipping tier parity: {reason}");
+                return;
+            }
+            let planes = [
+                (2, 5, 1),
+                (1, 7, 5),
+                (2, 9, 13),
+                (3, 21, 12),
+                (1, 16, 12),
+                (1, 8, 8),
+            ];
+            let widths = (1..=17).chain([24, 32]);
+            let banks = widths.flat_map(|o| [1, 2, 6, 17].map(|c| (c, o, 3, 1, 1)));
+            let kernels = [
+                (3, 4, 3, 1, 0),
+                (2, 5, 3, 1, 2),
+                (3, 3, 5, 1, 2),
+                (5, 7, 1, 1, 0),
+            ];
+            let strided = [(4, 6, 3, 2, 1), (3, 5, 1, 2, 0), (3, 4, 5, 3, 2)];
+            let shapes = banks.chain(kernels).chain(strided);
+            for (case, (c, o, k, s, pad)) in shapes.enumerate() {
+                for (pi, &(b, h, w)) in planes.iter().enumerate() {
+                    if h + 2 * pad < k || w + 2 * pad < k {
+                        continue;
+                    }
+                    let seed = (case * planes.len() + pi) as u64 * 4;
+                    let x = Tensor::from_vec(data(b * c * h * w, seed), &[b, c, h, w]);
+                    let wt = Tensor::from_vec(data(o * c * k * k, seed + 1), &[o, c, k, k]);
+                    let bias = Tensor::from_vec(data(o, seed + 2), &[o]);
+                    let (y, z) = (
+                        direct::<__m256>(&x, &wt, Some(&bias), s, pad),
+                        direct::<__m512>(&x, &wt, Some(&bias), s, pad),
+                    );
+                    let at = format!("{b}x{c}->{o} at {h}x{w} k={k} s={s} pad={pad}");
+                    assert_eq!(bits(y.as_slice()), bits(z.as_slice()), "forward {at}");
+                    let g = Tensor::from_vec(data(y.len(), seed + 3), y.shape());
+                    let (y, z) = (
+                        weight_grad::<__m256>(&x, &g, (k, k), s, pad),
+                        weight_grad::<__m512>(&x, &g, (k, k), s, pad),
+                    );
+                    assert_eq!(bits(y.as_slice()), bits(z.as_slice()), "weight grad {at}");
+                }
+            }
+        }
     }
 }

@@ -46,7 +46,9 @@ use geotorch_tensor::ops::conv::{
     col2im, conv2d, conv2d_direct, conv2d_input_grad, conv2d_naive, conv2d_weight_grad,
     conv_transpose2d, im2col, upsample_nearest2d, upsample_nearest2d_backward,
 };
-use geotorch_tensor::ops::matmul::{matmul_naive, simd_kernel_name, KC, MC, MR, NC, NR};
+use geotorch_tensor::ops::matmul::{
+    matmul_naive, simd_kernel_fuses, simd_kernel_name, KC, MC, MR, NC, NR,
+};
 use geotorch_tensor::ops::pool::{maxpool2d, maxpool2d_values};
 use geotorch_tensor::{pool, with_device, Device, Tensor};
 use proptest::prelude::*;
@@ -531,10 +533,10 @@ fn conv_one_by_one_implicit_gemm_bit_identical() {
 }
 
 /// One multiply-add chain from `init` over `terms` in order, fused exactly
-/// when the GEMM microkernel fuses (the `avx+fma` tier): the arithmetic of
-/// every conv output element and of every weight-gradient slab element.
+/// when the detected tier fuses (both AVX tiers): the arithmetic of every
+/// conv output element and of every weight-gradient slab element.
 fn chain(init: f32, terms: impl IntoIterator<Item = (f32, f32)>) -> f32 {
-    let fused = simd_kernel_name() == "avx+fma";
+    let fused = simd_kernel_fuses();
     terms.into_iter().fold(init, |acc, (a, b)| {
         if fused {
             a.mul_add(b, acc)

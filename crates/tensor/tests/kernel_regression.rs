@@ -20,7 +20,7 @@
 //! CI runs this file with `--release`.
 
 use geotorch_tensor::ops::conv::{conv2d, conv2d_input_grad, conv2d_weight_grad};
-use geotorch_tensor::ops::matmul::{matmul_naive, simd_kernel_name};
+use geotorch_tensor::ops::matmul::{matmul_naive, simd_kernel_fuses, simd_kernel_name};
 use geotorch_tensor::{pool, with_device, Device, Tensor};
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -84,10 +84,11 @@ const CONV_SCRATCH_MISS_BUDGET: u64 = 4;
 const CONV_STEP_HEAP_ALLOCS: u64 = 40;
 
 /// Heap allocations one steady-state stride-2 conv makes on the calling
-/// thread: two per tensor it builds — the stride-1 output it keeps every
-/// second row and column of, and its own output. Scratch taken from the
-/// heap per image or per panel pack adds to it (a mask table per pack
-/// made 18 at batch 16 and 6 at batch 1).
+/// thread: two per tensor it builds. It measures 2 — its output alone,
+/// since the kernel computes only the kept rows — where keeping every
+/// second row and column of a whole stride-1 output made 4. Scratch taken
+/// from the heap per image or per panel pack adds to it (a mask table per
+/// pack made 18 at batch 16 and 6 at batch 1).
 const STRIDED_CONV_HEAP_ALLOCS: u64 = 4;
 
 /// Minimum parallel-over-serial speedup at 768³ when ≥ 4 cores exist.
@@ -179,7 +180,8 @@ fn blocked_matmul_is_at_least_3x_naive_at_512() {
     });
     let speedup = naive / blocked;
     eprintln!(
-        "matmul 512: blocked {:.2} ms, naive {:.2} ms → {speedup:.1}x (gate {MIN_SPEEDUP_VS_NAIVE}x)",
+        "matmul 512 on {}: blocked {:.2} ms, naive {:.2} ms → {speedup:.1}x (gate {MIN_SPEEDUP_VS_NAIVE}x)",
+        simd_kernel_name(),
         blocked * 1e3,
         naive * 1e3
     );
@@ -215,8 +217,9 @@ fn conv3x3_reaches_a_fixed_share_of_the_matmul_rate() {
     let matmul_gflops = 2.0 * 512f64.powi(3) / matmul / 1e9;
     let share = conv_gflops / matmul_gflops;
     eprintln!(
-        "conv3x3 16x16x21x12: {conv_gflops:.1} GFLOP/s, matmul 512: {matmul_gflops:.1} GFLOP/s \
-         → {share:.2} (gate {MIN_CONV_SHARE_OF_MATMUL})"
+        "conv3x3 16x16x21x12 on {}: {conv_gflops:.1} GFLOP/s, matmul 512: {matmul_gflops:.1} GFLOP/s \
+         → {share:.2} (gate {MIN_CONV_SHARE_OF_MATMUL})",
+        simd_kernel_name()
     );
     assert!(
         share >= MIN_CONV_SHARE_OF_MATMUL,
@@ -268,9 +271,10 @@ fn conv_backward_and_small_heads_keep_pace_with_the_forward() {
     );
     let matmul_gflops = 2.0 * 512f64.powi(3) / matmul / 1e9;
     eprintln!(
-        "16x16x21x12: forward {fwd:.1} GFLOP/s, weight grad {wgrad:.1} ({:.2} of the 512³ matmul's \
+        "16x16x21x12 on {}: forward {fwd:.1} GFLOP/s, weight grad {wgrad:.1} ({:.2} of the 512³ matmul's \
          {matmul_gflops:.1}, gate {MIN_WEIGHT_GRAD_SHARE_OF_MATMUL}); 16->2 head {head:.1} ({:.2} of \
          the forward, gate {MIN_HEAD_SHARE_OF_WIDE_CONV})",
+        simd_kernel_name(),
         wgrad / matmul_gflops,
         head / fwd
     );
@@ -294,8 +298,8 @@ fn small_batch_dense_layer_reads_its_weights_in_place() {
         eprintln!("skipping timed dense-layer gate: {reason}");
         return;
     }
-    if simd_kernel_name() != "avx+fma" {
-        eprintln!("skipping timed dense-layer gate: the pack-free kernel is AVX+FMA only");
+    if !simd_kernel_fuses() {
+        eprintln!("skipping timed dense-layer gate: the pack-free kernel needs a fused tier");
         return;
     }
     let _serial = serial();
@@ -315,7 +319,8 @@ fn small_batch_dense_layer_reads_its_weights_in_place() {
     }
     let share = b1 / b6;
     eprintln!(
-        "fc1 128x2048: batch 1 {:.1} µs, batch 6 {:.1} µs → {share:.2} (gate ≤ {MAX_FC1_B1_SHARE_OF_B6})",
+        "fc1 128x2048 on {}: batch 1 {:.1} µs, batch 6 {:.1} µs → {share:.2} (gate ≤ {MAX_FC1_B1_SHARE_OF_B6})",
+        simd_kernel_name(),
         b1 * 1e6,
         b6 * 1e6
     );
@@ -432,6 +437,45 @@ fn strided_conv_scratch_stays_off_the_heap() {
             8 * STRIDED_CONV_HEAP_ALLOCS
         );
     }
+}
+
+/// A parallel dispatch allocates nothing: a fanned-out kernel makes no
+/// more heap allocations on its caller than the same kernel on one
+/// thread. A dispatch once made three (its ranges, its claimed workers
+/// and its completion count).
+#[test]
+fn parallel_dispatch_allocates_no_more_than_serial() {
+    let _serial = serial();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(47);
+    // 131,072 elements: past `PARALLEL_THRESHOLD`, so `Parallel(2)` fans out.
+    let x = Tensor::rand_uniform(&[8, 4, 64, 64], -1.0, 1.0, &mut rng);
+    let was_enabled = geotorch_telemetry::enabled();
+    geotorch_telemetry::set_enabled(true);
+    let heap = |device| {
+        with_device(device, || {
+            for _ in 0..4 {
+                std::hint::black_box(x.relu());
+            }
+            let (heap, tasks) = (heap_allocs(), pool_tasks());
+            for _ in 0..16 {
+                std::hint::black_box(x.relu());
+            }
+            (heap_allocs() - heap, pool_tasks() - tasks)
+        })
+    };
+    // Warm both first: the pool's workers, the telemetry registry and
+    // the tensor pool's shelves allocate once.
+    heap(Device::Parallel(2));
+    let (cpu, _) = heap(Device::Cpu);
+    let (parallel, tasks) = heap(Device::Parallel(2));
+    geotorch_telemetry::set_enabled(was_enabled);
+    eprintln!("relu [8,4,64,64] x16: {cpu} heap allocations on Cpu, {parallel} on Parallel(2) ({tasks} pool tasks)");
+    assert!(tasks > 0, "relu on Parallel(2) never reached the pool");
+    assert!(
+        parallel <= cpu,
+        "16 fanned-out relus made {parallel} heap allocations against {cpu} on one thread \
+         — a dispatch allocates again"
+    );
 }
 
 /// Row bands the device pool has been handed so far.
