@@ -19,7 +19,7 @@
 //!   grows on demand to the largest concurrent demand it has seen, capped
 //!   at [`MAX_POOL_WORKERS`]. Workers are plain parked threads — idle cost
 //!   is one blocked thread each, no spinning.
-//! - **Dispatch.** [`parallel_for`] splits `0..tasks` into contiguous
+//! - **Dispatch.** `parallel_for` splits `0..tasks` into contiguous
 //!   ranges, *claims* idle workers with a lock-free flag, hands each one a
 //!   range, and runs the first range (plus any range it could not claim a
 //!   worker for) inline on the calling thread. Claimed workers are woken by
@@ -50,35 +50,16 @@
 //!
 //! # Reaching the output
 //!
-//! One rule: a kernel reaches a disjoint output through the split,
-//! `for_each_part`. It cuts the output into fixed-length parts (or a
-//! value buffer and its argmax in step) and hands each task its own
-//! `&mut` part — in order on the calling thread when the kernel stays
-//! serial, in [`parallel_for`]'s contiguous ranges when it fans out — so
-//! one body serves both devices and needs no `unsafe`. Pooling,
-//! reductions, softmax, [`parallel_map`] and [`parallel_chunks_mut`] (the
-//! elementwise maps) use it; `device.rs`'s unit tests pin the split.
-//!
-//! The kernels whose tasks write regions the split cannot cut — shared
-//! between tasks' parts or not contiguous — write through `SendPtr`, each
-//! with its invariant:
-//!
-//! - `ops::conv::conv2d_direct`: the padded copy of plane `p` (and, after
-//!   an image's last channel, its slack) is written by one task before any
-//!   task reads that image; a row band's stores cover output rows `r0..r1`
-//!   of one image in every channel plane, which no other band touches.
-//! - `ops::conv::conv2d_weight_grad`: image `bi`'s channels-last copy is
-//!   written by one task before it is read; a register block's stores
-//!   cover its filters' taps in image `bi`'s own slab of the partials.
-//! - `ops::matmul::gemm_packed`: a row band owns rows `r0..` of `C`, a
-//!   column band owns its columns of every row, and each microkernel tile
-//!   stays inside its band.
-//!
-//! `kernel_oracle` holds those kernels to their bit-exact references on
-//! both devices (`conv_parallel_planes_bit_identical`,
-//! `matmul_parallel_band_split_bit_identical`), `device_parity` holds every
-//! op to its serial bits under `Parallel(4)`, and `device_gradcheck` checks
-//! the conv gradients on both devices.
+//! One rule: a kernel reaches its output through the split,
+//! `for_each_part`. It cuts the output into fixed-length parts — or two
+//! buffers in step, each with its own part length, such as a value buffer
+//! and its argmax or a conv's output and its per-image scratch — and hands
+//! each task its own `&mut` parts: in order on the calling thread when the
+//! kernel stays serial, in `parallel_for`'s contiguous ranges when it fans
+//! out. So one body serves both devices and no kernel writes through a raw
+//! pointer. `device.rs`'s unit tests pin the split, `kernel_oracle` and
+//! `device_parity` hold every kernel on `Device::Parallel` to its serial
+//! bits, and `device_gradcheck` checks the conv gradients on both devices.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -139,24 +120,6 @@ pub fn with_device<T>(device: Device, f: impl FnOnce() -> T) -> T {
     Device::set_current(device);
     f()
 }
-
-/// A raw `*mut T` that may cross thread boundaries, for the kernels whose
-/// tasks write shared or non-contiguous regions [`for_each_part`] cannot
-/// cut (see the module docs for each site and its invariant).
-pub(crate) struct SendPtr<T = f32>(pub *mut T);
-// SAFETY: a `SendPtr` is only an address; every dereference is an `unsafe`
-// block in a kernel that proves its tasks' writes disjoint and in bounds
-// of a buffer that outlives the blocking dispatch.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: as for `Send`: sharing the address between tasks races on
-// nothing unless two tasks write one element, which each kernel rules out.
-unsafe impl<T> Sync for SendPtr<T> {}
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
 
 /// Minimum number of elements before elementwise kernels bother going
 /// parallel; below this the dispatch overhead dominates. Matmul and
@@ -408,7 +371,7 @@ fn pool_dispatch(tasks: usize, ways: usize, f: &(dyn Fn(usize) + Sync)) {
 /// current device's share of the worker pool. Tasks are distributed in
 /// contiguous ranges; `f` must be safe to call concurrently for distinct
 /// indices.
-pub fn parallel_for(tasks: usize, f: impl Fn(usize) + Sync) {
+fn parallel_for(tasks: usize, f: impl Fn(usize) + Sync) {
     let ways = Device::current().threads().min(tasks.max(1));
     if ways <= 1 || tasks <= 1 {
         for i in 0..tasks {
@@ -417,17 +380,6 @@ pub fn parallel_for(tasks: usize, f: impl Fn(usize) + Sync) {
         return;
     }
     pool_dispatch(tasks, ways, &f);
-}
-
-/// Run `f(task_index)` for every index in `0..tasks` on the current
-/// device's share of the worker pool, collecting the results in index
-/// order. The safe sibling of [`parallel_for`] for fan-out that produces a
-/// value per task (e.g. per-batch-sample gradients).
-pub fn parallel_map<T: Send>(tasks: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
-    for_each_part(&mut slots[..], 1, true, |i, slot| slot[0] = Some(f(i)));
-    // Collects in place, into the slots' own allocation.
-    slots.into_iter().map(|slot| slot.expect("every slot is filled")).collect()
 }
 
 /// Apply `f` to contiguous chunks of `out`, in parallel on the current
@@ -443,58 +395,63 @@ pub fn parallel_chunks_mut(out: &mut [f32], min_chunk: usize, f: impl Fn(usize, 
 
 // ------------------------------------------------------------ the split
 
-/// An output buffer [`for_each_part`] cuts into per-task parts: one slice,
-/// or a value slice and its argmax cut in step. An empty second slice
-/// stays empty in every part, so one kernel body serves with and without
-/// an argmax.
+/// An output [`for_each_part`] cuts into per-task parts: one slice, or two
+/// cut in step, each by its own part length (a value buffer and its
+/// argmax, a conv's output and its per-image scratch). A buffer that runs
+/// out first — an empty argmax, say — is empty in every later part, so one
+/// kernel body serves with and without it.
 pub(crate) trait Parts: Default + Send {
-    /// Elements in the (first) buffer.
-    fn len(&self) -> usize;
-    /// The first `mid` elements, and the rest.
-    fn split_at(self, mid: usize) -> (Self, Self);
+    /// The length of one part: one per buffer.
+    type Len: Copy + Sync;
+    /// Parts of `len` in the buffer, the last maybe short.
+    fn count(&self, len: Self::Len) -> usize;
+    /// The first `n` parts of `len`, and the rest.
+    fn split(self, len: Self::Len, n: usize) -> (Self, Self);
 }
 
 impl<T: Send> Parts for &mut [T] {
-    fn len(&self) -> usize {
-        <[T]>::len(self)
+    type Len = usize;
+
+    fn count(&self, len: usize) -> usize {
+        assert!(len > 0 || self.is_empty(), "a non-empty buffer needs a positive part length");
+        self.len().div_ceil(len.max(1))
     }
 
-    fn split_at(self, mid: usize) -> (Self, Self) {
+    fn split(self, len: usize, n: usize) -> (Self, Self) {
+        let mid = (len * n).min(self.len());
         self.split_at_mut(mid)
     }
 }
 
-impl<A: Send, B: Send> Parts for (&mut [A], &mut [B]) {
-    fn len(&self) -> usize {
-        self.0.len()
+impl<A: Parts, B: Parts> Parts for (A, B) {
+    type Len = (A::Len, B::Len);
+
+    fn count(&self, (la, lb): Self::Len) -> usize {
+        self.0.count(la).max(self.1.count(lb))
     }
 
-    fn split_at(self, mid: usize) -> (Self, Self) {
-        let (a, b) = self;
-        assert!(b.is_empty() || b.len() == a.len(), "buffers split in step differ in length");
-        let (a0, a1) = a.split_at_mut(mid);
-        let (b0, b1) = b.split_at_mut(mid.min(b.len()));
+    fn split(self, (la, lb): Self::Len, n: usize) -> (Self, Self) {
+        let ((a0, a1), (b0, b1)) = (self.0.split(la, n), self.1.split(lb, n));
         ((a0, b0), (a1, b1))
     }
 }
 
-/// Cut `buf` into `part_len`-element parts (the last may be shorter) and
-/// run `f(part_index, part)` on each, every part exactly once; an empty
-/// buffer visits nothing. With `parallel` false, on a one-way device, or
-/// with one part, the parts run in order on the calling thread. Otherwise
-/// they are dealt in exactly the contiguous ranges [`parallel_for`] deals
-/// `0..parts` in: each range runs on one thread, its parts in order.
+/// Cut `buf` into parts of `part_len` and run `f(part_index, part)` on
+/// each, every part exactly once; an empty buffer visits nothing. With
+/// `parallel` false, on a one-way device, or with one part, the parts run
+/// in order on the calling thread. Otherwise they are dealt in exactly the
+/// contiguous ranges [`parallel_for`] deals `0..parts` in: each range runs
+/// on one thread, its parts in order.
 ///
-/// This is how a kernel reaches a disjoint output from the pool: each task
-/// owns a `&mut` part, so no kernel needs a raw pointer for it.
+/// This is the one way a kernel reaches the pool: each task owns its
+/// `&mut` parts, so no kernel needs a raw pointer to its output.
 pub(crate) fn for_each_part<P: Parts>(
     buf: P,
-    part_len: usize,
+    part_len: P::Len,
     parallel: bool,
     f: impl Fn(usize, P) + Sync,
 ) {
-    assert!(part_len > 0 || buf.len() == 0, "a non-empty buffer needs a positive part length");
-    let parts = buf.len().div_ceil(part_len.max(1));
+    let parts = buf.count(part_len);
     let ways = if parallel { Device::current().threads().min(parts) } else { 1 };
     if ways <= 1 {
         return run_parts(buf, part_len, 0, &f);
@@ -507,8 +464,7 @@ pub(crate) fn for_each_part<P: Parts>(
         let (first, range) = {
             let mut tail = lock(&tail);
             let (first, rest) = std::mem::take(&mut *tail);
-            let len = rest.len();
-            let (range, after) = rest.split_at((per_range * part_len).min(len));
+            let (range, after) = rest.split(part_len, per_range);
             *tail = (first + per_range, after);
             (first, range)
         };
@@ -516,15 +472,10 @@ pub(crate) fn for_each_part<P: Parts>(
     });
 }
 
-/// Run `f` on each `part_len` part of `buf` in order, numbering them from
-/// `first`.
-fn run_parts<P: Parts>(mut buf: P, part_len: usize, first: usize, f: &impl Fn(usize, P)) {
-    for index in first.. {
-        let len = buf.len();
-        if len == 0 {
-            return;
-        }
-        let (part, rest) = buf.split_at(part_len.min(len));
+/// Run `f` on each part of `buf` in order, numbering them from `first`.
+fn run_parts<P: Parts>(mut buf: P, part_len: P::Len, first: usize, f: &impl Fn(usize, P)) {
+    for index in first..first + buf.count(part_len) {
+        let (part, rest) = buf.split(part_len, 1);
         f(index, part);
         buf = rest;
     }
@@ -622,6 +573,23 @@ mod tests {
         seen
     }
 
+    /// As `visits`, over two buffers holding `0..lens.0` and `100..100 +
+    /// lens.1`, cut in step by `part_lens`.
+    fn visits_in_step(
+        lens: (usize, usize),
+        part_lens: (usize, usize),
+    ) -> Vec<(usize, Vec<usize>, Vec<usize>)> {
+        let mut a: Vec<usize> = (0..lens.0).collect();
+        let mut b: Vec<usize> = (100..100 + lens.1).collect();
+        let seen = Mutex::new(Vec::new());
+        for_each_part((&mut a[..], &mut b[..]), part_lens, true, |i, (a, b)| {
+            lock(&seen).push((i, a.to_vec(), b.to_vec()));
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort();
+        seen
+    }
+
     #[test]
     fn split_visits_every_part_once_with_its_slice() {
         for device in [Device::Cpu, Device::Parallel(4)] {
@@ -635,6 +603,21 @@ mod tests {
                     for (k, (i, part)) in seen.iter().enumerate() {
                         let want: Vec<usize> = (k * part_len..((k + 1) * part_len).min(len)).collect();
                         assert_eq!((*i, part), (k, &want), "{device:?} {len}/{part_len}");
+                    }
+                }
+            });
+        }
+        // Two buffers in step, parts of 3 and of 5: both full, a short last
+        // part in either, and an empty second buffer that stays empty.
+        for device in [Device::Cpu, Device::Parallel(3)] {
+            with_device(device, || {
+                for lens in [(12, 20), (10, 20), (12, 18), (10, 0), (400, 665)] {
+                    let seen = visits_in_step(lens, (3, 5));
+                    assert_eq!(seen.len(), lens.0.div_ceil(3).max(lens.1.div_ceil(5)));
+                    for (k, (i, a, b)) in seen.iter().enumerate() {
+                        let want_a: Vec<usize> = (k * 3..((k + 1) * 3).min(lens.0)).collect();
+                        let want_b: Vec<usize> = (100 + k * 5..100 + ((k + 1) * 5).min(lens.1)).collect();
+                        assert_eq!((*i, a, b), (k, &want_a, &want_b), "{device:?} {lens:?}");
                     }
                 }
             });
@@ -673,7 +656,7 @@ mod tests {
             with_device(device, || {
                 let mut vals: Vec<f32> = (0..22).map(|v| v as f32).collect();
                 let mut args: Vec<usize> = (100..122).collect();
-                for_each_part((&mut vals[..], &mut args[..]), 5, true, |i, (v, a)| {
+                for_each_part((&mut vals[..], &mut args[..]), (5, 5), true, |i, (v, a)| {
                     assert_eq!(v.len(), a.len());
                     assert_eq!(v.len(), if i == 4 { 2 } else { 5 });
                     for (v, a) in v.iter_mut().zip(a.iter_mut()) {
@@ -686,7 +669,7 @@ mod tests {
 
                 // The no-argmax case: an empty second buffer stays empty.
                 let hits = AtomicUsize::new(0);
-                for_each_part((&mut vals[..], &mut [0usize; 0][..]), 5, true, |i, (v, a)| {
+                for_each_part((&mut vals[..], &mut [0usize; 0][..]), (5, 5), true, |i, (v, a)| {
                     assert!(a.is_empty());
                     assert_eq!(v[0], -(5.0 * i as f32));
                     hits.fetch_add(1, Ordering::Relaxed);

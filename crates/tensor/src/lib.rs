@@ -52,7 +52,7 @@ pub mod ops;
 pub mod pool;
 mod tensor;
 
-pub use device::{parallel_map, with_device, worker_pool_size, Device, PARALLEL_THRESHOLD};
+pub use device::{with_device, worker_pool_size, Device, PARALLEL_THRESHOLD};
 pub use tensor::Tensor;
 
 /// Row-major strides (in elements) for a shape.

@@ -43,9 +43,9 @@
 //! batch order: the bits of summing `g_b.matmul_nt(&im2col(x_b))`. The
 //! `tier_parity` tests below hold the two fused tiers to the same bits.
 
-use super::matmul::{simd, Simd, Vector};
+use super::matmul::{matmul_tn_into, simd, Simd, Vector};
 use super::shape_ops::interleave;
-use crate::device::{parallel_for, Device, SendPtr, PARALLEL_THRESHOLD};
+use crate::device::for_each_part;
 use crate::Tensor;
 
 /// FLOP count (`2·B·O·C·kh·kw·oh·ow`) below which a convolution runs on
@@ -146,6 +146,37 @@ pub fn col2im(
     Tensor::from_vec(padded, &[c, ph, pw]).unpad2d(pad)
 }
 
+/// Add the column matrix `col [c·kh·kw, oh·ow]` into the image `dst [c, h,
+/// w]` in [`col2im`]'s order — `(c, ki, kj)` rows, then output pixels —
+/// dropping what lands in the zero padding: each element's sum is
+/// [`col2im`]'s, with no padded copy to crop. `col2im` stays the
+/// reference the oracle holds this to.
+fn scatter_cols(
+    col: &[f32],
+    dst: &mut [f32],
+    (c, h, w): (usize, usize, usize),
+    (kh, kw): (usize, usize),
+    stride: usize,
+    pad: usize,
+) {
+    let (oh, ow) = (conv_out_len(h, kh, stride, pad), conv_out_len(w, kw, stride, pad));
+    debug_assert!(col.len() == c * kh * kw * oh * ow && dst.len() == c * h * w);
+    // The unpadded index of padded position `at`, if it lies in `0..len`.
+    let inside = |at: usize, len: usize| at.checked_sub(pad).filter(|&i| i < len);
+    for (r, row) in col.chunks_exact(oh * ow).enumerate() {
+        let (ch, ki, kj) = (r / (kh * kw), r / kw % kh, r % kw);
+        for (oi, src) in row.chunks_exact(ow).enumerate() {
+            let Some(i) = inside(oi * stride + ki, h) else { continue };
+            let dst_row = &mut dst[(ch * h + i) * w..][..w];
+            for (oj, &v) in src.iter().enumerate() {
+                if let Some(j) = inside(oj * stride + kj, w) {
+                    dst_row[j] += v;
+                }
+            }
+        }
+    }
+}
+
 /// 2-D convolution. `input [B,C,H,W]`, `weight [O,C,kh,kw]`,
 /// optional `bias [O]` → `[B,O,oh,ow]`.
 ///
@@ -170,8 +201,9 @@ pub fn conv2d(
 /// kj)` of every pixel is the padded image shifted by `c·ph·pw + ki·pw +
 /// kj`. A `Block` of output channels × a strip of consecutive `q` stays
 /// in registers across all taps, and is written out row by row, dropping
-/// each row's `pw − ow` columns past its end. Tasks are images, or bands
-/// of output rows (`for_each_image`).
+/// each row's `pw − ow` columns past its end. Each image is one task,
+/// which pads it into its own scratch slot and writes its own output
+/// planes.
 pub fn conv2d_direct(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, pad: usize) -> Tensor {
     on_tier!(direct(input, weight, bias, 1, pad))
 }
@@ -197,87 +229,61 @@ fn direct<R: Tier>(
     let (chan, image) = (ph * pw, g.c * ph * pw + slack);
     let mut x = crate::pool::alloc_uninit(b * image);
     let mut out = crate::pool::alloc_uninit(b * o * g.plane());
-    let src = input.as_slice();
-    let (x_ptr, out_ptr) = (SendPtr(x.as_mut_ptr()), SendPtr(out.as_mut_ptr()));
-    // Pad plane `p` (channel `p % C` of image `p / C`), and after an
-    // image's last channel zero its slack.
-    let pad_plane = |p: usize| {
-        let len = chan + slack * usize::from((p + 1).is_multiple_of(g.c));
-        let at = p / g.c * image + p % g.c * chan;
-        debug_assert!(at + len <= b * image);
-        // SAFETY: plane `p` and its image's slack lie in `x` and are
-        // written by this call alone.
-        let dst = unsafe { std::slice::from_raw_parts_mut({ &x_ptr }.0.add(at), len) };
-        g.pad_plane(&src[p * g.h * g.w..][..g.h * g.w], dst);
-    };
+    let (src, hw) = (input.as_slice(), g.h * g.w);
     let d = Direct {
         wt: weight.as_slice(),
         bias: bias.map(|t| t.as_slice()),
         o,
         g,
-        out: out_ptr,
     };
-    let (flops, copy) = (2 * b * o * taps * g.plane(), b * image);
-    for_each_image(b, flops, g.oh, (g.c, &pad_plane), copy, |bi, rows| {
-        debug_assert!(bi < b);
-        // SAFETY: image `bi` is padded and from here on only read.
-        let x = unsafe { std::slice::from_raw_parts({ &x_ptr }.0.add(bi * image), image) };
+    let parallel = 2 * b * o * taps * g.plane() >= CONV_PARALLEL_FLOPS;
+    let parts = (&mut out[..], &mut x[..]);
+    for_each_part(parts, (o * g.plane(), image), parallel, |bi, (out, x)| {
+        // Pad each plane; the last also zeroes the image's slack.
+        for ch in 0..g.c {
+            let end = if ch + 1 == g.c { image } else { (ch + 1) * chan };
+            g.pad_plane(&src[(bi * g.c + ch) * hw..][..hw], &mut x[ch * chan..end]);
+        }
         for (oc0, ob) in channel_blocks::<R>(o) {
-            R::with_shape(
-                ob,
-                Strips {
-                    d: &d,
-                    x,
-                    bi,
-                    oc0,
-                    rows,
-                },
-            );
+            let out = &mut *out;
+            R::with_shape(ob, Strips { d: &d, x, out, oc0 });
         }
     });
     crate::pool::release(x);
     Tensor::from_vec(out, &[b, o, g.oh, g.ow])
 }
 
-/// A direct conv's operands besides the padded image: the filters, the
-/// bias, the shape and the `[B, O, oh, ow]` output.
+/// A direct conv's operands besides the padded image and the output: the
+/// filters, the bias and the shape.
 struct Direct<'a> {
     wt: &'a [f32],
     bias: Option<&'a [f32]>,
     o: usize,
     g: Geom,
-    out: SendPtr<f32>,
 }
 
 /// One register block's share of a direct conv: output channels `oc0..`
-/// of image `bi` (padded as `x`), output rows `rows`.
+/// of one image, padded as `x`, into its `[O, oh, ow]` planes `out`.
 struct Strips<'a> {
     d: &'a Direct<'a>,
     x: &'a [f32],
-    bi: usize,
+    out: &'a mut [f32],
     oc0: usize,
-    rows: (usize, usize),
 }
 
 impl Shaped for Strips<'_> {
     /// Strips of `N·V` padded-width positions over the stride-1 rows the
-    /// output keeps: a band's rows as one run at stride 1, each kept row
+    /// output keeps: every row as one run at stride 1, each kept row
     /// (every `s`-th, from its first kept column to its last) as its own
     /// run at stride `s`. Each strip is written out row by row, the
     /// positions `q` whose row and column are multiples of `s` and whose
     /// column is at most `(ow − 1)·s`.
     fn run<R: Tier, const OB: usize, const V: usize>(self) {
-        let Strips {
-            d,
-            x,
-            bi,
-            oc0,
-            rows: (r0, r1),
-        } = self;
+        let Strips { d, x, out, oc0 } = self;
         let ((g, (ph, pw)), (s, width)) = ((d.g, d.g.padded()), (d.g.stride, R::N * V));
         let (taps, span) = (g.taps(), (g.ow - 1) * s + 1);
-        let (step, end) = (if s == 1 { r1 - r0 } else { 1 }, (r1 - 1) * s * pw + span);
-        let runs = (r0..r1).step_by(step).map(|r| {
+        let (step, end) = (if s == 1 { g.oh } else { 1 }, (g.oh - 1) * s * pw + span);
+        let runs = (0..g.oh).step_by(step).map(|r| {
             let at = r * s * pw;
             (at, if s == 1 { end } else { at + span })
         });
@@ -306,19 +312,14 @@ impl Shaped for Strips<'_> {
                 if let Some((oi, oj, cols)) = kept {
                     debug_assert!(oi < g.oh && oj + cols <= g.ow && oc0 + OB <= d.o);
                     for (ob, a) in acc.iter().enumerate() {
-                        let at = ((bi * d.o + oc0 + ob) * g.oh + oi) * g.ow + oj;
+                        let dst = &mut out[((oc0 + ob) * g.oh + oi) * g.ow + oj..][..cols];
                         let lanes = &R::flat(a)[q - q0 + oj * s - j..];
                         debug_assert!((cols - 1) * s < lanes.len());
-                        // SAFETY: row `oi` of this image's planes belongs to
-                        // this task alone, and `oj + cols ≤ ow`.
-                        unsafe {
-                            let dst = d.out.0.add(at);
-                            if s == 1 {
-                                std::ptr::copy_nonoverlapping(lanes.as_ptr(), dst, cols);
-                            } else {
-                                let kept = lanes.iter().step_by(s).take(cols);
-                                kept.enumerate().for_each(|(c, &v)| *dst.add(c) = v);
-                            }
+                        if s == 1 {
+                            dst.copy_from_slice(&lanes[..cols]);
+                        } else {
+                            let kept = lanes.iter().step_by(s);
+                            dst.iter_mut().zip(kept).for_each(|(o, &v)| *o = v);
                         }
                     }
                 }
@@ -773,47 +774,6 @@ impl Geom {
     }
 }
 
-/// Run `work(bi, units)` for every image `bi` on the current device,
-/// `units` a range of `0..n` (output rows or register blocks): a task per
-/// image, or — when a conv past [`CONV_PARALLEL_FLOPS`] has fewer images
-/// than threads — per band of `0..n`. With `prep = (per, f)`, `f(i)` first
-/// readies item `i` of `per` per image (its planes, or the whole image):
-/// in an image's own task, or, before bands fan out, across the batch — in
-/// parallel when it copies `copy` ≥ [`PARALLEL_THRESHOLD`] floats. No
-/// element's arithmetic depends on the split.
-fn for_each_image(
-    b: usize,
-    flops: usize,
-    n: usize,
-    (per, prep): (usize, &(dyn Fn(usize) + Sync)),
-    copy: usize,
-    work: impl Fn(usize, (usize, usize)) + Sync,
-) {
-    let threads = Device::current().threads();
-    let parallel = threads > 1 && flops >= CONV_PARALLEL_FLOPS;
-    let bands = (if parallel { threads / b.max(1) } else { 1 }).clamp(1, n.max(1));
-    let band = n.div_ceil(bands);
-    if bands > 1 && copy >= PARALLEL_THRESHOLD {
-        parallel_for(b * per, prep);
-    } else if bands > 1 {
-        (0..b * per).for_each(prep);
-    }
-    let task = |t: usize| {
-        let (bi, u0) = (t / bands, t % bands * band);
-        if bands == 1 {
-            (bi * per..(bi + 1) * per).for_each(prep);
-        }
-        if u0 < n {
-            work(bi, (u0, (u0 + band).min(n)));
-        }
-    };
-    if parallel {
-        parallel_for(b * bands, task);
-    } else {
-        (0..b * bands).for_each(task);
-    }
-}
-
 /// Gradient of [`conv2d`] with respect to its weight, `[O,C,kh,kw]`, for
 /// `input [B,C,H,W]` and output gradient `grad [B,O,oh,ow]`: per image,
 /// element `(o, c, ki, kj)` is the chain `acc ← g·x + acc` from `+0` over
@@ -823,8 +783,8 @@ fn for_each_image(
 /// row's taps `(kj, c)` of a window are `kw·C` consecutive floats at any
 /// stride, read as 8-lane vectors. A `Block` of up to six filters ×
 /// window vectors runs down the plane, a step per pixel; lanes past a
-/// row's taps are never stored. Tasks are images, or bands of an image's
-/// blocks (`for_each_image`).
+/// row's taps are never stored. Each image is one task, which copies it
+/// into its own scratch slot and writes its own slab.
 pub fn conv2d_weight_grad(
     input: &Tensor,
     grad: &Tensor,
@@ -855,42 +815,23 @@ fn weight_grad<R: Tier>(
     let n = g.kh * run.div_ceil(R::N);
     let mut x = crate::pool::alloc_uninit(b * image);
     let mut parts = crate::pool::alloc_uninit(b * o * taps);
-    let (src, x_ptr) = (input.as_slice(), SendPtr(x.as_mut_ptr()));
-    let fill = |bi: usize| {
-        debug_assert!(bi < b);
-        // SAFETY: image `bi`'s slot lies in `x` and is written by this
-        // call alone.
-        let dst = unsafe { std::slice::from_raw_parts_mut({ &x_ptr }.0.add(bi * image), image) };
-        g.pad_channels_last(&src[bi * g.c * g.h * g.w..][..g.c * g.h * g.w], dst);
-    };
+    let (src, image_in) = (input.as_slice(), g.c * g.h * g.w);
     let wg = WeightGrad {
         grad: grad.as_slice(),
         o,
         g,
-        parts: SendPtr(parts.as_mut_ptr()),
     };
-    // Register blocks: filters `oc0..oc0 + ob` × window vectors from `j0`.
-    let blocks = || {
-        let vectors = |ob: usize| (0..n).step_by(R::VECTORS[ob - 1]);
-        channel_blocks::<R>(o).flat_map(move |(oc0, ob)| vectors(ob).map(move |j0| (oc0, ob, j0)))
-    };
-    let flops = 2 * b * o * taps * g.plane();
-    let (units, copy) = (blocks().count(), b * image);
-    for_each_image(b, flops, units, (1, &fill), copy, |bi, (u0, u1)| {
-        debug_assert!(bi < b);
-        // SAFETY: image `bi` is copied and from here on only read.
-        let x = unsafe { std::slice::from_raw_parts({ &x_ptr }.0.add(bi * image), image) };
-        for (oc0, ob, j0) in blocks().skip(u0).take(u1 - u0) {
-            R::with_shape(
-                ob,
-                Window {
-                    wg: &wg,
-                    x,
-                    bi,
-                    oc0,
-                    j0,
-                },
-            );
+    let parallel = 2 * b * o * taps * g.plane() >= CONV_PARALLEL_FLOPS;
+    let slabs = (&mut parts[..], &mut x[..]);
+    for_each_part(slabs, (o * taps, image), parallel, |bi, (slab, x)| {
+        g.pad_channels_last(&src[bi * image_in..][..image_in], x);
+        let x = &*x;
+        // Register blocks: filters `oc0..oc0 + ob` × window vectors from `j0`.
+        for (oc0, ob) in channel_blocks::<R>(o) {
+            for j0 in (0..n).step_by(R::VECTORS[ob - 1]) {
+                let slab = &mut *slab;
+                R::with_shape(ob, Window { wg: &wg, x, slab, bi, oc0, j0 });
+            }
         }
     });
     crate::pool::release(x);
@@ -913,21 +854,21 @@ fn weight_grad<R: Tier>(
     Tensor::from_vec(gw, &[o, g.c, g.kh, g.kw])
 }
 
-/// A weight gradient's operands besides the channels-last image: the
-/// output gradient, the shape and the per-image slabs, `[O, kh, kw·C]`
-/// each — a window's own order.
+/// A weight gradient's operands besides the channels-last image and the
+/// slabs: the output gradient and the shape.
 struct WeightGrad<'a> {
     grad: &'a [f32],
     o: usize,
     g: Geom,
-    parts: SendPtr<f32>,
 }
 
 /// One register block of a weight gradient: filters `oc0..` × the window
-/// vectors from `j0` of image `bi` (channels-last `x`).
+/// vectors from `j0` of image `bi` (channels-last `x`), into the image's
+/// slab, `[O, kh, kw·C]` — a window's own order.
 struct Window<'a> {
     wg: &'a WeightGrad<'a>,
     x: &'a [f32],
+    slab: &'a mut [f32],
     bi: usize,
     oc0: usize,
     j0: usize,
@@ -940,7 +881,7 @@ impl Shaped for Window<'_> {
     /// Past the window's last vector the block repeats it and drops the
     /// copy.
     fn run<R: Tier, const OB: usize, const V: usize>(self) {
-        let Window { wg, x, bi, oc0, j0 } = self;
+        let Window { wg, x, slab, bi, oc0, j0 } = self;
         let (g, (_, pw)) = (wg.g, wg.g.padded());
         let (plane, taps, run) = (g.plane(), g.taps(), g.kw * g.c);
         let (nv, n) = (run.div_ceil(R::N), g.kh * run.div_ceil(R::N));
@@ -958,17 +899,9 @@ impl Shaped for Window<'_> {
                 let lanes = R::flat(a);
                 for (j, vals) in (j0..n).zip(lanes.chunks_exact(R::N)) {
                     let (ki, r0) = at(j);
-                    let (dst, live) = (
-                        (bi * wg.o + oc0 + r) * taps + ki * run + r0,
-                        (run - r0).min(R::N),
-                    );
+                    let (dst, live) = ((oc0 + r) * taps + ki * run + r0, (run - r0).min(R::N));
                     debug_assert!(oc0 + r < wg.o && ki * run + r0 + live <= taps);
-                    // SAFETY: `oc0 + r < O` and the `live` taps from `r0` lie in
-                    // kernel row `ki` of that filter's row of image `bi`'s slab in
-                    // `parts`, written by this block alone.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(vals.as_ptr(), wg.parts.0.add(dst), live)
-                    };
+                    slab[dst..][..live].copy_from_slice(&vals[..live]);
                 }
             }
         });
@@ -981,7 +914,9 @@ impl Shaped for Window<'_> {
 /// At stride 1 the adjoint of a convolution is a convolution: `grad`
 /// convolved with the spatially flipped, channel-swapped filters at
 /// padding `k−1−pad`, which runs through [`conv2d`] itself. Strided (or
-/// over-padded, or non-square) convs scatter `Wᵀ·g` through [`col2im`].
+/// over-padded, or non-square) convs run one task per image: its `Wᵀ·g`
+/// into its own column scratch, scattered in [`col2im`]'s order straight
+/// into its part of the output.
 pub fn conv2d_input_grad(
     grad: &Tensor,
     weight: &Tensor,
@@ -1009,13 +944,21 @@ pub fn conv2d_input_grad(
         );
     }
     let (h, wd) = input_hw;
-    let w_mat = weight.reshape(&[o, c * kh * kw]);
-    let plane = grad.shape()[2] * grad.shape()[3];
-    let parts = crate::device::parallel_map(grad.shape()[0], |bi| {
-        let col = w_mat.matmul_tn(&grad.index_axis(0, bi).reshape(&[o, plane]));
-        col2im(&col, c, h, wd, kh, kw, stride, pad)
+    let (oh, ow) = (conv_out_len(h, kh, stride, pad), conv_out_len(wd, kw, stride, pad));
+    let b = grad.shape()[0];
+    assert_eq!(grad.shape(), &[b, o, oh, ow], "conv2d grad shape mismatch");
+    let (rows, plane, image) = (c * kh * kw, oh * ow, c * h * wd);
+    let mut out = crate::pool::alloc_zeroed(b * image);
+    let mut cols = crate::pool::alloc_zeroed(b * rows * plane);
+    let (w, g) = (weight.as_slice(), grad.as_slice());
+    let parallel = 2 * b * o * rows * plane >= CONV_PARALLEL_FLOPS;
+    let parts = (&mut out[..], &mut cols[..]);
+    for_each_part(parts, (image, rows * plane), parallel, |bi, (dst, col)| {
+        matmul_tn_into(w, &g[bi * o * plane..][..o * plane], col, (rows, plane, o));
+        scatter_cols(col, dst, (c, h, wd), (kh, kw), stride, pad);
     });
-    Tensor::stack(&parts.iter().collect::<Vec<_>>())
+    crate::pool::release(cols);
+    Tensor::from_vec(out, &[b, c, h, wd])
 }
 
 /// Sliding-window reference convolution, the test oracle.

@@ -46,10 +46,10 @@
 //!   `[64,2048]·[2048,128]` and `[128,256]·[256,64]` (2-vCPU Sapphire
 //!   Rapids); the pack-free small-batch `A·Bᵀ` and the tiny loop keep
 //!   their AVX+FMA code on it.
-//! * **Parallelism.** Products past [`GEMM_PARALLEL_FLOPS`] split the
-//!   longer output axis into microkernel-aligned bands, one
-//!   [`parallel_for`] task per band, so `Device::Parallel` distributes
-//!   blocked tiles instead of raw rows.
+//! * **Parallelism.** Products past [`GEMM_PARALLEL_FLOPS`] split `C`'s
+//!   rows into [`MR`]-aligned bands, one task per band through
+//!   `device::for_each_part`, so `Device::Parallel` distributes blocked
+//!   tiles instead of raw rows; each band packs its own rows of `A`.
 //!
 //! # Numerics and the oracle contract
 //!
@@ -67,7 +67,7 @@
 //! within ordinary mul+add rounding of the same summation order.
 
 use super::shape_ops::{interleave, transpose_into};
-use crate::device::{parallel_for, Device, SendPtr};
+use crate::device::{for_each_part, Device};
 use crate::pool::Buffer;
 use crate::Tensor;
 
@@ -85,7 +85,7 @@ pub const NC: usize = 1024;
 
 /// FLOP count (`2·m·n·k`) below which a product stays on the calling
 /// thread: waking pool workers costs more than the arithmetic. Above
-/// it, the longer output axis is split into tile-aligned bands.
+/// it, `C`'s rows are split into tile-aligned bands.
 pub const GEMM_PARALLEL_FLOPS: usize = 2 * 1024 * 1024;
 
 /// `m·n·k` below which the packed path is skipped entirely: for tiny
@@ -147,6 +147,14 @@ fn product(a: &Tensor, ta: bool, b: &Tensor, tb: bool) -> Tensor {
     Tensor::from_vec(out, &[m, n])
 }
 
+/// `out[m,n] = aᵀ × b` for row-major `a [k,m]` and `b [k,n]`, where `out`
+/// holds `m·n` zeros: [`Tensor::matmul_tn`]'s bits, on slices.
+pub(crate) fn matmul_tn_into(a: &[f32], b: &[f32], out: &mut [f32], (m, n, k): (usize, usize, usize)) {
+    let a = Dense { data: a, ld: m, trans: true };
+    let b = Dense { data: b, ld: n, trans: false };
+    gemm(a, b, out, m, n, k);
+}
+
 /// Naive triple-loop reference, the test oracle. Accumulates each
 /// element's products in ascending `p` order — the order every fast
 /// kernel reproduces.
@@ -172,8 +180,9 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Simd {
     /// AVX-512F: 16-lane vectors with fused multiply-add and 32 registers.
-    /// The conv register block (`ops::conv`) runs on it; the GEMM runs
-    /// the [`Simd::Fma`] kernels, with the same bits.
+    /// The conv register block (`ops::conv`) and the GEMM microkernel run
+    /// on it; the pack-free small-batch `A·Bᵀ` and the tiny loop run their
+    /// [`Simd::Fma`] code, with the same bits.
     Avx512,
     /// AVX 8-lane vectors with fused multiply-add (`vfmadd231ps`).
     Fma,
@@ -395,30 +404,17 @@ fn gemm(a: Dense, b: Dense, out: &mut [f32], m: usize, n: usize, k: usize) {
     }
 }
 
-/// The blocked path: pack `A` once (per band), then stream `B` panels
-/// through [`gemm_block`].
+/// The blocked path: per band of `C`'s rows (one band when serial), pack
+/// its rows of `A` once, then stream `B` panels through [`gemm_block`].
 fn gemm_packed(a: Dense, b: Dense, out: &mut [f32], m: usize, n: usize, k: usize) {
     let threads = Device::current().threads();
     let parallel = threads > 1 && 2 * m * n * k >= GEMM_PARALLEL_FLOPS;
-    let c = SendPtr(out.as_mut_ptr());
-    // Bands split the longer output axis on tile boundaries; each is an
-    // independent serial blocked GEMM over disjoint rows/columns of C.
-    if parallel && m >= n {
-        let band = m.div_ceil(threads).div_ceil(MR) * MR;
-        parallel_for(m.div_ceil(band), |bi| {
-            let r0 = bi * band;
-            let packed = PackedA::pack(a.skip_rows(r0), band.min(m - r0), k);
-            // SAFETY: rows r0.. of C belong to this band alone.
-            let c_band = SendPtr(unsafe { { &c }.0.add(r0 * n) });
-            gemm_block(&packed, &b, c_band, n, (0, n));
-        });
-    } else {
-        let packed = PackedA::pack(a, m, k);
-        let band = if parallel { n.div_ceil(threads).div_ceil(NR) * NR } else { n };
-        parallel_for(n.div_ceil(band), |bi| {
-            gemm_block(&packed, &b, c, n, (bi * band, (bi * band + band).min(n)));
-        });
-    }
+    let band = if parallel { m.div_ceil(threads).div_ceil(MR) * MR } else { m };
+    for_each_part(out, band * n, parallel, |bi, c| {
+        let r0 = bi * band;
+        let packed = PackedA::pack(a.skip_rows(r0), band.min(m - r0), k);
+        gemm_block(&packed, &b, c, n);
+    });
 }
 
 /// `o ← fma(x, y, o)` when `FUSED`, else `o ← o + x·y`.
@@ -728,24 +724,15 @@ impl PackedA {
     }
 }
 
-/// Serial blocked GEMM `C[:, cols] += A × B[:, cols]`, where `c` points
-/// at row 0, column 0 of `C` (row stride `ldc`). The `B` pack buffer
-/// comes from the tensor pool, so repeated products recycle it instead
-/// of touching the heap.
-fn gemm_block(
-    a: &PackedA,
-    b: &Dense,
-    c: SendPtr<f32>,
-    ldc: usize,
-    cols: (usize, usize),
-) {
-    let kern = simd();
-    let (c0, c1) = cols;
-    let b_cols = (c1 - c0).min(NC).div_ceil(NR) * NR;
+/// Serial blocked GEMM `C += A × B` for `C`'s rows `c`, of row stride
+/// `ldc` (`n`). The `B` pack buffer comes from the tensor pool, so
+/// repeated products recycle it instead of touching the heap.
+fn gemm_block(a: &PackedA, b: &Dense, c: &mut [f32], ldc: usize) {
+    let b_cols = ldc.min(NC).div_ceil(NR) * NR;
     let mut bpack = Buffer::uninit(a.k.min(KC) * b_cols);
     let bp = bpack.as_mut_slice();
-    for jc in (c0..c1).step_by(NC) {
-        let nc = NC.min(c1 - jc);
+    for jc in (0..ldc).step_by(NC) {
+        let nc = NC.min(ldc - jc);
         for pc in (0..a.k).step_by(KC) {
             let kc = KC.min(a.k - pc);
             b.pack_panel(bp, pc, jc, kc, nc);
@@ -759,27 +746,20 @@ fn gemm_block(
                     for ir in (ic..ic + mc).step_by(MR) {
                         let mr = MR.min(a.m - ir);
                         let pa = a.block(pc, kc, ir / MR);
-                        // SAFETY: the tile covers rows ir..ir+mr and columns
-                        // jc+jr..jc+jr+nr, all inside this call's disjoint
-                        // region of C; the tier was detected at runtime.
-                        unsafe {
-                            let ctile = c.0.add(ir * ldc + jc + jr);
-                            if mr == MR && nr == NR {
-                                microkernel(kern, pa, pb, kc, ctile, ldc);
-                            } else {
-                                // A ragged tile runs the same kernel on a
-                                // stack copy, so an element rounds the same
-                                // wherever the matrix edge falls.
-                                let mut tile = [0.0f32; MR * NR];
-                                for r in 0..mr {
-                                    let row = tile.as_mut_ptr().add(r * NR);
-                                    std::ptr::copy_nonoverlapping(ctile.add(r * ldc), row, nr);
-                                }
-                                microkernel(kern, pa, pb, kc, tile.as_mut_ptr(), NR);
-                                for r in 0..mr {
-                                    let row = tile.as_ptr().add(r * NR);
-                                    std::ptr::copy_nonoverlapping(row, ctile.add(r * ldc), nr);
-                                }
+                        let ctile = &mut c[ir * ldc + jc + jr..];
+                        if mr == MR && nr == NR {
+                            microkernel(pa, pb, kc, ctile, ldc);
+                        } else {
+                            // A ragged tile runs the same kernel on a stack
+                            // copy, so an element rounds the same wherever
+                            // the matrix edge falls.
+                            let mut tile = [0.0f32; MR * NR];
+                            for (r, row) in tile.chunks_exact_mut(NR).take(mr).enumerate() {
+                                row[..nr].copy_from_slice(&ctile[r * ldc..][..nr]);
+                            }
+                            microkernel(pa, pb, kc, &mut tile, NR);
+                            for (r, row) in tile.chunks_exact(NR).take(mr).enumerate() {
+                                ctile[r * ldc..][..nr].copy_from_slice(&row[..nr]);
                             }
                         }
                     }
@@ -789,19 +769,19 @@ fn gemm_block(
     }
 }
 
-/// Run the detected tier's full-tile microkernel on one `MR×NR` tile.
-///
-/// # Safety
-/// `kern` must be a tier this CPU supports; `pa`/`pb` must hold `kc·MR`
-/// / `kc·NR` packed elements and `c` a full `MR×NR` tile of row stride
-/// `ldc`.
+/// Run the detected tier's full-tile microkernel on the `MR×NR` tile at
+/// the front of `c`, of row stride `ldc`. Panics if `pa`/`pb` hold fewer
+/// than `kc·MR` / `kc·NR` packed elements or `c` ends inside the tile.
 #[inline(always)]
-unsafe fn microkernel(kern: Simd, pa: &[f32], pb: &[f32], kc: usize, c: *mut f32, ldc: usize) {
-    match kern {
+fn microkernel(pa: &[f32], pb: &[f32], kc: usize, c: &mut [f32], ldc: usize) {
+    assert!(pa.len() >= kc * MR && pb.len() >= kc * NR && c.len() >= (MR - 1) * ldc + NR);
+    match simd() {
         #[cfg(target_arch = "x86_64")]
-        Simd::Avx512 => mk_avx512(pa.as_ptr(), pb.as_ptr(), kc, c, ldc),
+        // SAFETY: `simd` detected AVX-512F, and the lengths are checked.
+        Simd::Avx512 => unsafe { mk_avx512(pa.as_ptr(), pb.as_ptr(), kc, c.as_mut_ptr(), ldc) },
         #[cfg(target_arch = "x86_64")]
-        Simd::Fma => mk_fma(pa.as_ptr(), pb.as_ptr(), kc, c, ldc),
+        // SAFETY: `simd` detected AVX and FMA, and the lengths are checked.
+        Simd::Fma => unsafe { mk_fma(pa.as_ptr(), pb.as_ptr(), kc, c.as_mut_ptr(), ldc) },
         _ => mk_portable(pa, pb, kc, c, ldc),
     }
 }
@@ -873,16 +853,13 @@ unsafe fn mk<R: Vector, const VN: usize>(
 /// Portable full-tile microkernel: the tile is processed in two 8-lane
 /// halves so the live accumulators fit the 16 SSE registers, and the
 /// plain mul+add loops autovectorize on any target.
-fn mk_portable(pa: &[f32], pb: &[f32], kc: usize, c: *mut f32, ldc: usize) {
+fn mk_portable(pa: &[f32], pb: &[f32], kc: usize, c: &mut [f32], ldc: usize) {
     const H: usize = NR / 2;
     for half in 0..2 {
         let off = half * H;
         let mut acc = [[0.0f32; H]; MR];
         for (r, row) in acc.iter_mut().enumerate() {
-            for (l, v) in row.iter_mut().enumerate() {
-                // SAFETY: full-tile call — all MR×NR elements in bounds.
-                *v = unsafe { *c.add(r * ldc + off + l) };
-            }
+            row.copy_from_slice(&c[r * ldc + off..][..H]);
         }
         for p in 0..kc {
             let bv = &pb[p * NR + off..p * NR + off + H];
@@ -894,10 +871,7 @@ fn mk_portable(pa: &[f32], pb: &[f32], kc: usize, c: *mut f32, ldc: usize) {
             }
         }
         for (r, row) in acc.iter().enumerate() {
-            for (l, &v) in row.iter().enumerate() {
-                // SAFETY: as above.
-                unsafe { *c.add(r * ldc + off + l) = v };
-            }
+            c[r * ldc + off..][..H].copy_from_slice(row);
         }
     }
 }

@@ -49,7 +49,7 @@ fn max_pool<const ARGMAX: bool>(
         *argmax = vec![0; out.len()];
     }
     let parallel = input.len() >= PARALLEL_THRESHOLD;
-    for_each_part((&mut out[..], &mut argmax[..]), oh * ow, parallel, |bc, (out, arg)| {
+    for_each_part((&mut out[..], &mut argmax[..]), (oh * ow, oh * ow), parallel, |bc, (out, arg)| {
         let (base, img) = (bc * h * w, &src[bc * h * w..][..h * w]);
         for (oi, out_row) in out.chunks_exact_mut(ow).enumerate() {
             let top = oi * stride * w;

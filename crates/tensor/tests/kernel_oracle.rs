@@ -329,9 +329,8 @@ fn continuous(shape: &[usize], seed: u64) -> Tensor {
 /// Batch invariance on continuous inputs: sample `i` of a batched conv
 /// is bit-identical to the conv of sample `i` alone, for every batch
 /// size, on both devices, and sample 0 is its tap chain. The shapes cover
-/// the direct kernel below and above `CONV_PARALLEL_FLOPS` (images, or
-/// row bands of one image at B = 1), the unpadded 1×1, and strided convs
-/// below and above it.
+/// the direct kernel below and above `CONV_PARALLEL_FLOPS` (one task per
+/// image), the unpadded 1×1, and strided convs below and above it.
 #[test]
 fn conv_batch_invariant_on_continuous_inputs() {
     // (c, o, h, w, k, stride, pad)
@@ -341,7 +340,7 @@ fn conv_batch_invariant_on_continuous_inputs() {
         (8, 6, 20, 20, 1, 1, 0),   // the unpadded 1×1
         (4, 6, 17, 19, 5, 2, 2),   // strided
         (4, 4, 48, 48, 3, 1, 1),   // the tile UNet's first level
-        (16, 16, 42, 24, 3, 2, 1), // strided, split into row bands
+        (16, 16, 42, 24, 3, 2, 1), // strided, one task per image
     ];
     for (si, &(c, o, h, w, k, stride, pad)) in shapes.iter().enumerate() {
         let weight = continuous(&[o, c, k, k], 40 + si as u64);
@@ -433,7 +432,7 @@ fn matmul_block_edges_bit_identical() {
 /// to `a.transpose().matmul(&b)` — same per-element order, so equality,
 /// not ulps. The sweep crosses the tiny cutoff, the skinny orientation
 /// (`n < NR ≤ m`, computed as `Cᵀ = Bᵀ·Aᵀ`), ragged tiles, a `KC` panel
-/// edge and, on `Parallel(4)`, the band split of both output axes.
+/// edge and, on `Parallel(4)`, the split of `C` into row bands.
 #[test]
 fn matmul_nt_tn_equal_transposed_copies_on_continuous_inputs() {
     let sizes = [1, 2, 4, 5, MR, NR - 1, NR + 1, 64, 130];
@@ -651,8 +650,8 @@ fn weight_grad_equals_the_per_image_chain_on_continuous_inputs() {
 /// channels into register blocks of six and its remainder, DeepSTN+'s and
 /// SatCNN's banks among them — on every one of 1-wide, odd-width and
 /// DeepSTN+ planes and batch-1 planes of the pipeline's 16×12 grid and
-/// SatCNN's 8×8 layer, with bias. Then on `Cpu` and `Parallel(4)` (images,
-/// or row bands of one image): the tile UNet's, DeepSTN+'s and SatCNN's
+/// SatCNN's 8×8 layer, with bias. Then on `Cpu` and `Parallel(4)` (one
+/// task per image): the tile UNet's, DeepSTN+'s and SatCNN's
 /// banks at their own planes and batch sizes, up to 128²; 1-wide, 1-tall
 /// and odd planes; 3×3 at pad 0 and 2, 5×5, the unpadded and the padded
 /// 1×1; and strided convs, 1×1 and 1-wide planes among them.
@@ -866,8 +865,7 @@ fn maxpool_values_equal_the_elementwise_reference() {
 /// its two allocations' size classes — the padded input (each image
 /// followed by 64 slack floats) and the output — it still equals
 /// [`conv_reference`] bit for bit: a halo pixel left unwritten would read
-/// NaN. Image tasks, and row bands of one image, on `Cpu` and
-/// `Parallel(4)`. The pool is global and other tests run alongside, so a
+/// NaN. One task per image, on `Cpu` and `Parallel(4)`. The pool is global and other tests run alongside, so a
 /// run counts only once both of the conv's buffers are seen to be
 /// poisoned ones: its output by pointer, its padded input as the vector
 /// it hands back to the top of its shelf.
@@ -912,8 +910,7 @@ fn direct_conv_zeroes_its_halo_in_a_poisoned_pool() {
 /// classes, it still equals [`weight_grad_reference`] bit for bit — a
 /// halo float left unwritten, or a stray lane stored, would read NaN. 3×3
 /// and 5×5 kernels, stride 1 and 2, rows of 3·C taps that fill their last
-/// vector or not; image tasks, and an image's blocks split across threads,
-/// on `Cpu` and `Parallel(4)`. As in the direct conv's twin, a run counts
+/// vector or not; one task per image, on `Cpu` and `Parallel(4)`. As in the direct conv's twin, a run counts
 /// once the copy is seen to be a poisoned vector: the one it hands back to
 /// the top of its shelf.
 #[test]

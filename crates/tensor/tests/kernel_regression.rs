@@ -10,7 +10,8 @@
 //! A dense layer at batch 1 must take at most half of batch 6's time: it
 //! reads its weights in place instead of packing them. A DeepSTN+ step's
 //! convolutions and their gradients, and a strided conv, must take all
-//! their scratch from the pool at steady state.
+//! their scratch from the pool at steady state, and a strided transposed
+//! conv must allocate per call, not per image.
 //!
 //! Wall-clock assertions are meaningless in unoptimised builds and
 //! noisy CI matrices, so the timed tests skip themselves under
@@ -19,7 +20,7 @@
 //! where two busy threads share too little hardware to show the split.
 //! CI runs this file with `--release`.
 
-use geotorch_tensor::ops::conv::{conv2d, conv2d_input_grad, conv2d_weight_grad};
+use geotorch_tensor::ops::conv::{conv2d, conv2d_input_grad, conv2d_weight_grad, conv_transpose2d};
 use geotorch_tensor::ops::matmul::{matmul_naive, simd_kernel_fuses, simd_kernel_name};
 use geotorch_tensor::{pool, with_device, Device, Tensor};
 use rand::SeedableRng;
@@ -437,6 +438,40 @@ fn strided_conv_scratch_stays_off_the_heap() {
             8 * STRIDED_CONV_HEAP_ALLOCS
         );
     }
+}
+
+/// A strided transposed conv (FCN's k2 s2 upsampler) makes no more heap
+/// allocations at batch 8 than at batch 1: each image's `Wᵀ·g` scatters
+/// straight into its part of one pooled output. Per-image copies, column
+/// tensors and a stack of the images made 96 a call at batch 8 against 16
+/// at batch 1.
+#[test]
+fn strided_conv_transpose_allocates_per_call_not_per_image() {
+    let _serial = serial();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(53);
+    let w = Tensor::rand_uniform(&[4, 4, 2, 2], -1.0, 1.0, &mut rng);
+    let bias = Tensor::rand_uniform(&[4], -1.0, 1.0, &mut rng);
+    let mut heap = |b: usize| {
+        let x = Tensor::rand_uniform(&[b, 4, 32, 32], -1.0, 1.0, &mut rng);
+        let up = || std::hint::black_box(conv_transpose2d(&x, &w, Some(&bias), 2, 0));
+        with_device(Device::Cpu, || {
+            for _ in 0..2 {
+                up();
+            }
+            let heap = heap_allocs();
+            for _ in 0..8 {
+                up();
+            }
+            heap_allocs() - heap
+        })
+    };
+    let (one, eight) = (heap(1), heap(8));
+    eprintln!("k2 s2 4->4 conv_transpose2d at 32², 8 calls: {one} heap allocations at batch 1, {eight} at batch 8");
+    assert!(
+        eight <= one,
+        "8 steady-state k2 s2 transposed convs made {eight} heap allocations at batch 8 against \
+         {one} at batch 1 — the strided input gradient allocates per image"
+    );
 }
 
 /// A parallel dispatch allocates nothing: a fanned-out kernel makes no
