@@ -37,4 +37,4 @@ pub mod synth;
 pub use grid::{GridDatasetBuilder, Representation, StBatch, StGridDataset, StSample};
 pub use loader::{chronological_split, shuffled_split, BatchIndices};
 pub use raster::{RasterBatchData, RasterDataset};
-pub use samplers::{GridSampler, RandomSampler, Tile};
+pub use samplers::{GridSampler, RandomSampler};

@@ -3,8 +3,8 @@
 //! pre-chipped — a sampler turns one huge georeferenced raster into a
 //! stream of tile windows.
 //!
-//! Samplers are pure window geometry ([`geotorch_raster::Window`]); the
-//! pixels come from [`Tile`] views or `Raster::read_window*`. The edge
+//! Samplers are pure window geometry ([`geotorch_raster::Window`]); a
+//! tile's pixels come from `Raster::read_window_tensor`. The edge
 //! contract is first-class: windows at the scene border **clamp** (the
 //! last start along each axis is pulled back so the window stays inside
 //! the raster) rather than zero-padding silently — every yielded window
@@ -13,7 +13,7 @@
 //! degenerates to non-overlapping tiling. These properties are pinned by
 //! proptests in `tests/sampler_prop.rs`.
 
-use geotorch_raster::{Raster, RasterError, RasterResult, Window};
+use geotorch_raster::{RasterError, RasterResult, Window};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -81,15 +81,6 @@ impl GridSampler {
         })
     }
 
-    /// Grid over a raster's full extent.
-    pub fn over(
-        raster: &Raster,
-        tile: (usize, usize),
-        stride: (usize, usize),
-    ) -> RasterResult<GridSampler> {
-        GridSampler::new(raster.extent(), tile, stride)
-    }
-
     /// The sampled region (windows are anchored inside it).
     pub fn roi(&self) -> Window {
         self.roi
@@ -133,23 +124,6 @@ impl GridSampler {
         }
     }
 
-    /// Borrowing tile views over a raster, in window order. The raster's
-    /// extent must contain the sampler's roi.
-    pub fn tiles<'a>(&'a self, raster: &'a Raster) -> RasterResult<TileIter<'a>> {
-        if !raster.extent().contains(&self.roi) {
-            return Err(RasterError::InvalidArgument(format!(
-                "sampler roi {:?} outside raster {}x{}",
-                self.roi,
-                raster.height(),
-                raster.width()
-            )));
-        }
-        Ok(TileIter {
-            inner: self.windows(),
-            raster,
-        })
-    }
-
     /// The tile extent every window shares.
     pub fn tile_extent(&self) -> (usize, usize) {
         (self.tile_h, self.tile_w)
@@ -190,88 +164,6 @@ impl Iterator for GridIter<'_> {
 
 impl ExactSizeIterator for GridIter<'_> {}
 
-/// A window bound to the raster it samples — the tile handed to
-/// transforms or inference. Pixel access is zero-copy where the layout
-/// allows: a full-width window's rows are contiguous per band and can be
-/// borrowed directly; anything narrower must gather rows into pooled
-/// storage ([`Tile::to_tensor`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Tile<'a> {
-    raster: &'a Raster,
-    window: Window,
-}
-
-impl<'a> Tile<'a> {
-    /// Bind `window` to `raster` (must be inside its extent).
-    pub fn new(raster: &'a Raster, window: Window) -> RasterResult<Tile<'a>> {
-        if !raster.extent().contains(&window) {
-            return Err(RasterError::InvalidArgument(format!(
-                "tile window {window:?} outside raster {}x{}",
-                raster.height(),
-                raster.width()
-            )));
-        }
-        Ok(Tile { raster, window })
-    }
-
-    /// The tile's window geometry.
-    pub fn window(&self) -> Window {
-        self.window
-    }
-
-    /// Zero-copy borrow of one band's samples — available exactly when
-    /// the window spans the raster's full width, which makes the window
-    /// rows one contiguous run. Returns `None` otherwise.
-    pub fn contiguous_band(&self, band: usize) -> Option<&'a [f32]> {
-        if self.window.width == self.raster.width() && self.window.col == 0 {
-            self.raster
-                .band_rows(band, self.window.row, self.window.height)
-                .ok()
-        } else {
-            None
-        }
-    }
-
-    /// The tile's samples as a `[bands, h, w]` tensor (pooled copy).
-    pub fn to_tensor(&self) -> geotorch_tensor::Tensor {
-        self.raster
-            .read_window_tensor(&self.window)
-            .expect("tile window validated at construction")
-    }
-
-    /// The tile's samples as an owned raster (pooled copy), windowed
-    /// georeferencing included.
-    pub fn to_raster(&self) -> Raster {
-        self.raster
-            .read_window(&self.window)
-            .expect("tile window validated at construction")
-    }
-}
-
-/// Iterator of [`Tile`] views in grid order.
-pub struct TileIter<'a> {
-    inner: GridIter<'a>,
-    raster: &'a Raster,
-}
-
-impl<'a> Iterator for TileIter<'a> {
-    type Item = Tile<'a>;
-
-    fn next(&mut self) -> Option<Tile<'a>> {
-        let window = self.inner.next()?;
-        Some(Tile {
-            raster: self.raster,
-            window,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
-
-impl ExactSizeIterator for TileIter<'_> {}
-
 /// Seeded uniform random window sampler (TorchGeo's `RandomGeoSampler`):
 /// yields `length` windows of fixed extent, each anchored uniformly at
 /// random inside the roi — bounds-checked by construction, so a yielded
@@ -309,16 +201,6 @@ impl RandomSampler {
             rng: StdRng::seed_from_u64(seed),
             drawn: 0,
         })
-    }
-
-    /// Random windows over a raster's full extent.
-    pub fn over(
-        raster: &Raster,
-        tile: (usize, usize),
-        length: usize,
-        seed: u64,
-    ) -> RasterResult<RandomSampler> {
-        RandomSampler::new(raster.extent(), tile, length, seed)
     }
 
     /// The sampled region.
@@ -376,7 +258,7 @@ mod tests {
         assert_eq!(axis_starts(10, 4, 4), vec![0, 4, 6]);
         // Overlapping stride.
         assert_eq!(axis_starts(8, 4, 2), vec![0, 2, 4]);
-        // Tile spans the whole extent.
+        // The tile spans the whole extent.
         assert_eq!(axis_starts(4, 4, 1), vec![0]);
     }
 
@@ -410,23 +292,6 @@ mod tests {
         assert!(GridSampler::new(roi, (4, 4), (5, 4)).is_err()); // stride > tile
         assert!(GridSampler::new(roi, (4, 4), (0, 4)).is_err()); // zero stride
         assert!(GridSampler::new(roi, (0, 4), (1, 1)).is_err()); // zero tile
-    }
-
-    #[test]
-    fn tiles_view_zero_copy_when_full_width() {
-        let raster = Raster::new((0..32).map(|v| v as f32).collect(), 2, 4, 4).unwrap();
-        let s = GridSampler::over(&raster, (2, 4), (2, 4)).unwrap();
-        let tiles: Vec<Tile> = s.tiles(&raster).unwrap().collect();
-        assert_eq!(tiles.len(), 2);
-        // Full-width tiles borrow their rows without copying.
-        let band = tiles[1].contiguous_band(1).unwrap();
-        assert_eq!(band, &raster.band(1).unwrap()[8..16]);
-        // A narrow tile cannot borrow contiguously.
-        let narrow = Tile::new(&raster, Window::new(0, 1, 2, 2)).unwrap();
-        assert!(narrow.contiguous_band(0).is_none());
-        let t = narrow.to_tensor();
-        assert_eq!(t.shape(), &[2, 2, 2]);
-        assert_eq!(t.as_slice(), &[1.0, 2.0, 5.0, 6.0, 17.0, 18.0, 21.0, 22.0]);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use geotorch_tensor::{pool, Tensor};
 
 use crate::error::{RasterError, RasterResult};
-use crate::raster::{GeoTransform, Raster};
+use crate::raster::Raster;
 
 /// A rectangular pixel window: `height × width` pixels anchored at
 /// `(row, col)`. Used for sampler geometry, tile extraction, and mosaic
@@ -221,8 +221,6 @@ pub struct MosaicAccumulator {
     /// `height × width` weight sum (coverage).
     weight: Vec<f32>,
     tiles: usize,
-    transform: GeoTransform,
-    epsg: u32,
 }
 
 impl MosaicAccumulator {
@@ -241,16 +239,7 @@ impl MosaicAccumulator {
             acc: pool::alloc_zeroed(classes * height * width),
             weight: pool::alloc_zeroed(height * width),
             tiles: 0,
-            transform: GeoTransform::identity(),
-            epsg: 0,
         }
-    }
-
-    /// Georeference the finished mosaic (e.g. the scene transform
-    /// translated to the region-of-interest origin).
-    pub fn set_georeference(&mut self, transform: GeoTransform, epsg: u32) {
-        self.transform = transform;
-        self.epsg = epsg;
     }
 
     /// Mosaic plane count.
@@ -343,8 +332,9 @@ impl MosaicAccumulator {
     }
 
     /// Normalize by accumulated coverage and return the mosaic raster
-    /// (`classes` bands). Fails if any pixel was never covered by a
-    /// tile core — a partial mosaic is never silently returned.
+    /// (`classes` bands, not georeferenced: the caller knows the frame).
+    /// Fails if any pixel was never covered by a tile core — a partial
+    /// mosaic is never silently returned.
     pub fn finalize(mut self) -> RasterResult<Raster> {
         if let Some((r, c)) = self.coverage_gap() {
             return Err(RasterError::InvalidArgument(format!(
@@ -360,10 +350,7 @@ impl MosaicAccumulator {
                 *v /= w;
             }
         }
-        let mut out = Raster::new(acc, self.classes, self.height, self.width)?;
-        out.transform = self.transform;
-        out.epsg = self.epsg;
-        Ok(out)
+        Raster::new(acc, self.classes, self.height, self.width)
     }
 }
 

@@ -184,21 +184,6 @@ impl Raster {
         Ok(&mut self.data[band * n..(band + 1) * n])
     }
 
-    /// Zero-copy view of `nrows` full-width rows of one band starting at
-    /// `row` — the contiguous fast path for full-width windows.
-    pub fn band_rows(&self, band: usize, row: usize, nrows: usize) -> RasterResult<&[f32]> {
-        self.check_band(band)?;
-        if row + nrows > self.height {
-            return Err(RasterError::InvalidArgument(format!(
-                "rows {row}..{} outside height {}",
-                row + nrows,
-                self.height
-            )));
-        }
-        let start = (band * self.height + row) * self.width;
-        Ok(&self.data[start..start + nrows * self.width])
-    }
-
     /// Sample at `(band, row, col)`.
     pub fn get(&self, band: usize, row: usize, col: usize) -> RasterResult<f32> {
         self.check_pixel(band, row, col)?;
@@ -301,9 +286,7 @@ impl Raster {
     pub fn read_window_tensor(&self, w: &Window) -> RasterResult<Tensor> {
         let mut data = pool::alloc_uninit(self.bands * w.area());
         self.read_window_into(w, &mut data)?;
-        let t = Tensor::from_slice(&data, &[self.bands, w.height, w.width]);
-        pool::release(data);
-        Ok(t)
+        Ok(Tensor::from_vec(data, &[self.bands, w.height, w.width]))
     }
 
     /// Copy a window's samples (band-major) into `out`, which must hold
@@ -547,14 +530,6 @@ mod tests {
         let t = r.read_window_tensor(&w).unwrap();
         assert_eq!(t.shape(), &[2, 2, 2]);
         assert_eq!(t.as_slice(), r.read_window(&w).unwrap().as_slice());
-    }
-
-    #[test]
-    fn band_rows_is_contiguous_view() {
-        let r = sample();
-        assert_eq!(r.band_rows(1, 1, 1).unwrap(), &[40.0, 50.0, 60.0]);
-        assert_eq!(r.band_rows(0, 0, 2).unwrap(), r.band(0).unwrap());
-        assert!(r.band_rows(0, 1, 2).is_err());
     }
 
     #[test]

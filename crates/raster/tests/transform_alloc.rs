@@ -6,6 +6,9 @@
 //! budget absorbs one-off wobble; it fails loudly if a transform
 //! regresses to fresh allocation per call.
 //!
+//! Pool stats are process-wide, so every test here takes the `serial()`
+//! gate: a concurrent test's acquisitions would count against another's.
+//!
 //! Geometry note: the raster is 3 bands of 64×64 (12288 floats) and the
 //! append/delete steps briefly grow it to 4 bands (16384 floats) — both
 //! sizes are served by the same pow2 size class (2^14), so the chained
@@ -15,10 +18,16 @@ use geotorch_raster::transforms::{
     AppendNormalizedDifferenceIndex, ChannelJitter, Compose, DeleteBand, HorizontalFlip,
     NormalizeAll, RasterTransform, Rotate90, VerticalFlip,
 };
-use geotorch_raster::Raster;
+use geotorch_raster::{Raster, Window};
 use geotorch_tensor::pool;
+use std::sync::{Mutex, MutexGuard};
 
 const MISS_BUDGET: u64 = 8;
+
+fn serial() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn scene() -> Raster {
     let (bands, h, w) = (3usize, 64usize, 64usize);
@@ -42,6 +51,7 @@ fn pipeline() -> Compose {
 
 #[test]
 fn chained_transform_pipeline_is_steady_state_allocation_free() {
+    let _g = serial();
     let chain = pipeline();
     let mut raster = scene();
 
@@ -78,6 +88,7 @@ fn chained_transform_pipeline_is_steady_state_allocation_free() {
 
 #[test]
 fn cloning_apply_path_recycles_the_clone() {
+    let _g = serial();
     let chain = pipeline();
     let raster = scene();
 
@@ -98,5 +109,31 @@ fn cloning_apply_path_recycles_the_clone() {
     assert!(
         misses <= MISS_BUDGET,
         "apply() clone path allocated fresh buffers {misses} times (budget {MISS_BUDGET})"
+    );
+}
+
+/// A tile read moves its pooled window buffer into the tensor: one pool
+/// acquisition per call, not a buffer plus a copy of it.
+#[test]
+fn read_window_tensor_takes_one_pool_buffer_per_call() {
+    let _g = serial();
+    const CALLS: u64 = 16;
+    let raster = Raster::new(vec![0.25; 3 * 192 * 192], 3, 192, 192).unwrap();
+    let window = Window::new(32, 48, 128, 128);
+    for _ in 0..2 {
+        raster.read_window_tensor(&window).unwrap();
+    }
+
+    let before = pool::stats();
+    for _ in 0..CALLS {
+        let tile = raster.read_window_tensor(&window).unwrap();
+        assert_eq!(tile.shape(), &[3, 128, 128]);
+    }
+    let after = pool::stats();
+
+    let taken = (after.hits + after.misses) - (before.hits + before.misses);
+    assert_eq!(
+        taken, CALLS,
+        "{CALLS} warmed 3x128x128 window reads took {taken} pool buffers; one each expected"
     );
 }

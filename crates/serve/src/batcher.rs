@@ -17,20 +17,16 @@
 //! count would include work routed to siblings). A lone caller pays one
 //! forward, not a window; under load the previous forward is the window.
 //! Same-shaped samples are stacked into one `[K, ...]` tensor and run
-//! through a single no-grad forward on the configured device; the output
+//! through a single no-grad forward on the replica's thread; the output
 //! rows are scattered back to the callers. Ragged shapes are legal — a
 //! batch is partitioned into per-shape groups, one forward each, so every
 //! caller gets exactly what a sequential forward would have produced.
 //!
 //! The default shard is one replica per available core, each running its
-//! forward on `Device::Cpu`: a request runs depth-first on one core with
-//! its activations in that core's cache, and least-loaded routing spreads
-//! concurrent requests over the cores. Splitting one stacked batch over
-//! the cores instead (`Device::Parallel` on a single replica) buys no
-//! throughput for the served models: a UNet tile costs the same per image
-//! on two threads at batch 4 as on one thread at batch 1. Replicas are
-//! built one at a time, so only one constructor's scratch is alive at
-//! once.
+//! forward serially on its own thread: a request runs depth-first on one
+//! core with its activations in that core's cache, and least-loaded
+//! routing spreads concurrent requests over the cores. Replicas are built
+//! one at a time, so only one constructor's scratch is alive at once.
 //!
 //! # Robustness
 //!
@@ -80,7 +76,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use geotorch_nn::{no_grad, Var};
-use geotorch_tensor::{with_device, Device, Tensor};
+use geotorch_tensor::Tensor;
 use geotorch_telemetry::Stat;
 
 use crate::{ServeError, ServeModel};
@@ -92,14 +88,6 @@ pub struct BatchConfig {
     /// (every request runs alone — the baseline the load generator
     /// compares against).
     pub max_batch: usize,
-    /// Device each replica's batched forward runs on. The default,
-    /// `Device::Cpu`, keeps a forward on its replica's thread, so the
-    /// replicas, not the kernels, spread the load over the cores. To
-    /// split each stacked batch over the cores instead, pair
-    /// `Device::parallel()` with `replicas: 1`: left at its default,
-    /// `replicas` gives one parallel replica per core, each splitting
-    /// its batches over every core.
-    pub device: Device,
     /// Most admitted-but-unanswered requests per model, summed across
     /// its replicas. The next request past the bound is shed with
     /// [`ServeError::Overloaded`] instead of queueing without limit.
@@ -108,11 +96,10 @@ pub struct BatchConfig {
     /// of the model (built by the registered constructor on the replica
     /// thread, sharing the weights the registry read) and its own batch
     /// queue; requests are routed to the least-loaded live replica. The
-    /// default is one per available core, paired with the default
-    /// `Device::Cpu`; `1` reproduces the single-owner-thread behaviour
-    /// exactly. Every replica holds its own model copy and scratch, and
-    /// replicas are built one after another, so start-up time and memory
-    /// grow with the count.
+    /// default is one per available core; `1` reproduces the
+    /// single-owner-thread behaviour exactly. Every replica holds its own
+    /// model copy and scratch, and replicas are built one after another,
+    /// so start-up time and memory grow with the count.
     pub replicas: usize,
 }
 
@@ -120,7 +107,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_batch: 8,
-            device: Device::Cpu,
             queue_bound: 64,
             replicas: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
@@ -944,7 +930,7 @@ fn serve_loop(
                 }
             }
         }
-        run_batch(model, &mut batch, config, model_stat, &version, opened);
+        run_batch(model, &mut batch, model_stat, &version, opened);
     }
 }
 
@@ -953,7 +939,6 @@ fn serve_loop(
 fn run_batch(
     model: &dyn ServeModel,
     batch: &mut Vec<Request>,
-    config: BatchConfig,
     model_stat: &'static Stat,
     version: &Arc<str>,
     opened: Instant,
@@ -982,7 +967,7 @@ fn run_batch(
 
     // Answer same-shaped `members` with their output rows or the error.
     let run_group = |members: &mut Vec<Request>| {
-        let outcome = forward(model, members, config, model_stat);
+        let outcome = forward(model, members, model_stat);
         for (i, request) in members.drain(..).enumerate() {
             let row = outcome.as_ref().map(|out| (out.index_axis(0, i), Arc::clone(version)));
             answer(request, row.map_err(ServeError::clone));
@@ -1006,7 +991,6 @@ fn run_batch(
 fn forward(
     model: &dyn ServeModel,
     members: &[Request],
-    config: BatchConfig,
     model_stat: &'static Stat,
 ) -> Result<Tensor, ServeError> {
     // Chaos hook *outside* the panic isolation: an injected error
@@ -1024,9 +1008,7 @@ fn forward(
         if let Err(msg) = geotorch_telemetry::fault_point!("serve.batcher.model") {
             panic!("injected model fault: {msg}");
         }
-        with_device(config.device, || {
-            no_grad(|| model.predict(&Var::constant(stacked)).value())
-        })
+        no_grad(|| model.predict(&Var::constant(stacked)).value())
     }));
     if geotorch_telemetry::enabled() {
         model_stat.record_ns(start.elapsed().as_nanos() as u64);

@@ -17,7 +17,7 @@
 //!   deliberately single-threaded, so a model never crosses threads);
 //!   whatever is queued at a replica when its forward ends (up to
 //!   `max_batch`; no timer) is stacked into its next batched no-grad
-//!   forward on the configured device, and the rows of the output are
+//!   forward on the replica's thread, and the rows of the output are
 //!   scattered back to the callers.
 //! * [`http`] — a hand-rolled HTTP/1.1 layer with JSON bodies: `POST
 //!   /predict/<model>`, `GET /healthz`, and `GET /metrics` (a

@@ -80,7 +80,7 @@ pub struct TileConfig {
     /// least the model's receptive-field radius (rounded up to
     /// `alignment`) for exact seams; `0` trusts tiles to their edges.
     pub halo: usize,
-    /// Tile starts, extents, and strides must be multiples of this (the
+    /// Every tile start, extent and stride must be a multiple of this (the
     /// model's total downsampling factor — e.g. 4 for a 2-level UNet) so
     /// every tile sees the same pooling grid as the whole scene. Use `1`
     /// for models without downsampling.
@@ -176,13 +176,6 @@ pub struct MosaicStats {
     pub elapsed: Duration,
     /// Per-tile predict latency (submit → reply taken), in tile order.
     pub tile_latencies: Vec<Duration>,
-}
-
-impl MosaicStats {
-    /// Tiles per second over the whole run.
-    pub fn tiles_per_sec(&self) -> f64 {
-        self.tiles as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
 }
 
 /// Run a segmentation model over `roi` of `scene` tile by tile and

@@ -11,17 +11,16 @@ use geotorch_models::raster::Fcn;
 use geotorch_models::Segmenter;
 use geotorch_nn::{no_grad, Module, Var};
 use geotorch_serve::{BatchConfig, ModelWorker, SegmenterServe, ServeModel};
-use geotorch_tensor::{Device, Tensor};
+use geotorch_tensor::Tensor;
 use rand::SeedableRng;
 
 use common::{latched_worker, wait_for_routed};
 
-/// One replica on the serial device: the scheduler under test is one
-/// replica's gather, and one latch gates one replica.
+/// One replica: the scheduler under test is one replica's gather, and
+/// one latch gates one replica.
 fn cpu_config(max_batch: usize) -> BatchConfig {
     BatchConfig {
         max_batch,
-        device: Device::Cpu,
         replicas: 1,
         ..BatchConfig::default()
     }
@@ -97,53 +96,6 @@ fn concurrent_ragged_requests_match_sequential_no_grad_forwards() {
         );
     }
     worker.shutdown();
-}
-
-#[test]
-fn parallel_device_batches_match_cpu_sequential() {
-    const K: usize = 6;
-    let samples = ragged_samples(K);
-    let reference_model = fcn();
-    reference_model.set_training(false);
-    let expected: Vec<Tensor> = samples
-        .iter()
-        .map(|s| {
-            let mut shape = vec![1];
-            shape.extend_from_slice(s.shape());
-            let x = Var::constant(s.reshape(&shape));
-            no_grad(|| reference_model.forward(&x).value().index_axis(0, 0))
-        })
-        .collect();
-
-    // One replica, so the concurrent samples stack into one batch that
-    // the parallel device splits.
-    let config = BatchConfig {
-        max_batch: 8,
-        device: Device::Parallel(4),
-        replicas: 1,
-        ..BatchConfig::default()
-    };
-    let worker = ModelWorker::spawn("fcn-par", config, || {
-        Ok(Box::new(SegmenterServe(fcn())) as Box<dyn ServeModel>)
-    })
-    .expect("worker starts");
-    let results: Vec<Tensor> = std::thread::scope(|scope| {
-        let handles: Vec<_> = samples
-            .iter()
-            .map(|sample| {
-                let client = worker.client();
-                let sample = sample.clone();
-                scope.spawn(move || client.predict(sample).unwrap())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for (got, want) in results.iter().zip(&expected) {
-        assert!(
-            got.allclose(want, 1e-6),
-            "Device::Parallel serving must match serial evaluation"
-        );
-    }
 }
 
 /// A trivial model that logs every forward's batch size, for observing

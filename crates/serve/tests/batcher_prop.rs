@@ -13,7 +13,7 @@ use std::sync::{Arc, Barrier, Mutex};
 
 use geotorch_nn::{Module, Var};
 use geotorch_serve::{BatchConfig, ModelWorker, ServeModel};
-use geotorch_tensor::{Device, Tensor};
+use geotorch_tensor::Tensor;
 use proptest::prelude::*;
 
 /// Doubles every element and logs each forward's batch size.
@@ -71,7 +71,6 @@ proptest! {
             "doubler",
             BatchConfig {
                 max_batch,
-                device: Device::Cpu,
                 queue_bound: 256,
                 replicas,
             },

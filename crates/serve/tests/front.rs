@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use geotorch_nn::{Module, Var};
 use geotorch_serve::{BatchConfig, Registry, ServeConfig, ServeModel, Server};
-use geotorch_tensor::{Device, Tensor};
+use geotorch_tensor::Tensor;
 use geotorch_telemetry::fault::{self, FaultAction, FaultPlan};
 use serde::Value;
 
@@ -53,7 +53,6 @@ fn start_server(http_workers: usize, socket_timeout_ms: u64) -> Server {
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: 4,
-            device: Device::Cpu,
             queue_bound: 64,
             replicas: 1,
         },

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use geotorch_nn::{Module, Var};
 use geotorch_serve::{BatchConfig, Registry, ServeConfig, ServeModel, Server};
-use geotorch_tensor::{Device, Tensor};
+use geotorch_tensor::Tensor;
 use serde::Value;
 
 /// Doubles its input.
@@ -76,7 +76,6 @@ fn start_server(queue_bound: usize, socket_timeout_ms: u64, max_body: usize) -> 
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: 4,
-            device: Device::Cpu,
             queue_bound,
             replicas: 1,
         },
@@ -263,10 +262,7 @@ fn hostile_shapes_are_400_and_a_lone_responder_survives_them() {
     let mut registry = Registry::new();
     registry.register("echo", None, || Box::new(Echo) as Box<dyn ServeModel>);
     let config = ServeConfig {
-        batch: BatchConfig {
-            device: Device::Cpu,
-            ..BatchConfig::default()
-        },
+        batch: BatchConfig::default(),
         http_workers: 1,
         ..ServeConfig::default()
     };
@@ -306,10 +302,7 @@ fn tensor_spec_whose_hash_is_not_a_content_hash_is_400() {
     registry.register("echo", None, || Box::new(Echo) as Box<dyn ServeModel>);
     assert!(registry.enable_sync("echo", &dir));
     let config = ServeConfig {
-        batch: BatchConfig {
-            device: Device::Cpu,
-            ..BatchConfig::default()
-        },
+        batch: BatchConfig::default(),
         http_workers: 1,
         ..ServeConfig::default()
     };

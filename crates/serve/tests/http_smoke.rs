@@ -30,7 +30,6 @@ fn serve_config() -> ServeConfig {
     ServeConfig {
         batch: BatchConfig {
             max_batch: 4,
-            device: Device::Cpu,
             ..BatchConfig::default()
         },
         http_workers: 2,

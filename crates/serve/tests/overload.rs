@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use geotorch_nn::{Module, Var};
 use geotorch_serve::{BatchConfig, Registry, ServeConfig, ServeModel, Server};
-use geotorch_tensor::{Device, Tensor};
+use geotorch_tensor::Tensor;
 use serde::Value;
 
 #[path = "common/latency.rs"]
@@ -64,7 +64,6 @@ fn start_server(drain_timeout_ms: u64) -> Server {
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: MAX_BATCH,
-            device: Device::Cpu,
             queue_bound: BOUND,
             replicas: 1,
         },
@@ -237,7 +236,6 @@ fn fixed_cost_throughput(max_batch: usize, replicas: usize) -> f64 {
     use geotorch_serve::ModelWorker;
     let config = BatchConfig {
         max_batch,
-        device: Device::Cpu,
         queue_bound: 64,
         replicas,
     };

@@ -6,13 +6,12 @@ use std::path::PathBuf;
 use geotorch_nn::layers::{BatchNorm2d, Linear};
 use geotorch_nn::{Layer, Module, Var};
 use geotorch_serve::{BatchConfig, Registry, ServeError, ServeModel};
-use geotorch_tensor::{Device, Tensor};
+use geotorch_tensor::Tensor;
 use rand::SeedableRng;
 
 fn cpu_config() -> BatchConfig {
     BatchConfig {
         max_batch: 4,
-        device: Device::Cpu,
         ..BatchConfig::default()
     }
 }

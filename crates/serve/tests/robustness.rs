@@ -18,7 +18,7 @@ use geotorch_nn::{Layer, Module, Var};
 use geotorch_serve::{
     BatchConfig, ModelWorker, Registry, ServeConfig, ServeError, ServeModel, Server,
 };
-use geotorch_tensor::{Device, Tensor};
+use geotorch_tensor::Tensor;
 use geotorch_telemetry::fault::{self, FaultAction, FaultPlan};
 use rand::SeedableRng;
 use serde::Value;
@@ -42,7 +42,6 @@ fn chaos_seed() -> u64 {
 fn cpu_config(max_batch: usize, queue_bound: usize) -> BatchConfig {
     BatchConfig {
         max_batch,
-        device: Device::Cpu,
         queue_bound,
         replicas: 1,
     }

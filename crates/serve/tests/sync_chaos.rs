@@ -21,7 +21,7 @@ use geotorch_core::Manifest;
 use geotorch_models::raster::SatCnn;
 use geotorch_nn::Module;
 use geotorch_serve::{BatchConfig, Registry, ServeConfig, ServeError, Server};
-use geotorch_tensor::{Device, Tensor};
+use geotorch_tensor::Tensor;
 use geotorch_telemetry::fault::{self, FaultAction, FaultPlan};
 use rand::SeedableRng;
 use serde::Value;
@@ -62,7 +62,6 @@ fn start_node(dir: &Path, replicas: usize) -> Server {
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: 4,
-            device: Device::Cpu,
             replicas,
             ..BatchConfig::default()
         },

@@ -6,6 +6,7 @@
 //! The fault registry and telemetry counters are process-global, so every
 //! test takes the `serial()` gate.
 
+use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -63,10 +64,9 @@ fn seam_scene() -> Raster {
     scene
 }
 
-fn unet_worker(name: &str, device: Device, replicas: usize) -> ModelWorker {
+fn unet_worker(name: &str, replicas: usize) -> ModelWorker {
     let config = BatchConfig {
         max_batch: 4,
-        device,
         queue_bound: 32,
         replicas,
     };
@@ -109,26 +109,27 @@ fn exact_cfg() -> TileConfig {
     }
 }
 
+/// The replicas serve the mosaic; the unsplit reference it must match
+/// runs on both devices.
 #[test]
-fn mosaic_matches_whole_scene_forward_on_both_devices() {
+fn replica_mosaic_matches_whole_scene_forward_on_both_devices() {
     let _g = serial();
     let scene = seam_scene();
+    let worker = unet_worker("unet-seam", 2);
+    let (mosaic, stats) = run_mosaic(&worker.client(), &scene, scene.extent(), exact_cfg())
+        .expect("mosaic run succeeds");
+    worker.shutdown();
+    assert_eq!((mosaic.bands(), mosaic.height(), mosaic.width()), (1, 96, 96));
+    assert_eq!(stats.tiles, 9, "3×3 clamped grid over 96 at tile 64 stride 16");
+    assert_eq!(stats.tile_latencies.len(), 9);
     for device in [Device::Cpu, Device::parallel()] {
         let reference = whole_scene_forward(&scene, device);
-        let worker = unet_worker("unet-seam", device, 2);
-        let (mosaic, stats) =
-            run_mosaic(&worker.client(), &scene, scene.extent(), exact_cfg())
-                .expect("mosaic run succeeds");
-        assert_eq!((mosaic.bands(), mosaic.height(), mosaic.width()), (1, 96, 96));
-        assert_eq!(stats.tiles, 9, "3×3 clamped grid over 96 at tile 64 stride 16");
-        assert_eq!(stats.tile_latencies.len(), 9);
         let worst = max_ulp(mosaic.as_slice(), &reference);
         assert!(
             worst <= 4,
             "tiled mosaic deviates {worst} ulp from the whole-scene forward on {device:?} — \
              seams are numerically visible"
         );
-        worker.shutdown();
     }
 }
 
@@ -137,8 +138,8 @@ fn mosaic_is_deterministic_across_runs() {
     let _g = serial();
     let scene = seam_scene();
     let mut first: Option<Vec<u32>> = None;
-    for replicas in [1, 2] {
-        let worker = unet_worker("unet-det", Device::Cpu, replicas);
+    for replicas in BTreeSet::from([1, 2, BatchConfig::default().replicas]) {
+        let worker = unet_worker("unet-det", replicas);
         let client = worker.client();
         for max_in_flight in [1, 3, 4] {
             let cfg = TileConfig {
@@ -178,7 +179,6 @@ impl ServeModel for Identity {
 fn identity_worker(name: &str, queue_bound: usize) -> ModelWorker {
     let config = BatchConfig {
         max_batch: 4,
-        device: Device::Cpu,
         queue_bound,
         replicas: 1,
     };
@@ -295,7 +295,6 @@ impl ServeModel for SlowZeros {
 fn slow_worker(name: &str, ms: u64, queue_bound: usize) -> ModelWorker {
     let config = BatchConfig {
         max_batch: 1,
-        device: Device::Cpu,
         queue_bound,
         replicas: 1,
     };

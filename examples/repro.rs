@@ -720,11 +720,11 @@ fn fig9(quick: bool, threads: Option<usize>) -> String {
             .mean_epoch_seconds()
     };
     let parallel = threads.map_or_else(Device::parallel, Device::Parallel);
-    let mut band_rows = Vec::new();
+    let mut rows_by_bands = Vec::new();
     for bands in [3usize, 5, 8, 10, 13] {
         let cpu = epoch_time(bands, 64, Device::Cpu);
         let gpu = epoch_time(bands, 64, parallel);
-        band_rows.push(vec![
+        rows_by_bands.push(vec![
             format!("{bands}"),
             format!("{cpu:.3}"),
             format!("{gpu:.3}"),
@@ -768,7 +768,7 @@ fn fig9(quick: bool, threads: Option<usize>) -> String {
          (the reproduction's GPU substitute).\n\n### Varying spectral bands (64×64 grid)\n\n{}\n\
          ### Varying grid shape (3 bands)\n\n{}{}",
         parallel.threads(),
-        markdown_table(&["bands", "CPU s/epoch", "\"GPU\" s/epoch", "speedup"], &band_rows),
+        markdown_table(&["bands", "CPU s/epoch", "\"GPU\" s/epoch", "speedup"], &rows_by_bands),
         markdown_table(&["grid", "CPU s/epoch", "\"GPU\" s/epoch", "speedup"], &grid_rows),
         env_note,
     )

@@ -62,7 +62,7 @@ pub mod datasets {
 
     /// Windowed geo-samplers for scene-scale tiling (TorchGeo-style).
     pub mod samplers {
-        pub use geotorch_datasets::samplers::{GridSampler, RandomSampler, Tile};
+        pub use geotorch_datasets::samplers::{GridSampler, RandomSampler};
     }
 }
 

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use geotorchai::nn::{Module, Var};
 use geotorchai::serve::{BatchConfig, ModelWorker, ServeModel};
-use geotorchai::tensor::{Device, Tensor};
+use geotorchai::tensor::Tensor;
 
 /// Doubles its input after a fixed sleep, logging each forward's batch
 /// size.
@@ -36,7 +36,6 @@ fn worker(forward: Duration, replicas: usize) -> (ModelWorker, Arc<Mutex<Vec<usi
     let log = Arc::clone(&batches);
     let config = BatchConfig {
         max_batch: 4,
-        device: Device::Cpu,
         replicas,
         ..BatchConfig::default()
     };
